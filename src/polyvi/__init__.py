@@ -13,7 +13,6 @@ Ready-made problem files live in fixtures/ at the repository root.
 
 from .polycore import (
     DegreeOverflowError,
-    Monomial,
     MonomialBasis,
     MomentVector,
     Polynomial,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegreeOverflowError",
-    "Monomial",
     "MonomialBasis",
     "MomentVector",
     "Polynomial",

@@ -42,9 +42,7 @@ class ProblemFileError(Exception):
     """A problem file that cannot be parsed or validated."""
 
 
-_OPTION_FIELDS = tuple(
-    f.name for f in dataclasses.fields(SolverOptions) if f.name != "backend"
-)
+_OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(SolverOptions))
 
 
 def _fail(msg: str):
@@ -143,14 +141,10 @@ def problem_to_dict(problem: VipProblem, options: dict | None = None) -> dict:
 # -- random families ----------------------------------------------------------
 
 
-def _monomials_up_to(n: int, d: int):
-    return [tuple(e) for e in basis(n, d).exponents]
-
-
 def gen_ball(n: int, d: int, seed: int) -> dict:
     """F = A [x]_d with standard normal A; X the unit ball."""
     rng = np.random.default_rng(seed)
-    monos = _monomials_up_to(n, d)
+    monos = basis(n, d).exponents
     a_mat = rng.standard_normal((n, len(monos)))
     F = [
         Polynomial(n, {e: float(a_mat[i, j]) for j, e in enumerate(monos) if a_mat[i, j]})
@@ -378,17 +372,13 @@ def main():
 @main.command("solve")
 @click.argument("file", type=click.Path())
 @click.option("--all", "mode_all", is_flag=True, help="Enumerate the full solution set.")
-@click.option("--one", "mode_one", is_flag=True, help="Stop after the first solution (default).")
 @click.option("--seed", type=int, default=None, help="Objective seed (POLYVI_SEED fallback).")
 @click.option("--max-loops", type=int, default=None)
 @click.option("--max-order-extra", type=int, default=None, help="Relaxation orders past d0.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_solve(file, mode_all, mode_one, seed, max_loops, max_order_extra, as_json, out):
+def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     """Solve the problem in FILE; exit 0 solved/certified, 2 inconclusive."""
-    if mode_all and mode_one:
-        click.echo("choose one of --all / --one", err=True)
-        sys.exit(1)
     try:
         problem, opts = load_problem(file)
     except ProblemFileError as exc:

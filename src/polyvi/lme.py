@@ -208,11 +208,10 @@ def _require(cond: bool, msg: str):
         raise TemplateMismatch(msg)
 
 
-def catalog_lme(kind: str, cs: ConstraintSystem, params: dict | None = None) -> LmeMatrix:
+def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
     """The catalog L matrix for a recognized constraint pattern.
 
-    `params` is accepted for forward compatibility; every template infers
-    what it needs from the constraints themselves.
+    Every template infers what it needs from the constraints themselves.
     """
     kind = normalize_kind(kind)
     n, m = cs.n, cs.m
@@ -381,7 +380,7 @@ def recipe_from_spec(data: dict, cs: ConstraintSystem) -> LmeRecipe:
             probe = tuple(Polynomial.zero(cs.n) for _ in range(cs.n))
             soc_lme(probe, cs)  # template match check
             return LmeRecipe(cs, kind=kind)
-        matrix = catalog_lme(kind, cs, data.get("params"))
+        matrix = catalog_lme(kind, cs)
         return LmeRecipe(cs, kind=kind, matrix=matrix)
     if "L" in data:
         rows = tuple(

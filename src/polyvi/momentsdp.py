@@ -23,12 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import sdpbackend as sb
-from .polycore import MomentVector, Polynomial, basis
+from .polycore import MomentVector, Polynomial, basis, lift, monomial_index
 
 INFEASIBLE = "infeasible"
 MINIMIZERS = "minimizers"
@@ -74,12 +75,26 @@ class PolyProgram:
         return err
 
 
-class LocalizingTemplate:
-    """Symbolic localizing matrix of q at order k.
+@lru_cache(maxsize=None)
+def _pair_sums(n: int, t: int):
+    """Upper-triangle pairs (i <= j) of basis(n, t) and their exponent sums b_i + b_j."""
+    exps = basis(n, t).exp_array
+    rows, cols = np.triu_indices(len(exps))
+    return rows, cols, exps[rows] + exps[cols]
 
-    Entry (i, j) is the list of (exponent, coef) pairs of q * x^(b_i + b_j),
-    to be contracted against a moment vector.  The moment matrix itself is
-    the localizing template of the constant 1.
+
+def _shifted_terms(p: Polynomial, shifts: np.ndarray):
+    """Moment indices of the terms of p * x^s, one row per shift s, and p's coefficients."""
+    exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.n)
+    return monomial_index(shifts[:, None, :] + exps[None, :, :]), np.array(list(p.terms.values()))
+
+
+class LocalizingTemplate:
+    """Localizing matrix of q at order k as a PSD block over the moments.
+
+    Entry (i, j) is the pairing of q * x^(b_i + b_j) with a moment vector;
+    the block's triplets list it term by term.  The moment matrix is the
+    localizing matrix of the constant 1.
     """
 
     def __init__(self, q: Polynomial, k: int, n: int):
@@ -88,30 +103,21 @@ class LocalizingTemplate:
         t = k - math.ceil(q.degree / 2)
         if t < 0:
             raise ValueError(f"order {k} too small to localize degree {q.degree}")
-        self.q = q
-        self.k = k
-        self.n = n
-        self.t = t
         self.row_basis = basis(n, t)
         self.size = len(self.row_basis)
-
-    def entry(self, i: int, j: int) -> list[tuple[tuple[int, ...], float]]:
-        bi = self.row_basis.exponents[i]
-        bj = self.row_basis.exponents[j]
-        shift = tuple(a + b for a, b in zip(bi, bj))
-        return [
-            (tuple(g + s for g, s in zip(exp, shift)), coef)
-            for exp, coef in self.q.terms.items()
-        ]
+        rows, cols, sums = _pair_sums(n, t)
+        var_idx, coefs = _shifted_terms(q, sums)
+        self.block = sb.SdpBlock(
+            self.size,
+            np.zeros((self.size, self.size)),
+            var_idx.ravel(),
+            np.repeat(rows, len(coefs)),
+            np.repeat(cols, len(coefs)),
+            np.tile(coefs, len(rows)),
+        )
 
     def instantiate(self, y: MomentVector) -> np.ndarray:
-        idx = y.basis.index_of
-        mat = np.zeros((self.size, self.size))
-        for i in range(self.size):
-            for j in range(i, self.size):
-                val = sum(c * y.values[idx(e)] for e, c in self.entry(i, j))
-                mat[i, j] = mat[j, i] = val
-        return mat
+        return self.block.evaluate(y.values)
 
 
 def localizing_template(q: Polynomial, k: int, n: int) -> LocalizingTemplate:
@@ -148,53 +154,31 @@ class MomentRelaxation:
         return json.dumps(self.diagnostics(), indent=2)
 
 
-def _template_block(tmpl: LocalizingTemplate, index_of) -> sb.SdpBlock:
-    vi, rr, cc, vv = [], [], [], []
-    for i in range(tmpl.size):
-        for j in range(i, tmpl.size):
-            for exp, coef in tmpl.entry(i, j):
-                vi.append(index_of(exp))
-                rr.append(i)
-                cc.append(j)
-                vv.append(coef)
-    return sb.SdpBlock(
-        tmpl.size,
-        np.zeros((tmpl.size, tmpl.size)),
-        np.array(vi, dtype=np.int64),
-        np.array(rr, dtype=np.int64),
-        np.array(cc, dtype=np.int64),
-        np.array(vv, dtype=float),
-    )
-
-
 def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
     if k < prog.d0:
         raise ValueError(f"relaxation order {k} below the program minimum d0={prog.d0}")
     n = prog.n
-    b2k = basis(n, 2 * k)
-    m = len(b2k)
-    index_of = b2k.index_of
+    m = len(basis(n, 2 * k))
 
+    idx, coefs = _shifted_terms(prog.theta, np.zeros((1, n), dtype=np.int64))
     c = np.zeros(m)
-    for exp, coef in prog.theta.terms.items():
-        c[index_of(exp)] += coef
+    c[idx[0]] = coefs
 
-    eq_rows: list[tuple[np.ndarray, float]] = []
-    row0 = np.zeros(m)
-    row0[0] = 1.0
-    eq_rows.append((row0, 1.0))
+    # row 0 fixes y_0 = 1; each p in phi adds <p * x^delta, y> = 0 for every
+    # delta in basis(n, 2 t_p)
+    parts = [np.eye(1, m)]
     for p in prog.phi:
         if p.is_zero:
             continue
-        t_p = k - math.ceil(p.degree / 2)
-        for delta in basis(n, 2 * t_p).exponents:
-            row = np.zeros(m)
-            for exp, coef in p.terms.items():
-                row[index_of(tuple(a + b for a, b in zip(exp, delta)))] += coef
-            eq_rows.append((row, 0.0))
+        idx, coefs = _shifted_terms(p, basis(n, 2 * (k - math.ceil(p.degree / 2))).exp_array)
+        rows = np.zeros((len(idx), m))
+        rows[np.arange(len(idx))[:, None], idx] = coefs
+        parts.append(rows)
+    eq = np.vstack(parts)
+    eq_rows = [(row, 0.0) for row in eq]
+    eq_rows[0] = (eq[0], 1.0)
 
-    one = Polynomial.constant(n, 1.0)
-    blocks = [_template_block(localizing_template(one, k, n), index_of)]
+    blocks = [localizing_template(Polynomial.constant(n, 1.0), k, n).block]
     sources = ["moment"]
     for q in prog.psi:
         if q.is_zero:
@@ -213,8 +197,7 @@ def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
                 )
                 sources.append("constant")
             continue
-        tmpl = localizing_template(q, k, n)
-        blocks.append(_template_block(tmpl, index_of))
+        blocks.append(localizing_template(q, k, n).block)
         sources.append(f"localizing deg {q.degree}")
     return MomentRelaxation(prog, k, m, c, eq_rows, blocks, sources)
 
@@ -234,12 +217,10 @@ class RelaxationSolve:
 
 def solve_relaxation(
     rel: MomentRelaxation,
-    backend=None,
     tol: float = 1e-8,
     max_iters: int = 200,
 ) -> RelaxationSolve:
-    backend = backend or sb.ReferenceBackend()
-    res = backend.solve(rel.to_sdp(), tol=tol, max_iters=max_iters)
+    res = sb.solve(rel.to_sdp(), tol=tol, max_iters=max_iters)
     if res.status == sb.OPTIMAL:
         y = MomentVector(rel.program.n, 2 * rel.order, res.y)
         info = res.residuals or {}
@@ -281,16 +262,7 @@ def check_point_optimality(
 
 
 def moment_matrix(y: MomentVector, t: int) -> np.ndarray:
-    bt = basis(y.n, t)
-    idx = y.basis.index_of
-    size = len(bt)
-    mat = np.zeros((size, size))
-    exps = bt.exponents
-    for i in range(size):
-        for j in range(i, size):
-            e = tuple(a + b for a, b in zip(exps[i], exps[j]))
-            mat[i, j] = mat[j, i] = y.values[idx(e)]
-    return mat
+    return localizing_template(Polynomial.constant(y.n, 1.0), t, y.n).instantiate(y)
 
 
 def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
@@ -370,18 +342,11 @@ def _extract_once(mat, bt, n, t, r, seed, tol) -> list[np.ndarray]:
     except np.linalg.LinAlgError:
         c_mat = p_mat @ np.linalg.pinv(p_mat[rows])
 
-    idx = bt.index
-    shift_ops = []
-    for i in range(n):
-        op = np.zeros((r, r))
-        for j, row in enumerate(rows):
-            e = list(bt.exponents[row])
-            e[i] += 1
-            e = tuple(e)
-            if e not in idx:
-                raise ExtractionFailed("pivot monomial shifts outside the truncation")
-            op[j] = c_mat[idx[e]]
-        shift_ops.append(op)
+    shifted = bt.exp_array[rows][:, None, :] + np.eye(n, dtype=np.int64)[None]
+    if shifted.sum(axis=-1).max() > t:
+        raise ExtractionFailed("pivot monomial shifts outside the truncation")
+    idx = monomial_index(shifted)
+    shift_ops = [c_mat[idx[:, i]] for i in range(n)]
 
     rng = np.random.default_rng(seed)
     weights = rng.random(n) + 0.1
@@ -400,7 +365,7 @@ def _extract_once(mat, bt, n, t, r, seed, tol) -> list[np.ndarray]:
             merged.append(u)
 
     design = np.column_stack(
-        [np.outer(lv := _lift_vec(u, bt), lv).ravel() for u in merged]
+        [np.outer(lv := lift(u, t).values, lv).ravel() for u in merged]
     )
     w, *_ = np.linalg.lstsq(design, mat.ravel(), rcond=None)
     recon = (design @ w).reshape(mat.shape)
@@ -410,16 +375,11 @@ def _extract_once(mat, bt, n, t, r, seed, tol) -> list[np.ndarray]:
     return merged
 
 
-def _lift_vec(u: np.ndarray, bt) -> np.ndarray:
-    return np.prod(np.power(u[None, :], bt.exp_array), axis=1)
-
-
 # -- hierarchy driver ---------------------------------------------------------
 
 
 @dataclass
 class HierarchyOptions:
-    backend: object = None
     k_max_extra: int = 4
     tol_feas: float = 1e-6
     tol_gap: float = 1e-6
@@ -428,7 +388,6 @@ class HierarchyOptions:
     sdp_tol: float = 1e-8
     sdp_max_iters: int = 200
     seed: int = 0
-    skip_point_check: bool = False
     # callable bound -> bool; when it fires the driver exits without extraction
     bound_stop: object = None
 
@@ -448,10 +407,6 @@ class HierarchyOutcome:
     # tolerances accordingly when the backend ran in relaxed mode
     accuracy: float = 0.0
     trusted: bool = True
-
-    @property
-    def is_infeasible(self) -> bool:
-        return self.status == INFEASIBLE
 
 
 def dilate_program(prog: PolyProgram, s) -> PolyProgram:
@@ -494,7 +449,7 @@ def minimize(prog: PolyProgram, opts: HierarchyOptions | None = None) -> Hierarc
         scaled = bool(np.any(s_vec != 1.0))
         prog_k = dilate_program(prog, s_vec) if scaled else prog
         rel = build_relaxation(prog_k, k)
-        res = solve_relaxation(rel, opts.backend, opts.sdp_tol, opts.sdp_max_iters)
+        res = solve_relaxation(rel, opts.sdp_tol, opts.sdp_max_iters)
         entry = {"order": k, "status": res.status, "value": res.value}
         if scaled:
             entry["scale"] = [round(v, 3) for v in s_vec]
@@ -530,14 +485,13 @@ def minimize(prog: PolyProgram, opts: HierarchyOptions | None = None) -> Hierarc
                 accuracy=acc, trusted=True,
             )
 
-        if not opts.skip_point_check:
-            u = check_point_optimality(res.y, bound, prog_k, feas_eff, gap_eff)
-            if u is not None:
-                return HierarchyOutcome(
-                    MINIMIZERS, k, value=bound, points=[to_x(u)],
-                    certificate="point-optimality", y=last_y, log=log,
-                    accuracy=acc, trusted=res.trusted,
-                )
+        u = check_point_optimality(res.y, bound, prog_k, feas_eff, gap_eff)
+        if u is not None:
+            return HierarchyOutcome(
+                MINIMIZERS, k, value=bound, points=[to_x(u)],
+                certificate="point-optimality", y=last_y, log=log,
+                accuracy=acc, trusted=res.trusted,
+            )
 
         for t in range(d0, k + 1):
             r = flat_truncation(res.y, d0, t, rank_eff)

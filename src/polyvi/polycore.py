@@ -30,27 +30,6 @@ class DegreeOverflowError(ValueError):
     """Raised when a polynomial exceeds the degree a moment vector supports."""
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """An exponent vector; degree is the sum of the exponents."""
-
-    exponents: Exponent
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def evaluate(self, x: Iterable[float]) -> float:
-        return float(math.prod(xi**e for xi, e in zip(x, self.exponents, strict=True)))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents, strict=True)))
-
-
 def _exact_grade(n: int, total: int) -> Iterator[Exponent]:
     # First variable takes the largest share first, which yields the
     # lex-descending order inside one grade.
@@ -60,6 +39,29 @@ def _exact_grade(n: int, total: int) -> Iterator[Exponent]:
     for head in range(total, -1, -1):
         for tail in _exact_grade(n - 1, total - head):
             yield (head,) + tail
+
+
+@lru_cache(maxsize=None)
+def _binomials(rows: int, cols: int) -> np.ndarray:
+    return np.array([[math.comb(i, j) for j in range(cols)] for i in range(rows)], dtype=np.int64)
+
+
+def monomial_index(exps) -> np.ndarray:
+    """Position of each exponent (the last axis of `exps`) in the package order.
+
+    Every basis is a prefix of the next one, so the position of a monomial is
+    the same in every basis that holds it.  With suffix sums
+    s_j = a_j + ... + a_{n-1}, the monomials before a are C(s_0 + n - 1, n)
+    of lower degree plus, for each j >= 1, the C(s_j + n - j - 1, n - j) of
+    the same degree that agree with a in the first j - 1 exponents and exceed
+    it in exponent j - 1 (0-based).
+    """
+    exps = np.asarray(exps, dtype=np.int64)
+    n = exps.shape[-1]
+    j = np.arange(n)
+    top = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1] + (n - 1 - j)
+    table = _binomials(int(top.max(initial=0)) + 1, n + 1)
+    return table[top, n - j].sum(axis=-1)
 
 
 class MonomialBasis:
@@ -77,7 +79,6 @@ class MonomialBasis:
         for total in range(d + 1):
             exps.extend(_exact_grade(n, total))
         self.exponents: tuple[Exponent, ...] = tuple(exps)
-        self.index: dict[Exponent, int] = {a: i for i, a in enumerate(exps)}
         self.exp_array = np.array(exps, dtype=np.int64).reshape(len(exps), n)
 
     def __len__(self) -> int:
@@ -86,21 +87,13 @@ class MonomialBasis:
     def __iter__(self) -> Iterator[Exponent]:
         return iter(self.exponents)
 
-    def monomials(self) -> Iterator[Monomial]:
-        for a in self.exponents:
-            yield Monomial(a)
-
     def index_of(self, alpha: Exponent) -> int:
-        try:
-            return self.index[tuple(alpha)]
-        except KeyError:
+        alpha = tuple(alpha)
+        if len(alpha) != self.n or min(alpha) < 0 or sum(alpha) > self.d:
             raise DegreeOverflowError(
                 f"monomial {alpha} has degree {sum(alpha)} > basis degree {self.d}"
-            ) from None
-
-    def size_of_degree(self, d: int) -> int:
-        """Number of basis entries of degree <= d (a prefix length)."""
-        return math.comb(self.n + d, d)
+            )
+        return int(monomial_index(alpha))
 
 
 @lru_cache(maxsize=None)
@@ -153,10 +146,6 @@ class Polynomial:
         e = [0] * n
         e[i] = 1
         return Polynomial(n, {tuple(e): 1.0})
-
-    @staticmethod
-    def monomial(n: int, alpha: Exponent, coef: float = 1.0) -> "Polynomial":
-        return Polynomial(n, {tuple(alpha): coef})
 
     # ---- structure -----------------------------------------------------
 
@@ -234,13 +223,6 @@ class Polynomial:
         if c == 0.0:
             return Polynomial.zero(self.n)
         return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
-
-    def shifted(self, delta: Exponent) -> "Polynomial":
-        """Multiply by the monomial x^delta."""
-        delta = tuple(delta)
-        return Polynomial(
-            self.n, {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()}
-        )
 
     def dilated(self, s) -> "Polynomial":
         """The substitution x_j -> s_j * x_j, reweighting each coefficient by s^e."""

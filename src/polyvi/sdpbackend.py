@@ -119,10 +119,6 @@ class SdpResult:
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
 
 def min_block_eigenvalue(problem: SdpProblem, y: np.ndarray) -> float:
     """Smallest eigenvalue over all blocks at y; used by feasibility checks."""
@@ -352,10 +348,6 @@ class ReferenceIpm:
     def _wt_apply(st: _ConeState, vec: np.ndarray) -> np.ndarray:
         return st.geom.svec(_sym(st.r_mat @ st.geom.smat(vec) @ st.r_mat.T))
 
-    @staticmethod
-    def _winvt_apply(st: _ConeState, vec: np.ndarray) -> np.ndarray:
-        return st.geom.svec(_sym(st.rti.T @ st.geom.smat(vec) @ st.rti))
-
     def _apply_all(self, op, states, vec: np.ndarray) -> np.ndarray:
         return np.concatenate([op(st, part) for st, part in zip(states, self._views(vec))])
 
@@ -527,11 +519,6 @@ class ReferenceIpm:
             if score < best_score:
                 best_score = score
                 best = self._make_result(x / tau, pres, dres, relgap, it)
-            if getattr(self, "trace", False):
-                print(
-                    f"it {it:3d} pres {pres:9.2e} dres {dres:9.2e} relgap {relgap:9.2e} "
-                    f"mu {mu:9.2e} tau {tau:9.2e} kappa {kappa:9.2e}"
-                )
 
             if pres <= self.tol and dres <= self.tol and (gap <= self.tol or relgap <= self.tol):
                 return self._make_result(x / tau, pres, dres, relgap, it)
@@ -658,15 +645,6 @@ class ReferenceIpm:
             {"primal": float(pres), "dual": float(dres), "gap": float(relgap)},
             it,
         )
-
-
-class ReferenceBackend:
-    """Default backend; any object with this `solve` signature plugs in."""
-
-    name = "reference-ipm"
-
-    def solve(self, problem: SdpProblem, tol: float = 1e-8, max_iters: int = 200) -> SdpResult:
-        return solve(problem, tol=tol, max_iters=max_iters)
 
 
 def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 200) -> SdpResult:

@@ -73,16 +73,14 @@ class SolverOptions:
     r_fallback: float | None = None
     dup_tol: float = 1e-6
     max_solutions: int = 20
-    backend: object = None
 
-    def hierarchy(self, bound_stop=None, k_max_extra=None) -> HierarchyOptions:
+    def hierarchy(self, bound_stop=None) -> HierarchyOptions:
         pred = None
         if bound_stop is not None:
             floor = float(bound_stop)
             pred = lambda b: b >= floor  # noqa: E731
         return HierarchyOptions(
-            backend=self.backend,
-            k_max_extra=self.k_max_extra if k_max_extra is None else k_max_extra,
+            k_max_extra=self.k_max_extra,
             tol_feas=self.tol_feas,
             tol_gap=self.tol_gap,
             tol_rank=self.tol_rank,
@@ -405,31 +403,39 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     fu = problem.field_at(u)
     log: list = []
 
-    def feasible_points(points, acc):
-        polished = [
-            _polish_comparison_point(problem, fu, p, max(1e-4, 50.0 * acc))
-            for p in points
-        ]
-        return [p for p in polished if cs.membership_error(p) <= 10 * opts.tol_feas]
+    def settle(prog: PolyProgram, route: str, radius: float | None = None):
+        """The verdict of one route, or None when it decides nothing."""
+        out = minimize(prog, opts.hierarchy(bound_stop=-opts.eps_tol))
+        log.extend(out.log)
+        if out.status == BOUND_REACHED:
+            return VerifyResult(SOLUTION, float(out.value), via=f"{route}_bound", log=log)
+        if out.status != MINIMIZERS:
+            return None
+        eps = float(out.value)
+        if radius is not None and not all(
+            float((p - u) @ (p - u)) <= 0.99 * radius for p in out.points
+        ):
+            return VerifyResult(INCONCLUSIVE_RUN, eps, log=log)
+        # the bound only resolves eps down to the solve's accuracy
+        if eps >= -opts.eps_tol and out.accuracy <= opts.eps_tol:
+            return VerifyResult(SOLUTION, eps, via=f"{route}_points", log=log)
+        if eps < -opts.eps_tol:
+            polished = [
+                _polish_comparison_point(problem, fu, p, max(1e-4, 50.0 * out.accuracy))
+                for p in out.points
+            ]
+            pts = [p for p in polished if cs.membership_error(p) <= 10 * opts.tol_feas]
+            if pts:
+                return VerifyResult("cut", eps, pts, via=f"{route}_points", log=log)
+        return None
 
     if problem.recipe.can_reinstantiate:
         f_const = tuple(Polynomial.constant(n, float(c)) for c in fu)
         lam_u = problem.recipe.instantiate(f_const)
         kkt_u = build_kkt_sets(f_const, cs, lam_u)
-        prog = PolyProgram(ell, kkt_u.equations, kkt_u.inequalities, n)
-        out = minimize(prog, opts.hierarchy(bound_stop=-opts.eps_tol))
-        log.extend(out.log)
-        if out.status == BOUND_REACHED:
-            return VerifyResult(SOLUTION, float(out.value), via="kkt_bound", log=log)
-        if out.status == MINIMIZERS:
-            eps = float(out.value)
-            # the bound only resolves eps down to the solve's accuracy
-            if eps >= -opts.eps_tol and out.accuracy <= opts.eps_tol:
-                return VerifyResult(SOLUTION, eps, via="kkt_points", log=log)
-            if eps < -opts.eps_tol:
-                pts = feasible_points(out.points, out.accuracy)
-                if pts:
-                    return VerifyResult("cut", eps, pts, via="kkt_points", log=log)
+        verdict = settle(PolyProgram(ell, kkt_u.equations, kkt_u.inequalities, n), "kkt")
+        if verdict is not None:
+            return verdict
         # infeasible or inconclusive: fall through to the direct route
 
     radius = opts.r_fallback if opts.r_fallback is not None else float(u @ u) + 100.0
@@ -443,23 +449,8 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
 
     phi = tuple(cs.g[i] for i in cs.eq_idx)
     psi = tuple(cs.g[i] for i in cs.ineq_idx) + (ball,)
-    prog2 = PolyProgram(ell, phi, psi, n)
-    out2 = minimize(prog2, opts.hierarchy(bound_stop=-opts.eps_tol))
-    log.extend(out2.log)
-    if out2.status == BOUND_REACHED:
-        return VerifyResult(SOLUTION, float(out2.value), via="ball_bound", log=log)
-    if out2.status == MINIMIZERS:
-        eps = float(out2.value)
-        inside = all(float((p - u) @ (p - u)) <= 0.99 * radius for p in out2.points)
-        if not inside:
-            return VerifyResult(INCONCLUSIVE_RUN, eps, log=log)
-        if eps >= -opts.eps_tol and out2.accuracy <= opts.eps_tol:
-            return VerifyResult(SOLUTION, eps, via="ball_points", log=log)
-        if eps < -opts.eps_tol:
-            pts = feasible_points(out2.points, out2.accuracy)
-            if pts:
-                return VerifyResult("cut", eps, pts, via="ball_points", log=log)
-    return VerifyResult(INCONCLUSIVE_RUN, None, log=log)
+    verdict = settle(PolyProgram(ell, phi, psi, n), "ball", radius)
+    return verdict or VerifyResult(INCONCLUSIVE_RUN, None, log=log)
 
 
 def _log_entry(phase, loop, status, **extra):

@@ -214,7 +214,7 @@ def test_props_hierarchy_monotone_and_upper_bounded():
         accs = []
         for k in (prog.d0, prog.d0 + 1):
             res = ms.solve_relaxation(
-                ms.build_relaxation(prog, k), None, opts.sdp_tol, opts.sdp_max_iters
+                ms.build_relaxation(prog, k), opts.sdp_tol, opts.sdp_max_iters
             )
             assert res.status == sb.OPTIMAL
             bounds.append(res.value)

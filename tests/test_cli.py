@@ -104,11 +104,6 @@ def test_solve_invalid_json_exits_1(tmp_path):
     assert result.exit_code == 1
 
 
-def test_solve_conflicting_flags(tiny_file):
-    result = invoke("solve", tiny_file, "--all", "--one")
-    assert result.exit_code == 1
-
-
 def test_verify_accepts_and_rejects(tiny_file):
     good = invoke("verify", tiny_file, "--point", "0.6,0.8")
     assert good.exit_code == 0

@@ -14,8 +14,10 @@ def test_localizing_template_interval():
     q = poly1({(0,): 1.0, (2,): -1.0})
     tmpl = ms.localizing_template(q, 1, 1)
     assert tmpl.size == 1
-    entry = dict(tmpl.entry(0, 0))
-    assert entry == {(0,): 1.0, (2,): -1.0}
+    blk = tmpl.block
+    assert list(blk.rows) == [0, 0] and list(blk.cols) == [0, 0]
+    # moments y_0 and y_2 in basis(1, 2) = (1, x, x^2)
+    assert dict(zip(blk.var_idx.tolist(), blk.vals.tolist())) == {0: 1.0, 2: -1.0}
     y = lift((0.5,), 2)
     assert tmpl.instantiate(y) == pytest.approx(np.array([[0.75]]))
 
@@ -45,6 +47,52 @@ def test_template_identity_at_lifts():
         expect = q.evaluate(x) * np.outer(v, v)
         scale = max(1.0, float(np.abs(expect).max()))
         assert np.abs(got - expect).max() <= 1e-12 * scale
+
+
+def _random_poly(rng, n, deg, terms=4):
+    exps = list(basis(n, deg).exponents)
+    take = rng.choice(len(exps), size=min(terms, len(exps)), replace=False)
+    return Polynomial(n, {exps[i]: float(rng.standard_normal()) for i in take})
+
+
+def test_relaxation_matches_direct_evaluation():
+    # at the lift of a point every row and block must equal its polynomial
+    # evaluated there: the index maps agree with plain exponent arithmetic
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        n = int(rng.integers(1, 4))
+        degs = rng.integers(1, 4, size=4)
+        # a zero objective arises when verifying a point where F vanishes
+        theta = _random_poly(rng, n, int(degs[0])) if trial % 5 else Polynomial.zero(n)
+        phi = (_random_poly(rng, n, int(degs[1])),)
+        psi = tuple(q for q in (_random_poly(rng, n, int(d)) for d in degs[2:]) if q.degree)
+        prog = ms.PolyProgram(theta, phi, psi, n)
+        k = prog.d0 + int(rng.integers(0, 2))
+        rel = ms.build_relaxation(prog, k)
+        x = rng.uniform(-1.5, 1.5, n)
+        y = lift(x, 2 * k)
+
+        def close(got, expect):
+            scale = max(1.0, float(np.abs(expect).max()))
+            return np.abs(got - expect).max() <= 1e-12 * scale
+
+        assert close(rel.objective @ y.values, theta.evaluate(x))
+        expect_rows = [(1.0, 1.0)]
+        for p in phi:
+            t_p = k - (p.degree + 1) // 2
+            for delta in basis(n, 2 * t_p).exponents:
+                expect_rows.append((p.evaluate(x) * np.prod(x ** np.array(delta)), 0.0))
+        assert len(rel.eq_rows) == len(expect_rows)
+        for (row, rhs), (value, expect_rhs) in zip(rel.eq_rows, expect_rows):
+            assert rhs == expect_rhs
+            assert close(row @ y.values, value)
+        assert len(rel.blocks) == 1 + len(psi)
+        for blk, q in zip(rel.blocks, (Polynomial.constant(n, 1.0),) + psi):
+            v = lift(x, k - (q.degree + 1) // 2).values
+            assert close(blk.evaluate(y.values), q.evaluate(x) * np.outer(v, v))
+        for t in range(k + 1):
+            v = lift(x, t).values
+            assert close(ms.moment_matrix(y, t), np.outer(v, v))
 
 
 def test_build_relaxation_rejects_low_order():
@@ -195,9 +243,9 @@ def test_dilated_program_keeps_relaxation_bound():
     theta = prod_term * prod_term + x1.scale(0.5)
     circle = x1 * x1 + x2 * x2 - Polynomial.constant(n, 1.0)
     prog = ms.PolyProgram(theta, (circle,), (x1,), n)
-    plain = ms.solve_relaxation(ms.build_relaxation(prog, 2), None, 1e-8, 200)
+    plain = ms.solve_relaxation(ms.build_relaxation(prog, 2), 1e-8, 200)
     scaled_prog = ms.dilate_program(prog, np.array([3.0, 0.4]))
-    scaled = ms.solve_relaxation(ms.build_relaxation(scaled_prog, 2), None, 1e-8, 200)
+    scaled = ms.solve_relaxation(ms.build_relaxation(scaled_prog, 2), 1e-8, 200)
     assert plain.status == "optimal" and scaled.status == "optimal"
     tol = 1e-6 * max(1.0, abs(plain.value)) + 10 * (plain.accuracy + scaled.accuracy)
     assert abs(plain.value - scaled.value) <= tol

@@ -11,6 +11,7 @@ from polyvi.polycore import (
     Polynomial,
     basis,
     lift,
+    monomial_index,
     pairing,
 )
 
@@ -51,6 +52,14 @@ def test_basis_prefix_property():
             small = basis(n, d).exponents
             big = basis(n, d + 1).exponents
             assert big[: len(small)] == small
+
+
+def test_monomial_index_matches_basis_order():
+    for n in range(1, 6):
+        for d in range(5):
+            b = basis(n, d)
+            assert monomial_index(b.exp_array).tolist() == list(range(len(b)))
+            assert [b.index_of(e) for e in b] == list(range(len(b)))
 
 
 def test_product_of_monomials():
