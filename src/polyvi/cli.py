@@ -26,6 +26,7 @@ import click
 import numpy as np
 
 from .lme import ConstraintSystem, LmeRecipe, TemplateMismatch, kkt_residual
+from .momentsdp import ExtractionFailed
 from .polycore import Polynomial, basis
 from .vipsolver import (
     SolverOptions,
@@ -558,7 +559,8 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
             solved = res.status == "solution" and abs(res.eps) <= 1e-6
             certified_empty = res.status == "no_solution"
             status = res.status
-        except Exception as exc:  # instance failures count against SR only
+        except (np.linalg.LinAlgError, ExtractionFailed) as exc:
+            # numerical failures count against SR; programming errors propagate
             solved, certified_empty, status = False, False, f"error: {exc}"
         runs.append(
             {

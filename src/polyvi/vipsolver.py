@@ -24,7 +24,7 @@ are always re-verified against the original problem data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
 
@@ -79,17 +79,8 @@ class SolverOptions:
         if bound_stop is not None:
             floor = float(bound_stop)
             pred = lambda b: b >= floor  # noqa: E731
-        return HierarchyOptions(
-            k_max_extra=self.k_max_extra,
-            tol_feas=self.tol_feas,
-            tol_gap=self.tol_gap,
-            tol_rank=self.tol_rank,
-            extract_tol=self.extract_tol,
-            sdp_tol=self.sdp_tol,
-            sdp_max_iters=self.sdp_max_iters,
-            seed=self.seed,
-            bound_stop=pred,
-        )
+        shared = {f.name for f in fields(self)} & {f.name for f in fields(HierarchyOptions)}
+        return HierarchyOptions(**{name: getattr(self, name) for name in shared}, bound_stop=pred)
 
 
 def detect_kind(cs: ConstraintSystem) -> str | None:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from polyvi import cli
+from polyvi.momentsdp import ExtractionFailed
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -191,6 +192,30 @@ def test_batch_reports_success_rate():
     assert report["count"] == 2
     assert 0.0 <= report["success_rate"] <= 1.0
     assert report["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "failure", [np.linalg.LinAlgError("SVD did not converge"), ExtractionFailed("no atoms")]
+)
+def test_batch_counts_solver_failures_as_unsuccessful(monkeypatch, failure):
+    def fail(problem, opts):
+        raise failure
+
+    monkeypatch.setattr(cli, "solve_one", fail)
+    result = invoke("batch", "ball", "--dims", "1", "--count", "2", "--seed", "0", "--json")
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["success_rate"] == 0.0
+    assert all(r["status"].startswith("error:") for r in report["runs"])
+
+
+def test_batch_propagates_programming_errors(monkeypatch):
+    def broken(problem, opts):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(cli, "solve_one", broken)
+    with pytest.raises(IndexError):
+        invoke("batch", "ball", "--dims", "1", "--count", "2", "--seed", "0")
 
 
 def test_batch_capital_family_all_solved():

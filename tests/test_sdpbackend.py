@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from polyvi import momentsdp as ms
 from polyvi import sdpbackend as sb
+from polyvi.polycore import Polynomial
 
 
 def one_var_block(entries):
@@ -203,3 +205,51 @@ def test_block_evaluate_matches_dense():
     y = rng.standard_normal(2)
     expect = const + y[0] * mats[0] + y[1] * mats[1]
     assert np.allclose(blk.evaluate(y), expect, atol=1e-14)
+
+
+def schur_problems():
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    one = Polynomial.constant(2, 1.0)
+    prog = ms.PolyProgram(
+        x1 * x1 * x2 - x2, (x1 * x2 - 0.25 * one,), (one - x1 * x1 - x2 * x2, x1), 2
+    )
+    relaxation = ms.build_relaxation(prog, 2).to_sdp()
+    # 1x1 blocks, off-diagonal entries, and a variable shared by both blocks
+    a0 = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, -1.0], [0.0, -1.0, 3.0]])
+    a1 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    toy = make(3, [1.0, 0.0, 1.0], [],
+               [sb.SdpBlock.from_dense(np.eye(3), [(0, a0), (1, a1)]),
+                one_var_block((1.0, [(0, 2.0), (2, -1.0)])),
+                one_var_block((0.0, [(1, 1.0)]))])
+    return [relaxation, toy]
+
+
+def _random_states(ipm, rng):
+    def interior():
+        parts = []
+        for geom in ipm.geoms:
+            b = rng.standard_normal((geom.size, geom.size))
+            parts.append(geom.svec(b @ b.T + geom.size * np.eye(geom.size)))
+        return np.concatenate(parts)
+
+    return ipm._nt_scalings(interior(), interior())
+
+
+@pytest.mark.parametrize("chunk", [sb._SCHUR_CHUNK, 100.0])
+@pytest.mark.parametrize("idx", range(2))
+def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
+    # a small chunk splits the variables into several column ranges
+    monkeypatch.setattr(sb, "_SCHUR_CHUNK", chunk)
+    prob = schur_problems()[idx]
+    ipm = sb.ReferenceIpm(prob, 1e-8, 200)
+    if idx == 0:
+        assert max(g.size for g in ipm.geoms) == 6 and len(prob.eq_rows) > 1
+    states = _random_states(ipm, np.random.default_rng(idx))
+    h = ipm._schur(states)
+    ref = np.zeros((ipm.m, ipm.m))
+    for st, g_blk in zip(states, ipm.g_cols):
+        g = g_blk.toarray()
+        cols = [st.geom.svec(st.t_inv @ st.geom.smat(g[:, j]) @ st.t_inv) for j in range(ipm.m)]
+        ref += g.T @ np.stack(cols, axis=1)
+    assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(h, h.T)

@@ -200,3 +200,16 @@ def test_duplicate_guard_in_enumeration():
     assert res.status == "solutions"
     assert len(res.solutions) == 1
     assert res.complete
+
+
+def test_hierarchy_options_carry_every_shared_field():
+    opts = vs.SolverOptions(
+        seed=3, k_max_extra=2, tol_feas=1e-5, tol_gap=2e-5, tol_rank=3e-5,
+        extract_tol=4e-5, sdp_tol=1e-7, sdp_max_iters=50,
+    )
+    hopts = opts.hierarchy(bound_stop=-1.0)
+    for name in ("seed", "k_max_extra", "tol_feas", "tol_gap", "tol_rank",
+                 "extract_tol", "sdp_tol", "sdp_max_iters"):
+        assert getattr(hopts, name) == getattr(opts, name)
+    assert hopts.bound_stop(-0.5) and not hopts.bound_stop(-2.0)
+    assert opts.hierarchy().bound_stop is None
