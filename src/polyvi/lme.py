@@ -45,7 +45,6 @@ SOC_QUADRIC = "soc_quadric"
 
 MATRIX_KINDS = (ORTHANT, BALL, RING, QUADRIC_LINEAR, ORTHANT_PRODUCT)
 EXACT_MATRIX_KINDS = (ORTHANT, BALL, RING, QUADRIC_LINEAR)
-ALL_KINDS = MATRIX_KINDS + (SOC_QUADRIC,)
 
 
 class UnknownKind(ValueError):

@@ -132,12 +132,15 @@ class MomentRelaxation:
     order: int
     num_moments: int
     objective: np.ndarray
-    eq_rows: list[tuple[np.ndarray, float]]
+    eq_rows: np.ndarray
+    eq_rhs: np.ndarray
     blocks: list[sb.SdpBlock]
     block_sources: list[str]
 
     def to_sdp(self) -> sb.SdpProblem:
-        return sb.SdpProblem(self.num_moments, self.objective, self.eq_rows, self.blocks)
+        return sb.SdpProblem(
+            self.num_moments, self.objective, self.eq_rows, self.eq_rhs, self.blocks
+        )
 
     def diagnostics(self) -> dict:
         return {
@@ -174,9 +177,8 @@ def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
         rows = np.zeros((len(idx), m))
         rows[np.arange(len(idx))[:, None], idx] = coefs
         parts.append(rows)
-    eq = np.vstack(parts)
-    eq_rows = [(row, 0.0) for row in eq]
-    eq_rows[0] = (eq[0], 1.0)
+    eq_rows = np.vstack(parts)
+    eq_rhs = np.eye(1, len(eq_rows)).ravel()
 
     blocks = [localizing_template(Polynomial.constant(n, 1.0), k, n).block]
     sources = ["moment"]
@@ -199,7 +201,7 @@ def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
             continue
         blocks.append(localizing_template(q, k, n).block)
         sources.append(f"localizing deg {q.degree}")
-    return MomentRelaxation(prog, k, m, c, eq_rows, blocks, sources)
+    return MomentRelaxation(prog, k, m, c, eq_rows, eq_rhs, blocks, sources)
 
 
 @dataclass

@@ -7,8 +7,10 @@ Problem form (the only form the rest of the package produces):
                 A0_l + sum_j y_j A_jl  >= 0    one PSD constraint per block l
 
 Internally the problem is rewritten in conic form  G y + s = h,  s in a
-product of PSD cones (svec coordinates, off-diagonal entries scaled by
-sqrt(2)), and solved on the homogeneous self-dual embedding with
+product of PSD cones.  A cone vector holds each block's symmetric s x s
+matrix flattened row-major, so the trace inner product of two blocks is the
+dot product of their vectors and the Frobenius norm is the 2-norm.  The
+problem is solved on the homogeneous self-dual embedding with
 Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  The
 self-dual embedding is what makes infeasibility detection reliable: instead
 of diverging, an infeasible instance drives tau -> 0 and the iterate itself
@@ -49,7 +51,6 @@ PRIMAL_INFEASIBLE = "primal_infeasible"
 DUAL_INFEASIBLE = "dual_infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
 
-_SQRT2 = np.sqrt(2.0)
 _STEP_DAMP = 0.99
 
 
@@ -73,25 +74,15 @@ class SdpBlock:
     def from_dense(const: np.ndarray, coeffs: list[tuple[int, np.ndarray]]) -> "SdpBlock":
         """Build from a dense A0 and (variable index, dense symmetric A_j) pairs."""
         const = np.asarray(const, dtype=float)
-        size = const.shape[0]
-        vi, rr, cc, vv = [], [], [], []
+        vi, rr, cc, vv = [np.zeros(0, dtype=np.int64)] * 3 + [np.zeros(0)]
         for j, mat in coeffs:
-            mat = np.asarray(mat, dtype=float)
-            for r in range(size):
-                for c in range(r, size):
-                    if mat[r, c] != 0.0:
-                        vi.append(j)
-                        rr.append(r)
-                        cc.append(c)
-                        vv.append(mat[r, c])
-        return SdpBlock(
-            size,
-            const,
-            np.array(vi, dtype=np.int64),
-            np.array(rr, dtype=np.int64),
-            np.array(cc, dtype=np.int64),
-            np.array(vv, dtype=float),
-        )
+            mat = np.triu(np.asarray(mat, dtype=float))
+            r, c = np.nonzero(mat)
+            vi = np.concatenate([vi, np.full(len(r), j, dtype=np.int64)])
+            rr = np.concatenate([rr, r])
+            cc = np.concatenate([cc, c])
+            vv = np.concatenate([vv, mat[r, c]])
+        return SdpBlock(const.shape[0], const, vi, rr, cc, vv)
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         """Dense symmetric value of the block map at y."""
@@ -104,15 +95,22 @@ class SdpBlock:
 
 @dataclass
 class SdpProblem:
+    """`eq_rows` is the (p, num_vars) matrix of the rows a_i, `eq_rhs` the p values b_i."""
+
     num_vars: int
     c: np.ndarray
-    eq_rows: list[tuple[np.ndarray, float]]
+    eq_rows: np.ndarray
+    eq_rhs: np.ndarray
     blocks: list[SdpBlock]
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         if self.c.shape != (self.num_vars,):
             raise ValueError("objective length does not match num_vars")
+        self.eq_rows = np.asarray(self.eq_rows, dtype=float)
+        self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
+        if self.eq_rows.shape != (len(self.eq_rhs), self.num_vars):
+            raise ValueError("eq_rows must have one row per eq_rhs entry and num_vars columns")
         if not self.blocks:
             raise ValueError("need at least one PSD block")
 
@@ -132,36 +130,7 @@ def min_block_eigenvalue(problem: SdpProblem, y: np.ndarray) -> float:
 
 
 def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
-    if not problem.eq_rows:
-        return 0.0
-    return max(abs(float(row @ y) - rhs) for row, rhs in problem.eq_rows)
-
-
-class _BlockGeometry:
-    """Precomputed svec indexing for one block size (row-major upper triangle)."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.iu, self.ju = np.triu_indices(size)
-        self.dim = len(self.iu)
-        self.scale = np.where(self.iu == self.ju, 1.0, _SQRT2)
-        self.inv_scale = 1.0 / self.scale
-        eye = np.zeros(self.dim)
-        eye[self.iu == self.ju] = 1.0
-        self.identity = eye
-        # flat positions of the svec entries and of their mirror images
-        self.upper = self.iu * size + self.ju
-        self.lower = self.ju * size + self.iu
-
-    def svec(self, mat: np.ndarray) -> np.ndarray:
-        return mat.ravel()[self.upper] * self.scale
-
-    def smat(self, vec: np.ndarray) -> np.ndarray:
-        entries = vec * self.inv_scale
-        mat = np.empty(self.size * self.size)
-        mat[self.lower] = entries
-        mat[self.upper] = entries
-        return mat.reshape(self.size, self.size)
+    return float(np.abs(problem.eq_rows @ y - problem.eq_rhs).max(initial=0.0))
 
 
 # entries of each dense work array per column chunk of the Schur assembly;
@@ -170,35 +139,31 @@ class _BlockGeometry:
 _SCHUR_CHUNK = 1.0e6
 
 
-class _SchurOperators:
-    """The constraint matrices A_b of one block as two sparse maps.
+class _Cone:
+    """One PSD block: its span of the cone vector and its rows of G.
 
-    Both hold every entry of each symmetric A_b (the svec scaling undone, the
-    off-diagonal entries mirrored), so the Schur assembly never forms a dense
-    A_b.  `chunks` lists, per column range [start, stop) of k variables, the
-    (s*k, s) matrix whose row i*k + (b - start) is row i of A_b.  `flat` is
-    (m, s*s) with row a holding A_a row-major.
+    Row a of `flat` (m, s*s) is the block's part of column a of G, the
+    scaled -A_a row-major.  `chunks` lists, per column range [start, stop)
+    of k variables, the (s*k, s) matrix whose row i*k + (a - start) is row i
+    of that matrix, so the Schur assembly never forms a dense A_a.
     """
 
-    def __init__(self, geom: _BlockGeometry, g_blk: sp.csc_matrix, m: int):
-        s = geom.size
+    def __init__(self, size: int, span: slice, g_blk: sp.csr_matrix):
+        self.size = size
+        self.span = span
+        m = g_blk.shape[1]
+        self.flat = g_blk.T.tocsr()
         coo = g_blk.tocoo()
-        i, j = geom.iu[coo.row], geom.ju[coo.row]
-        val = coo.data * geom.inv_scale[coo.row]
-        off = i != j
-        rows = np.concatenate([i, j[off]])
-        cols = np.concatenate([j, i[off]])
-        var = np.concatenate([coo.col, coo.col[off]])
-        val = np.concatenate([val, val[off]])
-        self.flat = sp.csr_matrix((val, (var, rows * s + cols)), shape=(m, s * s))
-        width = max(1, int(_SCHUR_CHUNK / (s * s)))
+        rows, cols = np.divmod(coo.row, size)
+        width = max(1, int(_SCHUR_CHUNK / (size * size)))
         self.chunks = []
         for start in range(0, m, width):
             stop = min(m, start + width)
             k = stop - start
-            sel = (var >= start) & (var < stop)
+            sel = (coo.col >= start) & (coo.col < stop)
             a_vert = sp.csr_matrix(
-                (val[sel], (rows[sel] * k + var[sel] - start, cols[sel])), shape=(s * k, s)
+                (coo.data[sel], (rows[sel] * k + coo.col[sel] - start, cols[sel])),
+                shape=(size * k, size),
             )
             self.chunks.append((start, stop, a_vert))
 
@@ -206,10 +171,9 @@ class _SchurOperators:
 class _ConeState:
     """NT scaling data for one block at the current iterate; T = R R^T."""
 
-    __slots__ = ("geom", "r_mat", "r_t", "lam", "t_mat", "t_inv")
+    __slots__ = ("r_mat", "r_t", "lam", "t_mat", "t_inv")
 
-    def __init__(self, geom, r_mat, rti, lam):
-        self.geom = geom
+    def __init__(self, r_mat, rti, lam):
         self.r_mat = r_mat
         self.r_t = r_mat.T
         self.lam = lam
@@ -241,95 +205,88 @@ class ReferenceIpm:
         self.m = problem.num_vars
         self.c_orig = problem.c.copy()
 
-        raw_a, raw_b = self._gather_equalities(problem)
-        g_parts, h_parts = self._gather_cones(problem)
-        self._equilibrate(problem.c, raw_a, raw_b, g_parts, h_parts)
-        self.schur_ops = [
-            _SchurOperators(geom, g_blk, self.m) for geom, g_blk in zip(self.geoms, self.g_cols)
+        self._gather_cones(problem)
+        self._equilibrate(problem.c, problem.eq_rows, problem.eq_rhs)
+        self.cones = [
+            _Cone(size, slice(lo, hi), self.G[lo:hi])
+            for size, lo, hi in zip(self.sizes, self.offsets, self.offsets[1:])
         ]
         self._orthonormalize_equalities()
 
+        self.identity = np.concatenate([np.eye(size).ravel() for size in self.sizes])
         self.resx0 = max(1.0, float(np.linalg.norm(self.c)))
         self.resy0 = max(1.0, float(np.linalg.norm(self.b)))
         self.resz0 = max(1.0, float(np.linalg.norm(self.h)))
-        self.nu = float(sum(g.size for g in self.geoms))
+        self.nu = float(self.sizes.sum())
 
     # -- setup -------------------------------------------------------------
 
-    def _gather_equalities(self, problem: SdpProblem):
-        if not problem.eq_rows:
-            return np.zeros((0, self.m)), np.zeros(0)
-        raw_a = np.array([row for row, _ in problem.eq_rows], dtype=float)
-        raw_b = np.array([rhs for _, rhs in problem.eq_rows], dtype=float)
-        return raw_a, raw_b
-
     def _gather_cones(self, problem: SdpProblem):
-        geom_cache: dict[int, _BlockGeometry] = {}
-        self.geoms = []
-        g_parts: list[sp.csc_matrix] = []
-        h_parts: list[np.ndarray] = []
-        self.offsets = [0]
-        for blk in problem.blocks:
-            geom = geom_cache.setdefault(blk.size, _BlockGeometry(blk.size))
-            self.geoms.append(geom)
-            const_sym = np.triu(blk.const) + np.triu(blk.const, 1).T
-            r, c = blk.rows, blk.cols
-            size = blk.size
-            svec_idx = (r * (2 * size - r - 1)) // 2 + c
-            scale = np.where(r == c, 1.0, _SQRT2)
-            g_mat = sp.coo_matrix(
-                (-blk.vals * scale, (svec_idx, blk.var_idx)),
-                shape=(geom.dim, self.m),
-            ).tocsc()
-            g_parts.append(g_mat)
-            h_parts.append(geom.svec(const_sym))
-            self.offsets.append(self.offsets[-1] + geom.dim)
-        self.K = self.offsets[-1]
-        return g_parts, h_parts
+        """G and h, each block's rows holding its s x s matrices row-major.
 
-    def _equilibrate(self, c, raw_a, raw_b, g_parts, h_parts):
+        Column j of G holds the entries of -A_j, mirrored below the diagonal.
+        """
+        self.sizes = np.array([blk.size for blk in problem.blocks])
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes**2)])
+        pos, var, val, h_parts = [], [], [], []
+        for blk, off in zip(problem.blocks, self.offsets):
+            size = blk.size
+            lower = blk.rows != blk.cols
+            pos += [off + blk.rows * size + blk.cols, off + (blk.cols * size + blk.rows)[lower]]
+            var += [blk.var_idx, blk.var_idx[lower]]
+            val += [-blk.vals, -blk.vals[lower]]
+            h_parts.append((np.triu(blk.const) + np.triu(blk.const, 1).T).ravel())
+        self.G = sp.csr_matrix(
+            (np.concatenate(val), (np.concatenate(pos), np.concatenate(var))),
+            shape=(self.offsets[-1], self.m),
+        )
+        self.h = np.concatenate(h_parts)
+
+    def _equilibrate(self, c, raw_a, raw_b):
         """Ruiz scaling: per-column, per-equality-row, one scalar per block.
 
         A PSD block only tolerates a uniform positive rescaling (congruence
-        by alpha*I), so its svec rows share one factor.  Column scaling is a
-        diagonal change of variables, undone when results are reported.
+        by alpha*I), so all its entries share one factor.  Column scaling is a
+        diagonal change of variables, undone when results are reported.  An
+        off-diagonal a_ij weighs sqrt(2)*|a_ij|, the Frobenius norm of the
+        pair (a_ij, a_ji).
         """
         m = self.m
-        p = raw_a.shape[0]
+        coo = self.G.tocoo()
+        blk = np.searchsorted(self.offsets, coo.row, side="right") - 1
+        rows, cols = np.divmod(coo.row - self.offsets[blk], self.sizes[blk])
+        weight = np.abs(coo.data) * np.where(rows == cols, 1.0, np.sqrt(2.0))
+        col_max = np.zeros((len(self.sizes), m))
+        np.maximum.at(col_max, (blk, coo.col), weight)
         e = np.ones(m)
-        d_eq = np.ones(p)
-        d_blk = np.ones(len(g_parts))
+        d_eq = np.ones(len(raw_b))
+        d_blk = np.ones(len(self.sizes))
         abs_a = np.abs(raw_a)
-        abs_g = [abs(g) for g in g_parts]
 
         def clipped(v):
             return np.clip(np.sqrt(np.where(v > 0, v, 1.0)), 1e-4, 1e4)
 
         for _ in range(8):
-            col = np.zeros(m)
-            if p:
-                col = (abs_a * d_eq[:, None]).max(axis=0)
-            for bi, g_abs in enumerate(abs_g):
-                blk_col = np.asarray(g_abs.max(axis=0).todense()).ravel() * d_blk[bi]
-                col = np.maximum(col, blk_col)
+            col = np.maximum(
+                (abs_a * d_eq[:, None]).max(axis=0, initial=0.0),
+                (col_max * d_blk[:, None]).max(axis=0),
+            )
             e /= clipped(col * e)
-            if p:
-                row = (abs_a * e[None, :]).max(axis=1)
-                d_eq /= clipped(row * d_eq)
-            for bi, g_abs in enumerate(abs_g):
-                scaled = g_abs.multiply(e[None, :])
-                blk_max = float(scaled.max()) if scaled.nnz else 0.0
-                d_blk[bi] /= float(clipped(np.asarray([blk_max * d_blk[bi]]))[0])
+            d_eq /= clipped((abs_a * e[None, :]).max(axis=1) * d_eq)
+            blk_max = np.zeros(len(self.sizes))
+            np.maximum.at(blk_max, blk, weight * e[coo.col])
+            d_blk /= clipped(blk_max * d_blk)
 
         self.var_scale = e
-        self.A_raw = raw_a * d_eq[:, None] * e[None, :] if p else raw_a
+        self.eq_scale = d_eq
+        self.blk_scale = d_blk
+        self.A_raw = raw_a * d_eq[:, None] * e[None, :]
         self.b_raw = raw_b * d_eq
-        self.g_cols = [
-            (g.multiply(e[None, :]) * d_blk[bi]).tocsc() for bi, g in enumerate(g_parts)
-        ]
-        self.h = np.concatenate([h * d_blk[bi] for bi, h in enumerate(h_parts)])
-        self.G = sp.vstack(self.g_cols, format="csr")
+        self.G = sp.csr_matrix(
+            (coo.data * e[coo.col] * d_blk[blk], (coo.row, coo.col)), shape=self.G.shape
+        )
         self.GT = self.G.T.tocsr()
+        self.h = self.h * np.repeat(d_blk, self.sizes**2)
         c_eff = c * e
         self.c_scale = max(1.0, float(np.abs(c_eff).max()))
         self.c = c_eff / self.c_scale
@@ -352,23 +309,18 @@ class ReferenceIpm:
 
     # -- block-wise cone operations ------------------------------------------
 
-    def _views(self, vec: np.ndarray) -> list[np.ndarray]:
-        return [vec[self.offsets[i]: self.offsets[i + 1]] for i in range(len(self.geoms))]
+    def _mats(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Each block's s x s matrix, as a view into the cone vector."""
+        return [vec[cone.span].reshape(cone.size, cone.size) for cone in self.cones]
 
     def _min_eig(self, vec: np.ndarray) -> float:
-        out = np.inf
-        for geom, part in zip(self.geoms, self._views(vec)):
-            out = min(out, float(np.linalg.eigvalsh(geom.smat(part)).min()))
-        return out
-
-    def _identity_vec(self) -> np.ndarray:
-        return np.concatenate([g.identity for g in self.geoms])
+        return min(float(np.linalg.eigvalsh(mat).min()) for mat in self._mats(vec))
 
     def _nt_scalings(self, s: np.ndarray, z: np.ndarray):
         states = []
-        for geom, s_part, z_part in zip(self.geoms, self._views(s), self._views(z)):
-            ls = _chol_with_jitter(geom.smat(s_part))
-            lz = _chol_with_jitter(geom.smat(z_part))
+        for s_mat, z_mat in zip(self._mats(s), self._mats(z)):
+            ls = _chol_with_jitter(s_mat)
+            lz = _chol_with_jitter(z_mat)
             if ls is None or lz is None:
                 return None
             u_mat, sv, vt = np.linalg.svd(lz.T @ ls)
@@ -377,11 +329,11 @@ class ReferenceIpm:
             inv_sqrt = 1.0 / np.sqrt(sv)
             r_mat = ls @ vt.T * inv_sqrt[None, :]
             rti = lz @ u_mat * inv_sqrt[None, :]
-            states.append(_ConeState(geom, r_mat, rti, sv))
+            states.append(_ConeState(r_mat, rti, sv))
         return states
 
     def _congruence(self, states, which: str, vec: np.ndarray) -> np.ndarray:
-        """svec(sym(M^T smat(v) M)) per block, M the state's matrix named `which`.
+        """sym(M^T V M) per block V of vec, M the state's matrix named `which`.
 
         M = r_mat applies W, r_t applies W^T, t_inv applies (W^T W)^{-1} and
         t_mat applies W^T W.  Without states (the starting point) W = I.
@@ -389,31 +341,28 @@ class ReferenceIpm:
         if states is None:
             return vec
         parts = []
-        for st, part in zip(states, self._views(vec)):
+        for st, part in zip(states, self._mats(vec)):
             mat = getattr(st, which)
-            parts.append(st.geom.svec(_sym(mat.T @ st.geom.smat(part) @ mat)))
+            parts.append(_sym(mat.T @ part @ mat).ravel())
         return np.concatenate(parts)
 
     def _lambda_solve(self, states, vec: np.ndarray) -> np.ndarray:
-        """Solve (Lambda U + U Lambda)/2 = smat(vec) blockwise; Lambda is diagonal."""
+        """Solve (Lambda U + U Lambda)/2 = V blockwise; Lambda is diagonal."""
         parts = []
-        for st, part in zip(states, self._views(vec)):
+        for st, part in zip(states, self._mats(vec)):
             denom = 0.5 * (st.lam[:, None] + st.lam[None, :])
-            parts.append(st.geom.svec(st.geom.smat(part) / denom))
+            parts.append((part / denom).ravel())
         return np.concatenate(parts)
 
-    def _jordan_product(self, states, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        parts = []
-        for st, up, vp in zip(states, self._views(u), self._views(v)):
-            parts.append(st.geom.svec(_sym(st.geom.smat(up) @ st.geom.smat(vp))))
-        return np.concatenate(parts)
+    def _jordan_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([_sym(a @ b).ravel() for a, b in zip(self._mats(u), self._mats(v))])
 
     def _step_to_boundary(self, states, vec: np.ndarray) -> float:
-        """sup alpha with Lambda + alpha*smat(vec) >= 0, in scaled coordinates."""
+        """sup alpha with Lambda + alpha*V >= 0 per block V, in scaled coordinates."""
         alpha = np.inf
-        for st, part in zip(states, self._views(vec)):
+        for st, part in zip(states, self._mats(vec)):
             inv_sqrt = 1.0 / np.sqrt(st.lam)
-            mat = st.geom.smat(part) * inv_sqrt[:, None] * inv_sqrt[None, :]
+            mat = part * inv_sqrt[:, None] * inv_sqrt[None, :]
             lo = float(np.linalg.eigvalsh(mat).min())
             if lo < 0:
                 alpha = min(alpha, -1.0 / lo)
@@ -423,21 +372,18 @@ class ReferenceIpm:
 
     def _schur(self, states) -> np.ndarray:
         """H = G^T (W^T W)^{-1} G, i.e. H_ab = sum over blocks of <A_a, T^-1 A_b T^-1>."""
-        m = self.m
-        h_mat = np.zeros((m, m))
         if states is None:
-            for g_blk in self.g_cols:
-                h_mat += (g_blk.T @ g_blk).toarray()
-            return _sym(h_mat)
-        for st, ops in zip(states, self.schur_ops):
-            s = st.geom.size
-            for start, stop, a_vert in ops.chunks:
+            return _sym((self.GT @ self.G).toarray())
+        h_mat = np.zeros((self.m, self.m))
+        for st, cone in zip(states, self.cones):
+            s = cone.size
+            for start, stop, a_vert in cone.chunks:
                 k = stop - start
                 # q[i, b, :] is row i of A_b T^-1; one product then gives
                 # z[p, b, :], row p of T^-1 A_b T^-1
                 q = (a_vert @ st.t_inv).reshape(s, k * s)
                 z = (st.t_inv @ q).reshape(s, k, s).transpose(0, 2, 1)
-                h_mat[:, start:stop] += ops.flat @ np.ascontiguousarray(z).reshape(s * s, k)
+                h_mat[:, start:stop] += cone.flat @ np.ascontiguousarray(z).reshape(s * s, k)
         return _sym(h_mat)
 
     def _factor(self, states) -> bool:
@@ -484,8 +430,8 @@ class ReferenceIpm:
         ux, uy, uz = self._solve3(states, bx, by, bz)
         prev = np.inf
         for _ in range(6):
-            rx = np.asarray(bx - (self.A.T @ uy if len(self.b) else 0.0) - self.GT @ uz)
-            ry = by - (self.A @ ux if len(self.b) else np.zeros(0))
+            rx = bx - self.A.T @ uy - self.GT @ uz
+            ry = by - self.A @ ux
             rz = bz - self.G @ ux + self._congruence(states, "t_mat", uz)
             err = max(
                 float(np.abs(rx).max(initial=0.0)),
@@ -512,11 +458,11 @@ class ReferenceIpm:
         s = -z_hat
         lo = self._min_eig(s)
         if lo < 1e-8:
-            s = s + (1.0 - lo) * self._identity_vec()
-        _, y, z = self._solve3(None, -self.c, np.zeros(p), np.zeros(self.K))
+            s = s + (1.0 - lo) * self.identity
+        _, y, z = self._solve3(None, -self.c, np.zeros(p), np.zeros(len(self.h)))
         lo = self._min_eig(z)
         if lo < 1e-8:
-            z = z + (1.0 - lo) * self._identity_vec()
+            z = z + (1.0 - lo) * self.identity
         tau, kappa = 1.0, 1.0
 
         best: SdpResult | None = None
@@ -526,10 +472,10 @@ class ReferenceIpm:
         it = 0
 
         for it in range(1, self.max_iters + 1):
-            rx = np.asarray((self.A.T @ y if p else 0.0) + self.GT @ z + self.c * tau)
-            ry = (self.A @ x if p else np.zeros(0)) - self.b * tau
+            rx = self.A.T @ y + self.GT @ z + self.c * tau
+            ry = self.A @ x - self.b * tau
             rz = self.G @ x + s - self.h * tau
-            rt = kappa + self.c @ x + (self.b @ y if p else 0.0) + self.h @ z
+            rt = kappa + self.c @ x + self.b @ y + self.h @ z
 
             gap_sz = float(s @ z)
             mu = (gap_sz + tau * kappa) / (self.nu + 1.0)
@@ -537,10 +483,7 @@ class ReferenceIpm:
             pcost = float(self.c @ x) / tau
             gap = gap_sz / (tau * tau)
             relgap = gap / max(1.0, abs(pcost))
-            pres = max(
-                (np.linalg.norm(ry) / self.resy0 if p else 0.0),
-                np.linalg.norm(rz) / self.resz0,
-            ) / tau
+            pres = max(np.linalg.norm(ry) / self.resy0, np.linalg.norm(rz) / self.resz0) / tau
             dres = (np.linalg.norm(rx) / self.resx0) / tau
 
             score = max(pres, dres, relgap)
@@ -565,9 +508,9 @@ class ReferenceIpm:
                 break
 
             u1 = self._solve3_refined(states, -self.c, self.b, self.h)
-            denom_u1 = float(self.c @ u1[0] + (self.b @ u1[1] if p else 0.0) + self.h @ u1[2])
+            denom_u1 = float(self.c @ u1[0] + self.b @ u1[1] + self.h @ u1[2])
 
-            lam_sq = np.concatenate([st.geom.svec(np.diag(st.lam**2)) for st in states])
+            lam_sq = np.concatenate([np.diag(st.lam**2).ravel() for st in states])
 
             def newton(ds_scaled, d_kappa, r_weight):
                 lam_inv_ds = self._lambda_solve(states, ds_scaled)
@@ -576,7 +519,7 @@ class ReferenceIpm:
                 numer = (
                     -r_weight * rt
                     - d_kappa / tau
-                    - float(self.c @ u0[0] + (self.b @ u0[1] if p else 0.0) + self.h @ u0[2])
+                    - float(self.c @ u0[0] + self.b @ u0[1] + self.h @ u0[2])
                 )
                 dtau = numer / (denom_u1 - kappa / tau)
                 dx = u0[0] + dtau * u1[0]
@@ -599,8 +542,8 @@ class ReferenceIpm:
             )
             sigma = (1.0 - alpha_aff) ** 3
 
-            corr = self._jordan_product(states, ds_hat, wdz)
-            ds_comb = sigma * mu * self._identity_vec() - lam_sq - corr
+            corr = self._jordan_product(ds_hat, wdz)
+            ds_comb = sigma * mu * self.identity - lam_sq - corr
             dkap_comb = sigma * mu - tau * kappa - dtau * dkap
             dx, dy, dz, ds, dtau, dkap, ds_hat, wdz = newton(ds_comb, dkap_comb, 1.0 - sigma)
 
@@ -640,10 +583,9 @@ class ReferenceIpm:
         return SdpResult(NUMERICAL_FAILURE, None, None, {"best_score": float(best_score)}, it)
 
     def _certificates(self, x, y, z, s, tol, it, relaxed_flag=False):
-        p = len(self.b)
-        hz_by = float((self.b @ y if p else 0.0) + self.h @ z)
+        hz_by = float(self.b @ y + self.h @ z)
         if hz_by < 0.0:
-            cert = np.linalg.norm(np.asarray((self.A.T @ y if p else 0.0) + self.GT @ z))
+            cert = np.linalg.norm(self.A.T @ y + self.GT @ z)
             pinf = cert / self.resx0 / (-hz_by)
             if pinf <= tol:
                 info = {"certificate_residual": float(pinf)}
@@ -652,7 +594,7 @@ class ReferenceIpm:
                 return SdpResult(PRIMAL_INFEASIBLE, None, None, info, it)
         cx = float(self.c @ x)
         if cx < 0.0:
-            ax = np.linalg.norm(self.A @ x) / self.resy0 if p else 0.0
+            ax = np.linalg.norm(self.A @ x) / self.resy0
             gx = np.linalg.norm(self.G @ x + s) / self.resz0
             dinf = max(ax, gx) / (-cx)
             if dinf <= tol:
@@ -681,41 +623,3 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 200) -> SdpRe
     """Solve an SdpProblem with the reference interior point method."""
     return ReferenceIpm(problem, tol, max_iters).run()
 
-
-def to_sdpa_sparse(problem: SdpProblem) -> str:
-    """Serialize in SDPA sparse (.dat-s) format for external cross-checks.
-
-    Equality rows become paired entries of one diagonal block because the
-    format has no native equalities.
-    """
-    lines = []
-    m = problem.num_vars
-    p = len(problem.eq_rows)
-    nblocks = len(problem.blocks) + (1 if p else 0)
-    lines.append(f"{m} = mDIM")
-    lines.append(f"{nblocks} = nBLOCK")
-    sizes = [str(b.size) for b in problem.blocks]
-    if p:
-        sizes.append(str(-2 * p))
-    lines.append(" ".join(sizes) + " = bLOCKsTRUCT")
-    lines.append(" ".join(repr(float(v)) for v in problem.c))
-
-    def emit(mat_no, blk_no, i, j, v):
-        if v != 0.0:
-            lines.append(f"{mat_no} {blk_no} {i + 1} {j + 1} {v!r}")
-
-    for bi, blk in enumerate(problem.blocks, start=1):
-        for r in range(blk.size):
-            for cc in range(r, blk.size):
-                emit(0, bi, r, cc, -float(blk.const[r, cc]))
-        for j, r, cc, v in zip(blk.var_idx, blk.rows, blk.cols, blk.vals):
-            emit(int(j) + 1, bi, int(r), int(cc), float(v))
-    if p:
-        dbi = len(problem.blocks) + 1
-        for ei, (row, rhs) in enumerate(problem.eq_rows):
-            emit(0, dbi, 2 * ei, 2 * ei, float(rhs))
-            emit(0, dbi, 2 * ei + 1, 2 * ei + 1, -float(rhs))
-            for j in range(m):
-                emit(j + 1, dbi, 2 * ei, 2 * ei, float(row[j]))
-                emit(j + 1, dbi, 2 * ei + 1, 2 * ei + 1, -float(row[j]))
-    return "\n".join(lines) + "\n"

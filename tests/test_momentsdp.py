@@ -83,7 +83,7 @@ def test_relaxation_matches_direct_evaluation():
             for delta in basis(n, 2 * t_p).exponents:
                 expect_rows.append((p.evaluate(x) * np.prod(x ** np.array(delta)), 0.0))
         assert len(rel.eq_rows) == len(expect_rows)
-        for (row, rhs), (value, expect_rhs) in zip(rel.eq_rows, expect_rows):
+        for row, rhs, (value, expect_rhs) in zip(rel.eq_rows, rel.eq_rhs, expect_rows):
             assert rhs == expect_rhs
             assert close(row @ y.values, value)
         assert len(rel.blocks) == 1 + len(psi)

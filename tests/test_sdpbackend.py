@@ -13,9 +13,8 @@ def one_var_block(entries):
 
 
 def make(num_vars, c, eq_rows, blocks):
-    return sb.SdpProblem(num_vars, np.array(c, dtype=float),
-                         [(np.array(a, dtype=float), float(b)) for a, b in eq_rows],
-                         blocks)
+    rows = np.array([a for a, _ in eq_rows], dtype=float).reshape(len(eq_rows), num_vars)
+    return sb.SdpProblem(num_vars, np.array(c, dtype=float), rows, [b for _, b in eq_rows], blocks)
 
 
 # Analytic instances: (problem, optimal value, optimal y or None)
@@ -186,15 +185,12 @@ def test_inconsistent_equalities_rejected_fast():
     assert res.status == sb.PRIMAL_INFEASIBLE
 
 
-def test_sdpa_export_smoke():
-    prob, _, _ = toy_problems()[5]
-    text = sb.to_sdpa_sparse(prob)
-    lines = text.strip().splitlines()
-    assert lines[0] == "2 = mDIM"
-    assert lines[1].endswith("= nBLOCK")
-    # diagonal block for the equality pair is announced with a negative size
-    assert "-2" in lines[2]
-    assert any(line.startswith("0 ") or " 0 " in line for line in lines[4:])
+def test_problem_rejects_mismatched_equalities():
+    blk = one_var_block((0.0, [(0, 1.0)]))
+    with pytest.raises(ValueError):
+        sb.SdpProblem(2, [1.0, 1.0], np.ones((2, 2)), [1.0], [blk])
+    with pytest.raises(ValueError):
+        sb.SdpProblem(2, [1.0, 1.0], np.ones((1, 3)), [1.0], [blk])
 
 
 def test_block_evaluate_matches_dense():
@@ -226,11 +222,8 @@ def schur_problems():
 
 def _random_states(ipm, rng):
     def interior():
-        parts = []
-        for geom in ipm.geoms:
-            b = rng.standard_normal((geom.size, geom.size))
-            parts.append(geom.svec(b @ b.T + geom.size * np.eye(geom.size)))
-        return np.concatenate(parts)
+        mats = [rng.standard_normal((size, size)) for size in ipm.sizes]
+        return np.concatenate([(b @ b.T + len(b) * np.eye(len(b))).ravel() for b in mats])
 
     return ipm._nt_scalings(interior(), interior())
 
@@ -243,13 +236,59 @@ def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
     prob = schur_problems()[idx]
     ipm = sb.ReferenceIpm(prob, 1e-8, 200)
     if idx == 0:
-        assert max(g.size for g in ipm.geoms) == 6 and len(prob.eq_rows) > 1
+        assert max(ipm.sizes) == 6 and len(prob.eq_rows) > 1
     states = _random_states(ipm, np.random.default_rng(idx))
     h = ipm._schur(states)
     ref = np.zeros((ipm.m, ipm.m))
-    for st, g_blk in zip(states, ipm.g_cols):
-        g = g_blk.toarray()
-        cols = [st.geom.svec(st.t_inv @ st.geom.smat(g[:, j]) @ st.t_inv) for j in range(ipm.m)]
+    for st, lo, hi in zip(states, ipm.offsets, ipm.offsets[1:]):
+        g = ipm.G[lo:hi].toarray()
+        s = len(st.lam)
+        cols = [(st.t_inv @ g[:, j].reshape(s, s) @ st.t_inv).ravel() for j in range(ipm.m)]
         ref += g.T @ np.stack(cols, axis=1)
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("idx", range(2))
+def test_cone_map_reproduces_each_block(idx):
+    # h - G (y / var_scale) is each block's A0 + sum_j y_j A_j, row-major and
+    # times the block's equilibration factor
+    prob = schur_problems()[idx]
+    ipm = sb.ReferenceIpm(prob, 1e-8, 200)
+    y = np.random.default_rng(idx).standard_normal(ipm.m)
+    slack = ipm.h - ipm.G @ (y / ipm.var_scale)
+    start = 0
+    for blk, scale in zip(prob.blocks, ipm.blk_scale):
+        mat = slack[start:start + blk.size**2].reshape(blk.size, blk.size)
+        start += blk.size**2
+        assert np.array_equal(mat, mat.T)
+        expect = scale * blk.evaluate(y)
+        assert np.abs(mat - expect).max() <= 1e-12 * np.abs(expect).max()
+    assert start == len(slack)
+
+
+# Ruiz factors (var_scale, blk_scale, eq_scale) of schur_problems().  They
+# weigh an off-diagonal a_ij as sqrt(2)*|a_ij|; weighing it |a_ij| is also a
+# valid scaling but changes the iteration counts of the benchmark problems.
+_A, _B, _C = 0.7937033242031529, 1.1209474357994231, 1.2582187368893625
+EXPECTED_SCALING = [
+    (
+        [1.0] + [_A] * 9 + [_B] + [_A] * 3 + [_B],
+        [0.8909002885862999] * 3,
+        [1.0] + [_C] * 6,
+    ),
+    (
+        [0.48075522949711974, 0.8908955772567231, 1.0491119932398236],
+        [0.6933651487471225, 0.9531828982732621, 1.1224600696749367],
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize("idx", range(2))
+def test_equilibration_factors(idx):
+    ipm = sb.ReferenceIpm(schur_problems()[idx], 1e-8, 200)
+    var_scale, blk_scale, eq_scale = EXPECTED_SCALING[idx]
+    np.testing.assert_array_equal(ipm.var_scale, var_scale)
+    np.testing.assert_array_equal(ipm.blk_scale, blk_scale)
+    np.testing.assert_array_equal(ipm.eq_scale, eq_scale)
