@@ -16,7 +16,10 @@ Exit codes: 0 solved / certified / accepted, 1 bad input, 2 inconclusive
 or rejected.
 """
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -362,12 +365,85 @@ def _seed_option(value):
     return int(env) if env else 0
 
 
+# -- BLAS threads --------------------------------------------------------------
+
+# Every command runs with each loaded OpenBLAS on one thread.  An IPM
+# iteration makes many small LAPACK calls (per-block Cholesky, SVD and
+# eigvalsh with s <= 120, an m x m Cholesky with m <= 495 on most problems),
+# and handing those to a second thread costs more than it saves: on a 2-core
+# Xeon, 1 thread ran the four benchmark workloads 1.3-2.9x faster end to end,
+# the m=1716 relaxations included.  Any of these variables set by the user
+# takes precedence over that choice.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# numpy's wheels bundle libscipy_openblas64_, scipy's libscipy_openblas
+_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """(file name, get, set) of the thread count of each loaded OpenBLAS.
+
+    Looked up once per process; the imports of this module have loaded
+    numpy's and scipy's libraries by then.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh if "openblas" in line.lower()]
+    except OSError:
+        return ()
+    libs = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for pattern in _THREAD_SYMBOLS:
+            get = getattr(lib, pattern.format("get"), None)
+            put = getattr(lib, pattern.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                libs.append((os.path.basename(path), get, put))
+                break
+    return tuple(libs)
+
+
+def blas_threads() -> dict:
+    """Thread count of each loaded OpenBLAS, keyed by library file name."""
+    return {name: get() for name, get, _ in _openblas_libraries()}
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Put every loaded OpenBLAS on one thread, and restore its count on exit.
+
+    With OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS set to a
+    non-empty value, the user's setting stands and nothing is changed.
+    """
+    user_set = any(os.environ.get(v) for v in _THREAD_VARIABLES)
+    libs = () if user_set else _openblas_libraries()
+    before = [get() for _, get, _ in libs]
+    for _, _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, _, put), count in zip(libs, before):
+            put(count)
+
+
 # -- commands ------------------------------------------------------------------
 
 
 @click.group()
 def main():
     """Polynomial variational inequality solver."""
+    click.get_current_context().with_resource(one_blas_thread())
 
 
 @main.command("solve")
@@ -418,6 +494,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
             log=res.log,
         )
         ok = res.status in ("solution", "no_solution")
+    report["blas_threads"] = blas_threads()
     report["time"] = time.time() - t0
     _emit(report, as_json, out)
     sys.exit(0 if ok else 2)
@@ -456,6 +533,7 @@ def cmd_verify(file, point, as_json):
         "accepted": accepted,
         "verdict": "accepted" if accepted else "rejected",
         "via": res.via,
+        "blas_threads": blas_threads(),
         "time": time.time() - t0,
     }
 
@@ -489,6 +567,7 @@ def cmd_bound(file, as_json):
         "file": file,
         "subsets": [{"active": list(r["active"]), "bound": r["bound"]} for r in rows],
         "total": total,
+        "blas_threads": blas_threads(),
     }
 
     def render(rep):
@@ -580,6 +659,7 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         "success_rate": successes / count if count else None,
         "mean_time": (sum(r["time"] for r in runs) / count) if count else None,
         "runs": runs,
+        "blas_threads": blas_threads(),
     }
 
     def render(rep):

@@ -135,7 +135,11 @@ def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
 
 # entries of each dense work array per column chunk of the Schur assembly;
 # about 8 MB per array ran faster than 48 MB on m=495 and m=1716 relaxations
-# (2-core Xeon, OpenBLAS 0.3.31)
+# (2-core Xeon, OpenBLAS 0.3.31, 2 threads).  At 1 thread, one assembly took
+# 35 / 31 / 20 ms with 1e6 / 5e5 / 2.5e5 entries on m=495 and 230 / 211 /
+# 215 ms on m=1716.  But a smaller chunk rounds H differently, and the IPM's
+# iteration counts moved with it (13 -> 16 on m=495, 12 -> 17 on m=1716), so
+# the m=1716 solve took 6.6 s instead of 4.9 s; hence the value stays.
 _SCHUR_CHUNK = 1.0e6
 
 
@@ -186,13 +190,24 @@ def _sym(mat: np.ndarray) -> np.ndarray:
 
 
 def _chol_with_jitter(mat: np.ndarray):
-    jitter = 0.0
-    scale = max(1.0, float(np.abs(np.diag(mat)).max()))
-    for _ in range(8):
+    """Lower Cholesky factor of mat, or else of mat + jitter*I for the first
+    jitter of 1e-14, 1e-12, ..., 1e-2 times max(1, max |mat_ii|) that
+    factors; None when none does.  mat is left unchanged."""
+    try:
+        return sla.cholesky(mat, lower=True)
+    except np.linalg.LinAlgError:
+        pass
+    n = mat.shape[0]
+    diag = mat.diagonal().copy()
+    scale = max(1.0, float(np.abs(diag).max()))
+    work = mat.copy()
+    jitter = 1e-14 * scale
+    for _ in range(7):
+        work.flat[:: n + 1] = diag + jitter
         try:
-            return sla.cholesky(mat + jitter * np.eye(mat.shape[0]), lower=True)
+            return sla.cholesky(work, lower=True)
         except np.linalg.LinAlgError:
-            jitter = max(jitter * 100.0, 1e-14 * scale)
+            jitter *= 100.0
     return None
 
 

@@ -236,3 +236,77 @@ def test_batch_zero_instances():
     assert report["count"] == 0
     assert report["success_rate"] is None
     assert report["runs"] == []
+
+
+@pytest.fixture()
+def two_blas_threads(monkeypatch):
+    """No thread variable set and every loaded OpenBLAS on 2 threads, so that
+    a pin to 1 shows; the counts are restored afterwards."""
+    for var in cli._THREAD_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    libs = cli._openblas_libraries()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for _, get, _ in libs]
+    for _, _, put in libs:
+        put(2)
+    yield
+    for (_, _, put), count in zip(libs, before):
+        put(count)
+
+
+def _spy_on_solve_one(monkeypatch):
+    seen = []
+    solve_one = cli.solve_one
+
+    def spy(problem, opts):
+        seen.append(cli.blas_threads())
+        return solve_one(problem, opts)
+
+    monkeypatch.setattr(cli, "solve_one", spy)
+    return seen
+
+
+def test_commands_run_on_one_blas_thread(monkeypatch, two_blas_threads, tiny_file):
+    seen = _spy_on_solve_one(monkeypatch)
+    before = cli.blas_threads()
+    assert set(before.values()) == {2}
+    assert invoke("solve", tiny_file).exit_code == 0
+    assert seen == [{name: 1 for name in before}]
+    assert cli.blas_threads() == before
+
+
+@pytest.mark.parametrize("var", cli._THREAD_VARIABLES)
+def test_thread_variable_leaves_counts_alone(monkeypatch, two_blas_threads, tiny_file, var):
+    monkeypatch.setenv(var, "2")
+    seen = _spy_on_solve_one(monkeypatch)
+    before = cli.blas_threads()
+    assert invoke("solve", tiny_file).exit_code == 0
+    assert seen == [before]
+    assert cli.blas_threads() == before
+
+
+def test_counts_restored_when_command_raises(monkeypatch, two_blas_threads):
+    def broken(problem, opts):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(cli, "solve_one", broken)
+    before = cli.blas_threads()
+    with pytest.raises(IndexError):
+        invoke("batch", "ball", "--dims", "1", "--count", "1", "--seed", "0")
+    assert cli.blas_threads() == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{file}", "--json"),
+        ("verify", "{file}", "--point", "0.6,0.8", "--json"),
+        ("bound", "{file}", "--json"),
+        ("batch", "ball", "--dims", "2", "--count", "0", "--json"),
+    ],
+)
+def test_json_report_records_blas_threads(two_blas_threads, tiny_file, argv):
+    result = invoke(*(arg.format(file=tiny_file) for arg in argv))
+    report = json.loads(result.output)
+    assert report["blas_threads"] == {name: 1 for name in cli.blas_threads()}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from polyvi import momentsdp as ms
 from polyvi import sdpbackend as sb
@@ -201,6 +202,28 @@ def test_block_evaluate_matches_dense():
     y = rng.standard_normal(2)
     expect = const + y[0] * mats[0] + y[1] * mats[1]
     assert np.allclose(blk.evaluate(y), expect, atol=1e-14)
+
+
+def test_chol_with_jitter_factors_spd_matrix_itself():
+    b = np.random.default_rng(3).standard_normal((6, 6))
+    mat = b @ b.T + np.eye(6)
+    copy = mat.copy()
+    assert np.array_equal(sb._chol_with_jitter(mat), sla.cholesky(mat, lower=True))
+    assert np.array_equal(mat, copy)
+    mat[2, 2] = np.nan
+    with pytest.raises(ValueError):
+        sb._chol_with_jitter(mat)
+
+
+def test_chol_with_jitter_shifts_singular_psd_matrix():
+    mat = np.ones((4, 4))  # rank 1: the second pivot is exactly zero
+    copy = mat.copy()
+    low = sb._chol_with_jitter(mat)
+    shift = low @ low.T - mat
+    jitter = shift[0, 0]
+    assert 0.0 < jitter <= 1e-2
+    assert np.abs(shift - jitter * np.eye(4)).max() <= 0.1 * jitter
+    assert np.array_equal(mat, copy)
 
 
 def schur_problems():
