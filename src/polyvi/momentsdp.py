@@ -120,10 +120,6 @@ class LocalizingTemplate:
         return self.block.evaluate(y.values)
 
 
-def localizing_template(q: Polynomial, k: int, n: int) -> LocalizingTemplate:
-    return LocalizingTemplate(q, k, n)
-
-
 @dataclass
 class MomentRelaxation:
     """The k-th relaxation of a program, ready to hand to an SDP backend."""
@@ -180,7 +176,7 @@ def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
     eq_rows = np.vstack(parts)
     eq_rhs = np.eye(1, len(eq_rows)).ravel()
 
-    blocks = [localizing_template(Polynomial.constant(n, 1.0), k, n).block]
+    blocks = [LocalizingTemplate(Polynomial.constant(n, 1.0), k, n).block]
     sources = ["moment"]
     for q in prog.psi:
         if q.is_zero:
@@ -199,7 +195,7 @@ def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
                 )
                 sources.append("constant")
             continue
-        blocks.append(localizing_template(q, k, n).block)
+        blocks.append(LocalizingTemplate(q, k, n).block)
         sources.append(f"localizing deg {q.degree}")
     return MomentRelaxation(prog, k, m, c, eq_rows, eq_rhs, blocks, sources)
 
@@ -264,7 +260,7 @@ def check_point_optimality(
 
 
 def moment_matrix(y: MomentVector, t: int) -> np.ndarray:
-    return localizing_template(Polynomial.constant(y.n, 1.0), t, y.n).instantiate(y)
+    return LocalizingTemplate(Polynomial.constant(y.n, 1.0), t, y.n).instantiate(y)
 
 
 def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:

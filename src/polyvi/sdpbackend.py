@@ -24,10 +24,14 @@ Per iteration the method
      (dy_vars, dy_eq) solved by two Cholesky factorizations.  Its matrix
      H_ab = sum over blocks of <A_a, T^-1 A_b T^-1>, with T = R R^T the NT
      scaling of the block, is assembled from the sparse constraint matrices
-     without densifying any A_b: for a block of size s whose A_b hold nnz
-     entries in all, the products A_b T^-1 cost O(s*nnz), one dense product
-     T^-1 (A_b T^-1) costs s^3 per variable, and a sparse contraction with
-     every A_a costs O(m*nnz),
+     without densifying any A_b.  For a block of size s, where A_b has c_b
+     nonzero rows I_b, the compressed rows A_b[I_b, :] T^-1 cost O(s*nnz)
+     for all variables together, and T^-1 A_b T^-1 = T^-1[I_b, :]^T
+     (A_b[I_b, :] T^-1) costs s^2*c_b per variable.  A sparse contraction
+     over the upper triangle (a <= b, entries r <= c weighted 2 off the
+     diagonal) then costs O(m*nnz/2); H's lower triangle is left incomplete,
+     since the factorization H = R^T R reads the upper one.  With W = R^-T
+     A^T, the equality complement A H^-1 A^T is W^T W,
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -69,20 +73,6 @@ class SdpBlock:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    @staticmethod
-    def from_dense(const: np.ndarray, coeffs: list[tuple[int, np.ndarray]]) -> "SdpBlock":
-        """Build from a dense A0 and (variable index, dense symmetric A_j) pairs."""
-        const = np.asarray(const, dtype=float)
-        vi, rr, cc, vv = [np.zeros(0, dtype=np.int64)] * 3 + [np.zeros(0)]
-        for j, mat in coeffs:
-            mat = np.triu(np.asarray(mat, dtype=float))
-            r, c = np.nonzero(mat)
-            vi = np.concatenate([vi, np.full(len(r), j, dtype=np.int64)])
-            rr = np.concatenate([rr, r])
-            cc = np.concatenate([cc, c])
-            vv = np.concatenate([vv, mat[r, c]])
-        return SdpBlock(const.shape[0], const, vi, rr, cc, vv)
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         """Dense symmetric value of the block map at y."""
@@ -133,43 +123,78 @@ def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
     return float(np.abs(problem.eq_rows @ y - problem.eq_rhs).max(initial=0.0))
 
 
-# entries of each dense work array per column chunk of the Schur assembly;
-# about 8 MB per array ran faster than 48 MB on m=495 and m=1716 relaxations
-# (2-core Xeon, OpenBLAS 0.3.31, 2 threads).  At 1 thread, one assembly took
-# 35 / 31 / 20 ms with 1e6 / 5e5 / 2.5e5 entries on m=495 and 230 / 211 /
-# 215 ms on m=1716.  But a smaller chunk rounds H differently, and the IPM's
-# iteration counts moved with it (13 -> 16 on m=495, 12 -> 17 on m=1716), so
-# the m=1716 solve took 6.6 s instead of 4.9 s; hence the value stays.
-_SCHUR_CHUNK = 1.0e6
+# entries of the largest dense work array, Z (k x s*s), per column chunk of
+# the Schur assembly.  A smaller chunk pads fewer rows (each chunk pads its
+# variables to its own largest c_b) but makes more scipy and numpy calls.
+# Re-solving captured SDPs at 1 thread (2-core Xeon, OpenBLAS 0.3.31), median
+# ms per IPM iteration over 4 interleaved rounds with 1e5 / 1.5e5 / 2.5e5 /
+# 1e6 entries: 49.8 / 49.9 / 51.2 / 74.4 on six ring SDPs (m=495 and 210) and
+# 400 / 368 / 341 / 367 on an m=1716 ball SDP, whose rounds spread by up to
+# 30 %; an earlier round gave 56.6 / 57.5 / 70.9 on ring.  H's
+# upper triangle came out bitwise the same at every chunk from 1e4 to 1e6
+# entries, and so did the iteration counts.
+_SCHUR_CHUNK = 1.0e5
 
 
 class _Cone:
-    """One PSD block: its span of the cone vector and its rows of G.
+    """One PSD block: its span of the cone vector and its Schur assembly data.
 
-    Row a of `flat` (m, s*s) is the block's part of column a of G, the
-    scaled -A_a row-major.  `chunks` lists, per column range [start, stop)
-    of k variables, the (s*k, s) matrix whose row i*k + (a - start) is row i
-    of that matrix, so the Schur assembly never forms a dense A_a.
+    A_b is the block's s x s matrix of variable b in G (the scaled -A_b); only
+    variables up to the block's last one get an entry.  `contract` holds row
+    a of the upper-triangle contraction: A_a on the positions `upper` (flat
+    r*s + c, r <= c) that any A_a uses, doubled off the diagonal, so that
+    <A_a, Z> = contract[a] . Z.flat[upper] for every symmetric Z.  `chunks`
+    lists, per column range [start, stop) of k variables, the nonzero rows
+    I_b of each A_b as a (k, c) index array padded with row 0 to the range's
+    largest count c, and the compressed rows A_b[I_b, :] as one sparse
+    (k*c, s) matrix whose row (b - start)*c + j is row I_b[j] of A_b and
+    whose padding rows are empty.
     """
 
     def __init__(self, size: int, span: slice, g_blk: sp.csr_matrix):
         self.size = size
         self.span = span
-        m = g_blk.shape[1]
-        self.flat = g_blk.T.tocsr()
         coo = g_blk.tocoo()
         rows, cols = np.divmod(coo.row, size)
+        var = coo.col
+        m_used = int(var.max()) + 1 if len(var) else 0
+        up = rows <= cols
+        self.upper, pos = np.unique(coo.row[up], return_inverse=True)
+        weight = np.where(rows[up] == cols[up], 1.0, 2.0)
+        self.contract = sp.csr_matrix(
+            (weight * coo.data[up], (var[up], pos)), shape=(m_used, len(self.upper))
+        )
+        # each distinct (variable, row) pair and its slot j among the rows of
+        # that variable; `pair_of` maps every entry to its pair
+        pairs, pair_of = np.unique(var * size + rows, return_inverse=True)
+        pair_var, pair_row = np.divmod(pairs, size)
+        slot = np.arange(len(pairs)) - np.searchsorted(pair_var, pair_var)
+        counts = np.bincount(pair_var, minlength=m_used)
         width = max(1, int(_SCHUR_CHUNK / (size * size)))
         self.chunks = []
-        for start in range(0, m, width):
-            stop = min(m, start + width)
-            k = stop - start
-            sel = (coo.col >= start) & (coo.col < stop)
-            a_vert = sp.csr_matrix(
-                (coo.data[sel], (rows[sel] * k + coo.col[sel] - start, cols[sel])),
-                shape=(size * k, size),
+        for start in range(0, m_used, width):
+            stop = min(m_used, start + width)
+            k, c = stop - start, int(counts[start:stop].max())
+            if c == 0:
+                continue
+            sel = (pair_var >= start) & (pair_var < stop)
+            row_idx = np.zeros((k, c), dtype=np.intp)
+            row_idx[pair_var[sel] - start, slot[sel]] = pair_row[sel]
+            sel = (var >= start) & (var < stop)
+            a_rows = sp.csr_matrix(
+                (coo.data[sel], ((var[sel] - start) * c + slot[pair_of[sel]], cols[sel])),
+                shape=(k * c, size),
             )
-            self.chunks.append((start, stop, a_vert))
+            self.chunks.append((start, stop, row_idx, a_rows))
+
+    def contract_rows(self, stop: int) -> sp.csr_matrix:
+        """Rows a < stop of `contract`, cut from its arrays by `indptr`."""
+        con = self.contract
+        nnz = con.indptr[stop]
+        return sp.csr_matrix(
+            (con.data[:nnz], con.indices[:nnz], con.indptr[: stop + 1]),
+            shape=(stop, con.shape[1]),
+        )
 
 
 class _ConeState:
@@ -189,12 +214,13 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _chol_with_jitter(mat: np.ndarray):
-    """Lower Cholesky factor of mat, or else of mat + jitter*I for the first
+def _chol_with_jitter(mat: np.ndarray, lower: bool = True):
+    """Cholesky factor of mat (lower L, or upper R when lower=False, reading
+    only that triangle of mat), or else of mat + jitter*I for the first
     jitter of 1e-14, 1e-12, ..., 1e-2 times max(1, max |mat_ii|) that
     factors; None when none does.  mat is left unchanged."""
     try:
-        return sla.cholesky(mat, lower=True)
+        return sla.cholesky(mat, lower=lower)
     except np.linalg.LinAlgError:
         pass
     n = mat.shape[0]
@@ -205,7 +231,7 @@ def _chol_with_jitter(mat: np.ndarray):
     for _ in range(7):
         work.flat[:: n + 1] = diag + jitter
         try:
-            return sla.cholesky(work, lower=True)
+            return sla.cholesky(work, lower=lower)
         except np.linalg.LinAlgError:
             jitter *= 100.0
     return None
@@ -386,52 +412,57 @@ class ReferenceIpm:
     # -- KKT solves -----------------------------------------------------------
 
     def _schur(self, states) -> np.ndarray:
-        """H = G^T (W^T W)^{-1} G, i.e. H_ab = sum over blocks of <A_a, T^-1 A_b T^-1>."""
+        """H = G^T (W^T W)^{-1} G, i.e. H_ab = sum over blocks of <A_a, T^-1 A_b T^-1>.
+
+        Only the upper triangle (a <= b) is complete; `_factor` reads no more.
+        """
         if states is None:
-            return _sym((self.GT @ self.G).toarray())
+            return (self.GT @ self.G).toarray()
         h_mat = np.zeros((self.m, self.m))
         for st, cone in zip(states, self.cones):
             s = cone.size
-            for start, stop, a_vert in cone.chunks:
-                k = stop - start
-                # q[i, b, :] is row i of A_b T^-1; one product then gives
-                # z[p, b, :], row p of T^-1 A_b T^-1
-                q = (a_vert @ st.t_inv).reshape(s, k * s)
-                z = (st.t_inv @ q).reshape(s, k, s).transpose(0, 2, 1)
-                h_mat[:, start:stop] += cone.flat @ np.ascontiguousarray(z).reshape(s * s, k)
-        return _sym(h_mat)
+            for start, stop, row_idx, a_rows in cone.chunks:
+                k, c = row_idx.shape
+                # Z_b = T^-1 A_b T^-1 = T^-1[I_b, :]^T (A_b[I_b, :] T^-1), s*s*c
+                # multiply-adds per variable
+                q = (a_rows @ st.t_inv).reshape(k, c, s)
+                z = np.matmul(st.t_inv[row_idx].transpose(0, 2, 1), q).reshape(k, s * s)
+                h_mat[:stop, start:stop] += cone.contract_rows(stop) @ z.T[cone.upper]
+        return h_mat
 
     def _factor(self, states) -> bool:
         h_mat = self._schur(states)
         m = self.m
         # static regularization; iterative refinement absorbs the bias
         h_mat.flat[:: m + 1] += 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
-        self._hchol = _chol_with_jitter(h_mat)
+        # H = R^T R from its upper triangle
+        self._hchol = _chol_with_jitter(h_mat, lower=False)
         if self._hchol is None:
             return False
         if len(self.b):
-            hinv_at = sla.cho_solve((self._hchol, True), self.A.T)
-            schur = _sym(self.A @ hinv_at)
+            # W = R^-T A^T, so the equality complement A H^-1 A^T is W^T W
+            self._w = sla.solve_triangular(self._hchol, self.A.T, trans="T", check_finite=False)
+            schur = self._w.T @ self._w
             p = schur.shape[0]
             schur.flat[:: p + 1] += 1e-12 * max(1.0, float(np.trace(schur)) / p)
             self._schur_chol = _chol_with_jitter(schur)
             if self._schur_chol is None:
                 return False
-            self._hinv_at = hinv_at
         return True
 
     def _solve3(self, states, bx, by, bz):
         """Solve: A^T uy + G^T uz = bx;  A ux = by;  G ux - W^T W uz = bz."""
         rhs_z = self._congruence(states, "t_inv", bz)
-        bx_t = bx + self.GT @ rhs_z
-        hinv_bx = sla.cho_solve((self._hchol, True), bx_t)
+        # v = R^-T (bx + G^T rhs_z), then ux = R^-1 (v - W uy); R is finite,
+        # since cholesky checked H, so the m x m scan is skipped
+        r_mat = self._hchol
+        v = sla.solve_triangular(r_mat, bx + self.GT @ rhs_z, trans="T", check_finite=False)
         if len(self.b):
-            rhs_y = self.A @ hinv_bx - by
-            uy = sla.cho_solve((self._schur_chol, True), rhs_y)
-            ux = hinv_bx - self._hinv_at @ uy
+            uy = sla.cho_solve((self._schur_chol, True), self._w.T @ v - by)
+            v = v - self._w @ uy
         else:
             uy = np.zeros(0)
-            ux = hinv_bx
+        ux = sla.solve_triangular(r_mat, v, check_finite=False)
         uz = self._congruence(states, "t_inv", self.G @ ux - bz)
         return ux, uy, uz
 

@@ -224,12 +224,6 @@ class CutSet:
         return out
 
 
-def cut_polynomial(v, F: tuple[Polynomial, ...]) -> Polynomial:
-    cset = CutSet()
-    cset.add(v)
-    return cset.polys(F)[0]
-
-
 # -- outcome records -----------------------------------------------------------
 
 

@@ -191,7 +191,7 @@ def test_props_localizing_template_identity():
         if q.is_zero:
             continue
         k = (q.degree + 1) // 2 + int(rng.integers(0, 2))
-        tmpl = ms.localizing_template(q, k, n)
+        tmpl = ms.LocalizingTemplate(q, k, n)
         x = rng.uniform(-1.2, 1.2, n)
         got = tmpl.instantiate(lift(x, 2 * k))
         v = np.prod(np.power(x[None, :], tmpl.row_basis.exp_array), axis=1)

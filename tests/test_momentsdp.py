@@ -12,7 +12,7 @@ def poly1(terms):
 def test_localizing_template_interval():
     # q = 1 - x^2 at order 1 in one variable: a single entry y_0 - y_2
     q = poly1({(0,): 1.0, (2,): -1.0})
-    tmpl = ms.localizing_template(q, 1, 1)
+    tmpl = ms.LocalizingTemplate(q, 1, 1)
     assert tmpl.size == 1
     blk = tmpl.block
     assert list(blk.rows) == [0, 0] and list(blk.cols) == [0, 0]
@@ -39,7 +39,7 @@ def test_template_identity_at_lifts():
         if q.is_zero:
             continue
         k = (q.degree + 1) // 2 + int(rng.integers(0, 2))
-        tmpl = ms.localizing_template(q, k, n)
+        tmpl = ms.LocalizingTemplate(q, k, n)
         x = rng.uniform(-1.5, 1.5, n)
         y = lift(x, 2 * k)
         got = tmpl.instantiate(y)

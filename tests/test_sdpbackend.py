@@ -7,10 +7,24 @@ from polyvi import sdpbackend as sb
 from polyvi.polycore import Polynomial
 
 
+def dense_block(const, coeffs):
+    """SdpBlock from a dense A0 and (variable index, dense symmetric A_j) pairs."""
+    const = np.asarray(const, dtype=float)
+    vi, rr, cc, vv = [np.zeros(0, dtype=np.int64)] * 3 + [np.zeros(0)]
+    for j, mat in coeffs:
+        mat = np.triu(np.asarray(mat, dtype=float))
+        r, c = np.nonzero(mat)
+        vi = np.concatenate([vi, np.full(len(r), j, dtype=np.int64)])
+        rr = np.concatenate([rr, r])
+        cc = np.concatenate([cc, c])
+        vv = np.concatenate([vv, mat[r, c]])
+    return sb.SdpBlock(const.shape[0], const, vi, rr, cc, vv)
+
+
 def one_var_block(entries):
     """Helper: 1x1 or small dense block from (const, {var: mat}) style args."""
     const, coeffs = entries
-    return sb.SdpBlock.from_dense(np.atleast_2d(const), [(j, np.atleast_2d(m)) for j, m in coeffs])
+    return dense_block(np.atleast_2d(const), [(j, np.atleast_2d(m)) for j, m in coeffs])
 
 
 def make(num_vars, c, eq_rows, blocks):
@@ -37,12 +51,12 @@ def toy_problems():
 
     # min y with [[1, y], [y, 1]] >= 0  ->  y = -1
     a1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    toys.append((make(1, [1.0], [], [sb.SdpBlock.from_dense(np.eye(2), [(0, a1)])]), -1.0, [-1.0]))
+    toys.append((make(1, [1.0], [], [dense_block(np.eye(2), [(0, a1)])]), -1.0, [-1.0]))
 
     # min t with [[t, 1], [1, t]] >= 0  ->  t = 1
     toys.append((
         make(1, [1.0], [],
-             [sb.SdpBlock.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]), [(0, np.eye(2))])]),
+             [dense_block(np.array([[0.0, 1.0], [1.0, 0.0]]), [(0, np.eye(2))])]),
         1.0, [1.0],
     ))
 
@@ -56,7 +70,7 @@ def toy_problems():
     # min y with [[1, y], [y, 4]] >= 0  ->  y = -2
     toys.append((
         make(1, [1.0], [],
-             [sb.SdpBlock.from_dense(np.diag([1.0, 4.0]), [(0, a1)])]),
+             [dense_block(np.diag([1.0, 4.0]), [(0, a1)])]),
         -2.0, [-2.0],
     ))
 
@@ -70,14 +84,14 @@ def toy_problems():
     # min t with (t+1) I - 2*offdiag >= 0  ->  t = 1
     toys.append((
         make(1, [1.0], [],
-             [sb.SdpBlock.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]), [(0, np.eye(2))])]),
+             [dense_block(np.array([[1.0, 2.0], [2.0, 1.0]]), [(0, np.eye(2))])]),
         1.0, [1.0],
     ))
 
     # largest eigenvalue: min t with t I - C >= 0, C = [[1,2],[2,1]], lam_max = 3
     toys.append((
         make(1, [1.0], [],
-             [sb.SdpBlock.from_dense(np.array([[-1.0, -2.0], [-2.0, -1.0]]), [(0, np.eye(2))])]),
+             [dense_block(np.array([[-1.0, -2.0], [-2.0, -1.0]]), [(0, np.eye(2))])]),
         3.0, [3.0],
     ))
     return toys
@@ -86,7 +100,7 @@ def toy_problems():
 def infeasible_problems():
     probs = []
     # moments of a measure on {x: -1 - x^2 >= 0}: empty set
-    m2 = sb.SdpBlock.from_dense(
+    m2 = dense_block(
         np.zeros((2, 2)),
         [(0, np.array([[1.0, 0.0], [0.0, 0.0]])),
          (1, np.array([[0.0, 1.0], [1.0, 0.0]])),
@@ -145,7 +159,7 @@ def test_unbounded_without_ray_is_not_reported_optimal():
     # min y1 with [[1, y1], [y1, y2]] >= 0 has value -inf but no improving
     # ray, so no certificate exists; any status except optimal is acceptable
     prob = make(2, [1.0, 0.0], [],
-                [sb.SdpBlock.from_dense(
+                [dense_block(
                     np.array([[1.0, 0.0], [0.0, 0.0]]),
                     [(0, np.array([[0.0, 1.0], [1.0, 0.0]])),
                      (1, np.array([[0.0, 0.0], [0.0, 1.0]]))])])
@@ -198,28 +212,30 @@ def test_block_evaluate_matches_dense():
     rng = np.random.default_rng(7)
     mats = [np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[0.0, -1.0], [-1.0, 4.0]])]
     const = np.array([[1.0, 0.5], [0.5, 2.0]])
-    blk = sb.SdpBlock.from_dense(const, [(0, mats[0]), (1, mats[1])])
+    blk = dense_block(const, [(0, mats[0]), (1, mats[1])])
     y = rng.standard_normal(2)
     expect = const + y[0] * mats[0] + y[1] * mats[1]
     assert np.allclose(blk.evaluate(y), expect, atol=1e-14)
 
 
-def test_chol_with_jitter_factors_spd_matrix_itself():
+@pytest.mark.parametrize("lower", [True, False])
+def test_chol_with_jitter_factors_spd_matrix_itself(lower):
     b = np.random.default_rng(3).standard_normal((6, 6))
     mat = b @ b.T + np.eye(6)
     copy = mat.copy()
-    assert np.array_equal(sb._chol_with_jitter(mat), sla.cholesky(mat, lower=True))
+    assert np.array_equal(sb._chol_with_jitter(mat, lower), sla.cholesky(mat, lower=lower))
     assert np.array_equal(mat, copy)
     mat[2, 2] = np.nan
     with pytest.raises(ValueError):
-        sb._chol_with_jitter(mat)
+        sb._chol_with_jitter(mat, lower)
 
 
-def test_chol_with_jitter_shifts_singular_psd_matrix():
+@pytest.mark.parametrize("lower", [True, False])
+def test_chol_with_jitter_shifts_singular_psd_matrix(lower):
     mat = np.ones((4, 4))  # rank 1: the second pivot is exactly zero
     copy = mat.copy()
-    low = sb._chol_with_jitter(mat)
-    shift = low @ low.T - mat
+    fac = sb._chol_with_jitter(mat, lower)
+    shift = (fac @ fac.T if lower else fac.T @ fac) - mat
     jitter = shift[0, 0]
     assert 0.0 < jitter <= 1e-2
     assert np.abs(shift - jitter * np.eye(4)).max() <= 0.1 * jitter
@@ -237,10 +253,10 @@ def schur_problems():
     a0 = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, -1.0], [0.0, -1.0, 3.0]])
     a1 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     toy = make(3, [1.0, 0.0, 1.0], [],
-               [sb.SdpBlock.from_dense(np.eye(3), [(0, a0), (1, a1)]),
+               [dense_block(np.eye(3), [(0, a0), (1, a1)]),
                 one_var_block((1.0, [(0, 2.0), (2, -1.0)])),
                 one_var_block((0.0, [(1, 1.0)]))])
-    return [relaxation, toy]
+    return [relaxation, toy, ms.build_relaxation(prog, 3).to_sdp()]
 
 
 def _random_states(ipm, rng):
@@ -251,15 +267,19 @@ def _random_states(ipm, rng):
     return ipm._nt_scalings(interior(), interior())
 
 
-@pytest.mark.parametrize("chunk", [sb._SCHUR_CHUNK, 100.0])
-@pytest.mark.parametrize("idx", range(2))
+@pytest.mark.parametrize("chunk", [1.0e6, 100.0])
+@pytest.mark.parametrize("idx", range(3))
 def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
-    # a small chunk splits the variables into several column ranges
+    # 1e6 entries hold every variable of a block in one column range, as the
+    # default does on these problems; 100 splits them into many ranges
     monkeypatch.setattr(sb, "_SCHUR_CHUNK", chunk)
     prob = schur_problems()[idx]
     ipm = sb.ReferenceIpm(prob, 1e-8, 200)
     if idx == 0:
         assert max(ipm.sizes) == 6 and len(prob.eq_rows) > 1
+    if idx == 2 and chunk == 100.0:
+        # the ranges pad their nonzero rows to different counts
+        assert len({c.shape[1] for cone in ipm.cones for _, _, c, _ in cone.chunks}) > 2
     states = _random_states(ipm, np.random.default_rng(idx))
     h = ipm._schur(states)
     ref = np.zeros((ipm.m, ipm.m))
@@ -268,11 +288,32 @@ def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
         s = len(st.lam)
         cols = [(st.t_inv @ g[:, j].reshape(s, s) @ st.t_inv).ravel() for j in range(ipm.m)]
         ref += g.T @ np.stack(cols, axis=1)
-    assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.array_equal(h, h.T)
+    bound = 1e-12 * np.abs(ref).max()
+    # _factor reads the upper triangle, which stands for a symmetric matrix
+    assert np.abs(np.triu(h - ref)).max() <= bound
+    assert np.abs(np.triu(h) + np.triu(h, 1).T - ref).max() <= bound
 
 
-@pytest.mark.parametrize("idx", range(2))
+def test_solve3_residuals():
+    # the relaxation has 7 equality rows, so the equality complement is used
+    ipm = sb.ReferenceIpm(schur_problems()[0], 1e-8, 200)
+    rng = np.random.default_rng(5)
+    states = _random_states(ipm, rng)
+    assert len(ipm.b) == 7 and ipm._factor(states)
+    bx, by, bz = (rng.standard_normal(n) for n in (ipm.m, len(ipm.b), len(ipm.h)))
+    bz = ipm._jordan_product(bz, ipm.identity)  # cone vectors hold symmetric blocks
+    ux, uy, uz = ipm._solve3(states, bx, by, bz)
+    rx = ipm.A.T @ uy + ipm.GT @ uz - bx
+    ry = ipm.A @ ux - by
+    rz = ipm.G @ ux - ipm._congruence(states, "t_mat", uz) - bz
+    # the static regularizations of _factor (1e-10 and 1e-12 times the mean
+    # diagonal) leave residuals of about that size
+    scale = max(np.abs(u).max() for u in (ux, uy, uz))
+    for res in (rx, ry, rz):
+        assert np.abs(res).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("idx", range(3))
 def test_cone_map_reproduces_each_block(idx):
     # h - G (y / var_scale) is each block's A0 + sum_j y_j A_j, row-major and
     # times the block's equilibration factor

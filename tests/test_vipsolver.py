@@ -16,6 +16,13 @@ def _const(n, c):
     return Polynomial.constant(n, float(c))
 
 
+def cut_polynomial(v, F):
+    """The cut (v - x) . F(x) of one comparison point v, as the solver builds it."""
+    cset = vs.CutSet()
+    cset.add(v)
+    return cset.polys(F)[0]
+
+
 def ball_projection_problem(a):
     """F(x) = x - a over the unit ball; the solution is a / |a| when |a| > 1."""
     a = np.asarray(a, dtype=float)
@@ -77,7 +84,7 @@ def test_cut_polynomial_matches_inner_product(data):
             terms[e] = terms.get(e, 0.0) + float(rng.standard_normal())
         F.append(Polynomial(n, terms))
     v = rng.uniform(-1, 1, n)
-    cut = vs.cut_polynomial(v, tuple(F))
+    cut = cut_polynomial(v, tuple(F))
     x = rng.uniform(-2, 2, n)
     fx = np.array([p.evaluate(x) for p in F])
     assert cut.evaluate(x) == pytest.approx(float((v - x) @ fx), rel=1e-10, abs=1e-10)
@@ -126,7 +133,7 @@ def test_verify_accepts_solution_and_cuts_imposter():
         # each comparison point witnesses the violation
         assert float((v - bad) @ fu) <= ver2.eps + 1e-5
         # and its cut keeps the true solution feasible
-        assert vs.cut_polynomial(v, prob.F).evaluate(star) >= -1e-7
+        assert cut_polynomial(v, prob.F).evaluate(star) >= -1e-7
 
 
 def test_solve_all_enumerates_cubic_ncp():
