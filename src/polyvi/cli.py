@@ -9,8 +9,11 @@ Problem file schema (JSON):
       "constraints": [ {"poly": [...], "kind": "eq"|"ineq"}, ... ],
       "lme": {"kind": "orthant"}                                   # or {"L": ...}
                                                                    # or {"lambdas": ..., "denoms": ...}
-      "options": {"seed": 3, "max_loops": 10, ...}                 # optional
+      "options": {"seed": 3, "max_loops": 10, "k_max_extra": 4}   # optional
     }
+
+A seed comes from --seed, else the file's options.seed, else POLYVI_SEED,
+else 0.
 
 Exit codes: 0 solved / certified / accepted, 1 bad input, 2 inconclusive
 or rejected.
@@ -28,12 +31,12 @@ import time
 import click
 import numpy as np
 
-from .lme import ConstraintSystem, LmeRecipe, TemplateMismatch, kkt_residual
-from .momentsdp import ExtractionFailed
+from .lme import ConstraintSystem, TemplateMismatch, kkt_residual
+from .momentsdp import TOL_FEAS, ExtractionFailed
 from .polycore import Polynomial, basis
 from .vipsolver import (
+    EPS_TOL,
     SolverOptions,
-    VipProblem,
     active_subset_bounds,
     build_problem,
     solve_all,
@@ -64,6 +67,17 @@ def _poly_from_json(n, data, where):
         if any(int(e) < 0 for e in item["exp"]):
             _fail(f"{where}, term {i}: negative exponent")
     return Polynomial.from_json(n, data)
+
+
+def _seed_option(value):
+    """value, else POLYVI_SEED, else 0."""
+    if value is not None:
+        return value
+    env = os.environ.get("POLYVI_SEED")
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        _fail(f"POLYVI_SEED must be an integer, got {env!r}")
 
 
 def parse_problem(data: dict, source: str = "<data>"):
@@ -99,7 +113,7 @@ def parse_problem(data: dict, source: str = "<data>"):
     unknown = set(opts_data) - set(_OPTION_FIELDS)
     if unknown:
         _fail(f"{source}: unknown options {sorted(unknown)}")
-    return problem, SolverOptions(**opts_data)
+    return problem, SolverOptions(**{**opts_data, "seed": _seed_option(opts_data.get("seed"))})
 
 
 def load_problem(path: str):
@@ -111,35 +125,6 @@ def load_problem(path: str):
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     return parse_problem(data, source=path)
-
-
-def _recipe_spec(recipe: LmeRecipe) -> dict:
-    if recipe.kind is not None:
-        return {"kind": recipe.kind}
-    if recipe.matrix is not None:
-        return {"L": [[p.to_json() for p in row] for row in recipe.matrix.rows]}
-    lam = recipe.explicit
-    spec = {"lambdas": [p.to_json() for p in lam.lambdas]}
-    if lam.denoms is not None:
-        spec["denoms"] = [None if q is None else q.to_json() for q in lam.denoms]
-    return spec
-
-
-def problem_to_dict(problem: VipProblem, options: dict | None = None) -> dict:
-    cs = problem.cs
-    out = {
-        "name": problem.name,
-        "n": problem.n,
-        "F": [f.to_json() for f in problem.F],
-        "constraints": [
-            {"poly": cs.g[i].to_json(), "kind": "eq" if i in cs.eq_idx else "ineq"}
-            for i in range(cs.m)
-        ],
-        "lme": _recipe_spec(problem.recipe),
-    }
-    if options:
-        out["options"] = options
-    return out
 
 
 # -- random families ----------------------------------------------------------
@@ -358,11 +343,23 @@ def _emit(report: dict, as_json: bool, out: str | None, render=_render_solutions
         click.echo(text)
 
 
-def _seed_option(value):
-    if value is not None:
-        return value
-    env = os.environ.get("POLYVI_SEED")
-    return int(env) if env else 0
+def _exit_error(msg: str):
+    click.echo(f"error: {msg}", err=True)
+    sys.exit(1)
+
+
+def _load_or_exit(path: str):
+    try:
+        return load_problem(path)
+    except ProblemFileError as exc:
+        _exit_error(str(exc))
+
+
+def _parse_dims(dims: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in dims.split(","))
+    except ValueError:
+        _exit_error(f"cannot parse dims {dims!r}")
 
 
 # -- BLAS threads --------------------------------------------------------------
@@ -456,17 +453,9 @@ def main():
 @click.option("--out", type=click.Path(), default=None)
 def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     """Solve the problem in FILE; exit 0 solved/certified, 2 inconclusive."""
-    try:
-        problem, opts = load_problem(file)
-    except ProblemFileError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    opts = dataclasses.replace(
-        opts,
-        seed=_seed_option(seed if seed is not None else (opts.seed or None)),
-        **({"max_loops": max_loops} if max_loops is not None else {}),
-        **({"k_max_extra": max_order_extra} if max_order_extra is not None else {}),
-    )
+    problem, opts = _load_or_exit(file)
+    flags = {"seed": seed, "max_loops": max_loops, "k_max_extra": max_order_extra}
+    opts = dataclasses.replace(opts, **{k: v for k, v in flags.items() if v is not None})
     t0 = time.time()
     report = {"command": "solve", "file": file, "mode": "all" if mode_all else "one"}
     if mode_all:
@@ -506,23 +495,17 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(file, point, as_json):
     """Check whether POINT solves the problem in FILE (gap tolerance 1e-6)."""
-    try:
-        problem, opts = load_problem(file)
-    except ProblemFileError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    problem, opts = _load_or_exit(file)
     try:
         u = np.array([float(v) for v in point.replace(" ", "").split(",") if v != ""])
     except ValueError:
-        click.echo(f"error: cannot parse point {point!r}", err=True)
-        sys.exit(1)
+        _exit_error(f"cannot parse point {point!r}")
     if len(u) != problem.n:
-        click.echo(f"error: point has {len(u)} coordinates, expected {problem.n}", err=True)
-        sys.exit(1)
+        _exit_error(f"point has {len(u)} coordinates, expected {problem.n}")
     t0 = time.time()
     feas = problem.cs.membership_error(u)
     res = verify_candidate(problem, u, opts)
-    accepted = res.status == "solution" and feas <= opts.tol_feas
+    accepted = res.status == "solution" and feas <= TOL_FEAS
     report = {
         "command": "verify",
         "file": file,
@@ -556,11 +539,7 @@ def cmd_verify(file, point, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_bound(file, as_json):
     """Print candidate-count bounds per active constraint subset."""
-    try:
-        problem, _ = load_problem(file)
-    except ProblemFileError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    problem, _ = _load_or_exit(file)
     rows, total = active_subset_bounds(problem)
     report = {
         "command": "bound",
@@ -589,17 +568,12 @@ def cmd_bound(file, as_json):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_gen_random(family, dims, degree, seed, out):
     """Generate a random problem file from a named family."""
-    try:
-        dim_tuple = tuple(int(v) for v in dims.split(","))
-    except ValueError:
-        click.echo(f"error: cannot parse dims {dims!r}", err=True)
-        sys.exit(1)
+    dim_tuple = _parse_dims(dims)
     try:
         data = generate(family, dim_tuple, degree, _seed_option(seed))
         parse_problem(data, source=f"generated {family}")  # self check
     except ProblemFileError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _exit_error(str(exc))
     text = json.dumps(data, indent=2)
     if out:
         with open(out, "w") as fh:
@@ -617,12 +591,11 @@ def cmd_gen_random(family, dims, degree, seed, out):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_batch(family, dims, count, degree, seed, as_json):
     """Solve COUNT random instances; report the success rate and mean time."""
+    dim_tuple = _parse_dims(dims)
     try:
-        dim_tuple = tuple(int(v) for v in dims.split(","))
-    except ValueError:
-        click.echo(f"error: cannot parse dims {dims!r}", err=True)
-        sys.exit(1)
-    seed0 = _seed_option(seed)
+        seed0 = _seed_option(seed)
+    except ProblemFileError as exc:
+        _exit_error(str(exc))
     runs = []
     for i in range(count):
         s = seed0 + i
@@ -630,12 +603,11 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
             data = generate(family, dim_tuple, degree, s)
             problem, _ = parse_problem(data, source=f"instance {i}")
         except ProblemFileError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+            _exit_error(str(exc))
         t0 = time.time()
         try:
             res = solve_one(problem, SolverOptions(seed=s))
-            solved = res.status == "solution" and abs(res.eps) <= 1e-6
+            solved = res.status == "solution" and abs(res.eps) <= EPS_TOL
             certified_empty = res.status == "no_solution"
             status = res.status
         except (np.linalg.LinAlgError, ExtractionFailed) as exc:

@@ -92,7 +92,6 @@ class LmeMatrix:
 
     rows: tuple[tuple[Polynomial, ...], ...]
     n: int
-    exact: bool = True
 
     @property
     def m(self) -> int:
@@ -298,7 +297,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
                 )
                 + tuple(zero for _ in range(m))
             )
-        return LmeMatrix(tuple(rows), n, exact=False)
+        return LmeMatrix(tuple(rows), n)
 
     raise UnknownKind(f"{kind} has no L-matrix template; use the recipe interface")
 

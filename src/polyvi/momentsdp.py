@@ -16,11 +16,22 @@ finite-convergence detectors turn an optimal y into actual minimizers: the
 point check (the degree-one moments already form a feasible point achieving
 the bound) and flat truncation (rank M_t == rank M_{t-d0}), after which
 minimizers are read off a multiplication-operator eigendecomposition.
+
+Tolerance contract.  Every accept test has a fixed base tolerance: TOL_FEAS
+for constraint violation, TOL_GAP for the distance between a point's value
+and the bound, TOL_RANK for the singular values that count toward a rank and
+EXTRACT_TOL for the atom reconstruction residual.  A relaxation solved only
+to accuracy a (the worst of the backend's primal, dual and gap residuals)
+cannot support tighter tests, so each test takes the larger of its base and
+a widened accuracy: GAP_WIDENING * a for the gap (scaled by the bound's
+size) and for feasibility, RANK_WIDENING * a for rank and extraction.  The
+vipsolver module widens two more tests by RANK_WIDENING * a: the active-set
+tolerance of its point polish (base 1e-4) and the accept test of its gap
+width (base 1e-6; base and widening both scaled by max(1, |theta(x*)|)).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,6 +46,21 @@ INFEASIBLE = "infeasible"
 MINIMIZERS = "minimizers"
 INCONCLUSIVE = "inconclusive"
 BOUND_REACHED = "bound_reached"
+
+TOL_FEAS = 1e-6
+TOL_GAP = 1e-6
+TOL_RANK = 1e-6
+EXTRACT_TOL = 1e-6
+GAP_WIDENING = 30.0
+RANK_WIDENING = 50.0
+
+# log labels of the backend's exit statuses
+_LABELS = {
+    sb.OPTIMAL: "optimal",
+    sb.PRIMAL_INFEASIBLE: "infeasible",
+    sb.DUAL_INFEASIBLE: "unbounded",
+    sb.NUMERICAL_FAILURE: "numerical_failure",
+}
 
 
 class ExtractionFailed(RuntimeError):
@@ -120,40 +146,8 @@ class LocalizingTemplate:
         return self.block.evaluate(y.values)
 
 
-@dataclass
-class MomentRelaxation:
-    """The k-th relaxation of a program, ready to hand to an SDP backend."""
-
-    program: PolyProgram
-    order: int
-    num_moments: int
-    objective: np.ndarray
-    eq_rows: np.ndarray
-    eq_rhs: np.ndarray
-    blocks: list[sb.SdpBlock]
-    block_sources: list[str]
-
-    def to_sdp(self) -> sb.SdpProblem:
-        return sb.SdpProblem(
-            self.num_moments, self.objective, self.eq_rows, self.eq_rhs, self.blocks
-        )
-
-    def diagnostics(self) -> dict:
-        return {
-            "order": self.order,
-            "num_moments": self.num_moments,
-            "num_equalities": len(self.eq_rows),
-            "blocks": [
-                {"size": b.size, "source": src, "nnz": int(len(b.vals))}
-                for b, src in zip(self.blocks, self.block_sources)
-            ],
-        }
-
-    def diagnostics_json(self) -> str:
-        return json.dumps(self.diagnostics(), indent=2)
-
-
-def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
+def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
+    """The k-th relaxation of prog as an SDP over its moments y."""
     if k < prog.d0:
         raise ValueError(f"relaxation order {k} below the program minimum d0={prog.d0}")
     n = prog.n
@@ -177,7 +171,6 @@ def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
     eq_rhs = np.eye(1, len(eq_rows)).ravel()
 
     blocks = [LocalizingTemplate(Polynomial.constant(n, 1.0), k, n).block]
-    sources = ["moment"]
     for q in prog.psi:
         if q.is_zero:
             continue
@@ -193,49 +186,9 @@ def build_relaxation(prog: PolyProgram, k: int) -> MomentRelaxation:
                         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=float),
                     )
                 )
-                sources.append("constant")
             continue
         blocks.append(LocalizingTemplate(q, k, n).block)
-        sources.append(f"localizing deg {q.degree}")
-    return MomentRelaxation(prog, k, m, c, eq_rows, eq_rhs, blocks, sources)
-
-
-@dataclass
-class RelaxationSolve:
-    status: str  # optimal | infeasible | unbounded | numerical_failure
-    value: float | None
-    y: MomentVector | None
-    sdp: sb.SdpResult
-    # worst of the solver's primal/dual/gap residuals; drives downstream tolerances
-    accuracy: float = 0.0
-    # False when the backend settled for reduced accuracy; rigorous shortcuts
-    # (bound_stop) must not fire off an untrusted bound
-    trusted: bool = True
-
-
-def solve_relaxation(
-    rel: MomentRelaxation,
-    tol: float = 1e-8,
-    max_iters: int = 200,
-) -> RelaxationSolve:
-    res = sb.solve(rel.to_sdp(), tol=tol, max_iters=max_iters)
-    if res.status == sb.OPTIMAL:
-        y = MomentVector(rel.program.n, 2 * rel.order, res.y)
-        info = res.residuals or {}
-        acc = max(
-            float(info.get("primal", tol)),
-            float(info.get("dual", tol)),
-            float(info.get("gap", tol)),
-        )
-        return RelaxationSolve(
-            "optimal", float(res.objective), y, res,
-            accuracy=acc, trusted=not info.get("relaxed", False),
-        )
-    if res.status == sb.PRIMAL_INFEASIBLE:
-        return RelaxationSolve("infeasible", None, None, res)
-    if res.status == sb.DUAL_INFEASIBLE:
-        return RelaxationSolve("unbounded", None, None, res)
-    return RelaxationSolve("numerical_failure", None, None, res)
+    return sb.SdpProblem(m, c, eq_rows, eq_rhs, blocks)
 
 
 # -- finite convergence detectors ------------------------------------------
@@ -245,8 +198,8 @@ def check_point_optimality(
     y: MomentVector,
     bound: float,
     prog: PolyProgram,
-    tol_feas: float = 1e-6,
-    tol_gap: float = 1e-6,
+    tol_feas: float = TOL_FEAS,
+    tol_gap: float = TOL_GAP,
 ) -> np.ndarray | None:
     """The degree-one moments as a candidate minimizer, or None."""
     n = prog.n
@@ -271,7 +224,7 @@ def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
     return int((sv > thr).sum())
 
 
-def flat_truncation(y: MomentVector, d0: int, t: int, tol_rank: float = 1e-6) -> int | None:
+def flat_truncation(y: MomentVector, d0: int, t: int, tol_rank: float = TOL_RANK) -> int | None:
     """Rank r when M_t[y] and M_{t-d0}[y] agree in numeric rank, else None."""
     if t < d0 or 2 * t > y.two_k:
         raise ValueError(f"need d0 <= t <= k, got t={t}, d0={d0}, 2k={y.two_k}")
@@ -303,7 +256,7 @@ def extract_minimizers(
     t: int,
     r: int,
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = EXTRACT_TOL,
 ) -> list[np.ndarray]:
     """Read r atoms out of a flat moment matrix M_t[y].
 
@@ -377,20 +330,6 @@ def _extract_once(mat, bt, n, t, r, seed, tol) -> list[np.ndarray]:
 
 
 @dataclass
-class HierarchyOptions:
-    k_max_extra: int = 4
-    tol_feas: float = 1e-6
-    tol_gap: float = 1e-6
-    tol_rank: float = 1e-6
-    extract_tol: float = 1e-6
-    sdp_tol: float = 1e-8
-    sdp_max_iters: int = 200
-    seed: int = 0
-    # callable bound -> bool; when it fires the driver exits without extraction
-    bound_stop: object = None
-
-
-@dataclass
 class HierarchyOutcome:
     status: str
     order: int
@@ -426,14 +365,18 @@ def _scale_update(s_vec: np.ndarray, y: MomentVector) -> np.ndarray:
     return np.minimum(s_vec * factors, 1e4)
 
 
-def minimize(prog: PolyProgram, opts: HierarchyOptions | None = None) -> HierarchyOutcome:
+def minimize(
+    prog: PolyProgram, k_max_extra: int = 4, seed: int = 0, floor: float | None = None
+) -> HierarchyOutcome:
     """Run relaxations of increasing order until a certificate fires.
 
-    Orders after the first are solved in dilated coordinates sized from the
-    latest moment estimate; large solution coordinates otherwise blow up the
-    moment matrices' dynamic range and stall the backend.
+    Orders d0 .. d0 + k_max_extra are tried; `seed` picks the extraction's
+    random combination.  A trusted bound >= `floor` ends the run with
+    BOUND_REACHED, without extraction.  Orders after the first are solved in
+    dilated coordinates sized from the latest moment estimate; large
+    solution coordinates otherwise blow up the moment matrices' dynamic
+    range and stall the backend.
     """
-    opts = opts or HierarchyOptions()
     d0 = prog.d0
     log: list[dict] = []
     best_value: float | None = None
@@ -443,61 +386,62 @@ def minimize(prog: PolyProgram, opts: HierarchyOptions | None = None) -> Hierarc
     last_trusted = True
     s_vec = np.ones(prog.n)
 
-    for k in range(d0, d0 + opts.k_max_extra + 1):
+    for k in range(d0, d0 + k_max_extra + 1):
         scaled = bool(np.any(s_vec != 1.0))
         prog_k = dilate_program(prog, s_vec) if scaled else prog
-        rel = build_relaxation(prog_k, k)
-        res = solve_relaxation(rel, opts.sdp_tol, opts.sdp_max_iters)
-        entry = {"order": k, "status": res.status, "value": res.value}
+        res = sb.solve(build_relaxation(prog_k, k))
+        entry = {"order": k, "status": _LABELS[res.status], "value": res.objective}
         if scaled:
             entry["scale"] = [round(v, 3) for v in s_vec]
         log.append(entry)
         last_order = k
 
-        if res.status == "infeasible":
+        if res.status == sb.PRIMAL_INFEASIBLE:
             return HierarchyOutcome(INFEASIBLE, k, log=log)
-        if res.status in ("unbounded", "numerical_failure"):
+        if res.status != sb.OPTIMAL:
             continue
 
-        bound = res.value
+        bound = res.objective
+        y = MomentVector(prog_k.n, 2 * k, res.y)
+        # a solve the backend settled at reduced accuracy is not trusted: its
+        # bound cannot stop the run, and its accuracy widens every test below
+        acc = res.accuracy
+        trusted = not res.residuals.get("relaxed", False)
         best_value = bound if best_value is None else max(best_value, bound)
         s_used = s_vec
-        last_y = res.y.dilated(s_used) if scaled else res.y
-        last_acc, last_trusted = res.accuracy, res.trusted
+        last_y = y.dilated(s_used) if scaled else y
+        last_acc, last_trusted = acc, trusted
         s_vec = _scale_update(s_used, last_y)
 
         def to_x(u):
             u = np.asarray(u, dtype=float)
             return s_used * u if scaled else u
 
-        # reduced-accuracy solves widen every matching tolerance below; the
-        # bound_stop shortcut stays gated on full-accuracy bounds only
-        acc = res.accuracy
-        gap_eff = max(opts.tol_gap, 30.0 * acc * max(1.0, abs(bound)))
-        rank_eff = max(opts.tol_rank, 50.0 * acc)
-        feas_eff = max(opts.tol_feas, 30.0 * acc)
+        gap_eff = max(TOL_GAP, GAP_WIDENING * acc * max(1.0, abs(bound)))
+        feas_eff = max(TOL_FEAS, GAP_WIDENING * acc)
+        rank_eff = max(TOL_RANK, RANK_WIDENING * acc)
+        extract_eff = max(EXTRACT_TOL, RANK_WIDENING * acc)
 
-        if res.trusted and opts.bound_stop is not None and opts.bound_stop(bound):
+        if trusted and floor is not None and bound >= floor:
             return HierarchyOutcome(
                 BOUND_REACHED, k, value=bound, y=last_y, log=log,
                 accuracy=acc, trusted=True,
             )
 
-        u = check_point_optimality(res.y, bound, prog_k, feas_eff, gap_eff)
+        u = check_point_optimality(y, bound, prog_k, feas_eff, gap_eff)
         if u is not None:
             return HierarchyOutcome(
                 MINIMIZERS, k, value=bound, points=[to_x(u)],
                 certificate="point-optimality", y=last_y, log=log,
-                accuracy=acc, trusted=res.trusted,
+                accuracy=acc, trusted=trusted,
             )
 
         for t in range(d0, k + 1):
-            r = flat_truncation(res.y, d0, t, rank_eff)
+            r = flat_truncation(y, d0, t, rank_eff)
             if r is None:
                 continue
             try:
-                extract_eff = max(opts.extract_tol, 50.0 * acc)
-                points = extract_minimizers(res.y, t, r, opts.seed, extract_eff)
+                points = extract_minimizers(y, t, r, seed, extract_eff)
             except ExtractionFailed as exc:
                 log.append({"order": k, "status": "extraction_failed", "detail": str(exc), "t": t})
                 continue
@@ -510,7 +454,7 @@ def minimize(prog: PolyProgram, opts: HierarchyOptions | None = None) -> Hierarc
                 return HierarchyOutcome(
                     MINIMIZERS, k, value=bound, points=good,
                     certificate="flat-truncation", flat_rank=r, flat_t=t,
-                    y=last_y, log=log, accuracy=acc, trusted=res.trusted,
+                    y=last_y, log=log, accuracy=acc, trusted=trusted,
                 )
             log.append({"order": k, "status": "atoms_rejected", "t": t, "count": len(points)})
 

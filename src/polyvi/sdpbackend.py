@@ -113,6 +113,11 @@ class SdpResult:
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
 
+    @property
+    def accuracy(self) -> float:
+        """Worst of the primal, dual and gap residuals; 0 when none is recorded."""
+        return max(self.residuals.get(k, 0.0) for k in ("primal", "dual", "gap"))
+
 
 def min_block_eigenvalue(problem: SdpProblem, y: np.ndarray) -> float:
     """Smallest eigenvalue over all blocks at y; used by feasibility checks."""

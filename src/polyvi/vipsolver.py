@@ -24,7 +24,7 @@ are always re-verified against the original problem data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -47,7 +47,8 @@ from .momentsdp import (
     INCONCLUSIVE,
     INFEASIBLE,
     MINIMIZERS,
-    HierarchyOptions,
+    RANK_WIDENING,
+    TOL_FEAS,
     HierarchyOutcome,
     PolyProgram,
     minimize,
@@ -55,32 +56,24 @@ from .momentsdp import (
 from .polycore import Polynomial
 
 
+# a comparison bound >= -EPS_TOL certifies a candidate as a solution
+EPS_TOL = 1e-6
+# points closer than this in the max norm count as one
+DUP_TOL = 1e-6
+MAX_SOLUTIONS = 20
+# gap widths tried by find_delta: DELTA0, DELTA0 * RHO, ..., MAX_SHRINKS shrinks
+DELTA0 = 1.0
+RHO = 0.5
+MAX_SHRINKS = 20
+
+
 @dataclass
 class SolverOptions:
+    """The settings a problem file or the command line may choose."""
+
     seed: int = 0
     max_loops: int = 10
     k_max_extra: int = 4
-    eps_tol: float = 1e-6
-    tol_feas: float = 1e-6
-    tol_gap: float = 1e-6
-    tol_rank: float = 1e-6
-    extract_tol: float = 1e-6
-    sdp_tol: float = 1e-8
-    sdp_max_iters: int = 200
-    delta0: float = 1.0
-    rho: float = 0.5
-    max_shrinks: int = 20
-    r_fallback: float | None = None
-    dup_tol: float = 1e-6
-    max_solutions: int = 20
-
-    def hierarchy(self, bound_stop=None) -> HierarchyOptions:
-        pred = None
-        if bound_stop is not None:
-            floor = float(bound_stop)
-            pred = lambda b: b >= floor  # noqa: E731
-        shared = {f.name for f in fields(self)} & {f.name for f in fields(HierarchyOptions)}
-        return HierarchyOptions(**{name: getattr(self, name) for name in shared}, bound_stop=pred)
 
 
 def detect_kind(cs: ConstraintSystem) -> str | None:
@@ -198,14 +191,13 @@ def random_theta(n: int, seed: int = 0) -> ThetaForm:
 class CutSet:
     """Comparison points v; each contributes the cut (v - x)^T F(x) >= 0."""
 
-    def __init__(self, dup_tol: float = 1e-6):
+    def __init__(self):
         self.points: list[np.ndarray] = []
-        self.dup_tol = dup_tol
 
     def add(self, v) -> bool:
         v = np.asarray(v, dtype=float)
         for w in self.points:
-            if np.max(np.abs(w - v)) <= self.dup_tol:
+            if np.max(np.abs(w - v)) <= DUP_TOL:
                 return False
         self.points.append(v)
         return True
@@ -277,7 +269,7 @@ def find_candidate(
     kkt = problem.kkt
     ineqs = list(kkt.inequalities) + cuts.polys(problem.F) + list(extra_ineqs)
     prog = PolyProgram(theta.poly, kkt.equations, tuple(ineqs), problem.n)
-    return minimize(prog, opts.hierarchy())
+    return minimize(prog, opts.k_max_extra, opts.seed)
 
 
 def _linear_comparison(problem: VipProblem, u: np.ndarray) -> Polynomial:
@@ -373,7 +365,7 @@ def _polish_comparison_point(problem: VipProblem, fu, v, tol_active=1e-4) -> np.
 def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) -> VerifyResult:
     """Decide whether u solves the problem by bounding min_X (y - u)^T F(u).
 
-    A bound >= -eps_tol certifies u.  Otherwise the comparison minimizers
+    A bound >= -EPS_TOL certifies u.  Otherwise the comparison minimizers
     become cut points.  The primary route substitutes the multiplier
     expression of the comparison problem (same recipe, constant field); when
     that route cannot run or stays inconclusive, a direct relaxation over X
@@ -390,7 +382,7 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
 
     def settle(prog: PolyProgram, route: str, radius: float | None = None):
         """The verdict of one route, or None when it decides nothing."""
-        out = minimize(prog, opts.hierarchy(bound_stop=-opts.eps_tol))
+        out = minimize(prog, opts.k_max_extra, opts.seed, floor=-EPS_TOL)
         log.extend(out.log)
         if out.status == BOUND_REACHED:
             return VerifyResult(SOLUTION, float(out.value), via=f"{route}_bound", log=log)
@@ -402,14 +394,14 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
         ):
             return VerifyResult(INCONCLUSIVE_RUN, eps, log=log)
         # the bound only resolves eps down to the solve's accuracy
-        if eps >= -opts.eps_tol and out.accuracy <= opts.eps_tol:
+        if eps >= -EPS_TOL and out.accuracy <= EPS_TOL:
             return VerifyResult(SOLUTION, eps, via=f"{route}_points", log=log)
-        if eps < -opts.eps_tol:
+        if eps < -EPS_TOL:
             polished = [
-                _polish_comparison_point(problem, fu, p, max(1e-4, 50.0 * out.accuracy))
+                _polish_comparison_point(problem, fu, p, max(1e-4, RANK_WIDENING * out.accuracy))
                 for p in out.points
             ]
-            pts = [p for p in polished if cs.membership_error(p) <= 10 * opts.tol_feas]
+            pts = [p for p in polished if cs.membership_error(p) <= 10 * TOL_FEAS]
             if pts:
                 return VerifyResult("cut", eps, pts, via=f"{route}_points", log=log)
         return None
@@ -423,7 +415,7 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
             return verdict
         # infeasible or inconclusive: fall through to the direct route
 
-    radius = opts.r_fallback if opts.r_fallback is not None else float(u @ u) + 100.0
+    radius = float(u @ u) + 100.0
     ball_terms = {(0,) * n: float(radius) - float(u @ u)}
     for t in range(n):
         e1 = tuple(1 if j == t else 0 for j in range(n))
@@ -476,7 +468,7 @@ def _solve_loop(
         added = 0
         for u in cand.points:
             t1 = time.time()
-            u = polish_candidate(problem, u, max(1e-4, 50.0 * cand.accuracy))
+            u = polish_candidate(problem, u, max(1e-4, RANK_WIDENING * cand.accuracy))
             ver = verify_candidate(problem, u, opts)
             log.append(
                 _log_entry(
@@ -515,7 +507,7 @@ def solve_one(problem: VipProblem, opts: SolverOptions | None = None) -> SolveOu
     """Find one solution or certify that none exists."""
     opts = opts or SolverOptions()
     theta = random_theta(problem.n, opts.seed)
-    cuts = CutSet(opts.dup_tol)
+    cuts = CutSet()
     return _solve_loop(problem, theta, cuts, [], opts, NO_SOLUTION)
 
 
@@ -537,14 +529,14 @@ def find_delta(
     theta_star = theta.evaluate(x_star)
     accept = 1e-6 * max(1.0, abs(theta_star))
     base_ineqs = list(kkt.inequalities) + cuts.polys(problem.F)
-    delta = opts.delta0
+    delta = DELTA0
     log: list = []
-    for shrink in range(opts.max_shrinks + 1):
+    for shrink in range(MAX_SHRINKS + 1):
         band = Polynomial.constant(problem.n, theta_star + delta) - theta.poly
         prog = PolyProgram(
             theta.poly.scale(-1.0), kkt.equations, tuple(base_ineqs + [band]), problem.n
         )
-        out = minimize(prog, opts.hierarchy(bound_stop=-(theta_star + accept)))
+        out = minimize(prog, opts.k_max_extra, opts.seed, floor=-(theta_star + accept))
         gamma = None if out.value is None else -float(out.value)
         log.append(
             _log_entry("delta", shrink, out.status, delta=delta, gamma=gamma, order=out.order)
@@ -555,11 +547,11 @@ def find_delta(
             # the band holds x*, so emptiness is numerical; accept
             return delta, True, log
         # a relaxed solve cannot pin gamma tighter than its own accuracy
-        accept_eff = max(accept, 50.0 * out.accuracy * max(1.0, abs(theta_star)))
+        accept_eff = max(accept, RANK_WIDENING * out.accuracy * max(1.0, abs(theta_star)))
         if out.status in (MINIMIZERS, INCONCLUSIVE) and gamma is not None:
             if gamma - theta_star <= accept_eff:
                 return delta, True, log
-        delta *= opts.rho
+        delta *= RHO
     return delta, False, log
 
 
@@ -586,7 +578,7 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
     """Enumerate solutions in increasing generic-objective order."""
     opts = opts or SolverOptions()
     theta = random_theta(problem.n, opts.seed)
-    cuts = CutSet(opts.dup_tol)
+    cuts = CutSet()
     log: list = []
 
     first = _solve_loop(problem, theta, cuts, [], opts, NO_SOLUTION)
@@ -604,7 +596,7 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
     complete = False
     order = None
 
-    while len(sols) < opts.max_solutions:
+    while len(sols) < MAX_SOLUTIONS:
         nxt, certified = solve_next(problem, theta, cuts, sols[-1], opts)
         log.extend(nxt.log)
         if nxt.status == NO_MORE_SOLUTIONS:
@@ -613,7 +605,7 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
             break
         if nxt.status != SOLUTION:
             break
-        if any(np.max(np.abs(nxt.point - s)) <= opts.dup_tol for s in sols):
+        if any(np.max(np.abs(nxt.point - s)) <= DUP_TOL for s in sols):
             log.append(_log_entry("enumerate", len(sols), "duplicate"))
             break
         if nxt.objective < objs[-1] - 1e-6:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from click.testing import CliRunner
 
 from polyvi import cli
 from polyvi.momentsdp import ExtractionFailed
+from polyvi.polycore import Polynomial
+from polyvi.vipsolver import SolveOutcome
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -47,15 +51,14 @@ def invoke(*args, env=None):
 
 
 def test_parse_round_trip():
-    problem, opts = cli.parse_problem(projection_dict())
+    data = {**projection_dict(), "options": {"seed": 4}}
+    problem, opts = cli.parse_problem(data)
     assert problem.n == 2
-    dumped = cli.problem_to_dict(problem, {"seed": 4})
-    again, opts2 = cli.parse_problem(dumped)
-    assert opts2.seed == 4
-    for p, q in zip(problem.F, again.F):
-        assert p.terms == q.terms
-    assert again.cs.eq_idx == problem.cs.eq_idx
-    assert again.cs.ineq_idx == problem.cs.ineq_idx
+    assert opts.seed == 4
+    for p, terms in zip(problem.F, data["F"]):
+        assert p.terms == Polynomial.from_json(2, terms).terms
+    assert problem.cs.eq_idx == ()
+    assert problem.cs.ineq_idx == (0,)
 
 
 def test_parse_rejects_malformed():
@@ -103,6 +106,52 @@ def test_solve_invalid_json_exits_1(tmp_path):
     path.write_text("{ not json")
     result = invoke("solve", str(path))
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "file_seed,flags,env_seed,expected",
+    [
+        (0, (), "5", 0),
+        (3, (), "5", 3),
+        (None, (), "5", 5),
+        (3, ("--seed", "2"), "5", 2),
+        (None, (), None, 0),
+    ],
+)
+def test_solve_seed_precedence(monkeypatch, tmp_path, file_seed, flags, env_seed, expected):
+    # --seed, then the file's options.seed, then POLYVI_SEED, then 0
+    data = projection_dict()
+    if file_seed is not None:
+        data["options"] = {"seed": file_seed}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.delenv("POLYVI_SEED", raising=False)
+    seen = []
+
+    def record(problem, opts):
+        seen.append(opts.seed)
+        return SolveOutcome("inconclusive")
+
+    monkeypatch.setattr(cli, "solve_one", record)
+    env = {"POLYVI_SEED": env_seed} if env_seed is not None else None
+    assert invoke("solve", str(path), *flags, env=env).exit_code == 2
+    assert seen == [expected]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{file}"),
+        ("verify", "{file}", "--point", "0.6,0.8"),
+        ("bound", "{file}"),
+        ("gen-random", "ball", "--dims", "2"),
+        ("batch", "ball", "--dims", "2", "--count", "1"),
+    ],
+)
+def test_non_integer_env_seed_exits_1(tiny_file, argv):
+    result = invoke(*(a.format(file=tiny_file) for a in argv), env={"POLYVI_SEED": "x"})
+    assert result.exit_code == 1
+    assert "POLYVI_SEED must be an integer, got 'x'" in result.output
 
 
 def test_verify_accepts_and_rejects(tiny_file):
@@ -310,3 +359,11 @@ def test_json_report_records_blas_threads(two_blas_threads, tiny_file, argv):
     result = invoke(*(arg.format(file=tiny_file) for arg in argv))
     report = json.loads(result.output)
     assert report["blas_threads"] == {name: 1 for name in cli.blas_threads()}
+
+
+def test_perfbench_selftest():
+    # the traced benchmark wraps polyvi's entry points by name, so renaming
+    # one of them fails here rather than in a traced run
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "selftest.py")
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -248,7 +248,7 @@ def schur_problems():
     prog = ms.PolyProgram(
         x1 * x1 * x2 - x2, (x1 * x2 - 0.25 * one,), (one - x1 * x1 - x2 * x2, x1), 2
     )
-    relaxation = ms.build_relaxation(prog, 2).to_sdp()
+    relaxation = ms.build_relaxation(prog, 2)
     # 1x1 blocks, off-diagonal entries, and a variable shared by both blocks
     a0 = np.array([[1.0, 2.0, 0.0], [2.0, 0.0, -1.0], [0.0, -1.0, 3.0]])
     a1 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -256,7 +256,7 @@ def schur_problems():
                [dense_block(np.eye(3), [(0, a0), (1, a1)]),
                 one_var_block((1.0, [(0, 2.0), (2, -1.0)])),
                 one_var_block((0.0, [(1, 1.0)]))])
-    return [relaxation, toy, ms.build_relaxation(prog, 3).to_sdp()]
+    return [relaxation, toy, ms.build_relaxation(prog, 3)]
 
 
 def _random_states(ipm, rng):

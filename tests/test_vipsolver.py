@@ -62,7 +62,7 @@ def test_theta_poly_matches_matrix_form():
 
 
 def test_cutset_rejects_near_duplicates():
-    cuts = vs.CutSet(dup_tol=1e-6)
+    cuts = vs.CutSet()
     v = np.array([0.3, -1.1])
     assert cuts.add(v)
     assert not cuts.add(v + 5e-7)
@@ -207,16 +207,3 @@ def test_duplicate_guard_in_enumeration():
     assert res.status == "solutions"
     assert len(res.solutions) == 1
     assert res.complete
-
-
-def test_hierarchy_options_carry_every_shared_field():
-    opts = vs.SolverOptions(
-        seed=3, k_max_extra=2, tol_feas=1e-5, tol_gap=2e-5, tol_rank=3e-5,
-        extract_tol=4e-5, sdp_tol=1e-7, sdp_max_iters=50,
-    )
-    hopts = opts.hierarchy(bound_stop=-1.0)
-    for name in ("seed", "k_max_extra", "tol_feas", "tol_gap", "tol_rank",
-                 "extract_tol", "sdp_tol", "sdp_max_iters"):
-        assert getattr(hopts, name) == getattr(opts, name)
-    assert hopts.bound_stop(-0.5) and not hopts.bound_stop(-2.0)
-    assert opts.hierarchy().bound_stop is None
