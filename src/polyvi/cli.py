@@ -12,8 +12,9 @@ Problem file schema (JSON):
       "options": {"seed": 3, "max_loops": 10, "k_max_extra": 4}   # optional
     }
 
-A seed comes from --seed, else the file's options.seed, else POLYVI_SEED,
-else 0.
+Each option is an integer: seed >= 0, max_loops >= 1, k_max_extra >= 0, in
+the file, on the command line and in POLYVI_SEED alike.  A seed comes from
+--seed, else the file's options.seed, else POLYVI_SEED, else 0.
 
 Exit codes: 0 solved / certified / accepted, 1 bad input, 2 inconclusive
 or rejected.
@@ -49,7 +50,8 @@ class ProblemFileError(Exception):
     """A problem file that cannot be parsed or validated."""
 
 
-_OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(SolverOptions))
+# the least value of each field of SolverOptions, all of them integers
+_OPTION_MIN = {"seed": 0, "max_loops": 1, "k_max_extra": 0}
 
 
 def _fail(msg: str):
@@ -69,15 +71,28 @@ def _poly_from_json(n, data, where):
     return Polynomial.from_json(n, data)
 
 
-def _seed_option(value):
-    """value, else POLYVI_SEED, else 0."""
-    if value is not None:
-        return value
-    env = os.environ.get("POLYVI_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        _fail(f"POLYVI_SEED must be an integer, got {env!r}")
+def _check_option(label: str, name: str, value) -> int:
+    """value when it is an integer (not a bool) of at least _OPTION_MIN[name]."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(f"{label} must be an integer, got {value!r}")
+    if value < _OPTION_MIN[name]:
+        _fail(f"{label} must be >= {_OPTION_MIN[name]}, got {value}")
+    return value
+
+
+def _seed_option(value) -> int:
+    """value (a --seed flag), else POLYVI_SEED, else 0; checked like every option."""
+    label = "--seed"
+    if value is None:
+        env = os.environ.get("POLYVI_SEED")
+        if not env:
+            return 0
+        try:
+            value = int(env)
+        except ValueError:
+            _fail(f"POLYVI_SEED must be an integer, got {env!r}")
+        label = "POLYVI_SEED"
+    return _check_option(label, "seed", value)
 
 
 def parse_problem(data: dict, source: str = "<data>"):
@@ -110,10 +125,18 @@ def parse_problem(data: dict, source: str = "<data>"):
     except (TemplateMismatch, ValueError, TypeError) as exc:
         _fail(f"{source}: lme: {exc}")
     opts_data = data.get("options", {})
-    unknown = set(opts_data) - set(_OPTION_FIELDS)
+    if not isinstance(opts_data, dict):
+        _fail(f"{source}: options must be an object, got {opts_data!r}")
+    unknown = set(opts_data) - set(_OPTION_MIN)
     if unknown:
         _fail(f"{source}: unknown options {sorted(unknown)}")
-    return problem, SolverOptions(**{**opts_data, "seed": _seed_option(opts_data.get("seed"))})
+    opts = {
+        name: _check_option(f"{source}: options.{name}", name, value)
+        for name, value in opts_data.items()
+    }
+    if "seed" not in opts:
+        opts["seed"] = _seed_option(None)
+    return problem, SolverOptions(**opts)
 
 
 def load_problem(path: str):
@@ -454,8 +477,16 @@ def main():
 def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     """Solve the problem in FILE; exit 0 solved/certified, 2 inconclusive."""
     problem, opts = _load_or_exit(file)
-    flags = {"seed": seed, "max_loops": max_loops, "k_max_extra": max_order_extra}
-    opts = dataclasses.replace(opts, **{k: v for k, v in flags.items() if v is not None})
+    flags = (
+        ("--seed", "seed", seed),
+        ("--max-loops", "max_loops", max_loops),
+        ("--max-order-extra", "k_max_extra", max_order_extra),
+    )
+    try:
+        chosen = {name: _check_option(label, name, v) for label, name, v in flags if v is not None}
+    except ProblemFileError as exc:
+        _exit_error(str(exc))
+    opts = dataclasses.replace(opts, **chosen)
     t0 = time.time()
     report = {"command": "solve", "file": file, "mode": "all" if mode_all else "one"}
     if mode_all:

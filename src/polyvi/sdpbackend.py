@@ -39,6 +39,31 @@ Equality rows are orthonormalized once by SVD before the main loop; this
 removes the redundancy that moment-style relaxations carry in bulk, and an
 inconsistent right-hand side short-circuits to primal infeasibility.
 
+The score of an iterate is the worst of its relative primal, dual and gap
+residuals.  `SdpResult.exit` records where a solve ended:
+
+  - `optimal`: the residuals and the gap are within tol.
+  - `certificate`: the iterate is a primal or dual infeasibility
+    certificate within tol.
+  - `stall`: 30 iterations without cutting the best score by 20 %.
+  - `diverged`: the best score is within the relaxed band max(1e-4, 100 tol)
+    and the current one exceeds `_DIVERGE_FACTOR` times it.  Once mu/mu0
+    nears 1e-10 the Newton systems lose their accuracy and the score climbs
+    by orders of magnitude; on the measured relaxations no later iterate
+    beat the best one.
+  - `step`: the step length is at most 1e-12 or not finite.
+  - `scaling`: the NT scaling or the Schur factorization failed.
+  - `collapse`: tau or kappa left their cone, or mu fell below 1e-30 mu0.
+  - `max_iters`: the iteration limit ran out.
+  - `inconsistent` and `initial_factor`: before the first iteration.
+
+After every loop exit except `optimal` and `certificate`, an iterate whose
+kappa dominates tau is tested as a certificate at the looser tolerance
+max(1e-6, 10 tol).  Failing that, the saved best iterate is returned, with
+`residuals["relaxed"]` set, when its score is within the relaxed band; so
+a `diverged` solve returns that best iterate.  Anything else is a numerical
+failure.
+
 Everything here is deterministic: no randomness anywhere in this module.
 """
 
@@ -56,6 +81,11 @@ DUAL_INFEASIBLE = "dual_infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
 
 _STEP_DAMP = 0.99
+# the `diverged` exit's bound on score / best_score.  On the 214 SDPs of the
+# benchmark workloads and the acceptance tests, 100, 1e3 and 1e4 all return
+# the answers of running on; 10 cuts one eig_linear_cone solve short of a
+# later, better iterate.
+_DIVERGE_FACTOR = 1e3
 
 
 @dataclass
@@ -107,11 +137,18 @@ class SdpProblem:
 
 @dataclass
 class SdpResult:
+    """`exit` names where the solve ended (the module docstring lists the
+    exits); `best_score` is the best score of any iterate and `mu_ratio` is
+    mu/mu0 at the last one, both None on the exits before the loop."""
+
     status: str
     y: np.ndarray | None
     objective: float | None
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
+    exit: str = ""
+    best_score: float | None = None
+    mu_ratio: float | None = None
 
     @property
     def accuracy(self) -> float:
@@ -499,12 +536,19 @@ class ReferenceIpm:
     # -- main loop --------------------------------------------------------------
 
     def run(self) -> SdpResult:
+        """Iterate to one of the exits the module docstring lists."""
         if self.inconsistent:
-            return SdpResult(PRIMAL_INFEASIBLE, None, None, {"reason": "inconsistent equalities"})
+            return SdpResult(
+                PRIMAL_INFEASIBLE, None, None, {"reason": "inconsistent equalities"},
+                exit="inconsistent",
+            )
 
         m, p = self.m, len(self.b)
         if not self._factor(None):
-            return SdpResult(NUMERICAL_FAILURE, None, None, {"reason": "initial factorization"})
+            return SdpResult(
+                NUMERICAL_FAILURE, None, None, {"reason": "initial factorization"},
+                exit="initial_factor",
+            )
         x, _, z_hat = self._solve3(None, np.zeros(m), self.b, self.h)
         s = -z_hat
         lo = self._min_eig(s)
@@ -519,9 +563,18 @@ class ReferenceIpm:
         best: SdpResult | None = None
         best_score = np.inf
         best_it = 0
-        mu0 = (s @ z + tau * kappa) / (self.nu + 1.0)
+        # the relaxed exit accepts a best iterate whose score is within this
+        relaxed_band = max(1e-4, 100 * self.tol)
+        mu0 = mu = (s @ z + tau * kappa) / (self.nu + 1.0)
         it = 0
 
+        def finish(result: SdpResult, exit_path: str) -> SdpResult:
+            result.exit = exit_path
+            result.best_score = float(best_score)
+            result.mu_ratio = float(mu / mu0)
+            return result
+
+        exit_path = "max_iters"
         for it in range(1, self.max_iters + 1):
             rx = self.A.T @ y + self.GT @ z + self.c * tau
             ry = self.A @ x - self.b * tau
@@ -545,17 +598,22 @@ class ReferenceIpm:
                 best = self._make_result(x / tau, pres, dres, relgap, it)
 
             if pres <= self.tol and dres <= self.tol and (gap <= self.tol or relgap <= self.tol):
-                return self._make_result(x / tau, pres, dres, relgap, it)
+                return finish(self._make_result(x / tau, pres, dres, relgap, it), "optimal")
 
             cert = self._certificates(x, y, z, s, self.tol, it)
             if cert is not None:
-                return cert
+                return finish(cert, "certificate")
 
             if it - best_it >= 30:
-                break  # no residual progress for many iterations
+                exit_path = "stall"  # no residual progress for many iterations
+                break
+            if best_score <= relaxed_band and score > _DIVERGE_FACTOR * best_score:
+                exit_path = "diverged"  # the saved best iterate is the answer
+                break
 
             states = self._nt_scalings(s, z)
             if states is None or not self._factor(states):
+                exit_path = "scaling"
                 break
 
             u1 = self._solve3_refined(states, -self.c, self.b, self.h)
@@ -606,6 +664,7 @@ class ReferenceIpm:
             )
             step = min(1.0, _STEP_DAMP * alpha)
             if not np.isfinite(step) or step <= 1e-12:
+                exit_path = "step"
                 break
 
             x = x + step * dx
@@ -615,6 +674,7 @@ class ReferenceIpm:
             tau += step * dtau
             kappa += step * dkap
             if tau <= 0 or kappa < 0 or mu < 1e-30 * mu0:
+                exit_path = "collapse"
                 break
 
         relaxed = max(1e-6, 10 * self.tol)
@@ -623,15 +683,18 @@ class ReferenceIpm:
         if kappa > 1e4 * max(tau, 1e-300):
             cert = self._certificates(x, y, z, s, relaxed, it, relaxed_flag=True)
             if cert is not None:
-                return cert
+                return finish(cert, exit_path)
         # moment-style instances routinely stall short of full accuracy; the
         # best iterate is still usable when callers read the recorded
         # residuals and treat the value/point accordingly
-        if best is not None and best_score <= max(1e-4, 100 * self.tol):
+        if best is not None and best_score <= relaxed_band:
             best.residuals["relaxed"] = True
             best.iterations = it
-            return best
-        return SdpResult(NUMERICAL_FAILURE, None, None, {"best_score": float(best_score)}, it)
+            return finish(best, exit_path)
+        return finish(
+            SdpResult(NUMERICAL_FAILURE, None, None, {"best_score": float(best_score)}, it),
+            exit_path,
+        )
 
     def _certificates(self, x, y, z, s, tol, it, relaxed_flag=False):
         hz_by = float(self.b @ y + self.h @ z)

@@ -154,6 +154,68 @@ def test_non_integer_env_seed_exits_1(tiny_file, argv):
     assert "POLYVI_SEED must be an integer, got 'x'" in result.output
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        (5, "options must be an object, got 5"),
+        ({"seed": "abc"}, "options.seed must be an integer, got 'abc'"),
+        ({"seed": 1.5}, "options.seed must be an integer, got 1.5"),
+        ({"seed": True}, "options.seed must be an integer, got True"),
+        ({"max_loops": "3"}, "options.max_loops must be an integer, got '3'"),
+        ({"seed": -1}, "options.seed must be >= 0, got -1"),
+        ({"max_loops": 0}, "options.max_loops must be >= 1, got 0"),
+        ({"k_max_extra": -1}, "options.k_max_extra must be >= 0, got -1"),
+    ],
+)
+def test_bad_file_option_exits_1(tmp_path, options, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**projection_dict(), "options": options}))
+    result = invoke("solve", str(path))
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("solve", "{file}", "--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("solve", "{file}", "--max-loops", "0"), "--max-loops must be >= 1, got 0"),
+        (("solve", "{file}", "--max-order-extra", "-1"), "--max-order-extra must be >= 0, got -1"),
+        (("gen-random", "ball", "--dims", "2", "--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("batch", "ball", "--dims", "2", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    ],
+)
+def test_bad_option_flag_exits_1(tiny_file, argv, message):
+    result = invoke(*(a.format(file=tiny_file) for a in argv))
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "env_seed,message",
+    [
+        ("-2", "POLYVI_SEED must be >= 0, got -2"),
+        ("1.5", "POLYVI_SEED must be an integer, got '1.5'"),
+        ("true", "POLYVI_SEED must be an integer, got 'true'"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{file}"),
+        ("gen-random", "ball", "--dims", "2"),
+        ("batch", "ball", "--dims", "2", "--count", "1"),
+    ],
+)
+def test_bad_env_seed_exits_1(tiny_file, argv, env_seed, message):
+    result = invoke(*(a.format(file=tiny_file) for a in argv), env={"POLYVI_SEED": env_seed})
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert message in result.output
+
+
 def test_verify_accepts_and_rejects(tiny_file):
     good = invoke("verify", tiny_file, "--point", "0.6,0.8")
     assert good.exit_code == 0

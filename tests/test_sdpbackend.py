@@ -1,10 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from polyvi import momentsdp as ms
 from polyvi import sdpbackend as sb
+from polyvi.cli import load_problem
 from polyvi.polycore import Polynomial
+from polyvi.vipsolver import solve_one
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def dense_block(const, coeffs):
@@ -136,6 +142,7 @@ def test_toy_optimal_values(idx):
     prob, opt, ystar = toy_problems()[idx]
     res = sb.solve(prob, tol=1e-8)
     assert res.status == sb.OPTIMAL
+    assert res.exit == "optimal"
     assert res.objective == pytest.approx(opt, abs=1e-7)
     if ystar is not None:
         assert np.allclose(res.y, ystar, atol=1e-5)
@@ -146,6 +153,7 @@ def test_infeasible_detection(idx):
     prob = infeasible_problems()[idx]
     res = sb.solve(prob, tol=1e-8)
     assert res.status == sb.PRIMAL_INFEASIBLE
+    assert res.exit == "certificate"
 
 
 @pytest.mark.parametrize("idx", range(2))
@@ -153,6 +161,7 @@ def test_unbounded_detection(idx):
     prob = unbounded_problems()[idx]
     res = sb.solve(prob, tol=1e-8)
     assert res.status == sb.DUAL_INFEASIBLE
+    assert res.exit == "certificate"
 
 
 def test_unbounded_without_ray_is_not_reported_optimal():
@@ -198,6 +207,33 @@ def test_inconsistent_equalities_rejected_fast():
                 [one_var_block((0.0, [(0, 1.0)]))])
     res = sb.solve(prob)
     assert res.status == sb.PRIMAL_INFEASIBLE
+    assert res.exit == "inconsistent"
+
+
+def test_diverged_exit_returns_the_answer_of_the_iterations_before(sdp_solves, monkeypatch):
+    # the diverged exit stops a solve whose iterate fell far behind an
+    # acceptable best one.  Stopping it one iteration earlier by the
+    # iteration limit, or not stopping it at all, must give the same
+    # answer, bit for bit
+    problem, opts = load_problem(os.path.join(FIXTURES, "eig_linear_cone.json"))
+    solve_one(problem, opts)
+    diverged = [(prob, res) for prob, res in sdp_solves if res.exit == "diverged"]
+    assert diverged
+    earlier = [sb.solve(prob, max_iters=res.iterations - 1) for prob, res in diverged]
+    monkeypatch.setattr(sb, "_DIVERGE_FACTOR", np.inf)
+    running_on = [sb.solve(prob) for prob, _ in diverged]
+    for (_, res), before, after in zip(diverged, earlier, running_on):
+        assert res.residuals["relaxed"]
+        assert res.best_score <= 1e-4 and res.mu_ratio > 0
+        assert before.exit == "max_iters"
+        assert after.exit not in ("diverged", "max_iters")
+        assert after.iterations > res.iterations
+        for ref in (before, after):
+            assert ref.status == res.status
+            assert np.array_equal(ref.y, res.y)
+            assert ref.objective == res.objective
+            assert ref.residuals == res.residuals
+            assert ref.best_score == res.best_score
 
 
 def test_problem_rejects_mismatched_equalities():
