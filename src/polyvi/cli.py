@@ -32,9 +32,9 @@ import time
 import click
 import numpy as np
 
-from .lme import ConstraintSystem, TemplateMismatch, kkt_residual
+from .lme import ConstraintSystem, TemplateMismatch
 from .momentsdp import TOL_FEAS, ExtractionFailed
-from .polycore import Polynomial, basis
+from .polycore import Polynomial, basis, violation
 from .vipsolver import (
     EPS_TOL,
     SolverOptions,
@@ -80,19 +80,23 @@ def _check_option(label: str, name: str, value) -> int:
     return value
 
 
-def _seed_option(value) -> int:
-    """value (a --seed flag), else POLYVI_SEED, else 0; checked like every option."""
+def _parse_int(label: str, text: str) -> int:
+    """The integer a flag or variable spells out."""
+    try:
+        return int(text)
+    except ValueError:
+        _fail(f"{label} must be an integer, got {text!r}")
+
+
+def _seed_option(text: str | None) -> int:
+    """text (a --seed flag), else POLYVI_SEED, else 0; checked like every option."""
     label = "--seed"
-    if value is None:
-        env = os.environ.get("POLYVI_SEED")
-        if not env:
+    if text is None:
+        text = os.environ.get("POLYVI_SEED")
+        if not text:
             return 0
-        try:
-            value = int(env)
-        except ValueError:
-            _fail(f"POLYVI_SEED must be an integer, got {env!r}")
         label = "POLYVI_SEED"
-    return _check_option(label, "seed", value)
+    return _check_option(label, "seed", _parse_int(label, text))
 
 
 def parse_problem(data: dict, source: str = "<data>"):
@@ -162,61 +166,31 @@ def gen_ball(n: int, d: int, seed: int) -> dict:
         Polynomial(n, {e: float(a_mat[i, j]) for j, e in enumerate(monos) if a_mat[i, j]})
         for i in range(n)
     ]
-    ball = {(0,) * n: 1.0}
-    for t in range(n):
-        ball[tuple(2 if j == t else 0 for j in range(n))] = -1.0
+    ball = Polynomial.quadratic(n, 1.0, quad=-np.eye(n))
     return {
         "name": f"ball-n{n}-d{d}-seed{seed}",
         "n": n,
         "F": [f.to_json() for f in F],
-        "constraints": [{"poly": Polynomial(n, ball).to_json(), "kind": "ineq"}],
+        "constraints": [{"poly": ball.to_json(), "kind": "ineq"}],
         "lme": {"kind": "ball"},
     }
 
 
 def _eig_data(n: int, seed: int):
+    """The field F = A x as JSON and the quadric x^T B x - 1 as a constraint."""
     rng = np.random.default_rng(seed)
     a_mat = rng.standard_normal((n, n))
     b_hat = rng.standard_normal((n, n))
-    return a_mat, b_hat.T @ b_hat
-
-
-def _linear_field(mat: np.ndarray) -> list:
-    n = mat.shape[0]
-    return [
-        Polynomial(
-            n,
-            {
-                tuple(1 if j == t else 0 for j in range(n)): float(mat[i, t])
-                for t in range(n)
-                if mat[i, t]
-            },
-        )
-        for i in range(n)
-    ]
-
-
-def _quadric(b_mat: np.ndarray) -> Polynomial:
-    n = b_mat.shape[0]
-    terms = {(0,) * n: -1.0}
-    for i in range(n):
-        for j in range(n):
-            if b_mat[i, j]:
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(b_mat[i, j])
-    return Polynomial(n, terms)
+    field = [Polynomial.quadratic(n, lin=row).to_json() for row in a_mat]
+    quadric = Polynomial.quadratic(n, -1.0, quad=b_hat.T @ b_hat)
+    return field, {"poly": quadric.to_json(), "kind": "eq"}
 
 
 def gen_eig_linear(n: int, seed: int) -> dict:
     """F = A x over {x^T B x = 1} cut with the x_1-dominant linear cone."""
-    a_mat, b_mat = _eig_data(n, seed)
-    cons = [{"poly": _quadric(b_mat).to_json(), "kind": "eq"}]
-    lead = {tuple(1 if j == 0 else 0 for j in range(n)): 1.0}
-    for t in range(1, n):
-        lead[tuple(1 if j == t else 0 for j in range(n))] = -1.0
-    cons.append({"poly": Polynomial(n, lead).to_json(), "kind": "ineq"})
+    field, quadric = _eig_data(n, seed)
+    lead = Polynomial.quadratic(n, lin=np.r_[1.0, -np.ones(n - 1)])
+    cons = [quadric, {"poly": lead.to_json(), "kind": "ineq"}]
     for t in range(1, n):
         cons.append(
             {"poly": Polynomial.variable(n, t).to_json(), "kind": "ineq"}
@@ -224,7 +198,7 @@ def gen_eig_linear(n: int, seed: int) -> dict:
     return {
         "name": f"eig-linear-n{n}-seed{seed}",
         "n": n,
-        "F": [f.to_json() for f in _linear_field(a_mat)],
+        "F": field,
         "constraints": cons,
         "lme": {"kind": "quadric_with_linear"},
     }
@@ -232,18 +206,13 @@ def gen_eig_linear(n: int, seed: int) -> dict:
 
 def gen_eig_soc(n: int, seed: int) -> dict:
     """F = A x over {x^T B x = 1} inside the second-order cone."""
-    a_mat, b_mat = _eig_data(n, seed)
-    cone = {tuple(2 if j == n - 1 else 0 for j in range(n)): 1.0}
-    for t in range(n - 1):
-        cone[tuple(2 if j == t else 0 for j in range(n))] = -1.0
+    field, quadric = _eig_data(n, seed)
+    cone = Polynomial.quadratic(n, quad=np.diag(np.r_[-np.ones(n - 1), 1.0]))
     return {
         "name": f"eig-soc-n{n}-seed{seed}",
         "n": n,
-        "F": [f.to_json() for f in _linear_field(a_mat)],
-        "constraints": [
-            {"poly": _quadric(b_mat).to_json(), "kind": "eq"},
-            {"poly": Polynomial(n, cone).to_json(), "kind": "ineq"},
-        ],
+        "F": field,
+        "constraints": [quadric, {"poly": cone.to_json(), "kind": "ineq"}],
         "lme": {"kind": "soc_quadric"},
     }
 
@@ -262,34 +231,17 @@ def gen_capital(n1: int, n2: int, seed: int, rho: float = 0.8) -> dict:
     b_mat = rng.random((n2, n1))
 
     q = c_mat.T @ c_mat  # f(x) = [1,x] q [1,x]^T over the x block
-    grad = []
-    for i in range(n1):
-        terms = {(0,) * n: 2.0 * float(q[0, i + 1])}
-        for j in range(n1):
-            e = tuple(1 if t == j else 0 for t in range(n))
-            terms[e] = 2.0 * float(q[i + 1, j + 1])
-        grad.append(Polynomial(n, terms))
-    m_mat = a_mat.T - rho * b_mat.T
-    F = []
-    for i in range(n1):
-        p = grad[i]
-        for j in range(n2):
-            if m_mat[i, j]:
-                p = p + Polynomial(
-                    n, {tuple(1 if t == n1 + j else 0 for t in range(n)): float(m_mat[i, j])}
-                )
-        F.append(p)
-    d_mat = b_mat - a_mat
-    for j in range(n2):
-        terms = {(0,) * n: float(b_vec[j])}
-        for i in range(n1):
-            if d_mat[j, i]:
-                terms[tuple(1 if t == i else 0 for t in range(n))] = float(d_mat[j, i])
-        F.append(Polynomial(n, terms))
+    # F = const + lin x: the gradient of f plus (A^T - rho B^T) x2 for the
+    # activities, b + (B - A) x1 for the stocks
+    const = np.concatenate([2.0 * q[0, 1:], b_vec])
+    lin = np.zeros((n, n))
+    lin[:n1, :n1] = 2.0 * q[1:, 1:]
+    lin[:n1, n1:] = a_mat.T - rho * b_mat.T
+    lin[n1:, :n1] = b_mat - a_mat
     return {
         "name": f"capital-n{n1}x{n2}-seed{seed}",
         "n": n,
-        "F": [f.to_json() for f in F],
+        "F": [Polynomial.quadratic(n, c, row).to_json() for c, row in zip(const, lin)],
         "constraints": [
             {"poly": Polynomial.variable(n, t).to_json(), "kind": "ineq"} for t in range(n)
         ],
@@ -469,9 +421,9 @@ def main():
 @main.command("solve")
 @click.argument("file", type=click.Path())
 @click.option("--all", "mode_all", is_flag=True, help="Enumerate the full solution set.")
-@click.option("--seed", type=int, default=None, help="Objective seed (POLYVI_SEED fallback).")
-@click.option("--max-loops", type=int, default=None)
-@click.option("--max-order-extra", type=int, default=None, help="Relaxation orders past d0.")
+@click.option("--seed", default=None, help="Objective seed (POLYVI_SEED fallback).")
+@click.option("--max-loops", default=None)
+@click.option("--max-order-extra", default=None, help="Relaxation orders past d0.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
@@ -483,7 +435,11 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
         ("--max-order-extra", "k_max_extra", max_order_extra),
     )
     try:
-        chosen = {name: _check_option(label, name, v) for label, name, v in flags if v is not None}
+        chosen = {
+            name: _check_option(label, name, _parse_int(label, text))
+            for label, name, text in flags
+            if text is not None
+        }
     except ProblemFileError as exc:
         _exit_error(str(exc))
     opts = dataclasses.replace(opts, **chosen)
@@ -534,7 +490,8 @@ def cmd_verify(file, point, as_json):
     if len(u) != problem.n:
         _exit_error(f"point has {len(u)} coordinates, expected {problem.n}")
     t0 = time.time()
-    feas = problem.cs.membership_error(u)
+    cs = problem.cs
+    feas = violation(u, [cs.g[i] for i in cs.eq_idx], [cs.g[i] for i in cs.ineq_idx])
     res = verify_candidate(problem, u, opts)
     accepted = res.status == "solution" and feas <= TOL_FEAS
     report = {
@@ -542,7 +499,7 @@ def cmd_verify(file, point, as_json):
         "file": file,
         "point": u,
         "eps": res.eps,
-        "kkt_residual": kkt_residual(u, problem.kkt),
+        "kkt_residual": violation(u, problem.kkt.equations, problem.kkt.inequalities),
         "membership_error": feas,
         "accepted": accepted,
         "verdict": "accepted" if accepted else "rejected",
@@ -594,14 +551,14 @@ def cmd_bound(file, as_json):
 @main.command("gen-random")
 @click.argument("family", type=click.Choice(FAMILIES))
 @click.option("--dims", required=True, help="N, or N1,N2 for the capital family.")
-@click.option("--degree", type=int, default=2, help="Field degree (ball family).")
-@click.option("--seed", type=int, default=None)
+@click.option("--degree", default="2", help="Field degree (ball family).")
+@click.option("--seed", default=None)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_gen_random(family, dims, degree, seed, out):
     """Generate a random problem file from a named family."""
     dim_tuple = _parse_dims(dims)
     try:
-        data = generate(family, dim_tuple, degree, _seed_option(seed))
+        data = generate(family, dim_tuple, _parse_int("--degree", degree), _seed_option(seed))
         parse_problem(data, source=f"generated {family}")  # self check
     except ProblemFileError as exc:
         _exit_error(str(exc))
@@ -616,14 +573,16 @@ def cmd_gen_random(family, dims, degree, seed, out):
 @main.command("batch")
 @click.argument("family", type=click.Choice(FAMILIES))
 @click.option("--dims", required=True)
-@click.option("--count", type=int, default=10)
-@click.option("--degree", type=int, default=2)
-@click.option("--seed", type=int, default=None)
+@click.option("--count", default="10")
+@click.option("--degree", default="2")
+@click.option("--seed", default=None)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_batch(family, dims, count, degree, seed, as_json):
     """Solve COUNT random instances; report the success rate and mean time."""
     dim_tuple = _parse_dims(dims)
     try:
+        count = _parse_int("--count", count)
+        degree = _parse_int("--degree", degree)
         seed0 = _seed_option(seed)
     except ProblemFileError as exc:
         _exit_error(str(exc))

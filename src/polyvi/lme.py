@@ -76,15 +76,6 @@ class ConstraintSystem:
     def m(self) -> int:
         return len(self.g)
 
-    def membership_error(self, x) -> float:
-        """How far x is from the set: equality violation plus negative slack."""
-        err = 0.0
-        for i in self.eq_idx:
-            err = max(err, abs(self.g[i].evaluate(x)))
-        for i in self.ineq_idx:
-            err = max(err, -min(0.0, self.g[i].evaluate(x)))
-        return err
-
 
 @dataclass(frozen=True)
 class LmeMatrix:
@@ -131,21 +122,7 @@ class KktSystem:
     n: int
 
 
-# -- polynomial builders --------------------------------------------------
-
-
-def _sum_squares(n: int) -> Polynomial:
-    return Polynomial(
-        n, {tuple(2 if j == i else 0 for j in range(n)): 1.0 for i in range(n)}
-    )
-
-
-def _var(n: int, i: int) -> Polynomial:
-    return Polynomial.variable(n, i)
-
-
-def _const(n: int, c: float) -> Polynomial:
-    return Polynomial.constant(n, c)
+# -- template checks ------------------------------------------------------
 
 
 def _quadratic_form_matrix(p: Polynomial, n: int) -> np.ndarray:
@@ -167,17 +144,6 @@ def _quadratic_form_matrix(p: Polynomial, n: int) -> np.ndarray:
     if p.coefficient(tuple([0] * n)) != -1.0:
         raise TemplateMismatch("quadric must have constant term -1")
     return b_mat
-
-
-def _bx_polys(b_mat: np.ndarray, n: int) -> list[Polynomial]:
-    out = []
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            if b_mat[i, j] != 0.0:
-                terms[tuple(1 if t == j else 0 for t in range(n))] = float(b_mat[i, j])
-        out.append(Polynomial(n, terms))
-    return out
 
 
 # -- catalog ----------------------------------------------------------------
@@ -218,30 +184,34 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
     if kind == ORTHANT:
         _require(m == n and not cs.eq_idx, "orthant template needs g = (x_1, ..., x_n)")
         for i in range(n):
-            _require(cs.g[i] == _var(n, i), f"constraint {i} is not x_{i + 1}")
+            _require(cs.g[i] == Polynomial.variable(n, i), f"constraint {i} is not x_{i + 1}")
         rows = tuple(
-            tuple(
-                (_const(n, 1.0) if j == i else zero) for j in range(n)
-            ) + tuple(zero for _ in range(m))
+            tuple(Polynomial.constant(n, float(j == i)) for j in range(n))
+            + tuple(zero for _ in range(m))
             for i in range(n)
         )
         return LmeMatrix(rows, n)
 
     if kind == BALL:
         _require(m == 1 and not cs.eq_idx, "ball template needs the single constraint 1 - |x|^2")
-        _require(cs.g[0] == _const(n, 1.0) - _sum_squares(n), "constraint is not 1 - |x|^2")
-        row = tuple(_var(n, j).scale(-0.5) for j in range(n)) + (_const(n, 1.0),)
+        _require(
+            cs.g[0] == Polynomial.quadratic(n, 1.0, quad=-np.eye(n)), "constraint is not 1 - |x|^2"
+        )
+        row = tuple(Polynomial.variable(n, j).scale(-0.5) for j in range(n)) + (
+            Polynomial.constant(n, 1.0),
+        )
         return LmeMatrix((row,), n)
 
     if kind == RING:
-        s = _sum_squares(n)
+        s = Polynomial.quadratic(n, quad=np.eye(n))
         _require(m == 2 and not cs.eq_idx, "ring template needs two inequalities")
         _require(cs.g[0] == s - 1.0, "first ring constraint is not |x|^2 - 1")
         _require(cs.g[1] == 2.0 - s, "second ring constraint is not 2 - |x|^2")
-        two_minus = _const(n, 2.0) - s
-        one_minus = _const(n, 1.0) - s
-        row1 = tuple((two_minus * _var(n, j)).scale(0.5) for j in range(n)) + (s - 1.0, s)
-        row2 = tuple((one_minus * _var(n, j)).scale(0.25) for j in range(n)) + (
+        two_minus = Polynomial.constant(n, 2.0) - s
+        one_minus = Polynomial.constant(n, 1.0) - s
+        x = [Polynomial.variable(n, j) for j in range(n)]
+        row1 = tuple((two_minus * xj).scale(0.5) for xj in x) + (s - 1.0, s)
+        row2 = tuple((one_minus * xj).scale(0.25) for xj in x) + (
             s.scale(0.5),
             (s + 1.0).scale(0.5),
         )
@@ -250,22 +220,19 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
     if kind == QUADRIC_LINEAR:
         _require(m == n + 1 and cs.eq_idx == (0,), "pattern: one quadric equality then the cone")
         b_mat = _quadratic_form_matrix(cs.g[0], n)
-        lin = _var(n, 0)
-        for j in range(1, n):
-            lin = lin - _var(n, j)
+        lin = Polynomial.quadratic(n, lin=np.r_[1.0, -np.ones(n - 1)])
         _require(cs.g[1] == lin, "second constraint is not x_1 - x_2 - ... - x_n")
         for i in range(2, n + 1):
-            _require(cs.g[i] == _var(n, i - 1), f"constraint {i} is not x_{i}")
-        bx = _bx_polys(b_mat, n)
+            _require(cs.g[i] == Polynomial.variable(n, i - 1), f"constraint {i} is not x_{i}")
+        bx = [Polynomial.quadratic(n, lin=row) for row in b_mat]
+        x = [Polynomial.variable(n, j) for j in range(n)]
 
-        row0 = tuple(_var(n, j).scale(0.5) for j in range(n)) + (
-            _const(n, -1.0),
-        ) + tuple(_const(n, -0.5) for _ in range(n))
+        row0 = tuple(xj.scale(0.5) for xj in x) + (
+            Polynomial.constant(n, -1.0),
+        ) + tuple(Polynomial.constant(n, -0.5) for _ in range(n))
 
         def own_row(i: int):
-            x_part = tuple(
-                (_const(n, 1.0) if j == i else zero) - bx[i] * _var(n, j) for j in range(n)
-            )
+            x_part = tuple(Polynomial.constant(n, float(j == i)) - bx[i] * x[j] for j in range(n))
             tail = (bx[i].scale(2.0),) + tuple(bx[i] for _ in range(n))
             return x_part, tail
 
@@ -280,19 +247,19 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
 
     if kind == ORTHANT_PRODUCT:
         _require(n == 4 and m == 5 and cs.eq_idx == (0,), "pattern: product equality then orthant")
-        prod_poly = _const(n, 2.0) - Polynomial(n, {(1, 1, 1, 1): 1.0})
+        prod_poly = Polynomial.constant(n, 2.0) - Polynomial(n, {(1, 1, 1, 1): 1.0})
         _require(cs.g[0] == prod_poly, "equality is not 2 - x1 x2 x3 x4")
         for i in range(1, 5):
-            _require(cs.g[i] == _var(n, i - 1), f"constraint {i} is not x_{i}")
+            _require(cs.g[i] == Polynomial.variable(n, i - 1), f"constraint {i} is not x_{i}")
         # closed-form carrier; rows 1..4 admit no exact tail completion
-        row0 = tuple(_var(n, j).scale(-0.125) for j in range(n)) + tuple(
+        row0 = tuple(Polynomial.variable(n, j).scale(-0.125) for j in range(n)) + tuple(
             zero for _ in range(m)
         )
         rows = [row0]
         for i in range(n):
             rows.append(
                 tuple(
-                    (_const(n, 1.0) if j == i else zero) - _var(n, j).scale(0.125)
+                    Polynomial.constant(n, float(j == i)) - Polynomial.variable(n, j).scale(0.125)
                     for j in range(n)
                 )
                 + tuple(zero for _ in range(m))
@@ -307,17 +274,14 @@ def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
     n = cs.n
     _require(cs.m == 2 and cs.eq_idx == (0,), "pattern: quadric equality plus one cone inequality")
     b_mat = _quadratic_form_matrix(cs.g[0], n)
-    cone = Polynomial(n, {tuple(2 if j == n - 1 else 0 for j in range(n)): 1.0})
-    for i in range(n - 1):
-        cone = cone - Polynomial(n, {tuple(2 if j == i else 0 for j in range(n)): 1.0})
+    cone = Polynomial.quadratic(n, quad=np.diag(np.r_[-np.ones(n - 1), 1.0]))
     _require(cs.g[1] == cone, "inequality is not x_n^2 - x_1^2 - ... - x_{n-1}^2")
     x_dot_f = Polynomial.zero(n)
     for j in range(n):
-        x_dot_f = x_dot_f + _var(n, j) * F[j]
+        x_dot_f = x_dot_f + Polynomial.variable(n, j) * F[j]
     lam0 = x_dot_f.scale(0.5)
-    bx = _bx_polys(b_mat, n)
-    p1 = F[n - 1] - x_dot_f * bx[n - 1]
-    q1 = _var(n, n - 1).scale(2.0)
+    p1 = F[n - 1] - x_dot_f * Polynomial.quadratic(n, lin=b_mat[n - 1])
+    q1 = Polynomial.variable(n, n - 1).scale(2.0)
     return LmeSet((lam0, p1), (None, q1))
 
 
@@ -471,13 +435,3 @@ def build_kkt_sets(
             inequalities.append(cs.g[i])
 
     return KktSystem(tuple(equations), tuple(inequalities), n)
-
-
-def kkt_residual(x, sys: KktSystem) -> float:
-    """max equation residual and inequality violation at x."""
-    err = 0.0
-    for p in sys.equations:
-        err = max(err, abs(p.evaluate(x)))
-    for q in sys.inequalities:
-        err = max(err, -min(0.0, q.evaluate(x)))
-    return err

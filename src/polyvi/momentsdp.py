@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import sdpbackend as sb
-from .polycore import MomentVector, Polynomial, basis, lift, monomial_index
+from .polycore import MomentVector, Polynomial, basis, lift, monomial_index, violation
 
 INFEASIBLE = "infeasible"
 MINIMIZERS = "minimizers"
@@ -91,14 +91,6 @@ class PolyProgram:
         degs += [half_degree(p) for p in self.phi]
         degs += [half_degree(q) for q in self.psi]
         return max(degs)
-
-    def feasibility_error(self, x) -> float:
-        err = 0.0
-        for p in self.phi:
-            err = max(err, abs(p.evaluate(x)))
-        for q in self.psi:
-            err = max(err, max(0.0, -q.evaluate(x)))
-        return err
 
 
 @lru_cache(maxsize=None)
@@ -202,10 +194,8 @@ def check_point_optimality(
     tol_gap: float = TOL_GAP,
 ) -> np.ndarray | None:
     """The degree-one moments as a candidate minimizer, or None."""
-    n = prog.n
-    mono = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    u = np.array([y.entry(e) for e in mono])
-    if prog.feasibility_error(u) > tol_feas:
+    u = y.values[1 : prog.n + 1]
+    if violation(u, prog.phi, prog.psi) > tol_feas:
         return None
     if abs(prog.theta.evaluate(u) - bound) > tol_gap:
         return None
@@ -335,10 +325,6 @@ class HierarchyOutcome:
     order: int
     value: float | None = None
     points: list = field(default_factory=list)
-    certificate: str | None = None
-    flat_rank: int | None = None
-    flat_t: int | None = None
-    y: MomentVector | None = None
     log: list = field(default_factory=list)
     # accuracy of the solve behind value/points; callers widen their own
     # tolerances accordingly when the backend ran in relaxed mode
@@ -359,8 +345,7 @@ def dilate_program(prog: PolyProgram, s) -> PolyProgram:
 def _scale_update(s_vec: np.ndarray, y: MomentVector) -> np.ndarray:
     # grow the dilation toward the diagonal second moments; never shrink, so
     # well-scaled problems keep the identity and stay bit-for-bit unchanged
-    n = y.n
-    m2 = np.array([y.entry(tuple(2 if j == i else 0 for j in range(n))) for i in range(n)])
+    m2 = y.values[monomial_index(2 * np.eye(y.n, dtype=np.int64))]
     factors = np.clip(np.sqrt(np.maximum(m2, 1.0)), 1.0, 100.0)
     return np.minimum(s_vec * factors, 1e4)
 
@@ -380,7 +365,6 @@ def minimize(
     d0 = prog.d0
     log: list[dict] = []
     best_value: float | None = None
-    last_y: MomentVector | None = None
     last_order = d0
     last_acc = 0.0
     last_trusted = True
@@ -424,15 +408,13 @@ def minimize(
 
         if trusted and floor is not None and bound >= floor:
             return HierarchyOutcome(
-                BOUND_REACHED, k, value=bound, y=last_y, log=log,
-                accuracy=acc, trusted=True,
+                BOUND_REACHED, k, value=bound, log=log, accuracy=acc, trusted=True
             )
 
         u = check_point_optimality(y, bound, prog_k, feas_eff, gap_eff)
         if u is not None:
             return HierarchyOutcome(
-                MINIMIZERS, k, value=bound, points=[to_x(u)],
-                certificate="point-optimality", y=last_y, log=log,
+                MINIMIZERS, k, value=bound, points=[to_x(u)], log=log,
                 accuracy=acc, trusted=trusted,
             )
 
@@ -447,18 +429,17 @@ def minimize(
                 continue
             good = [
                 to_x(u) for u in points
-                if prog_k.feasibility_error(u) <= feas_eff
+                if violation(u, prog_k.phi, prog_k.psi) <= feas_eff
                 and abs(prog_k.theta.evaluate(u) - bound) <= max(gap_eff, 1e-7 * abs(bound))
             ]
             if good:
                 return HierarchyOutcome(
-                    MINIMIZERS, k, value=bound, points=good,
-                    certificate="flat-truncation", flat_rank=r, flat_t=t,
-                    y=last_y, log=log, accuracy=acc, trusted=trusted,
+                    MINIMIZERS, k, value=bound, points=good, log=log,
+                    accuracy=acc, trusted=trusted,
                 )
             log.append({"order": k, "status": "atoms_rejected", "t": t, "count": len(points)})
 
     return HierarchyOutcome(
-        INCONCLUSIVE, last_order, value=best_value, y=last_y, log=log,
+        INCONCLUSIVE, last_order, value=best_value, log=log,
         accuracy=last_acc, trusted=last_trusted,
     )

@@ -147,6 +147,27 @@ class Polynomial:
         e[i] = 1
         return Polynomial(n, {tuple(e): 1.0})
 
+    @staticmethod
+    def quadratic(n: int, const: float = 0.0, lin=None, quad=None) -> "Polynomial":
+        """const + lin . x + x^T quad x; quad[i, j] and quad[j, i] are summed.
+
+        With C = [[const, lin], [0, quad]] the term of each pair a <= b is
+        (C[a, b] + C[b, a]) x^(e_a + e_b), e_0 = 0 and e_i the unit rows, so
+        the terms come as 1, x_1, ..., x_n and then the quadratic ones row by
+        row.
+        """
+        c_mat = np.zeros((n + 1, n + 1))
+        c_mat[0, 0] = const
+        if lin is not None:
+            c_mat[0, 1:] = lin
+        if quad is not None:
+            c_mat[1:, 1:] = quad
+        rows, cols = np.triu_indices(n + 1)
+        coefs = np.where(rows == cols, c_mat[rows, cols], c_mat[rows, cols] + c_mat[cols, rows])
+        units = np.eye(n + 1, n, -1, dtype=np.int64)
+        exps = units[rows] + units[cols]
+        return Polynomial(n, dict(zip(map(tuple, exps.tolist()), coefs.tolist())))
+
     # ---- structure -----------------------------------------------------
 
     @property
@@ -335,6 +356,16 @@ class MomentVector:
         s = np.asarray(s, dtype=float)
         weights = np.prod(s[None, :] ** self.basis.exp_array, axis=1)
         return MomentVector(self.n, self.two_k, self.values * weights)
+
+
+def violation(x, equations: Iterable[Polynomial], inequalities: Iterable[Polynomial]) -> float:
+    """How far x is from {p = 0, q >= 0}: the worst |p(x)| and the worst -q(x), or 0."""
+    err = 0.0
+    for p in equations:
+        err = max(err, abs(p.evaluate(x)))
+    for q in inequalities:
+        err = max(err, -q.evaluate(x))
+    return err
 
 
 def pairing(f: Polynomial, y: MomentVector) -> float:

@@ -28,10 +28,11 @@ Per iteration the method
      nonzero rows I_b, the compressed rows A_b[I_b, :] T^-1 cost O(s*nnz)
      for all variables together, and T^-1 A_b T^-1 = T^-1[I_b, :]^T
      (A_b[I_b, :] T^-1) costs s^2*c_b per variable.  A sparse contraction
-     over the upper triangle (a <= b, entries r <= c weighted 2 off the
-     diagonal) then costs O(m*nnz/2); H's lower triangle is left incomplete,
-     since the factorization H = R^T R reads the upper one.  With W = R^-T
-     A^T, the equality complement A H^-1 A^T is W^T W,
+     of every A_a against these products (entries r <= c, weighted 2 off the
+     diagonal) then costs O(m*nnz).  It fills the upper triangle (a <= b)
+     and part of the lower one; the factorization H = R^T R reads only the
+     upper triangle.  With W = R^-T A^T, the equality complement A H^-1 A^T
+     is W^T W,
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -190,7 +191,8 @@ class _Cone:
     I_b of each A_b as a (k, c) index array padded with row 0 to the range's
     largest count c, and the compressed rows A_b[I_b, :] as one sparse
     (k*c, s) matrix whose row (b - start)*c + j is row I_b[j] of A_b and
-    whose padding rows are empty.
+    whose padding rows are empty.  `_schur` contracts all rows of `contract`
+    against each chunk; the rows a >= stop land below H's diagonal.
     """
 
     def __init__(self, size: int, span: slice, g_blk: sp.csr_matrix):
@@ -228,15 +230,6 @@ class _Cone:
                 shape=(k * c, size),
             )
             self.chunks.append((start, stop, row_idx, a_rows))
-
-    def contract_rows(self, stop: int) -> sp.csr_matrix:
-        """Rows a < stop of `contract`, cut from its arrays by `indptr`."""
-        con = self.contract
-        nnz = con.indptr[stop]
-        return sp.csr_matrix(
-            (con.data[:nnz], con.indices[:nnz], con.indptr[: stop + 1]),
-            shape=(stop, con.shape[1]),
-        )
 
 
 class _ConeState:
@@ -469,7 +462,7 @@ class ReferenceIpm:
                 # multiply-adds per variable
                 q = (a_rows @ st.t_inv).reshape(k, c, s)
                 z = np.matmul(st.t_inv[row_idx].transpose(0, 2, 1), q).reshape(k, s * s)
-                h_mat[:stop, start:stop] += cone.contract_rows(stop) @ z.T[cone.upper]
+                h_mat[: cone.contract.shape[0], start:stop] += cone.contract @ z.T[cone.upper]
         return h_mat
 
     def _factor(self, states) -> bool:

@@ -53,7 +53,7 @@ from .momentsdp import (
     PolyProgram,
     minimize,
 )
-from .polycore import Polynomial
+from .polycore import Polynomial, violation
 
 
 # a comparison bound >= -EPS_TOL certifies a candidate as a solution
@@ -172,17 +172,8 @@ def random_theta(n: int, seed: int = 0) -> ThetaForm:
         w = np.linalg.eigvalsh(theta)
         if w[0] > 1e-8 * w[-1]:
             break
-    terms: dict = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            exp = [0] * n
-            if i > 0:
-                exp[i - 1] += 1
-            if j > 0:
-                exp[j - 1] += 1
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0.0) + theta[i, j]
-    return ThetaForm(theta, Polynomial(n, terms))
+    poly = Polynomial.quadratic(n, theta[0, 0], theta[0, 1:] + theta[1:, 0], theta[1:, 1:])
+    return ThetaForm(theta, poly)
 
 
 # -- cuts --------------------------------------------------------------------
@@ -270,15 +261,6 @@ def find_candidate(
     ineqs = list(kkt.inequalities) + cuts.polys(problem.F) + list(extra_ineqs)
     prog = PolyProgram(theta.poly, kkt.equations, tuple(ineqs), problem.n)
     return minimize(prog, opts.k_max_extra, opts.seed)
-
-
-def _linear_comparison(problem: VipProblem, u: np.ndarray) -> Polynomial:
-    """(x - u)^T F(u) as a polynomial in x."""
-    n = problem.n
-    fu = problem.field_at(u)
-    terms = {tuple(1 if j == t else 0 for j in range(n)): float(fu[t]) for t in range(n) if fu[t]}
-    terms[(0,) * n] = terms.get((0,) * n, 0.0) - float(fu @ u)
-    return Polynomial(n, terms)
 
 
 def _kkt_polish(field, jac, cs: ConstraintSystem, x0, tol_active=1e-4, iters=12):
@@ -376,8 +358,10 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     u = np.asarray(u, dtype=float)
     n = problem.n
     cs = problem.cs
-    ell = _linear_comparison(problem, u)
     fu = problem.field_at(u)
+    ell = Polynomial.quadratic(n, -float(fu @ u), fu)  # (x - u)^T F(u)
+    phi = tuple(cs.g[i] for i in cs.eq_idx)
+    psi = tuple(cs.g[i] for i in cs.ineq_idx)
     log: list = []
 
     def settle(prog: PolyProgram, route: str, radius: float | None = None):
@@ -401,7 +385,7 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
                 _polish_comparison_point(problem, fu, p, max(1e-4, RANK_WIDENING * out.accuracy))
                 for p in out.points
             ]
-            pts = [p for p in polished if cs.membership_error(p) <= 10 * TOL_FEAS]
+            pts = [p for p in polished if violation(p, phi, psi) <= 10 * TOL_FEAS]
             if pts:
                 return VerifyResult("cut", eps, pts, via=f"{route}_points", log=log)
         return None
@@ -416,17 +400,9 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
         # infeasible or inconclusive: fall through to the direct route
 
     radius = float(u @ u) + 100.0
-    ball_terms = {(0,) * n: float(radius) - float(u @ u)}
-    for t in range(n):
-        e1 = tuple(1 if j == t else 0 for j in range(n))
-        e2 = tuple(2 if j == t else 0 for j in range(n))
-        ball_terms[e1] = ball_terms.get(e1, 0.0) + 2.0 * float(u[t])
-        ball_terms[e2] = ball_terms.get(e2, 0.0) - 1.0
-    ball = Polynomial(n, ball_terms)
-
-    phi = tuple(cs.g[i] for i in cs.eq_idx)
-    psi = tuple(cs.g[i] for i in cs.ineq_idx) + (ball,)
-    verdict = settle(PolyProgram(ell, phi, psi, n), "ball", radius)
+    # radius - |x - u|^2
+    ball = Polynomial.quadratic(n, radius - float(u @ u), 2.0 * u, -np.eye(n))
+    verdict = settle(PolyProgram(ell, phi, psi + (ball,), n), "ball", radius)
     return verdict or VerifyResult(INCONCLUSIVE_RUN, None, log=log)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -184,6 +185,15 @@ def test_bad_file_option_exits_1(tmp_path, options, message):
         (("solve", "{file}", "--max-order-extra", "-1"), "--max-order-extra must be >= 0, got -1"),
         (("gen-random", "ball", "--dims", "2", "--seed", "-1"), "--seed must be >= 0, got -1"),
         (("batch", "ball", "--dims", "2", "--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("solve", "{file}", "--seed", "abc"), "--seed must be an integer, got 'abc'"),
+        (("solve", "{file}", "--seed", "1.5"), "--seed must be an integer, got '1.5'"),
+        (("solve", "{file}", "--max-loops", "1.5"), "--max-loops must be an integer, got '1.5'"),
+        (("solve", "{file}", "--max-order-extra", "x"), "--max-order-extra must be an integer, got 'x'"),
+        (("gen-random", "ball", "--dims", "2", "--seed", "x"), "--seed must be an integer, got 'x'"),
+        (("gen-random", "ball", "--dims", "2", "--degree", "x"), "--degree must be an integer, got 'x'"),
+        (("batch", "ball", "--dims", "2", "--count", "x"), "--count must be an integer, got 'x'"),
+        (("batch", "ball", "--dims", "2", "--seed", "x"), "--seed must be an integer, got 'x'"),
+        (("batch", "ball", "--dims", "2", "--degree", "2.0"), "--degree must be an integer, got '2.0'"),
     ],
 )
 def test_bad_option_flag_exits_1(tiny_file, argv, message):
@@ -287,6 +297,25 @@ def test_gen_random_families_parse(tmp_path, family, dims, n):
     problem, _ = cli.load_problem(str(path))
     assert problem.n == n
     assert problem.lam is not None
+
+
+@pytest.mark.parametrize(
+    "family,dims,digest",
+    [
+        ("ball", "4", "fa07098bf2f045e3b94855166d5ae28dc28d18e1f809d37a83e8c8bab7406245"),
+        ("ball", "7", "b8105fe017b890385ce3318ff3065a314bad71907c20f5feea9787955ced4c97"),
+        ("eig-linear", "3", "a420d70d8201110f78d4c5963c78176a8df00732f072f6af501bb0d8b353f674"),
+        ("eig-soc", "3", "ef36efde8b040d905eef61a164d0714e060f364a06bc41e7bf4ad368a0643b12"),
+        ("capital", "2,2", "acc502d3bc1cc18d613121af31a4880a4a91aabc97450e67fd717b3a6590cfc6"),
+    ],
+)
+def test_gen_random_output_is_pinned(family, dims, digest):
+    # the benchmark's ball instances and every family's coefficients, byte for
+    # byte; the digests assume numpy's PCG64 stream and a BLAS that rounds the
+    # small products B^T B and C^T C as OpenBLAS 0.3.31 does
+    result = invoke("gen-random", family, "--dims", dims, "--seed", "1")
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 def test_gen_random_bad_dims(tmp_path):

@@ -17,13 +17,12 @@ from polyvi.lme import (
     UnknownKind,
     build_kkt_sets,
     catalog_lme,
-    kkt_residual,
     normalize_kind,
     recipe_from_spec,
     soc_lme,
     verify_lme,
 )
-from polyvi.polycore import Polynomial
+from polyvi.polycore import Polynomial, violation
 
 
 def var(n, i):
@@ -182,9 +181,9 @@ def test_projection_multiplier_is_exact():
     lams = mat.lambdas(F)
     assert lams[0].evaluate((1.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
     sys = build_kkt_sets(F, cs, catalog_set(mat, F))
-    assert kkt_residual((1.0, 0.0), sys) <= 1e-14
+    assert violation((1.0, 0.0), sys.equations, sys.inequalities) <= 1e-14
     # interior points of the disk that are not solutions violate stationarity
-    assert kkt_residual((0.2, 0.1), sys) > 0.1
+    assert violation((0.2, 0.1), sys.equations, sys.inequalities) > 0.1
 
 
 def catalog_set(mat, F):
@@ -211,9 +210,9 @@ def test_known_complementarity_points_have_zero_residual():
     sys = build_kkt_sets(F, cs, catalog_set(mat, F))
     u1 = (math.sqrt(6.0) / 2.0, 0.0, 0.0, 0.5)
     u2 = (1.0, 0.0, 3.0, 0.0)
-    assert kkt_residual(u1, sys) <= 1e-8
-    assert kkt_residual(u2, sys) <= 1e-8
-    assert kkt_residual((1.0, 1.0, 1.0, 1.0), sys) > 1e-2
+    assert violation(u1, sys.equations, sys.inequalities) <= 1e-8
+    assert violation(u2, sys.equations, sys.inequalities) <= 1e-8
+    assert violation((1.0, 1.0, 1.0, 1.0), sys.equations, sys.inequalities) > 1e-2
 
 
 def test_orthant_kkt_structure():

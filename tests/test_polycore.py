@@ -13,6 +13,7 @@ from polyvi.polycore import (
     lift,
     monomial_index,
     pairing,
+    violation,
 )
 
 
@@ -195,6 +196,41 @@ def test_product_evaluates_correctly(data):
     lhs = (f * g).evaluate(x)
     rhs = f.evaluate(x) * g.evaluate(x)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quadratic_evaluates_its_form(data):
+    n = data.draw(st.integers(1, 5))
+    num = st.floats(-5, 5, allow_nan=False)
+    c = data.draw(num)
+    q = np.array(data.draw(st.lists(num, min_size=n, max_size=n)))
+    mat = np.array(data.draw(st.lists(num, min_size=n * n, max_size=n * n))).reshape(n, n)
+    x = np.array(data.draw(point_strategy(n)))
+    p = Polynomial.quadratic(n, c, q, mat)
+    assert p.evaluate(x) == pytest.approx(c + q @ x + x @ mat @ x, rel=1e-9, abs=1e-9)
+    # a non-symmetric matrix sums its pairs
+    unit = np.eye(n, dtype=int)
+    for i in range(n):
+        for j in range(i, n):
+            want = mat[i, i] if i == j else mat[i, j] + mat[j, i]
+            assert p.coefficient(tuple(unit[i] + unit[j])) == want
+
+
+def test_quadratic_term_order():
+    p = Polynomial.quadratic(2, 1.0, [2.0, 3.0], [[4.0, 5.0], [6.0, 7.0]])
+    assert list(p.terms.items()) == [
+        ((0, 0), 1.0), ((1, 0), 2.0), ((0, 1), 3.0), ((2, 0), 4.0), ((1, 1), 11.0), ((0, 2), 7.0)
+    ]
+    assert Polynomial.quadratic(3) == Polynomial.zero(3)
+
+
+def test_violation_takes_the_worst_residual():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    assert violation((1.0, -2.0), [x - 1.0], [y + 3.0]) == 0.0
+    assert violation((1.0, -2.0), [x - 4.0], [y]) == 3.0
+    assert violation((1.0, -2.0), [x], [y]) == 2.0
+    assert violation((1.0, -2.0), [], []) == 0.0
 
 
 def test_arithmetic_rejects_mixed_arity():

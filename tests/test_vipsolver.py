@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from polyvi import vipsolver as vs
 from polyvi.lme import ConstraintSystem
-from polyvi.polycore import Polynomial
+from polyvi.polycore import Polynomial, violation
 
 
 def _var(n, i):
@@ -115,7 +115,7 @@ def test_solve_one_projection():
     assert res.status == vs.SOLUTION
     assert np.max(np.abs(res.point - a / np.linalg.norm(a))) <= 1e-4
     assert abs(res.eps) <= 1e-6
-    assert prob.cs.membership_error(res.point) <= 1e-6
+    assert violation(res.point, [], prob.cs.g) <= 1e-6
 
 
 def test_verify_accepts_solution_and_cuts_imposter():
