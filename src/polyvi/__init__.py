@@ -13,7 +13,6 @@ Ready-made problem files live in fixtures/ at the repository root.
 
 from .polycore import (
     DegreeOverflowError,
-    MonomialBasis,
     MomentVector,
     Polynomial,
     basis,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegreeOverflowError",
-    "MonomialBasis",
     "MomentVector",
     "Polynomial",
     "basis",

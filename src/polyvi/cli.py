@@ -52,6 +52,8 @@ class ProblemFileError(Exception):
 
 # the least value of each field of SolverOptions, all of them integers
 _OPTION_MIN = {"seed": 0, "max_loops": 1, "k_max_extra": 0}
+# ... and of every integer flag
+_FLAG_MIN = {**_OPTION_MIN, "count": 0, "degree": 0}
 
 
 def _fail(msg: str):
@@ -72,20 +74,21 @@ def _poly_from_json(n, data, where):
 
 
 def _check_option(label: str, name: str, value) -> int:
-    """value when it is an integer (not a bool) of at least _OPTION_MIN[name]."""
+    """value when it is an integer (not a bool) of at least _FLAG_MIN[name]."""
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{label} must be an integer, got {value!r}")
-    if value < _OPTION_MIN[name]:
-        _fail(f"{label} must be >= {_OPTION_MIN[name]}, got {value}")
+    if value < _FLAG_MIN[name]:
+        _fail(f"{label} must be >= {_FLAG_MIN[name]}, got {value}")
     return value
 
 
-def _parse_int(label: str, text: str) -> int:
-    """The integer a flag or variable spells out."""
+def _int_flag(label: str, name: str, text: str) -> int:
+    """The integer a flag or variable spells out, checked like every option."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         _fail(f"{label} must be an integer, got {text!r}")
+    return _check_option(label, name, value)
 
 
 def _seed_option(text: str | None) -> int:
@@ -96,7 +99,7 @@ def _seed_option(text: str | None) -> int:
         if not text:
             return 0
         label = "POLYVI_SEED"
-    return _check_option(label, "seed", _parse_int(label, text))
+    return _int_flag(label, "seed", text)
 
 
 def parse_problem(data: dict, source: str = "<data>"):
@@ -160,7 +163,7 @@ def load_problem(path: str):
 def gen_ball(n: int, d: int, seed: int) -> dict:
     """F = A [x]_d with standard normal A; X the unit ball."""
     rng = np.random.default_rng(seed)
-    monos = basis(n, d).exponents
+    monos = [tuple(e) for e in basis(n, d).tolist()]
     a_mat = rng.standard_normal((n, len(monos)))
     F = [
         Polynomial(n, {e: float(a_mat[i, j]) for j, e in enumerate(monos) if a_mat[i, j]})
@@ -275,18 +278,6 @@ def generate(family: str, dims: tuple[int, ...], degree: int, seed: int) -> dict
 # -- reports -------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def _fmt_point(p) -> str:
     return "(" + ", ".join(f"{v: .6f}" for v in p) + ")"
 
@@ -310,7 +301,8 @@ def _render_solutions(report: dict) -> str:
 
 
 def _emit(report: dict, as_json: bool, out: str | None, render=_render_solutions):
-    text = json.dumps(_jsonable(report), indent=2) if as_json else render(report)
+    # numpy arrays and scalars that are not floats leave through tolist()
+    text = json.dumps(report, indent=2, default=lambda o: o.tolist()) if as_json else render(report)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -436,7 +428,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     )
     try:
         chosen = {
-            name: _check_option(label, name, _parse_int(label, text))
+            name: _int_flag(label, name, text)
             for label, name, text in flags
             if text is not None
         }
@@ -558,7 +550,8 @@ def cmd_gen_random(family, dims, degree, seed, out):
     """Generate a random problem file from a named family."""
     dim_tuple = _parse_dims(dims)
     try:
-        data = generate(family, dim_tuple, _parse_int("--degree", degree), _seed_option(seed))
+        degree = _int_flag("--degree", "degree", degree)
+        data = generate(family, dim_tuple, degree, _seed_option(seed))
         parse_problem(data, source=f"generated {family}")  # self check
     except ProblemFileError as exc:
         _exit_error(str(exc))
@@ -581,8 +574,8 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
     """Solve COUNT random instances; report the success rate and mean time."""
     dim_tuple = _parse_dims(dims)
     try:
-        count = _parse_int("--count", count)
-        degree = _parse_int("--degree", degree)
+        count = _int_flag("--count", "count", count)
+        degree = _int_flag("--degree", "degree", degree)
         seed0 = _seed_option(seed)
     except ProblemFileError as exc:
         _exit_error(str(exc))

@@ -96,7 +96,7 @@ class PolyProgram:
 @lru_cache(maxsize=None)
 def _pair_sums(n: int, t: int):
     """Upper-triangle pairs (i <= j) of basis(n, t) and their exponent sums b_i + b_j."""
-    exps = basis(n, t).exp_array
+    exps = basis(n, t)
     rows, cols = np.triu_indices(len(exps))
     return rows, cols, exps[rows] + exps[cols]
 
@@ -107,35 +107,29 @@ def _shifted_terms(p: Polynomial, shifts: np.ndarray):
     return monomial_index(shifts[:, None, :] + exps[None, :, :]), np.array(list(p.terms.values()))
 
 
-class LocalizingTemplate:
+def localizing_block(q: Polynomial, k: int, n: int) -> sb.SdpBlock:
     """Localizing matrix of q at order k as a PSD block over the moments.
 
     Entry (i, j) is the pairing of q * x^(b_i + b_j) with a moment vector;
     the block's triplets list it term by term.  The moment matrix is the
     localizing matrix of the constant 1.
     """
-
-    def __init__(self, q: Polynomial, k: int, n: int):
-        if q.is_zero:
-            raise ValueError("cannot localize the zero polynomial")
-        t = k - math.ceil(q.degree / 2)
-        if t < 0:
-            raise ValueError(f"order {k} too small to localize degree {q.degree}")
-        self.row_basis = basis(n, t)
-        self.size = len(self.row_basis)
-        rows, cols, sums = _pair_sums(n, t)
-        var_idx, coefs = _shifted_terms(q, sums)
-        self.block = sb.SdpBlock(
-            self.size,
-            np.zeros((self.size, self.size)),
-            var_idx.ravel(),
-            np.repeat(rows, len(coefs)),
-            np.repeat(cols, len(coefs)),
-            np.tile(coefs, len(rows)),
-        )
-
-    def instantiate(self, y: MomentVector) -> np.ndarray:
-        return self.block.evaluate(y.values)
+    if q.is_zero:
+        raise ValueError("cannot localize the zero polynomial")
+    t = k - math.ceil(q.degree / 2)
+    if t < 0:
+        raise ValueError(f"order {k} too small to localize degree {q.degree}")
+    size = len(basis(n, t))
+    rows, cols, sums = _pair_sums(n, t)
+    var_idx, coefs = _shifted_terms(q, sums)
+    return sb.SdpBlock(
+        size,
+        np.zeros((size, size)),
+        var_idx.ravel(),
+        np.repeat(rows, len(coefs)),
+        np.repeat(cols, len(coefs)),
+        np.tile(coefs, len(rows)),
+    )
 
 
 def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
@@ -155,14 +149,14 @@ def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
     for p in prog.phi:
         if p.is_zero:
             continue
-        idx, coefs = _shifted_terms(p, basis(n, 2 * (k - math.ceil(p.degree / 2))).exp_array)
+        idx, coefs = _shifted_terms(p, basis(n, 2 * (k - math.ceil(p.degree / 2))))
         rows = np.zeros((len(idx), m))
         rows[np.arange(len(idx))[:, None], idx] = coefs
         parts.append(rows)
     eq_rows = np.vstack(parts)
     eq_rhs = np.eye(1, len(eq_rows)).ravel()
 
-    blocks = [LocalizingTemplate(Polynomial.constant(n, 1.0), k, n).block]
+    blocks = [localizing_block(Polynomial.constant(n, 1.0), k, n)]
     for q in prog.psi:
         if q.is_zero:
             continue
@@ -179,31 +173,17 @@ def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
                     )
                 )
             continue
-        blocks.append(LocalizingTemplate(q, k, n).block)
+        blocks.append(localizing_block(q, k, n))
     return sb.SdpProblem(m, c, eq_rows, eq_rhs, blocks)
 
 
 # -- finite convergence detectors ------------------------------------------
 
 
-def check_point_optimality(
-    y: MomentVector,
-    bound: float,
-    prog: PolyProgram,
-    tol_feas: float = TOL_FEAS,
-    tol_gap: float = TOL_GAP,
-) -> np.ndarray | None:
-    """The degree-one moments as a candidate minimizer, or None."""
-    u = y.values[1 : prog.n + 1]
-    if violation(u, prog.phi, prog.psi) > tol_feas:
-        return None
-    if abs(prog.theta.evaluate(u) - bound) > tol_gap:
-        return None
-    return u
-
-
 def moment_matrix(y: MomentVector, t: int) -> np.ndarray:
-    return LocalizingTemplate(Polynomial.constant(y.n, 1.0), t, y.n).instantiate(y)
+    """M_t[y].  Every basis is a prefix of the next, so M_s[y] for s <= t is
+    its leading len(basis(n, s)) block."""
+    return localizing_block(Polynomial.constant(y.n, 1.0), t, y.n).evaluate(y.values)
 
 
 def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
@@ -214,12 +194,22 @@ def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
     return int((sv > thr).sum())
 
 
-def flat_truncation(y: MomentVector, d0: int, t: int, tol_rank: float = TOL_RANK) -> int | None:
-    """Rank r when M_t[y] and M_{t-d0}[y] agree in numeric rank, else None."""
-    if t < d0 or 2 * t > y.two_k:
-        raise ValueError(f"need d0 <= t <= k, got t={t}, d0={d0}, 2k={y.two_k}")
-    r_big = _numeric_rank(moment_matrix(y, t), tol_rank)
-    r_small = _numeric_rank(moment_matrix(y, t - d0), tol_rank)
+def _leading(mk: np.ndarray, n: int, t: int) -> np.ndarray:
+    """M_t[y] as the leading block of a moment matrix mk = M_k[y] with t <= k."""
+    size = len(basis(n, t))
+    if size > len(mk):
+        raise ValueError(f"M_{t} is larger than the given {len(mk)}x{len(mk)} moment matrix")
+    return mk[:size, :size]
+
+
+def flat_truncation(
+    mk: np.ndarray, n: int, d0: int, t: int, tol_rank: float = TOL_RANK
+) -> int | None:
+    """Rank r when M_t[y] and M_{t-d0}[y], read off mk = M_k[y], agree in numeric rank."""
+    if t < d0:
+        raise ValueError(f"need d0 <= t, got t={t}, d0={d0}")
+    r_big = _numeric_rank(_leading(mk, n, t), tol_rank)
+    r_small = _numeric_rank(_leading(mk, n, t - d0), tol_rank)
     return r_big if r_big == r_small else None
 
 
@@ -242,30 +232,29 @@ def _pivot_rows(p_mat: np.ndarray, r: int, tol: float) -> list[int] | None:
 
 
 def extract_minimizers(
-    y: MomentVector,
+    mk: np.ndarray,
+    n: int,
     t: int,
     r: int,
     seed: int = 0,
     tol: float = EXTRACT_TOL,
 ) -> list[np.ndarray]:
-    """Read r atoms out of a flat moment matrix M_t[y].
+    """Read r atoms out of a flat M_t[y], the leading block of mk = M_k[y].
 
     Raises ExtractionFailed when the reconstructed atomic measure does not
     reproduce M_t[y] to the requested tolerance.
     """
-    n = y.n
-    mat = moment_matrix(y, t)
-    bt = basis(n, t)
+    mat = _leading(mk, n, t)
     last_err = None
     for attempt_seed in (seed, seed + 1):
         try:
-            return _extract_once(mat, bt, n, t, r, attempt_seed, tol)
+            return _extract_once(mat, n, t, r, attempt_seed, tol)
         except ExtractionFailed as exc:
             last_err = exc
     raise last_err
 
 
-def _extract_once(mat, bt, n, t, r, seed, tol) -> list[np.ndarray]:
+def _extract_once(mat, n, t, r, seed, tol) -> list[np.ndarray]:
     vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(vals)[::-1]
     vals = vals[order[:r]]
@@ -283,7 +272,7 @@ def _extract_once(mat, bt, n, t, r, seed, tol) -> list[np.ndarray]:
     except np.linalg.LinAlgError:
         c_mat = p_mat @ np.linalg.pinv(p_mat[rows])
 
-    shifted = bt.exp_array[rows][:, None, :] + np.eye(n, dtype=np.int64)[None]
+    shifted = basis(n, t)[rows][:, None, :] + np.eye(n, dtype=np.int64)[None]
     if shifted.sum(axis=-1).max() > t:
         raise ExtractionFailed("pivot monomial shifts outside the truncation")
     idx = monomial_index(shifted)
@@ -411,27 +400,31 @@ def minimize(
                 BOUND_REACHED, k, value=bound, log=log, accuracy=acc, trusted=True
             )
 
-        u = check_point_optimality(y, bound, prog_k, feas_eff, gap_eff)
-        if u is not None:
+        def accepted(u) -> bool:
+            return (
+                violation(u, prog_k.phi, prog_k.psi) <= feas_eff
+                and abs(prog_k.theta.evaluate(u) - bound) <= gap_eff
+            )
+
+        # the point check: the degree-one moments as a candidate minimizer
+        u = y.values[1 : prog_k.n + 1]
+        if accepted(u):
             return HierarchyOutcome(
                 MINIMIZERS, k, value=bound, points=[to_x(u)], log=log,
                 accuracy=acc, trusted=trusted,
             )
 
+        mk = moment_matrix(y, k)
         for t in range(d0, k + 1):
-            r = flat_truncation(y, d0, t, rank_eff)
+            r = flat_truncation(mk, prog_k.n, d0, t, rank_eff)
             if r is None:
                 continue
             try:
-                points = extract_minimizers(y, t, r, seed, extract_eff)
+                points = extract_minimizers(mk, prog_k.n, t, r, seed, extract_eff)
             except ExtractionFailed as exc:
                 log.append({"order": k, "status": "extraction_failed", "detail": str(exc), "t": t})
                 continue
-            good = [
-                to_x(u) for u in points
-                if violation(u, prog_k.phi, prog_k.psi) <= feas_eff
-                and abs(prog_k.theta.evaluate(u) - bound) <= max(gap_eff, 1e-7 * abs(bound))
-            ]
+            good = [to_x(u) for u in points if accepted(u)]
             if good:
                 return HierarchyOutcome(
                     MINIMIZERS, k, value=bound, points=good, log=log,

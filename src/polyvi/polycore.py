@@ -64,41 +64,19 @@ def monomial_index(exps) -> np.ndarray:
     return table[top, n - j].sum(axis=-1)
 
 
-class MonomialBasis:
-    """All monomials in n variables of degree <= d, in the package order.
-
-    Entry 0 is always the constant monomial.  len() equals C(n+d, d).
-    """
-
-    def __init__(self, n: int, d: int):
-        if n < 1 or d < 0:
-            raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-        self.n = n
-        self.d = d
-        exps: list[Exponent] = []
-        for total in range(d + 1):
-            exps.extend(_exact_grade(n, total))
-        self.exponents: tuple[Exponent, ...] = tuple(exps)
-        self.exp_array = np.array(exps, dtype=np.int64).reshape(len(exps), n)
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self) -> Iterator[Exponent]:
-        return iter(self.exponents)
-
-    def index_of(self, alpha: Exponent) -> int:
-        alpha = tuple(alpha)
-        if len(alpha) != self.n or min(alpha) < 0 or sum(alpha) > self.d:
-            raise DegreeOverflowError(
-                f"monomial {alpha} has degree {sum(alpha)} > basis degree {self.d}"
-            )
-        return int(monomial_index(alpha))
-
-
 @lru_cache(maxsize=None)
-def basis(n: int, d: int) -> MonomialBasis:
-    return MonomialBasis(n, d)
+def basis(n: int, d: int) -> np.ndarray:
+    """All monomials in n variables of degree <= d, one exponent row each.
+
+    The rows follow the package order, row 0 is the constant monomial, and
+    there are C(n+d, d) of them.  The array is cached and read-only.
+    """
+    if n < 1 or d < 0:
+        raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    exps = [e for total in range(d + 1) for e in _exact_grade(n, total)]
+    arr = np.array(exps, dtype=np.int64).reshape(len(exps), n)
+    arr.flags.writeable = False
+    return arr
 
 
 class Polynomial:
@@ -345,16 +323,13 @@ class MomentVector:
             )
 
     @property
-    def basis(self) -> MonomialBasis:
+    def basis(self) -> np.ndarray:
         return basis(self.n, self.two_k)
-
-    def entry(self, alpha: Exponent) -> float:
-        return float(self.values[self.basis.index_of(alpha)])
 
     def dilated(self, s) -> "MomentVector":
         """Moments of the pushforward x -> s*x: each entry scaled by s^alpha."""
         s = np.asarray(s, dtype=float)
-        weights = np.prod(s[None, :] ** self.basis.exp_array, axis=1)
+        weights = np.prod(s[None, :] ** self.basis, axis=1)
         return MomentVector(self.n, self.two_k, self.values * weights)
 
 
@@ -375,8 +350,11 @@ def pairing(f: Polynomial, y: MomentVector) -> float:
     """
     if f.n != y.n:
         raise ValueError(f"polynomial has n={f.n}, moment vector has n={y.n}")
-    idx = y.basis.index_of
-    return float(sum(c * y.values[idx(e)] for e, c in f.terms.items()))
+    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.n)
+    if exps.sum(axis=1).max(initial=0) > y.two_k:
+        raise DegreeOverflowError(f"polynomial of degree {f.degree} > moment degree {y.two_k}")
+    idx = monomial_index(exps)
+    return float(sum(c * y.values[i] for c, i in zip(f.terms.values(), idx)))
 
 
 def lift(x: Iterable[float], two_k: int) -> MomentVector:
@@ -384,5 +362,5 @@ def lift(x: Iterable[float], two_k: int) -> MomentVector:
     x = np.asarray(tuple(float(v) for v in x), dtype=float)
     b = basis(len(x), two_k)
     with np.errstate(invalid="ignore"):
-        vals = np.prod(np.power(x[None, :], b.exp_array), axis=1)
+        vals = np.prod(np.power(x[None, :], b), axis=1)
     return MomentVector(len(x), two_k, vals)

@@ -30,18 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .lme import (
-    MATRIX_KINDS,
-    SOC_QUADRIC,
-    ConstraintSystem,
-    LmeRecipe,
-    LmeSet,
-    TemplateMismatch,
-    build_kkt_sets,
-    catalog_lme,
-    recipe_from_spec,
-    soc_lme,
-)
+from .lme import ConstraintSystem, LmeRecipe, LmeSet, build_kkt_sets, recipe_from_spec
 from .momentsdp import (
     BOUND_REACHED,
     INCONCLUSIVE,
@@ -74,22 +63,6 @@ class SolverOptions:
     seed: int = 0
     max_loops: int = 10
     k_max_extra: int = 4
-
-
-def detect_kind(cs: ConstraintSystem) -> str | None:
-    """First catalog template the constraint system fits, if any."""
-    for kind in MATRIX_KINDS:
-        try:
-            catalog_lme(kind, cs)
-            return kind
-        except TemplateMismatch:
-            continue
-    try:
-        probe = tuple(Polynomial.zero(cs.n) for _ in range(cs.n))
-        soc_lme(probe, cs)
-        return SOC_QUADRIC
-    except TemplateMismatch:
-        return None
 
 
 class VipProblem:
@@ -126,27 +99,13 @@ class VipProblem:
         return np.array([[p.evaluate(x) for p in row] for row in self._field_jac])
 
 
-def build_problem(F, cs: ConstraintSystem, lme=None, name: str = "") -> VipProblem:
-    """Assemble a problem; lme may be a recipe, a spec dict, a kind name, or None.
-
-    With None the constraint system is matched against the catalog.
-    """
-    if isinstance(lme, LmeRecipe):
-        recipe = lme
-    elif isinstance(lme, dict):
-        recipe = recipe_from_spec(lme, cs)
-    elif isinstance(lme, str):
-        recipe = recipe_from_spec({"kind": lme}, cs)
-    elif lme is None:
-        kind = detect_kind(cs)
-        if kind is None:
-            raise TemplateMismatch(
-                "constraints fit no catalog template; supply an lme recipe"
-            )
-        recipe = recipe_from_spec({"kind": kind}, cs)
-    else:
+def build_problem(F, cs: ConstraintSystem, lme: dict | str, name: str = "") -> VipProblem:
+    """Assemble a problem; lme is a problem file's spec dict or a catalog kind name."""
+    if isinstance(lme, str):
+        lme = {"kind": lme}
+    elif not isinstance(lme, dict):
         raise TypeError(f"cannot interpret lme={lme!r}")
-    return VipProblem(F, cs, recipe, name)
+    return VipProblem(F, cs, recipe_from_spec(lme, cs), name)
 
 
 # -- generic objective ---------------------------------------------------------
@@ -520,8 +479,9 @@ def find_delta(
         if out.status == BOUND_REACHED:
             return delta, True, log
         if out.status == INFEASIBLE:
-            # the band holds x*, so emptiness is numerical; accept
-            return delta, True, log
+            # the band holds x*, so emptiness is numerical, and a smaller band
+            # is a subset of this one: the gap stays uncertified
+            return delta, False, log
         # a relaxed solve cannot pin gamma tighter than its own accuracy
         accept_eff = max(accept, RANK_WIDENING * out.accuracy * max(1.0, abs(theta_star)))
         if out.status in (MINIMIZERS, INCONCLUSIVE) and gamma is not None:

@@ -171,7 +171,7 @@ def test_props_pairing_lift_evaluate_consistency():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         deg = int(rng.integers(0, 5))
-        exps = list(basis(n, deg).exponents)
+        exps = [tuple(e) for e in basis(n, deg).tolist()]
         take = rng.choice(len(exps), size=min(5, len(exps)), replace=False)
         p = Polynomial(n, {exps[i]: float(rng.standard_normal()) for i in take})
         x = rng.uniform(-1.5, 1.5, n)
@@ -185,16 +185,16 @@ def test_props_localizing_template_identity():
     for _ in range(50):
         n = int(rng.integers(1, 4))
         deg = int(rng.integers(1, 5))
-        exps = list(basis(n, deg).exponents)
+        exps = [tuple(e) for e in basis(n, deg).tolist()]
         take = rng.choice(len(exps), size=min(4, len(exps)), replace=False)
         q = Polynomial(n, {exps[i]: float(rng.standard_normal()) for i in take})
         if q.is_zero:
             continue
         k = (q.degree + 1) // 2 + int(rng.integers(0, 2))
-        tmpl = ms.LocalizingTemplate(q, k, n)
+        blk = ms.localizing_block(q, k, n)
         x = rng.uniform(-1.2, 1.2, n)
-        got = tmpl.instantiate(lift(x, 2 * k))
-        v = np.prod(np.power(x[None, :], tmpl.row_basis.exp_array), axis=1)
+        got = blk.evaluate(lift(x, 2 * k).values)
+        v = np.prod(np.power(x[None, :], basis(n, k - (q.degree + 1) // 2)), axis=1)
         expect = q.evaluate(x) * np.outer(v, v)
         scale = max(1.0, float(np.abs(expect).max()))
         assert np.abs(got - expect).max() <= 1e-12 * scale
@@ -245,10 +245,10 @@ def test_props_atom_extraction_round_trip():
         vals = sum(
             w * lift(a, 4).values for w, a in zip(weights, atoms)
         )
-        y = MomentVector(n, 4, vals)
-        rank = ms.flat_truncation(y, 1, 2, 1e-6)
+        mk = ms.moment_matrix(MomentVector(n, 4, vals), 2)
+        rank = ms.flat_truncation(mk, n, 1, 2, 1e-6)
         assert rank == r
-        got = ms.extract_minimizers(y, 2, rank, seed=trial)
+        got = ms.extract_minimizers(mk, n, 2, rank, seed=trial)
         assert len(got) == r
         for a in atoms:
             assert min(np.max(np.abs(g - a)) for g in got) <= 1e-6

@@ -166,6 +166,8 @@ def test_non_integer_env_seed_exits_1(tiny_file, argv):
         ({"seed": -1}, "options.seed must be >= 0, got -1"),
         ({"max_loops": 0}, "options.max_loops must be >= 1, got 0"),
         ({"k_max_extra": -1}, "options.k_max_extra must be >= 0, got -1"),
+        ({"count": 3}, "unknown options ['count']"),
+        ({"degree": 2}, "unknown options ['degree']"),
     ],
 )
 def test_bad_file_option_exits_1(tmp_path, options, message):
@@ -194,6 +196,9 @@ def test_bad_file_option_exits_1(tmp_path, options, message):
         (("batch", "ball", "--dims", "2", "--count", "x"), "--count must be an integer, got 'x'"),
         (("batch", "ball", "--dims", "2", "--seed", "x"), "--seed must be an integer, got 'x'"),
         (("batch", "ball", "--dims", "2", "--degree", "2.0"), "--degree must be an integer, got '2.0'"),
+        (("batch", "ball", "--dims", "2", "--count", "-1"), "--count must be >= 0, got -1"),
+        (("batch", "ball", "--dims", "2", "--degree", "-1"), "--degree must be >= 0, got -1"),
+        (("gen-random", "ball", "--dims", "2", "--degree", "-1"), "--degree must be >= 0, got -1"),
     ],
 )
 def test_bad_option_flag_exits_1(tiny_file, argv, message):

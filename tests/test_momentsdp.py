@@ -13,14 +13,13 @@ def poly1(terms):
 def test_localizing_template_interval():
     # q = 1 - x^2 at order 1 in one variable: a single entry y_0 - y_2
     q = poly1({(0,): 1.0, (2,): -1.0})
-    tmpl = ms.LocalizingTemplate(q, 1, 1)
-    assert tmpl.size == 1
-    blk = tmpl.block
+    blk = ms.localizing_block(q, 1, 1)
+    assert blk.size == 1
     assert list(blk.rows) == [0, 0] and list(blk.cols) == [0, 0]
     # moments y_0 and y_2 in basis(1, 2) = (1, x, x^2)
     assert dict(zip(blk.var_idx.tolist(), blk.vals.tolist())) == {0: 1.0, 2: -1.0}
     y = lift((0.5,), 2)
-    assert tmpl.instantiate(y) == pytest.approx(np.array([[0.75]]))
+    assert blk.evaluate(y.values) == pytest.approx(np.array([[0.75]]))
 
 
 def test_moment_matrix_at_dirac():
@@ -29,29 +28,39 @@ def test_moment_matrix_at_dirac():
     assert mat == pytest.approx(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def test_moment_matrix_leading_blocks_are_lower_orders():
+    # basis(n, t) is a prefix of basis(n, k), so M_t is bitwise M_k's leading block
+    rng = np.random.default_rng(4)
+    y = MomentVector(2, 6, rng.standard_normal(len(basis(2, 6))))
+    mk = ms.moment_matrix(y, 3)
+    for t in range(4):
+        size = len(basis(2, t))
+        assert np.array_equal(mk[:size, :size], ms.moment_matrix(y, t))
+
+
 def test_template_identity_at_lifts():
     rng = np.random.default_rng(3)
     for _ in range(50):
         n = int(rng.integers(1, 4))
         deg = int(rng.integers(1, 4))
-        exps = list(basis(n, deg).exponents)
+        exps = [tuple(e) for e in basis(n, deg).tolist()]
         take = rng.choice(len(exps), size=min(4, len(exps)), replace=False)
         q = Polynomial(n, {exps[i]: float(rng.standard_normal()) for i in take})
         if q.is_zero:
             continue
         k = (q.degree + 1) // 2 + int(rng.integers(0, 2))
-        tmpl = ms.LocalizingTemplate(q, k, n)
+        blk = ms.localizing_block(q, k, n)
         x = rng.uniform(-1.5, 1.5, n)
         y = lift(x, 2 * k)
-        got = tmpl.instantiate(y)
-        v = np.prod(np.power(x[None, :], tmpl.row_basis.exp_array), axis=1)
+        got = blk.evaluate(y.values)
+        v = np.prod(np.power(x[None, :], basis(n, k - (q.degree + 1) // 2)), axis=1)
         expect = q.evaluate(x) * np.outer(v, v)
         scale = max(1.0, float(np.abs(expect).max()))
         assert np.abs(got - expect).max() <= 1e-12 * scale
 
 
 def _random_poly(rng, n, deg, terms=4):
-    exps = list(basis(n, deg).exponents)
+    exps = [tuple(e) for e in basis(n, deg).tolist()]
     take = rng.choice(len(exps), size=min(terms, len(exps)), replace=False)
     return Polynomial(n, {exps[i]: float(rng.standard_normal()) for i in take})
 
@@ -81,7 +90,7 @@ def test_relaxation_matches_direct_evaluation():
         expect_rows = [(1.0, 1.0)]
         for p in phi:
             t_p = k - (p.degree + 1) // 2
-            for delta in basis(n, 2 * t_p).exponents:
+            for delta in basis(n, 2 * t_p):
                 expect_rows.append((p.evaluate(x) * np.prod(x ** np.array(delta)), 0.0))
         assert len(rel.eq_rows) == len(expect_rows)
         for row, rhs, (value, expect_rhs) in zip(rel.eq_rows, rel.eq_rhs, expect_rows):
@@ -116,6 +125,38 @@ def test_minimize_interval():
     assert out.points[0][0] == pytest.approx(1.0, abs=1e-5)
 
 
+def test_minimize_returns_extracted_atoms(monkeypatch):
+    # min -x^2 over [-1, 1]: the degree-one moment is 0, so the point check
+    # fails, and at order 2 the moment matrix is flat with the atoms -1 and 1
+    calls = []
+    original = ms.moment_matrix
+
+    def counting(y, t):
+        calls.append(t)
+        return original(y, t)
+
+    monkeypatch.setattr(ms, "moment_matrix", counting)
+    theta = poly1({(2,): -1.0})
+    ball = poly1({(0,): 1.0, (2,): -1.0})
+    out = ms.minimize(ms.PolyProgram(theta, (), (ball,), 1))
+    assert out.status == ms.MINIMIZERS
+    assert out.order == 2
+    assert sorted(float(u[0]) for u in out.points) == pytest.approx([-1.0, 1.0], abs=1e-6)
+    # one moment matrix per optimal solve, at the solve's order
+    assert calls == [1, 2]
+
+
+def test_point_check_builds_no_moment_matrix(monkeypatch):
+    def refuse(y, t):
+        raise AssertionError("moment matrix built although the point check passed")
+
+    monkeypatch.setattr(ms, "moment_matrix", refuse)
+    theta = poly1({(1,): -1.0})
+    ball = poly1({(0,): 1.0, (2,): -1.0})
+    out = ms.minimize(ms.PolyProgram(theta, (), (ball,), 1))
+    assert out.status == ms.MINIMIZERS
+
+
 def test_minimize_detects_empty_set():
     # -1 - x^2 >= 0 has no real points
     theta = poly1({(1,): 1.0})
@@ -141,10 +182,10 @@ def test_minimize_with_equality():
 def test_flat_truncation_two_atoms():
     # moments of (delta_0 + delta_1)/2 in one variable
     y_vals = 0.5 * (lift((0.0,), 4).values + lift((1.0,), 4).values)
-    y = MomentVector(1, 4, y_vals)
-    r = ms.flat_truncation(y, 1, 2)
+    mk = ms.moment_matrix(MomentVector(1, 4, y_vals), 2)
+    r = ms.flat_truncation(mk, 1, 1, 2)
     assert r == 2
-    atoms = ms.extract_minimizers(y, 2, r)
+    atoms = ms.extract_minimizers(mk, 1, 2, r)
     got = sorted(float(a[0]) for a in atoms)
     assert got == pytest.approx([0.0, 1.0], abs=1e-8)
 
@@ -153,8 +194,8 @@ def test_flat_truncation_not_flat():
     # moments of a 3-atom measure have rank 3 at t=2 but rank 2 at t=1
     pts = [(-0.7,), (0.1,), (0.8,)]
     y_vals = sum(lift(p, 4).values for p in pts) / 3.0
-    y = MomentVector(1, 4, y_vals)
-    assert ms.flat_truncation(y, 1, 2) is None
+    mk = ms.moment_matrix(MomentVector(1, 4, y_vals), 2)
+    assert ms.flat_truncation(mk, 1, 1, 2) is None
 
 
 def test_extraction_round_trip():
@@ -170,11 +211,11 @@ def test_extraction_round_trip():
         w = rng.uniform(0.2, 1.0, r)
         w /= w.sum()
         y_vals = sum(wi * lift(a, 4).values for wi, a in zip(w, atoms))
-        y = MomentVector(n, 4, y_vals)
-        rank = ms.flat_truncation(y, 1, 2)
+        mk = ms.moment_matrix(MomentVector(n, 4, y_vals), 2)
+        rank = ms.flat_truncation(mk, n, 1, 2)
         if rank != r:
             continue
-        got = ms.extract_minimizers(y, 2, rank)
+        got = ms.extract_minimizers(mk, n, 2, rank)
         assert len(got) == r
         for a in atoms:
             assert min(np.linalg.norm(a - g) for g in got) <= 1e-6
@@ -186,9 +227,9 @@ def test_extraction_failure_raises():
     # look flat but inconsistent shifts
     y_vals = lift((0.5,), 4).values.copy()
     y_vals[3] += 0.2  # corrupt y_3
-    y = MomentVector(1, 4, y_vals)
+    mk = ms.moment_matrix(MomentVector(1, 4, y_vals), 2)
     with pytest.raises(ms.ExtractionFailed):
-        ms.extract_minimizers(y, 2, 1)
+        ms.extract_minimizers(mk, 1, 2, 1)
 
 
 def test_hierarchy_monotone_and_bounded_by_feasible():
@@ -199,8 +240,8 @@ def test_hierarchy_monotone_and_bounded_by_feasible():
     }})
     for _ in range(5):
         terms = {}
-        for e in basis(n, 2).exponents:
-            terms[e] = float(rng.standard_normal())
+        for e in basis(n, 2).tolist():
+            terms[tuple(e)] = float(rng.standard_normal())
         theta = Polynomial(n, terms)
         prog = ms.PolyProgram(theta, (), (ball,), n)
         r1 = sb.solve(ms.build_relaxation(prog, 1))

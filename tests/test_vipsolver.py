@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from polyvi import vipsolver as vs
 from polyvi.lme import ConstraintSystem
+from polyvi.momentsdp import INFEASIBLE, HierarchyOutcome
 from polyvi.polycore import Polynomial, violation
 
 
@@ -170,6 +171,18 @@ def test_empty_solution_set_certified():
     res = vs.solve_all(prob)
     assert res.status == vs.NO_SOLUTION
     assert res.complete
+
+
+def test_find_delta_infeasible_band_is_uncertified(monkeypatch):
+    # the band holds x*, so an infeasible band relaxation is numerical; a
+    # smaller band is a subset of it, so the gap is left uncertified at once
+    prob = ball_projection_problem(np.array([0.9, 1.2]))
+    theta = vs.random_theta(prob.n, 0)
+    monkeypatch.setattr(vs, "minimize", lambda *args, **kwargs: HierarchyOutcome(INFEASIBLE, 1))
+    x_star = np.array([0.6, 0.8])
+    _, certified, log = vs.find_delta(prob, theta, vs.CutSet(), x_star, vs.SolverOptions())
+    assert not certified
+    assert [entry["status"] for entry in log] == [INFEASIBLE]
 
 
 def test_complete_symmetric_values():
