@@ -60,22 +60,33 @@ def _fail(msg: str):
     raise ProblemFileError(msg)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _poly_from_json(n, data, where):
     if not isinstance(data, list):
         _fail(f"{where}: expected a list of terms")
     for i, item in enumerate(data):
         if not isinstance(item, dict) or "coef" not in item or "exp" not in item:
             _fail(f"{where}, term {i}: need 'coef' and 'exp'")
-        if len(item["exp"]) != n:
-            _fail(f"{where}, term {i}: exponent length {len(item['exp'])} != n={n}")
-        if any(int(e) < 0 for e in item["exp"]):
-            _fail(f"{where}, term {i}: negative exponent")
-    return Polynomial.from_json(n, data)
+        exp, coef = item["exp"], item["coef"]
+        if not isinstance(exp, list) or len(exp) != n:
+            _fail(f"{where}, term {i}: exponent must be a list of n={n} integers, got {exp!r}")
+        if not all(_is_int(e) and e >= 0 for e in exp):
+            _fail(f"{where}, term {i}: exponents must be integers >= 0, got {exp!r}")
+        # NaN fails the comparison; an int past the float range fails it too
+        if not (_is_int(coef) or isinstance(coef, float)) or not abs(coef) <= sys.float_info.max:
+            _fail(f"{where}, term {i}: coefficient must be a finite number, got {coef!r}")
+    try:
+        return Polynomial.from_json(n, data)
+    except ValueError as exc:  # an exponent past the int64 range
+        _fail(f"{where}: {exc}")
 
 
 def _check_option(label: str, name: str, value) -> int:
     """value when it is an integer (not a bool) of at least _FLAG_MIN[name]."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         _fail(f"{label} must be an integer, got {value!r}")
     if value < _FLAG_MIN[name]:
         _fail(f"{label} must be >= {_FLAG_MIN[name]}, got {value}")
@@ -110,8 +121,11 @@ def parse_problem(data: dict, source: str = "<data>"):
         if key not in data:
             _fail(f"{source}: missing required key '{key}'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        _fail(f"{source}: n must be a positive integer")
+    if not _is_int(n) or n < 1:
+        _fail(f"{source}: n must be a positive integer, got {n!r}")
+    for key in ("F", "constraints"):
+        if not isinstance(data[key], list):
+            _fail(f"{source}: {key} must be a list, got {data[key]!r}")
     if len(data["F"]) != n:
         _fail(f"{source}: F has {len(data['F'])} entries, expected n={n}")
     F = tuple(
@@ -163,12 +177,8 @@ def load_problem(path: str):
 def gen_ball(n: int, d: int, seed: int) -> dict:
     """F = A [x]_d with standard normal A; X the unit ball."""
     rng = np.random.default_rng(seed)
-    monos = [tuple(e) for e in basis(n, d).tolist()]
-    a_mat = rng.standard_normal((n, len(monos)))
-    F = [
-        Polynomial(n, {e: float(a_mat[i, j]) for j, e in enumerate(monos) if a_mat[i, j]})
-        for i in range(n)
-    ]
+    monos = basis(n, d)
+    F = [Polynomial.from_terms(n, monos, row) for row in rng.standard_normal((n, len(monos)))]
     ball = Polynomial.quadratic(n, 1.0, quad=-np.eye(n))
     return {
         "name": f"ball-n{n}-d{d}-seed{seed}",

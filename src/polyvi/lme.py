@@ -127,22 +127,20 @@ class KktSystem:
 
 def _quadratic_form_matrix(p: Polynomial, n: int) -> np.ndarray:
     """Extract B from x^T B x - 1; raises TemplateMismatch on any other shape."""
-    b_mat = np.zeros((n, n))
-    for exp, coef in p.terms.items():
-        deg = sum(exp)
-        if deg == 0:
-            if coef != -1.0:
-                raise TemplateMismatch("quadric must have constant term -1")
-        elif deg == 2:
-            nz = [i for i, e in enumerate(exp) if e]
-            if len(nz) == 1:
-                b_mat[nz[0], nz[0]] = coef
-            else:
-                b_mat[nz[0], nz[1]] = b_mat[nz[1], nz[0]] = coef / 2.0
-        else:
-            raise TemplateMismatch(f"quadric has a degree-{deg} term")
-    if p.coefficient(tuple([0] * n)) != -1.0:
+    degs = p.exps.sum(axis=1)
+    odd = degs[(degs != 0) & (degs != 2)]
+    if len(odd):
+        raise TemplateMismatch(f"quadric has a degree-{odd[0]} term")
+    if not len(degs) or degs[0] != 0 or p.coefs[0] != -1.0:
         raise TemplateMismatch("quadric must have constant term -1")
+    # each quadratic row is e_a + e_b with a <= b: a its first and b its last
+    # nonzero position
+    quad = p.exps[1:] > 0
+    a = quad.argmax(axis=1)
+    b = n - 1 - quad[:, ::-1].argmax(axis=1)
+    w = np.where(a == b, p.coefs[1:], p.coefs[1:] / 2.0)
+    b_mat = np.zeros((n, n))
+    b_mat[a, b] = b_mat[b, a] = w
     return b_mat
 
 

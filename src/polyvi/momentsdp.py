@@ -101,12 +101,6 @@ def _pair_sums(n: int, t: int):
     return rows, cols, exps[rows] + exps[cols]
 
 
-def _shifted_terms(p: Polynomial, shifts: np.ndarray):
-    """Moment indices of the terms of p * x^s, one row per shift s, and p's coefficients."""
-    exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.n)
-    return monomial_index(shifts[:, None, :] + exps[None, :, :]), np.array(list(p.terms.values()))
-
-
 def localizing_block(q: Polynomial, k: int, n: int) -> sb.SdpBlock:
     """Localizing matrix of q at order k as a PSD block over the moments.
 
@@ -121,14 +115,13 @@ def localizing_block(q: Polynomial, k: int, n: int) -> sb.SdpBlock:
         raise ValueError(f"order {k} too small to localize degree {q.degree}")
     size = len(basis(n, t))
     rows, cols, sums = _pair_sums(n, t)
-    var_idx, coefs = _shifted_terms(q, sums)
     return sb.SdpBlock(
         size,
         np.zeros((size, size)),
-        var_idx.ravel(),
-        np.repeat(rows, len(coefs)),
-        np.repeat(cols, len(coefs)),
-        np.tile(coefs, len(rows)),
+        monomial_index(sums[:, None, :] + q.exps).ravel(),
+        np.repeat(rows, len(q.coefs)),
+        np.repeat(cols, len(q.coefs)),
+        np.tile(q.coefs, len(rows)),
     )
 
 
@@ -139,9 +132,8 @@ def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
     n = prog.n
     m = len(basis(n, 2 * k))
 
-    idx, coefs = _shifted_terms(prog.theta, np.zeros((1, n), dtype=np.int64))
     c = np.zeros(m)
-    c[idx[0]] = coefs
+    c[monomial_index(prog.theta.exps)] = prog.theta.coefs
 
     # row 0 fixes y_0 = 1; each p in phi adds <p * x^delta, y> = 0 for every
     # delta in basis(n, 2 t_p)
@@ -149,9 +141,10 @@ def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
     for p in prog.phi:
         if p.is_zero:
             continue
-        idx, coefs = _shifted_terms(p, basis(n, 2 * (k - math.ceil(p.degree / 2))))
+        shifts = basis(n, 2 * (k - math.ceil(p.degree / 2)))
+        idx = monomial_index(shifts[:, None, :] + p.exps)
         rows = np.zeros((len(idx), m))
-        rows[np.arange(len(idx))[:, None], idx] = coefs
+        rows[np.arange(len(idx))[:, None], idx] = p.coefs
         parts.append(rows)
     eq_rows = np.vstack(parts)
     eq_rhs = np.eye(1, len(eq_rows)).ravel()
@@ -163,7 +156,7 @@ def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
         if q.degree == 0:
             # constant inequality: infeasible constant goes in as an
             # impossible 1x1 block, positive constants carry no information
-            val = next(iter(q.terms.values()))
+            val = q.coefs[0]
             if val < 0:
                 blocks.append(
                     sb.SdpBlock(

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials, graded monomial bases and moment vectors.
 
-A polynomial in n variables is stored as a dict mapping exponent tuples to
-float coefficients; zero coefficients are never stored, and the zero
-polynomial is the empty dict.  All code in this package relies on one fixed
+A polynomial in n variables is stored as an array of exponent rows and an
+array of float coefficients, one entry per term, with the rows in the
+package monomial order; zero coefficients are never stored, and the zero
+polynomial has no rows.  All code in this package relies on this one fixed
 monomial order: monomials are sorted by total degree first, and within one
 degree lexicographically with earlier variables dominating, so for n=2, d=2
 the order is 1, x1, x2, x1^2, x1*x2, x2^2.  With this order the basis for
@@ -82,57 +83,75 @@ def basis(n: int, d: int) -> np.ndarray:
 class Polynomial:
     """Immutable sparse polynomial with float coefficients.
 
-    Do not mutate `terms` after construction; every operation returns a new
-    instance.  Supports +, -, * (poly or scalar) and ** with a nonnegative
-    integer exponent.
+    The terms are two read-only arrays in the package order: `exps`, one
+    exponent row per term (t x n int64), and `coefs`, their coefficients.
+    No row repeats and no coefficient is zero; the zero polynomial has no
+    rows.  `Polynomial(n, {exp: coef})` and `from_terms` build this form.
+    Supports +, -, * (poly or scalar) and ** with a nonnegative integer
+    exponent; every operation returns a new instance.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "exps", "coefs")
 
     def __init__(self, n: int, terms: Mapping[Exponent, float] | None = None):
+        terms = terms or {}
+        self._normalize(n, list(terms), list(terms.values()))
+
+    def _normalize(self, n: int, exps, coefs):
         if n < 1:
             raise ValueError("polynomial needs at least one variable")
-        clean: dict[Exponent, float] = {}
-        for exp, coef in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != n or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent {exp} for n={n}")
-            c = float(coef)
-            if c != 0.0:
-                clean[exp] = c
+        coefs = np.asarray(coefs, dtype=float)
+        exps = np.asarray(exps) if np.size(exps) else np.zeros((0, n), dtype=np.int64)
+        if exps.dtype.kind != "i" or exps.shape != (len(coefs), n) or exps.min(initial=0) < 0:
+            raise ValueError(f"bad {exps.dtype} exponents of shape {exps.shape} for n={n}")
+        # np.add.at adds in input order, so repeated rows sum left to right
+        keys, first, inverse = np.unique(
+            monomial_index(exps), return_index=True, return_inverse=True
+        )
+        sums = np.zeros(len(keys))
+        np.add.at(sums, inverse, coefs)
+        keep = sums != 0.0
+        exps, coefs = exps[first[keep]].astype(np.int64), sums[keep]
+        exps.flags.writeable = coefs.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "coefs", coefs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     # ---- constructors -------------------------------------------------
 
+    @classmethod
+    def from_terms(cls, n: int, exps, coefs) -> "Polynomial":
+        """sum_i coefs[i] * x^exps[i]: repeated rows summed in input order,
+        exact zeros dropped, the rest sorted into the package order."""
+        p = cls.__new__(cls)
+        p._normalize(n, exps, coefs)
+        return p
+
     @staticmethod
     def zero(n: int) -> "Polynomial":
-        return Polynomial(n, {})
+        return Polynomial(n)
 
     @staticmethod
     def constant(n: int, c: float) -> "Polynomial":
-        return Polynomial(n, {tuple([0] * n): c})
+        return Polynomial.from_terms(n, np.zeros((1, n), dtype=np.int64), [c])
 
     @staticmethod
     def variable(n: int, i: int) -> "Polynomial":
         """The coordinate polynomial x_{i+1} (0-based index i)."""
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for n={n}")
-        e = [0] * n
-        e[i] = 1
-        return Polynomial(n, {tuple(e): 1.0})
+        return Polynomial.from_terms(n, np.eye(1, n, i, dtype=np.int64), [1.0])
 
     @staticmethod
     def quadratic(n: int, const: float = 0.0, lin=None, quad=None) -> "Polynomial":
         """const + lin . x + x^T quad x; quad[i, j] and quad[j, i] are summed.
 
         With C = [[const, lin], [0, quad]] the term of each pair a <= b is
-        (C[a, b] + C[b, a]) x^(e_a + e_b), e_0 = 0 and e_i the unit rows, so
-        the terms come as 1, x_1, ..., x_n and then the quadratic ones row by
-        row.
+        (C[a, b] + C[b, a]) x^(e_a + e_b), e_0 = 0 and e_i the unit rows;
+        the pairs a <= b, row by row, already come in the package order.
         """
         c_mat = np.zeros((n + 1, n + 1))
         c_mat[0, 0] = const
@@ -143,45 +162,35 @@ class Polynomial:
         rows, cols = np.triu_indices(n + 1)
         coefs = np.where(rows == cols, c_mat[rows, cols], c_mat[rows, cols] + c_mat[cols, rows])
         units = np.eye(n + 1, n, -1, dtype=np.int64)
-        exps = units[rows] + units[cols]
-        return Polynomial(n, dict(zip(map(tuple, exps.tolist()), coefs.tolist())))
+        return Polynomial.from_terms(n, units[rows] + units[cols], coefs)
 
     # ---- structure -----------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        # the package order ends with a term of top degree
+        return int(self.exps[-1].sum()) if len(self.exps) else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, alpha: Exponent) -> float:
-        return self.terms.get(tuple(alpha), 0.0)
+        return not len(self.coefs)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return float(np.abs(self.coefs).max(initial=0.0))
 
     # ---- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            s = out.get(exp, 0.0) + coef
-            if s == 0.0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Polynomial(self.n, out)
+        return Polynomial.from_terms(
+            self.n, np.vstack([self.exps, other.exps]), np.concatenate([self.coefs, other.coefs])
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial.from_terms(self.n, self.exps, -self.coefs)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -193,16 +202,11 @@ class Polynomial:
         if isinstance(other, (int, float)):
             return self.scale(float(other))
         other = self._coerce(other)
-        out: dict[Exponent, float] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, 0.0) + c1 * c2
-                if s == 0.0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Polynomial(self.n, out)
+        # row-major: term i of self times every term of other, then i + 1
+        exps = self.exps[:, None, :] + other.exps[None, :, :]
+        return Polynomial.from_terms(
+            self.n, exps.reshape(-1, self.n), np.outer(self.coefs, other.coefs).ravel()
+        )
 
     __rmul__ = __mul__
 
@@ -219,23 +223,14 @@ class Polynomial:
         return result
 
     def scale(self, c: float) -> "Polynomial":
-        if c == 0.0:
-            return Polynomial.zero(self.n)
-        return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
+        return Polynomial.from_terms(self.n, self.exps, c * self.coefs)
 
     def dilated(self, s) -> "Polynomial":
         """The substitution x_j -> s_j * x_j, reweighting each coefficient by s^e."""
-        s = [float(v) for v in s]
-        if len(s) != self.n:
+        s = np.asarray(s, dtype=float)
+        if s.shape != (self.n,):
             raise ValueError(f"dilation vector has {len(s)} entries for n={self.n}")
-        out = {}
-        for e, c in self.terms.items():
-            w = c
-            for sj, ej in zip(s, e):
-                if ej:
-                    w *= sj ** ej
-            out[e] = w
-        return Polynomial(self.n, out)
+        return Polynomial.from_terms(self.n, self.exps, self.coefs * _monomials(s, self.exps))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -249,30 +244,26 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (
+            self.n == other.n
+            and np.array_equal(self.exps, other.exps)
+            and np.array_equal(self.coefs, other.coefs)
+        )
 
     # ---- evaluation ----------------------------------------------------
 
     def evaluate(self, x: Iterable[float]) -> float:
-        x = tuple(float(v) for v in x)
-        if len(x) != self.n:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
             raise ValueError(f"point has {len(x)} coordinates, polynomial has n={self.n}")
-        total = 0.0
-        for exp, coef in self.terms.items():
-            total += coef * math.prod(xi**e for xi, e in zip(x, exp) if e)
-        return total
+        return _sum_in_order(self.coefs * _monomials(x, self.exps))
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative with respect to variable i (0-based)."""
-        out: dict[Exponent, float] = {}
-        for exp, coef in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            c = coef * e[i]
-            e[i] -= 1
-            out[tuple(e)] = out.get(tuple(e), 0.0) + c
-        return Polynomial(self.n, out)
+        power = self.exps[:, i]
+        keep = power > 0
+        unit = np.eye(1, self.n, i, dtype=np.int64)
+        return Polynomial.from_terms(self.n, self.exps[keep] - unit, (self.coefs * power)[keep])
 
     def gradient(self) -> tuple["Polynomial", ...]:
         return tuple(self.partial(i) for i in range(self.n))
@@ -281,29 +272,37 @@ class Polynomial:
 
     def to_json(self) -> list[dict]:
         """List of {"coef": float, "exp": [int, ...]} in the package order."""
-        items = sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
-        return [{"coef": c, "exp": list(e)} for e, c in items]
+        return [
+            {"coef": c, "exp": e} for c, e in zip(self.coefs.tolist(), self.exps.tolist())
+        ]
 
     @staticmethod
     def from_json(n: int, data: list[dict]) -> "Polynomial":
-        terms: dict[Exponent, float] = {}
-        for item in data:
-            exp = tuple(int(e) for e in item["exp"])
-            terms[exp] = terms.get(exp, 0.0) + float(item["coef"])
-        return Polynomial(n, terms)
+        return Polynomial.from_terms(
+            n, [item["exp"] for item in data], [item["coef"] for item in data]
+        )
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero:
             return "0"
         parts = []
-        for exp, coef in sorted(
-            self.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0]))
-        ):
+        for exp, coef in zip(self.exps.tolist(), self.coefs.tolist()):
             mono = "*".join(
                 f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e
             )
             parts.append(f"{coef:+g}" + (f"*{mono}" if mono else ""))
         return "".join(parts)
+
+
+def _monomials(x: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """x^e for each exponent row e, the factors multiplied left to right."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.prod(np.power(x, exps), axis=1)
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    # a left-to-right sum; np.sum and BLAS dots group terms differently
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -328,8 +327,7 @@ class MomentVector:
 
     def dilated(self, s) -> "MomentVector":
         """Moments of the pushforward x -> s*x: each entry scaled by s^alpha."""
-        s = np.asarray(s, dtype=float)
-        weights = np.prod(s[None, :] ** self.basis, axis=1)
+        weights = _monomials(np.asarray(s, dtype=float), self.basis)
         return MomentVector(self.n, self.two_k, self.values * weights)
 
 
@@ -350,17 +348,12 @@ def pairing(f: Polynomial, y: MomentVector) -> float:
     """
     if f.n != y.n:
         raise ValueError(f"polynomial has n={f.n}, moment vector has n={y.n}")
-    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.n)
-    if exps.sum(axis=1).max(initial=0) > y.two_k:
+    if f.degree > y.two_k:
         raise DegreeOverflowError(f"polynomial of degree {f.degree} > moment degree {y.two_k}")
-    idx = monomial_index(exps)
-    return float(sum(c * y.values[i] for c, i in zip(f.terms.values(), idx)))
+    return _sum_in_order(f.coefs * y.values[monomial_index(f.exps)])
 
 
 def lift(x: Iterable[float], two_k: int) -> MomentVector:
     """Moment vector of the Dirac measure at x, truncated at degree two_k."""
     x = np.asarray(tuple(float(v) for v in x), dtype=float)
-    b = basis(len(x), two_k)
-    with np.errstate(invalid="ignore"):
-        vals = np.prod(np.power(x[None, :], b), axis=1)
-    return MomentVector(len(x), two_k, vals)
+    return MomentVector(len(x), two_k, _monomials(x, basis(len(x), two_k)))

@@ -171,7 +171,6 @@ class CutSet:
 
 SOLUTION = "solution"
 NO_SOLUTION = "no_solution"
-NO_MORE_SOLUTIONS = "no_more_solutions"
 INCONCLUSIVE_RUN = "inconclusive"
 
 
@@ -181,7 +180,6 @@ class VerifyResult:
     eps: float | None
     cut_points: list = field(default_factory=list)
     via: str = ""  # "kkt_bound" | "kkt_points" | "ball_bound" | "ball_points"
-    log: list = field(default_factory=list)
 
 
 @dataclass
@@ -321,24 +319,22 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     ell = Polynomial.quadratic(n, -float(fu @ u), fu)  # (x - u)^T F(u)
     phi = tuple(cs.g[i] for i in cs.eq_idx)
     psi = tuple(cs.g[i] for i in cs.ineq_idx)
-    log: list = []
 
     def settle(prog: PolyProgram, route: str, radius: float | None = None):
         """The verdict of one route, or None when it decides nothing."""
         out = minimize(prog, opts.k_max_extra, opts.seed, floor=-EPS_TOL)
-        log.extend(out.log)
         if out.status == BOUND_REACHED:
-            return VerifyResult(SOLUTION, float(out.value), via=f"{route}_bound", log=log)
+            return VerifyResult(SOLUTION, float(out.value), via=f"{route}_bound")
         if out.status != MINIMIZERS:
             return None
         eps = float(out.value)
         if radius is not None and not all(
             float((p - u) @ (p - u)) <= 0.99 * radius for p in out.points
         ):
-            return VerifyResult(INCONCLUSIVE_RUN, eps, log=log)
+            return VerifyResult(INCONCLUSIVE_RUN, eps)
         # the bound only resolves eps down to the solve's accuracy
         if eps >= -EPS_TOL and out.accuracy <= EPS_TOL:
-            return VerifyResult(SOLUTION, eps, via=f"{route}_points", log=log)
+            return VerifyResult(SOLUTION, eps, via=f"{route}_points")
         if eps < -EPS_TOL:
             polished = [
                 _polish_comparison_point(problem, fu, p, max(1e-4, RANK_WIDENING * out.accuracy))
@@ -346,7 +342,7 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
             ]
             pts = [p for p in polished if violation(p, phi, psi) <= 10 * TOL_FEAS]
             if pts:
-                return VerifyResult("cut", eps, pts, via=f"{route}_points", log=log)
+                return VerifyResult("cut", eps, pts, via=f"{route}_points")
         return None
 
     if problem.recipe.can_reinstantiate:
@@ -362,7 +358,7 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     # radius - |x - u|^2
     ball = Polynomial.quadratic(n, radius - float(u @ u), 2.0 * u, -np.eye(n))
     verdict = settle(PolyProgram(ell, phi, psi + (ball,), n), "ball", radius)
-    return verdict or VerifyResult(INCONCLUSIVE_RUN, None, log=log)
+    return verdict or VerifyResult(INCONCLUSIVE_RUN, None)
 
 
 def _log_entry(phase, loop, status, **extra):
@@ -377,7 +373,6 @@ def _solve_loop(
     cuts: CutSet,
     extra_ineqs: list[Polynomial],
     opts: SolverOptions,
-    infeasible_status: str,
 ) -> SolveOutcome:
     log: list = []
     for loop in range(opts.max_loops):
@@ -396,7 +391,7 @@ def _solve_loop(
             )
         )
         if cand.status == INFEASIBLE:
-            return SolveOutcome(infeasible_status, order=cand.order, loops=loop + 1, log=log)
+            return SolveOutcome(NO_SOLUTION, order=cand.order, loops=loop + 1, log=log)
         if cand.status != MINIMIZERS:
             return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1, log=log)
 
@@ -443,7 +438,7 @@ def solve_one(problem: VipProblem, opts: SolverOptions | None = None) -> SolveOu
     opts = opts or SolverOptions()
     theta = random_theta(problem.n, opts.seed)
     cuts = CutSet()
-    return _solve_loop(problem, theta, cuts, [], opts, NO_SOLUTION)
+    return _solve_loop(problem, theta, cuts, [], opts)
 
 
 def find_delta(
@@ -491,25 +486,6 @@ def find_delta(
     return delta, False, log
 
 
-def solve_next(
-    problem: VipProblem,
-    theta: ThetaForm,
-    cuts: CutSet,
-    x_star,
-    opts: SolverOptions,
-) -> tuple[SolveOutcome, bool]:
-    """Search strictly above the certified gap over theta(x*).
-
-    Returns the outcome and whether the gap was certified.
-    """
-    delta, certified, dlog = find_delta(problem, theta, cuts, x_star, opts)
-    theta_star = theta.evaluate(x_star)
-    floor = Polynomial.constant(problem.n, -(theta_star + delta)) + theta.poly
-    out = _solve_loop(problem, theta, cuts, [floor], opts, NO_MORE_SOLUTIONS)
-    out.log = dlog + out.log
-    return out, certified
-
-
 def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> EnumerationResult:
     """Enumerate solutions in increasing generic-objective order."""
     opts = opts or SolverOptions()
@@ -517,7 +493,7 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
     cuts = CutSet()
     log: list = []
 
-    first = _solve_loop(problem, theta, cuts, [], opts, NO_SOLUTION)
+    first = _solve_loop(problem, theta, cuts, [], opts)
     log.extend(first.log)
     if first.status == NO_SOLUTION:
         return EnumerationResult(
@@ -533,9 +509,13 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
     order = None
 
     while len(sols) < MAX_SOLUTIONS:
-        nxt, certified = solve_next(problem, theta, cuts, sols[-1], opts)
+        # search strictly above the certified gap over theta(x*)
+        delta, certified, dlog = find_delta(problem, theta, cuts, sols[-1], opts)
+        log.extend(dlog)
+        floor = Polynomial.constant(problem.n, -(theta.evaluate(sols[-1]) + delta)) + theta.poly
+        nxt = _solve_loop(problem, theta, cuts, [floor], opts)
         log.extend(nxt.log)
-        if nxt.status == NO_MORE_SOLUTIONS:
+        if nxt.status == NO_SOLUTION:
             complete = certified
             order = nxt.order
             break

@@ -93,6 +93,7 @@ def test_unbounded_set_certified_empty_at_low_order():
     assert elapsed <= 120.0
 
 
+@pytest.mark.slow
 def test_ring_enumeration_and_empty_variant():
     t0 = time.monotonic()
     problem, opts = fixture("ring_four_solutions.json")
@@ -138,6 +139,7 @@ def test_eigenvalue_over_second_order_cone():
         assert np.max(np.abs(res.point - ref)) <= 1e-3
 
 
+@pytest.mark.slow
 def test_capital_stock_equilibrium():
     problem, opts = fixture("capital_stock.json")
     t0 = time.monotonic()
@@ -150,6 +152,7 @@ def test_capital_stock_equilibrium():
     assert elapsed <= 600.0
 
 
+@pytest.mark.slow
 def test_gnep_shared_ball_unique_equilibrium():
     problem, opts = fixture("gnep_shared_ball.json")
     t0 = time.monotonic()

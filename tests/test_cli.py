@@ -57,7 +57,7 @@ def test_parse_round_trip():
     assert problem.n == 2
     assert opts.seed == 4
     for p, terms in zip(problem.F, data["F"]):
-        assert p.terms == Polynomial.from_json(2, terms).terms
+        assert p == Polynomial.from_json(2, terms)
     assert problem.cs.eq_idx == ()
     assert problem.cs.ineq_idx == (0,)
 
@@ -75,6 +75,45 @@ def test_parse_rejects_malformed():
     bad3["options"] = {"bogus_knob": 1}
     with pytest.raises(cli.ProblemFileError):
         cli.parse_problem(bad3)
+
+
+# where the messages about the first term of F[0] begin
+T0 = "F[0], term 0: "
+
+
+@pytest.mark.parametrize(
+    "poly,key,value,message",
+    [
+        (0, "exp", [1.5, 0], T0 + "exponents must be integers >= 0, got [1.5, 0]"),
+        (0, "exp", [1.0, 0], T0 + "exponents must be integers >= 0, got [1.0, 0]"),
+        (0, "exp", [True, 0], T0 + "exponents must be integers >= 0, got [True, 0]"),
+        (1, "exp", [-1, 0], "F[1], term 0: exponents must be integers >= 0, got [-1, 0]"),
+        (0, "exp", 3, T0 + "exponent must be a list of n=2 integers, got 3"),
+        (0, "exp", [1], T0 + "exponent must be a list of n=2 integers, got [1]"),
+        (0, "exp", [10**30, 0], "F[0]: bad object exponents of shape (2, 2) for n=2"),
+        (0, "coef", "abc", T0 + "coefficient must be a finite number, got 'abc'"),
+        (0, "coef", float("nan"), T0 + "coefficient must be a finite number, got nan"),
+        (0, "coef", float("inf"), T0 + "coefficient must be a finite number, got inf"),
+        (0, "coef", True, T0 + "coefficient must be a finite number, got True"),
+        (0, "coef", 10**400, T0 + f"coefficient must be a finite number, got {10**400}"),
+        (None, "F", 5, "F must be a list, got 5"),
+        (None, "constraints", 5, "constraints must be a list, got 5"),
+        (None, "n", True, "n must be a positive integer, got True"),
+        (None, "n", 2.0, "n must be a positive integer, got 2.0"),
+    ],
+)
+def test_malformed_problem_file_exits_1(tmp_path, poly, key, value, message):
+    # poly: the F entry whose first term gets `key` set, or None for a top-level key
+    data = projection_dict()
+    if poly is None:
+        data[key] = value
+    else:
+        data["F"][poly][0][key] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    result = invoke("solve", str(path))
+    assert result.exit_code == 1
+    assert result.output == f"error: {path}: {message}\n"
 
 
 def test_solve_command_finds_projection(tiny_file, tmp_path):

@@ -75,7 +75,7 @@ def test_product_of_monomials():
     # (2*x1*x2) * (3*x2) == 6*x1*x2^2
     p = Polynomial(2, {(1, 1): 2.0})
     q = Polynomial(2, {(0, 1): 3.0})
-    assert (p * q).terms == {(1, 2): 6.0}
+    assert p * q == Polynomial(2, {(1, 2): 6.0})
 
 
 def test_evaluate_simple():
@@ -91,7 +91,7 @@ def test_zero_polynomial_degree_and_identity():
     assert p + z == p
     assert (p - p).is_zero
     # cancellation prunes the stored term
-    assert (p - p).terms == {}
+    assert (p - p).exps.shape == (0, 3) and (p - p).coefs.shape == (0,)
 
 
 def test_lift_entry():
@@ -114,8 +114,8 @@ def test_moment_vector_length_check():
 
 def test_partial_derivative():
     p = Polynomial(2, {(2, 1): 3.0, (0, 1): 1.0})
-    assert p.partial(0).terms == {(1, 1): 6.0}
-    assert p.partial(1).terms == {(2, 0): 3.0, (0, 0): 1.0}
+    assert p.partial(0) == Polynomial(2, {(1, 1): 6.0})
+    assert p.partial(1) == Polynomial(2, {(2, 0): 3.0, (0, 0): 1.0})
 
 
 def test_json_round_trip():
@@ -128,8 +128,8 @@ def test_power():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     p = (x + y) ** 2
-    assert p.terms == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
-    assert (x**0).terms == {(0, 0): 1.0}
+    assert p == Polynomial(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0})
+    assert x**0 == Polynomial(2, {(0, 0): 1.0})
 
 
 # ---- randomized properties ----------------------------------------------
@@ -137,17 +137,46 @@ def test_power():
 coefs = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
 
-def poly_strategy(n: int, max_deg: int = 3):
-    exps = st.tuples(*[st.integers(0, max_deg) for _ in range(n)]).filter(
+def exp_strategy(n: int, max_deg: int = 3):
+    return st.tuples(*[st.integers(0, max_deg) for _ in range(n)]).filter(
         lambda e: sum(e) <= max_deg
     )
-    return st.dictionaries(exps, coefs, min_size=0, max_size=6).map(
+
+
+def poly_strategy(n: int, max_deg: int = 3):
+    return st.dictionaries(exp_strategy(n, max_deg), coefs, min_size=0, max_size=6).map(
         lambda terms: Polynomial(n, terms)
     )
 
 
 def point_strategy(n: int):
     return st.tuples(*[st.floats(-2, 2, allow_nan=False) for _ in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shuffled_duplicated_rows_give_the_dict_built_polynomial(data):
+    n = data.draw(st.integers(1, 3))
+    # no subnormals, so that c / 2 + c / 2 == c
+    normal = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    terms = data.draw(st.dictionaries(exp_strategy(n), normal, max_size=6))
+    # every term as two exact halves, plus rows that cancel to exactly 0
+    rows = [(e, c / 2) for e, c in terms.items()] * 2
+    gone = data.draw(
+        st.lists(exp_strategy(n).filter(lambda e: e not in terms), max_size=3, unique=True)
+    )
+    for e in gone:
+        a = data.draw(normal)
+        rows += [(e, a), (e, -a)]
+    rows = data.draw(st.permutations(rows))
+    p = Polynomial.from_terms(n, [e for e, _ in rows], [c for _, c in rows])
+    want = Polynomial(n, terms)
+    assert p == want
+    x = data.draw(point_strategy(n))
+    assert p.evaluate(x) == want.evaluate(x)
+    assert (np.diff(monomial_index(p.exps)) > 0).all()
+    assert (p.coefs != 0).all()
+    assert not p.exps.flags.writeable and not p.coefs.flags.writeable
 
 
 @settings(max_examples=120, deadline=None)
@@ -206,6 +235,22 @@ def test_product_evaluates_correctly(data):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_matches_the_term_loop(data):
+    # the reference loop: term i of f times every term of g, then term i + 1,
+    # each product added to its monomial's running sum
+    n = data.draw(st.integers(1, 3))
+    f = data.draw(poly_strategy(n, 2))
+    g = data.draw(poly_strategy(n, 2))
+    out: dict = {}
+    for e1, c1 in zip(f.exps.tolist(), f.coefs.tolist()):
+        for e2, c2 in zip(g.exps.tolist(), g.coefs.tolist()):
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    assert f * g == Polynomial(n, out)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_quadratic_evaluates_its_form(data):
@@ -222,14 +267,14 @@ def test_quadratic_evaluates_its_form(data):
     for i in range(n):
         for j in range(i, n):
             want = mat[i, i] if i == j else mat[i, j] + mat[j, i]
-            assert p.coefficient(tuple(unit[i] + unit[j])) == want
+            at = (p.exps == unit[i] + unit[j]).all(axis=1)
+            assert p.coefs[at].sum() == want
 
 
 def test_quadratic_term_order():
     p = Polynomial.quadratic(2, 1.0, [2.0, 3.0], [[4.0, 5.0], [6.0, 7.0]])
-    assert list(p.terms.items()) == [
-        ((0, 0), 1.0), ((1, 0), 2.0), ((0, 1), 3.0), ((2, 0), 4.0), ((1, 1), 11.0), ((0, 2), 7.0)
-    ]
+    assert p.exps.tolist() == [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]
+    assert p.coefs.tolist() == [1.0, 2.0, 3.0, 4.0, 11.0, 7.0]
     assert Polynomial.quadratic(3) == Polynomial.zero(3)
 
 

@@ -2,8 +2,12 @@ import re
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from polyvi import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_example(capsys):
@@ -18,3 +22,12 @@ def test_readme_library_example(capsys):
     assert printed.rstrip().endswith("True")
     assert len(res.solutions) == 1
     assert np.max(np.abs(res.solutions[0] - np.array([0.6, 0.8]))) <= 1e-6
+
+
+def test_readme_verify_example_is_accepted():
+    # the `polyvi verify` line of the fixtures block, run from the repository root
+    line = re.search(r"^polyvi verify (\S+) --point (\S+)$", README.read_text(), re.M)
+    path, point = line.groups()
+    result = CliRunner().invoke(cli.main, ["verify", str(ROOT / path), "--point", point])
+    assert result.exit_code == 0, result.output
+    assert "verdict          accepted" in result.output

@@ -48,10 +48,10 @@ def cubic_ncp_problem():
 def test_random_theta_reproducible_and_pd():
     t1 = vs.random_theta(3, seed=11)
     t2 = vs.random_theta(3, seed=11)
-    assert t1.poly.terms == t2.poly.terms
+    assert t1.poly == t2.poly
     assert np.linalg.eigvalsh(t1.matrix)[0] > 0
     t3 = vs.random_theta(3, seed=12)
-    assert t3.poly.terms != t1.poly.terms
+    assert t3.poly != t1.poly
 
 
 def test_theta_poly_matches_matrix_form():
