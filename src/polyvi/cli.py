@@ -34,9 +34,12 @@ import numpy as np
 
 from .lme import ConstraintSystem, TemplateMismatch
 from .momentsdp import TOL_FEAS, ExtractionFailed
-from .polycore import Polynomial, basis, violation
+from .polycore import Polynomial, basis, is_int, violation
 from .vipsolver import (
     EPS_TOL,
+    NO_SOLUTION,
+    SOLUTION,
+    SOLUTIONS,
     SolverOptions,
     active_subset_bounds,
     build_problem,
@@ -60,33 +63,16 @@ def _fail(msg: str):
     raise ProblemFileError(msg)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _poly_from_json(n, data, where):
-    if not isinstance(data, list):
-        _fail(f"{where}: expected a list of terms")
-    for i, item in enumerate(data):
-        if not isinstance(item, dict) or "coef" not in item or "exp" not in item:
-            _fail(f"{where}, term {i}: need 'coef' and 'exp'")
-        exp, coef = item["exp"], item["coef"]
-        if not isinstance(exp, list) or len(exp) != n:
-            _fail(f"{where}, term {i}: exponent must be a list of n={n} integers, got {exp!r}")
-        if not all(_is_int(e) and e >= 0 for e in exp):
-            _fail(f"{where}, term {i}: exponents must be integers >= 0, got {exp!r}")
-        # NaN fails the comparison; an int past the float range fails it too
-        if not (_is_int(coef) or isinstance(coef, float)) or not abs(coef) <= sys.float_info.max:
-            _fail(f"{where}, term {i}: coefficient must be a finite number, got {coef!r}")
     try:
-        return Polynomial.from_json(n, data)
-    except ValueError as exc:  # an exponent past the int64 range
-        _fail(f"{where}: {exc}")
+        return Polynomial.from_json(n, data, where)
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 def _check_option(label: str, name: str, value) -> int:
     """value when it is an integer (not a bool) of at least _FLAG_MIN[name]."""
-    if not _is_int(value):
+    if not is_int(value):
         _fail(f"{label} must be an integer, got {value!r}")
     if value < _FLAG_MIN[name]:
         _fail(f"{label} must be >= {_FLAG_MIN[name]}, got {value}")
@@ -121,7 +107,7 @@ def parse_problem(data: dict, source: str = "<data>"):
         if key not in data:
             _fail(f"{source}: missing required key '{key}'")
     n = data["n"]
-    if not _is_int(n) or n < 1:
+    if not is_int(n) or n < 1:
         _fail(f"{source}: n must be a positive integer, got {n!r}")
     for key in ("F", "constraints"):
         if not isinstance(data[key], list):
@@ -230,13 +216,14 @@ def gen_eig_soc(n: int, seed: int) -> dict:
     }
 
 
-def gen_capital(n1: int, n2: int, seed: int, rho: float = 0.8) -> dict:
+def gen_capital(n1: int, n2: int, seed: int) -> dict:
     """Stationary activity/stock field over the nonnegative orthant.
 
     f(x) = [x]_1^T C^T C [x]_1 with C one row/column wider than n1 so the
     affine part of the loss is generated too.
     """
     rng = np.random.default_rng(seed)
+    rho = 0.8
     n = n1 + n2
     a_mat = rng.standard_normal((n2, n1))
     c_mat = rng.standard_normal((n1 + 1, n1 + 1))
@@ -459,7 +446,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
             ],
             log=res.log,
         )
-        ok = res.status in ("solutions", "no_solution")
+        ok = res.status in (SOLUTIONS, NO_SOLUTION)
     else:
         res = solve_one(problem, opts)
         report.update(
@@ -471,7 +458,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
             else [{"point": res.point, "eps": res.eps, "objective": res.objective}],
             log=res.log,
         )
-        ok = res.status in ("solution", "no_solution")
+        ok = res.status in (SOLUTION, NO_SOLUTION)
     report["blas_threads"] = blas_threads()
     report["time"] = time.time() - t0
     _emit(report, as_json, out)
@@ -495,7 +482,7 @@ def cmd_verify(file, point, as_json):
     cs = problem.cs
     feas = violation(u, [cs.g[i] for i in cs.eq_idx], [cs.g[i] for i in cs.ineq_idx])
     res = verify_candidate(problem, u, opts)
-    accepted = res.status == "solution" and feas <= TOL_FEAS
+    accepted = res.status == SOLUTION and feas <= TOL_FEAS
     report = {
         "command": "verify",
         "file": file,
@@ -600,8 +587,8 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         t0 = time.time()
         try:
             res = solve_one(problem, SolverOptions(seed=s))
-            solved = res.status == "solution" and abs(res.eps) <= EPS_TOL
-            certified_empty = res.status == "no_solution"
+            solved = res.status == SOLUTION and abs(res.eps) <= EPS_TOL
+            certified_empty = res.status == NO_SOLUTION
             status = res.status
         except (np.linalg.LinAlgError, ExtractionFailed) as exc:
             # numerical failures count against SR; programming errors propagate

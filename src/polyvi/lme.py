@@ -332,31 +332,52 @@ class LmeRecipe:
         return LmeSet(lams, None, rewrite)
 
 
+def _json_list(value, where: str, length: int, what: str) -> list:
+    """value when it is a list of `length` entries; `what` names them."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    if len(value) != length:
+        raise ValueError(f"{where} must have {what}, got {len(value)}")
+    return value
+
+
 def recipe_from_spec(data: dict, cs: ConstraintSystem) -> LmeRecipe:
-    """Parse the problem-file `lme` object: {kind}, {L}, or {lambdas, denoms}."""
+    """Parse the problem-file `lme` object: {kind}, {L}, or {lambdas, denoms}.
+
+    A kind that is not a string, a list of another length or a bad term
+    raises a ValueError that names its place, such as `L[0][1], term 0`.
+    """
+    n, m = cs.n, cs.m
     if "kind" in data:
+        if not isinstance(data["kind"], str):
+            raise ValueError(f"kind must be a string, got {data['kind']!r}")
         kind = normalize_kind(data["kind"])
         if kind == SOC_QUADRIC:
-            probe = tuple(Polynomial.zero(cs.n) for _ in range(cs.n))
+            probe = tuple(Polynomial.zero(n) for _ in range(n))
             soc_lme(probe, cs)  # template match check
             return LmeRecipe(cs, kind=kind)
         matrix = catalog_lme(kind, cs)
         return LmeRecipe(cs, kind=kind, matrix=matrix)
     if "L" in data:
-        rows = tuple(
-            tuple(Polynomial.from_json(cs.n, cell) for cell in row) for row in data["L"]
-        )
-        matrix = LmeMatrix(rows, cs.n)
+        rows = []
+        for i, row in enumerate(_json_list(data["L"], "L", m, f"m={m} rows")):
+            cells = _json_list(row, f"L[{i}]", n + m, f"n+m={n + m} cells")
+            rows.append(
+                tuple(Polynomial.from_json(n, c, f"L[{i}][{j}]") for j, c in enumerate(cells))
+            )
+        matrix = LmeMatrix(tuple(rows), n)
         if not verify_lme(matrix, cs):
             raise TemplateMismatch("supplied L matrix is not an exact left inverse")
         return LmeRecipe(cs, matrix=matrix)
     if "lambdas" in data:
-        lams = tuple(Polynomial.from_json(cs.n, item) for item in data["lambdas"])
+        items = _json_list(data["lambdas"], "lambdas", m, f"m={m} entries")
+        lams = tuple(Polynomial.from_json(n, p, f"lambdas[{i}]") for i, p in enumerate(items))
         denoms = None
         if data.get("denoms") is not None:
+            items = _json_list(data["denoms"], "denoms", m, f"m={m} entries")
             denoms = tuple(
-                None if item is None else Polynomial.from_json(cs.n, item)
-                for item in data["denoms"]
+                None if p is None else Polynomial.from_json(n, p, f"denoms[{i}]")
+                for i, p in enumerate(items)
             )
         return LmeRecipe(cs, explicit=LmeSet(lams, denoms))
     raise ValueError("lme object needs one of: kind, L, lambdas")

@@ -54,15 +54,6 @@ EXTRACT_TOL = 1e-6
 GAP_WIDENING = 30.0
 RANK_WIDENING = 50.0
 
-# log labels of the backend's exit statuses
-_LABELS = {
-    sb.OPTIMAL: "optimal",
-    sb.PRIMAL_INFEASIBLE: "infeasible",
-    sb.DUAL_INFEASIBLE: "unbounded",
-    sb.NUMERICAL_FAILURE: "numerical_failure",
-}
-
-
 class ExtractionFailed(RuntimeError):
     """Atom extraction could not reproduce the moment matrix."""
 
@@ -307,7 +298,6 @@ class HierarchyOutcome:
     order: int
     value: float | None = None
     points: list = field(default_factory=list)
-    log: list = field(default_factory=list)
     # accuracy of the solve behind value/points; callers widen their own
     # tolerances accordingly when the backend ran in relaxed mode
     accuracy: float = 0.0
@@ -338,50 +328,37 @@ def minimize(
     """Run relaxations of increasing order until a certificate fires.
 
     Orders d0 .. d0 + k_max_extra are tried; `seed` picks the extraction's
-    random combination.  A trusted bound >= `floor` ends the run with
-    BOUND_REACHED, without extraction.  Orders after the first are solved in
-    dilated coordinates sized from the latest moment estimate; large
-    solution coordinates otherwise blow up the moment matrices' dynamic
-    range and stall the backend.
+    random combination.  Each order is solved on dilate_program(prog, s):
+    s starts at ones, where the dilation is exact, and grows toward the
+    latest moment estimate, since large solution coordinates otherwise blow
+    up the moment matrices' dynamic range and stall the backend.  The run
+    ends with INFEASIBLE at an infeasible order, BOUND_REACHED at a trusted
+    bound >= `floor` (without extraction), or MINIMIZERS (in x) once
+    candidate points reach the bound; else it is INCONCLUSIVE at order
+    d0 + k_max_extra, with the largest bound and the accuracy and trust of
+    the last optimal solve.
     """
     d0 = prog.d0
-    log: list[dict] = []
-    best_value: float | None = None
-    last_order = d0
-    last_acc = 0.0
-    last_trusted = True
     s_vec = np.ones(prog.n)
+    out = HierarchyOutcome(INCONCLUSIVE, d0 + k_max_extra)
 
     for k in range(d0, d0 + k_max_extra + 1):
-        scaled = bool(np.any(s_vec != 1.0))
-        prog_k = dilate_program(prog, s_vec) if scaled else prog
+        prog_k = dilate_program(prog, s_vec)
         res = sb.solve(build_relaxation(prog_k, k))
-        entry = {"order": k, "status": _LABELS[res.status], "value": res.objective}
-        if scaled:
-            entry["scale"] = [round(v, 3) for v in s_vec]
-        log.append(entry)
-        last_order = k
-
         if res.status == sb.PRIMAL_INFEASIBLE:
-            return HierarchyOutcome(INFEASIBLE, k, log=log)
+            return HierarchyOutcome(INFEASIBLE, k)
         if res.status != sb.OPTIMAL:
             continue
 
         bound = res.objective
-        y = MomentVector(prog_k.n, 2 * k, res.y)
+        y = MomentVector(prog.n, 2 * k, res.y)
         # a solve the backend settled at reduced accuracy is not trusted: its
         # bound cannot stop the run, and its accuracy widens every test below
         acc = res.accuracy
         trusted = not res.residuals.get("relaxed", False)
-        best_value = bound if best_value is None else max(best_value, bound)
-        s_used = s_vec
-        last_y = y.dilated(s_used) if scaled else y
-        last_acc, last_trusted = acc, trusted
-        s_vec = _scale_update(s_used, last_y)
-
-        def to_x(u):
-            u = np.asarray(u, dtype=float)
-            return s_used * u if scaled else u
+        out.value = bound if out.value is None else max(out.value, bound)
+        out.accuracy, out.trusted = acc, trusted
+        s_used, s_vec = s_vec, _scale_update(s_vec, y.dilated(s_vec))
 
         gap_eff = max(TOL_GAP, GAP_WIDENING * acc * max(1.0, abs(bound)))
         feas_eff = max(TOL_FEAS, GAP_WIDENING * acc)
@@ -389,43 +366,33 @@ def minimize(
         extract_eff = max(EXTRACT_TOL, RANK_WIDENING * acc)
 
         if trusted and floor is not None and bound >= floor:
-            return HierarchyOutcome(
-                BOUND_REACHED, k, value=bound, log=log, accuracy=acc, trusted=True
-            )
+            return HierarchyOutcome(BOUND_REACHED, k, value=bound, accuracy=acc)
 
-        def accepted(u) -> bool:
-            return (
-                violation(u, prog_k.phi, prog_k.psi) <= feas_eff
+        def minimizers(candidates) -> HierarchyOutcome | None:
+            """MINIMIZERS with the candidates (in z) that reach the bound, or None."""
+            good = [
+                s_used * u
+                for u in candidates
+                if violation(u, prog_k.phi, prog_k.psi) <= feas_eff
                 and abs(prog_k.theta.evaluate(u) - bound) <= gap_eff
-            )
+            ]
+            return HierarchyOutcome(MINIMIZERS, k, bound, good, acc, trusted) if good else None
 
         # the point check: the degree-one moments as a candidate minimizer
-        u = y.values[1 : prog_k.n + 1]
-        if accepted(u):
-            return HierarchyOutcome(
-                MINIMIZERS, k, value=bound, points=[to_x(u)], log=log,
-                accuracy=acc, trusted=trusted,
-            )
+        found = minimizers([y.values[1 : prog.n + 1]])
+        if found:
+            return found
 
         mk = moment_matrix(y, k)
         for t in range(d0, k + 1):
-            r = flat_truncation(mk, prog_k.n, d0, t, rank_eff)
+            r = flat_truncation(mk, prog.n, d0, t, rank_eff)
             if r is None:
                 continue
             try:
-                points = extract_minimizers(mk, prog_k.n, t, r, seed, extract_eff)
-            except ExtractionFailed as exc:
-                log.append({"order": k, "status": "extraction_failed", "detail": str(exc), "t": t})
+                found = minimizers(extract_minimizers(mk, prog.n, t, r, seed, extract_eff))
+            except ExtractionFailed:
                 continue
-            good = [to_x(u) for u in points if accepted(u)]
-            if good:
-                return HierarchyOutcome(
-                    MINIMIZERS, k, value=bound, points=good, log=log,
-                    accuracy=acc, trusted=trusted,
-                )
-            log.append({"order": k, "status": "atoms_rejected", "t": t, "count": len(points)})
+            if found:
+                return found
 
-    return HierarchyOutcome(
-        INCONCLUSIVE, last_order, value=best_value, log=log,
-        accuracy=last_acc, trusted=last_trusted,
-    )
+    return out

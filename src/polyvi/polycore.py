@@ -18,9 +18,10 @@ x, and `pairing(f, lift(x, 2k)) == f(x)` whenever deg f <= 2k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,15 +32,9 @@ class DegreeOverflowError(ValueError):
     """Raised when a polynomial exceeds the degree a moment vector supports."""
 
 
-def _exact_grade(n: int, total: int) -> Iterator[Exponent]:
-    # First variable takes the largest share first, which yields the
-    # lex-descending order inside one grade.
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _exact_grade(n - 1, total - head):
-            yield (head,) + tail
+def is_int(value) -> bool:
+    """Whether value is an integer and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @lru_cache(maxsize=None)
@@ -70,12 +65,21 @@ def basis(n: int, d: int) -> np.ndarray:
     """All monomials in n variables of degree <= d, one exponent row each.
 
     The rows follow the package order, row 0 is the constant monomial, and
-    there are C(n+d, d) of them.  The array is cached and read-only.
+    there are C(n+d, d) of them.  The array is cached and read-only.  Every
+    monomial of degree d is one of degree d - 1 times a variable, so the rows
+    are basis(n, d - 1) and its rows shifted by each unit vector, each kept
+    once and sorted by monomial_index.
     """
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    exps = [e for total in range(d + 1) for e in _exact_grade(n, total)]
-    arr = np.array(exps, dtype=np.int64).reshape(len(exps), n)
+    if d == 0:
+        arr = np.zeros((1, n), dtype=np.int64)
+    else:
+        prev = basis(n, d - 1)
+        shifted = prev[:, None, :] + np.eye(n, dtype=np.int64)
+        rows = np.vstack([prev, shifted.reshape(-1, n)])
+        _, first = np.unique(monomial_index(rows), return_index=True)
+        arr = rows[first]
     arr.flags.writeable = False
     return arr
 
@@ -277,10 +281,35 @@ class Polynomial:
         ]
 
     @staticmethod
-    def from_json(n: int, data: list[dict]) -> "Polynomial":
-        return Polynomial.from_terms(
-            n, [item["exp"] for item in data], [item["coef"] for item in data]
-        )
+    def from_json(n: int, data: list[dict], where: str = "polynomial") -> "Polynomial":
+        """The polynomial of a list of {"coef", "exp"} terms; anything else
+        raises a ValueError that names `where` and the term."""
+        if not isinstance(data, list):
+            raise ValueError(f"{where}: expected a list of terms")
+        for i, item in enumerate(data):
+            if not isinstance(item, dict) or "coef" not in item or "exp" not in item:
+                raise ValueError(f"{where}, term {i}: need 'coef' and 'exp'")
+            exp, coef = item["exp"], item["coef"]
+            if not isinstance(exp, list) or len(exp) != n:
+                raise ValueError(
+                    f"{where}, term {i}: exponent must be a list of n={n} integers, got {exp!r}"
+                )
+            if not all(is_int(e) and e >= 0 for e in exp):
+                raise ValueError(
+                    f"{where}, term {i}: exponents must be integers >= 0, got {exp!r}"
+                )
+            # NaN fails the comparison; an int past the float range fails it too
+            number = is_int(coef) or isinstance(coef, float)
+            if not number or not abs(coef) <= sys.float_info.max:
+                raise ValueError(
+                    f"{where}, term {i}: coefficient must be a finite number, got {coef!r}"
+                )
+        try:
+            return Polynomial.from_terms(
+                n, [item["exp"] for item in data], [item["coef"] for item in data]
+            )
+        except ValueError as exc:  # an exponent past the int64 range
+            raise ValueError(f"{where}: {exc}") from None
 
     def __repr__(self):
         if self.is_zero:

@@ -170,13 +170,15 @@ class CutSet:
 
 
 SOLUTION = "solution"
+SOLUTIONS = "solutions"
 NO_SOLUTION = "no_solution"
 INCONCLUSIVE_RUN = "inconclusive"
+CUT = "cut"
 
 
 @dataclass
 class VerifyResult:
-    status: str  # "solution" | "cut" | "inconclusive"
+    status: str  # SOLUTION | CUT | INCONCLUSIVE_RUN
     eps: float | None
     cut_points: list = field(default_factory=list)
     via: str = ""  # "kkt_bound" | "kkt_points" | "ball_bound" | "ball_points"
@@ -195,7 +197,7 @@ class SolveOutcome:
 
 @dataclass
 class EnumerationResult:
-    status: str  # "solutions" | "no_solution" | "inconclusive"
+    status: str  # SOLUTIONS | NO_SOLUTION | INCONCLUSIVE_RUN
     solutions: list = field(default_factory=list)
     eps: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
@@ -220,7 +222,7 @@ def find_candidate(
     return minimize(prog, opts.k_max_extra, opts.seed)
 
 
-def _kkt_polish(field, jac, cs: ConstraintSystem, x0, tol_active=1e-4, iters=12):
+def _kkt_polish(field, jac, cs: ConstraintSystem, x0, tol_active=1e-4):
     """Gauss-Newton refinement of an approximate KKT point.
 
     Stationarity plus the constraints active at x0 form a system with exact
@@ -254,7 +256,7 @@ def _kkt_polish(field, jac, cs: ConstraintSystem, x0, tol_active=1e-4, iters=12)
     x = x0.copy()
     best_x = x.copy()
     best = float(np.linalg.norm(residual(x, lam), np.inf))
-    for _ in range(iters):
+    for _ in range(12):
         if best <= 1e-14:
             break
         gm = grad_mat(x)
@@ -342,7 +344,7 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
             ]
             pts = [p for p in polished if violation(p, phi, psi) <= 10 * TOL_FEAS]
             if pts:
-                return VerifyResult("cut", eps, pts, via=f"{route}_points")
+                return VerifyResult(CUT, eps, pts, via=f"{route}_points")
         return None
 
     if problem.recipe.can_reinstantiate:
@@ -420,7 +422,7 @@ def _solve_loop(
                     order=cand.order,
                     log=log,
                 )
-            if ver.status == "cut":
+            if ver.status == CUT:
                 for v in ver.cut_points:
                     if cuts.add(v):
                         added += 1
@@ -534,7 +536,7 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
         objs.append(nxt.objective)
 
     return EnumerationResult(
-        "solutions", sols, eps, objs, complete=complete, order=order, log=log
+        SOLUTIONS, sols, eps, objs, complete=complete, order=order, log=log
     )
 
 

@@ -79,6 +79,8 @@ def test_parse_rejects_malformed():
 
 # where the messages about the first term of F[0] begin
 T0 = "F[0], term 0: "
+# one well-formed lambda for the m=1 projection problem
+LAM = [[{"coef": 1.0, "exp": [1, 0]}]]
 
 
 @pytest.mark.parametrize(
@@ -100,6 +102,37 @@ T0 = "F[0], term 0: "
         (None, "constraints", 5, "constraints must be a list, got 5"),
         (None, "n", True, "n must be a positive integer, got True"),
         (None, "n", 2.0, "n must be a positive integer, got 2.0"),
+        (None, "lme", {"kind": 3}, "lme: kind must be a string, got 3"),
+        (None, "lme", 5, "lme: cannot interpret lme=5"),
+        (None, "lme", {"L": 5}, "lme: L must be a list, got 5"),
+        (None, "lme", {"L": []}, "lme: L must have m=1 rows, got 0"),
+        (
+            None,
+            "lme",
+            {"L": [[[{"coef": -0.5, "exp": [1, 0]}]]]},
+            "lme: L[0] must have n+m=3 cells, got 1",
+        ),
+        (
+            None,
+            "lme",
+            {"L": [[[], [{"coef": 1.0, "exp": [0.5, 0]}], []]]},
+            "lme: L[0][1], term 0: exponents must be integers >= 0, got [0.5, 0]",
+        ),
+        (None, "lme", {"lambdas": []}, "lme: lambdas must have m=1 entries, got 0"),
+        (
+            None,
+            "lme",
+            {"lambdas": [[{"coef": float("nan"), "exp": [1, 0]}]]},
+            "lme: lambdas[0], term 0: coefficient must be a finite number, got nan",
+        ),
+        (
+            None,
+            "lme",
+            {"lambdas": [[{"coef": 1.0, "exp": [1.5, 0]}]]},
+            "lme: lambdas[0], term 0: exponents must be integers >= 0, got [1.5, 0]",
+        ),
+        (None, "lme", {"lambdas": LAM, "denoms": []}, "lme: denoms must have m=1 entries, got 0"),
+        (None, "lme", {"lambdas": LAM, "denoms": [5]}, "lme: denoms[0]: expected a list of terms"),
     ],
 )
 def test_malformed_problem_file_exits_1(tmp_path, poly, key, value, message):
@@ -114,6 +147,20 @@ def test_malformed_problem_file_exits_1(tmp_path, poly, key, value, message):
     result = invoke("solve", str(path))
     assert result.exit_code == 1
     assert result.output == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "lme",
+    [
+        "ball",
+        {"lambdas": LAM},
+        {"lambdas": LAM, "denoms": None},
+        {"lambdas": LAM, "denoms": [None]},
+    ],
+)
+def test_well_formed_lme_parses(lme):
+    problem, _ = cli.parse_problem({**projection_dict(), "lme": lme})
+    assert len(problem.lam.lambdas) == 1
 
 
 def test_solve_command_finds_projection(tiny_file, tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_polycore import exp_strategy
 
 from polyvi import momentsdp as ms
 from polyvi import sdpbackend as sb
@@ -155,6 +158,55 @@ def test_point_check_builds_no_moment_matrix(monkeypatch):
     ball = poly1({(0,): 1.0, (2,): -1.0})
     out = ms.minimize(ms.PolyProgram(theta, (), (ball,), 1))
     assert out.status == ms.MINIMIZERS
+
+
+def test_minimize_inconclusive_keeps_the_largest_bound(monkeypatch):
+    # min -x^2 over [-1, 1] with extraction made to fail: the degree-one
+    # moment is 0, so neither order certifies anything
+    solves, extractions = [], []
+    original = sb.solve
+
+    def recording(problem):
+        solves.append(original(problem))
+        return solves[-1]
+
+    def failing(*args, **kwargs):
+        extractions.append(args)
+        raise ms.ExtractionFailed("made to fail")
+
+    monkeypatch.setattr(sb, "solve", recording)
+    monkeypatch.setattr(ms, "extract_minimizers", failing)
+    theta = poly1({(2,): -1.0})
+    ball = poly1({(0,): 1.0, (2,): -1.0})
+    prog = ms.PolyProgram(theta, (), (ball,), 1)
+    out = ms.minimize(prog, k_max_extra=1)
+    assert extractions
+    assert [r.status for r in solves] == [sb.OPTIMAL, sb.OPTIMAL]
+    assert out.status == ms.INCONCLUSIVE
+    assert out.order == prog.d0 + 1
+    assert out.value == max(r.objective for r in solves)
+    assert out.accuracy == solves[-1].accuracy
+    assert out.trusted == (not solves[-1].residuals.get("relaxed", False))
+    assert out.points == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dilating_by_ones_changes_no_bit(data):
+    # minimize solves every order on a dilated program, the first on ones
+    n = data.draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    polys = st.dictionaries(exp_strategy(n), finite, max_size=6).map(lambda t: Polynomial(n, t))
+    ones = np.ones(n)
+    theta = data.draw(polys)
+    assert theta.dilated(ones) == theta
+    phi, psi = (tuple(data.draw(st.lists(polys, max_size=2))) for _ in range(2))
+    prog = ms.PolyProgram(theta, phi, psi, n)
+    assert ms.dilate_program(prog, ones) == prog
+    size = len(basis(n, 4))
+    values = np.array(data.draw(st.lists(st.floats(allow_nan=False), min_size=size, max_size=size)))
+    y = MomentVector(n, 4, values)
+    assert y.dilated(ones).values.tobytes() == values.tobytes()
 
 
 def test_minimize_detects_empty_set():

@@ -157,8 +157,11 @@ def point_strategy(n: int):
 @given(st.data())
 def test_shuffled_duplicated_rows_give_the_dict_built_polynomial(data):
     n = data.draw(st.integers(1, 3))
-    # no subnormals, so that c / 2 + c / 2 == c
-    normal = st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    # c / 2 is exact, so that c / 2 + c / 2 == c, unless it is subnormal:
+    # keep |c| at or above twice the least normal float
+    normal = st.floats(-10, 10, allow_nan=False).filter(
+        lambda c: c == 0 or abs(c) >= 2 * np.finfo(float).tiny
+    )
     terms = data.draw(st.dictionaries(exp_strategy(n), normal, max_size=6))
     # every term as two exact halves, plus rows that cancel to exactly 0
     rows = [(e, c / 2) for e, c in terms.items()] * 2

@@ -1,0 +1,172 @@
+"""Record every SDP solve of the benchmark's command lines, or compare two records.
+
+    python3 tools/sdp_capture.py OUT.json [--fixture NAME]...
+    python3 tools/sdp_capture.py --compare A.json B.json
+
+A capture runs polyvi from the `src` tree next to this file, in this process,
+through `cli.main`, with every OpenBLAS on one thread.  The command lines are
+those of the four benchmark workloads (`perfbench/workloads.py`), and each
+`--fixture NAME` adds `solve --all` on `fixtures/NAME.json`.  For each SDP
+that `sdpbackend.solve` returns it writes the moment count m, the status, the
+exit, the iteration count and the sha1 of the bytes of y; for each command
+line, its exit code and its --json report without `file` and without any
+`time` entry (null when the command wrote none).
+
+`--compare` prints every difference between two captures and exits 1 when
+there is one, 0 otherwise.  To compare two versions of the code, copy this
+file into a checkout of each and capture both.
+
+The m=1716 search SDP of large-sdp seed 1 does not always give the same
+iterate in two processes of the same code: its objective came out as
+20.94184220864513 in one capture and 20.941842208643994 in another, which
+differed only in what ran before it in the process.  Capture each side twice
+when that SDP differs; it agrees when some capture of one side equals some
+capture of the other.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# before numpy loads: OpenBLAS reads its thread count once, at load time
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import child  # noqa: E402
+import workloads  # noqa: E402
+from polyvi import cli, sdpbackend  # noqa: E402
+
+run_cli = functools.partial(child.run_cli, cli)
+
+
+def _untimed(value):
+    """value without any dict entry named `time`, at any depth."""
+    if isinstance(value, dict):
+        return {k: _untimed(v) for k, v in value.items() if k != "time"}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
+def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
+    """{target name: [one record per command line]} for (kind, name) targets."""
+    sdps: list[dict] = []
+    solve = sdpbackend.solve
+
+    def recording_solve(problem, *args, **kwargs):
+        res = solve(problem, *args, **kwargs)
+        y = None if res.y is None else hashlib.sha1(np.ascontiguousarray(res.y).tobytes())
+        sdps.append(
+            {
+                "m": problem.num_vars,
+                "status": res.status,
+                "exit": res.exit,
+                "iterations": res.iterations,
+                "y_sha1": None if y is None else y.hexdigest(),
+            }
+        )
+        return res
+
+    sdpbackend.solve = recording_solve
+    out: dict = {}
+    try:
+        for kind, name in targets:
+            if kind == "fixture":
+                path = ROOT / "fixtures" / f"{name}.json"
+                lines = [(name, ["solve", str(path), "--all"])]
+            else:
+                insts = workloads.prepare(name, workdir, run_cli)
+                lines = [(inst.label, inst.argv) for inst in insts]
+            records = []
+            report_path = workdir / "report.json"
+            for label, argv in lines:
+                report_path.unlink(missing_ok=True)
+                sdps.clear()
+                code = run_cli(argv + ["--json", "--out", str(report_path)])
+                report = None
+                if report_path.exists():
+                    report = _untimed(json.loads(report_path.read_text()))
+                    report.pop("file", None)
+                records.append(
+                    {"label": label, "exit_code": code, "report": report, "sdps": sdps[:]}
+                )
+            out[f"{kind} {name}"] = records
+    finally:
+        sdpbackend.solve = solve
+    return out
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    """One line per difference between two captures."""
+    diffs = []
+    for target in sorted(set(a) | set(b)):
+        if target not in a or target not in b:
+            diffs.append(f"{target}: only in {'the first' if target in a else 'the second'}")
+            continue
+        ra, rb = a[target], b[target]
+        if [r["label"] for r in ra] != [r["label"] for r in rb]:
+            diffs.append(f"{target}: command lines differ")
+            continue
+        for x, y in zip(ra, rb):
+            where = f"{target} / {x['label']}"
+            if x["exit_code"] != y["exit_code"]:
+                diffs.append(f"{where}: exit code {x['exit_code']} != {y['exit_code']}")
+            if None in (x["report"], y["report"]):
+                if x["report"] != y["report"]:
+                    diffs.append(f"{where}: only one command line wrote a report")
+            else:
+                keys = sorted(
+                    k for k in set(x["report"]) | set(y["report"])
+                    if x["report"].get(k) != y["report"].get(k)
+                )
+                if keys:
+                    diffs.append(f"{where}: report differs in {', '.join(keys)}")
+            if len(x["sdps"]) != len(y["sdps"]):
+                diffs.append(f"{where}: {len(x['sdps'])} SDPs against {len(y['sdps'])}")
+            for i, (s, t) in enumerate(zip(x["sdps"], y["sdps"])):
+                for key in s:
+                    if s[key] != t[key]:
+                        diffs.append(f"{where}, SDP {i} (m={s['m']}): {key} {s[key]} != {t[key]}")
+    return diffs
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", nargs="?", type=Path, help="where to write the capture")
+    ap.add_argument("--fixture", action="append", default=[])
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    args = ap.parse_args()
+
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        diffs = compare(a, b)
+        for line in diffs:
+            print(line)
+        sdps = sum(len(r["sdps"]) for records in a.values() for r in records)
+        print(f"{len(diffs)} differences over {sdps} SDPs of {len(a)} targets")
+        return 1 if diffs else 0
+
+    if args.out is None:
+        ap.error("give OUT, or --compare A B")
+    targets = [("workload", w) for w in sorted(workloads.WORKLOADS)]
+    targets += [("fixture", f) for f in args.fixture]
+    with tempfile.TemporaryDirectory() as tmp:
+        result = capture(targets, Path(tmp))
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"{sum(len(r['sdps']) for rs in result.values() for r in rs)} SDPs -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
