@@ -16,8 +16,10 @@ Each option is an integer: seed >= 0, max_loops >= 1, k_max_extra >= 0, in
 the file, on the command line and in POLYVI_SEED alike.  A seed comes from
 --seed, else the file's options.seed, else POLYVI_SEED, else 0.
 
-Exit codes: 0 solved / certified / accepted, 1 bad input, 2 inconclusive
-or rejected.
+Exit codes: 0 solved / certified / accepted, 2 inconclusive or rejected,
+1 bad input (one `error:` line): a value in a problem file, a flag,
+POLYVI_SEED, --point or --dims, or a file `bound` cannot count.  A usage
+error that click reports itself (a missing or unknown argument) exits 2.
 """
 
 import contextlib
@@ -49,8 +51,11 @@ from .vipsolver import (
 )
 
 
-class ProblemFileError(Exception):
-    """A problem file that cannot be parsed or validated."""
+class ProblemFileError(click.ClickException):
+    """Bad input (a file, flag, POLYVI_SEED or point): `error: <message>`, exit 1."""
+
+    def show(self, file=None):
+        click.echo(f"error: {self.message}", file=file, err=True)
 
 
 # the least value of each field of SolverOptions, all of them integers
@@ -59,23 +64,19 @@ _OPTION_MIN = {"seed": 0, "max_loops": 1, "k_max_extra": 0}
 _FLAG_MIN = {**_OPTION_MIN, "count": 0, "degree": 0}
 
 
-def _fail(msg: str):
-    raise ProblemFileError(msg)
-
-
 def _poly_from_json(n, data, where):
     try:
         return Polynomial.from_json(n, data, where)
     except ValueError as exc:
-        _fail(str(exc))
+        raise ProblemFileError(str(exc))
 
 
 def _check_option(label: str, name: str, value) -> int:
     """value when it is an integer (not a bool) of at least _FLAG_MIN[name]."""
     if not is_int(value):
-        _fail(f"{label} must be an integer, got {value!r}")
+        raise ProblemFileError(f"{label} must be an integer, got {value!r}")
     if value < _FLAG_MIN[name]:
-        _fail(f"{label} must be >= {_FLAG_MIN[name]}, got {value}")
+        raise ProblemFileError(f"{label} must be >= {_FLAG_MIN[name]}, got {value}")
     return value
 
 
@@ -84,7 +85,7 @@ def _int_flag(label: str, name: str, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        _fail(f"{label} must be an integer, got {text!r}")
+        raise ProblemFileError(f"{label} must be an integer, got {text!r}")
     return _check_option(label, name, value)
 
 
@@ -102,18 +103,18 @@ def _seed_option(text: str | None) -> int:
 def parse_problem(data: dict, source: str = "<data>"):
     """Build (VipProblem, SolverOptions) from a problem-file dict."""
     if not isinstance(data, dict):
-        _fail(f"{source}: top level must be an object")
+        raise ProblemFileError(f"{source}: top level must be an object")
     for key in ("n", "F", "constraints", "lme"):
         if key not in data:
-            _fail(f"{source}: missing required key '{key}'")
+            raise ProblemFileError(f"{source}: missing required key '{key}'")
     n = data["n"]
     if not is_int(n) or n < 1:
-        _fail(f"{source}: n must be a positive integer, got {n!r}")
+        raise ProblemFileError(f"{source}: n must be a positive integer, got {n!r}")
     for key in ("F", "constraints"):
         if not isinstance(data[key], list):
-            _fail(f"{source}: {key} must be a list, got {data[key]!r}")
+            raise ProblemFileError(f"{source}: {key} must be a list, got {data[key]!r}")
     if len(data["F"]) != n:
-        _fail(f"{source}: F has {len(data['F'])} entries, expected n={n}")
+        raise ProblemFileError(f"{source}: F has {len(data['F'])} entries, expected n={n}")
     F = tuple(
         _poly_from_json(n, item, f"{source}: F[{i}]") for i, item in enumerate(data["F"])
     )
@@ -121,22 +122,22 @@ def parse_problem(data: dict, source: str = "<data>"):
     for i, item in enumerate(data["constraints"]):
         where = f"{source}: constraints[{i}]"
         if not isinstance(item, dict) or "poly" not in item or "kind" not in item:
-            _fail(f"{where}: need 'poly' and 'kind'")
+            raise ProblemFileError(f"{where}: need 'poly' and 'kind'")
         if item["kind"] not in ("eq", "ineq"):
-            _fail(f"{where}: kind must be 'eq' or 'ineq', got {item['kind']!r}")
+            raise ProblemFileError(f"{where}: kind must be 'eq' or 'ineq', got {item['kind']!r}")
         g.append(_poly_from_json(n, item["poly"], where))
         (eq_idx if item["kind"] == "eq" else ineq_idx).append(i)
     cs = ConstraintSystem(tuple(g), tuple(eq_idx), tuple(ineq_idx), n)
     try:
         problem = build_problem(F, cs, data["lme"], name=str(data.get("name", "")))
     except (TemplateMismatch, ValueError, TypeError) as exc:
-        _fail(f"{source}: lme: {exc}")
+        raise ProblemFileError(f"{source}: lme: {exc}")
     opts_data = data.get("options", {})
     if not isinstance(opts_data, dict):
-        _fail(f"{source}: options must be an object, got {opts_data!r}")
+        raise ProblemFileError(f"{source}: options must be an object, got {opts_data!r}")
     unknown = set(opts_data) - set(_OPTION_MIN)
     if unknown:
-        _fail(f"{source}: unknown options {sorted(unknown)}")
+        raise ProblemFileError(f"{source}: unknown options {sorted(unknown)}")
     opts = {
         name: _check_option(f"{source}: options.{name}", name, value)
         for name, value in opts_data.items()
@@ -255,21 +256,21 @@ FAMILIES = ("ball", "eig-linear", "eig-soc", "capital")
 def generate(family: str, dims: tuple[int, ...], degree: int, seed: int) -> dict:
     if family == "ball":
         if len(dims) != 1 or dims[0] < 1:
-            _fail("ball family needs dims N with N >= 1")
+            raise ProblemFileError("ball family needs dims N with N >= 1")
         return gen_ball(dims[0], degree, seed)
     if family == "eig-linear":
         if len(dims) != 1 or dims[0] < 2:
-            _fail("eig-linear family needs dims N with N >= 2")
+            raise ProblemFileError("eig-linear family needs dims N with N >= 2")
         return gen_eig_linear(dims[0], seed)
     if family == "eig-soc":
         if len(dims) != 1 or dims[0] < 2:
-            _fail("eig-soc family needs dims N with N >= 2")
+            raise ProblemFileError("eig-soc family needs dims N with N >= 2")
         return gen_eig_soc(dims[0], seed)
     if family == "capital":
         if len(dims) != 2 or min(dims) < 1:
-            _fail("capital family needs dims N1,N2")
+            raise ProblemFileError("capital family needs dims N1,N2")
         return gen_capital(dims[0], dims[1], seed)
-    _fail(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    raise ProblemFileError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
 
 
 # -- reports -------------------------------------------------------------------
@@ -307,23 +308,11 @@ def _emit(report: dict, as_json: bool, out: str | None, render=_render_solutions
         click.echo(text)
 
 
-def _exit_error(msg: str):
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(1)
-
-
-def _load_or_exit(path: str):
-    try:
-        return load_problem(path)
-    except ProblemFileError as exc:
-        _exit_error(str(exc))
-
-
 def _parse_dims(dims: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in dims.split(","))
     except ValueError:
-        _exit_error(f"cannot parse dims {dims!r}")
+        raise ProblemFileError(f"cannot parse dims {dims!r}")
 
 
 # -- BLAS threads --------------------------------------------------------------
@@ -417,20 +406,17 @@ def main():
 @click.option("--out", type=click.Path(), default=None)
 def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     """Solve the problem in FILE; exit 0 solved/certified, 2 inconclusive."""
-    problem, opts = _load_or_exit(file)
+    problem, opts = load_problem(file)
     flags = (
         ("--seed", "seed", seed),
         ("--max-loops", "max_loops", max_loops),
         ("--max-order-extra", "k_max_extra", max_order_extra),
     )
-    try:
-        chosen = {
-            name: _int_flag(label, name, text)
-            for label, name, text in flags
-            if text is not None
-        }
-    except ProblemFileError as exc:
-        _exit_error(str(exc))
+    chosen = {
+        name: _int_flag(label, name, text)
+        for label, name, text in flags
+        if text is not None
+    }
     opts = dataclasses.replace(opts, **chosen)
     t0 = time.time()
     report = {"command": "solve", "file": file, "mode": "all" if mode_all else "one"}
@@ -471,13 +457,15 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(file, point, as_json):
     """Check whether POINT solves the problem in FILE (gap tolerance 1e-6)."""
-    problem, opts = _load_or_exit(file)
+    problem, opts = load_problem(file)
     try:
         u = np.array([float(v) for v in point.replace(" ", "").split(",") if v != ""])
     except ValueError:
-        _exit_error(f"cannot parse point {point!r}")
+        raise ProblemFileError(f"cannot parse point {point!r}")
     if len(u) != problem.n:
-        _exit_error(f"point has {len(u)} coordinates, expected {problem.n}")
+        raise ProblemFileError(f"point has {len(u)} coordinates, expected {problem.n}")
+    if not np.isfinite(u).all():
+        raise ProblemFileError(f"point coordinates must be finite, got {point!r}")
     t0 = time.time()
     cs = problem.cs
     feas = violation(u, [cs.g[i] for i in cs.eq_idx], [cs.g[i] for i in cs.ineq_idx])
@@ -516,8 +504,11 @@ def cmd_verify(file, point, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_bound(file, as_json):
     """Print candidate-count bounds per active constraint subset."""
-    problem, _ = _load_or_exit(file)
-    rows, total = active_subset_bounds(problem)
+    problem, _ = load_problem(file)
+    try:
+        rows, total = active_subset_bounds(problem)
+    except ValueError as exc:
+        raise ProblemFileError(f"{file}: {exc}")
     report = {
         "command": "bound",
         "file": file,
@@ -546,18 +537,10 @@ def cmd_bound(file, as_json):
 def cmd_gen_random(family, dims, degree, seed, out):
     """Generate a random problem file from a named family."""
     dim_tuple = _parse_dims(dims)
-    try:
-        degree = _int_flag("--degree", "degree", degree)
-        data = generate(family, dim_tuple, degree, _seed_option(seed))
-        parse_problem(data, source=f"generated {family}")  # self check
-    except ProblemFileError as exc:
-        _exit_error(str(exc))
-    text = json.dumps(data, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    degree = _int_flag("--degree", "degree", degree)
+    data = generate(family, dim_tuple, degree, _seed_option(seed))
+    parse_problem(data, source=f"generated {family}")  # self check
+    _emit(data, True, out)
 
 
 @main.command("batch")
@@ -570,20 +553,14 @@ def cmd_gen_random(family, dims, degree, seed, out):
 def cmd_batch(family, dims, count, degree, seed, as_json):
     """Solve COUNT random instances; report the success rate and mean time."""
     dim_tuple = _parse_dims(dims)
-    try:
-        count = _int_flag("--count", "count", count)
-        degree = _int_flag("--degree", "degree", degree)
-        seed0 = _seed_option(seed)
-    except ProblemFileError as exc:
-        _exit_error(str(exc))
+    count = _int_flag("--count", "count", count)
+    degree = _int_flag("--degree", "degree", degree)
+    seed0 = _seed_option(seed)
     runs = []
     for i in range(count):
         s = seed0 + i
-        try:
-            data = generate(family, dim_tuple, degree, s)
-            problem, _ = parse_problem(data, source=f"instance {i}")
-        except ProblemFileError as exc:
-            _exit_error(str(exc))
+        data = generate(family, dim_tuple, degree, s)
+        problem, _ = parse_problem(data, source=f"instance {i}")
         t0 = time.time()
         try:
             res = solve_one(problem, SolverOptions(seed=s))

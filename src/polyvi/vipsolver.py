@@ -23,6 +23,7 @@ are always re-verified against the original problem data.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -547,15 +548,12 @@ def complete_symmetric(r: int, vals) -> int:
     """h_r(vals): sum of all degree-r monomials in the given values."""
     if r < 0:
         raise ValueError("negative degree")
-    ways = [0] * (r + 1)
-    ways[0] = 1
+    # in place, t rising: h_t(vals[:i+1]) = h_t(vals[:i]) + v_i h_{t-1}(vals[:i+1])
+    ways = [1] + [0] * r
     for v in vals:
         v = int(v)
-        new = [0] * (r + 1)
-        new[0] = ways[0]
         for t in range(1, r + 1):
-            new[t] = ways[t] + v * new[t - 1]
-        ways = new
+            ways[t] += v * ways[t - 1]
     return ways[r]
 
 
@@ -573,10 +571,7 @@ def algebraic_degree_bound(f_degs, g_degs) -> int:
     if any(d < 0 for d in f_degs) or any(d < 1 for d in g_degs):
         raise ValueError("degrees must be positive")
     a = max(f_degs) if f_degs else 0
-    prod_b = 1
-    for b in g_degs:
-        prod_b *= b
-    return prod_b * complete_symmetric(n - m, [a] + g_degs)
+    return math.prod(g_degs) * complete_symmetric(n - m, [a] + g_degs)
 
 
 def active_subset_bounds(problem: VipProblem):
@@ -588,15 +583,17 @@ def active_subset_bounds(problem: VipProblem):
     cs = problem.cs
     f_degs = [f.degree for f in problem.F]
     eq_degs = [cs.g[i].degree for i in cs.eq_idx]
-    rows = []
-    total = 0
     max_extra = cs.n - len(cs.eq_idx)
     if max_extra < 0:
-        raise ValueError("more equality constraints than variables")
+        raise ValueError(f"{len(cs.eq_idx)} equality constraints for n={cs.n} variables")
+    # the equalities, and the inequalities when an active set has room for one
+    for i in sorted(cs.eq_idx + (cs.ineq_idx if max_extra else ())):
+        if cs.g[i].degree == 0:
+            raise ValueError(f"constraint {i} has degree 0")
+    rows = []
     for size in range(0, max_extra + 1):
         for subset in combinations(cs.ineq_idx, size):
             g_degs = eq_degs + [cs.g[i].degree for i in subset]
             bound = algebraic_degree_bound(f_degs, g_degs)
             rows.append({"active": tuple(cs.eq_idx) + subset, "bound": bound})
-            total += bound
-    return rows, total
+    return rows, sum(r["bound"] for r in rows)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -336,6 +337,11 @@ def test_verify_infeasible_point_rejected(tiny_file):
 def test_verify_bad_point_exits_1(tiny_file):
     assert invoke("verify", tiny_file, "--point", "1,2,3").exit_code == 1
     assert invoke("verify", tiny_file, "--point", "a,b").exit_code == 1
+    # float() reads these, and the comparison relaxation cannot take them
+    for point in ("nan,0", "inf,0", "1e400,0"):
+        result = invoke("verify", tiny_file, "--point", point)
+        assert result.exit_code == 1
+        assert result.output == f"error: point coordinates must be finite, got {point!r}\n"
 
 
 def test_bound_projection_total(tiny_file):
@@ -355,6 +361,57 @@ def test_bound_fixture_oracle():
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["total"] == 2059
+
+
+def _terms(*exps, coef=1.0):
+    return [{"coef": coef, "exp": list(e)} for e in exps]
+
+
+# n=1 with x = 0 and x^2 = 1 as equalities: more equalities than variables
+TWO_EQUALITIES = {
+    "n": 1,
+    "F": [_terms((1,))],
+    "constraints": [
+        {"poly": _terms((1,)), "kind": "eq"},
+        {"poly": _terms((2,)) + _terms((0,), coef=-1.0), "kind": "eq"},
+    ],
+    "lme": {"lambdas": [[], []]},
+}
+# the projection problem with the constant 1 >= 0 as its one constraint
+CONSTANT_CONSTRAINT = {
+    **projection_dict(),
+    "constraints": [{"poly": _terms((0, 0)), "kind": "ineq"}],
+    "lme": {"lambdas": [_terms((0, 0))]},
+}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (TWO_EQUALITIES, "2 equality constraints for n=1 variables"),
+        (CONSTANT_CONSTRAINT, "constraint 0 has degree 0"),
+    ],
+    ids=["two-equalities", "degree-0"],
+)
+def test_bound_refuses_what_it_cannot_count(tmp_path, data, message):
+    cli.parse_problem(data)  # a well-formed file, which solve takes
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    result = invoke("bound", str(path))
+    assert result.exit_code == 1
+    assert result.output == f"error: {path}: {message}\n"
+
+
+def test_bound_ignores_an_inequality_no_active_set_holds(tmp_path):
+    # n=1 with one equality: the constant inequality is never active
+    data = {**TWO_EQUALITIES, "constraints": [
+        TWO_EQUALITIES["constraints"][0], {"poly": _terms((0,)), "kind": "ineq"}
+    ]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    result = invoke("bound", str(path), "--json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["subsets"] == [{"active": [0], "bound": 1}]
 
 
 def test_gen_random_is_deterministic(tmp_path):
@@ -413,6 +470,43 @@ def test_gen_random_bad_dims(tmp_path):
     assert invoke("gen-random", "capital", "--dims", "3").exit_code == 1
     assert invoke("gen-random", "ball", "--dims", "0").exit_code == 1
     assert invoke("gen-random", "eig-linear", "--dims", "1").exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{dir}/nope.json"),
+        ("verify", "{dir}/nope.json", "--point", "0,0"),
+        ("gen-random", "ball", "--dims", "x"),
+        ("batch", "ball", "--dims", "2", "--count", "x"),
+    ],
+)
+def test_bad_input_raises_problem_file_error_in_process(tmp_path, argv):
+    # without standalone mode, bad input leaves as a click exception that
+    # exits 1, as click's own usage errors leave as theirs
+    with pytest.raises(cli.ProblemFileError) as info:
+        cli.main.main([a.format(dir=tmp_path) for a in argv], standalone_mode=False)
+    assert isinstance(info.value, click.ClickException)
+    assert info.value.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve",),
+        ("solve", "{file}", "--bogus"),
+        ("verify", "{file}"),
+        ("gen-random", "ball"),
+        ("batch", "ball"),
+        ("gen-random", "torus", "--dims", "2"),
+    ],
+    ids=["missing-file", "unknown-option", "missing-point", "missing-dims", "batch-missing-dims",
+         "unknown-family"],
+)
+def test_click_usage_error_exits_2(tiny_file, argv):
+    result = invoke(*(a.format(file=tiny_file) for a in argv))
+    assert result.exit_code == 2
+    assert result.output.startswith("Usage: ")
 
 
 def test_batch_reports_success_rate():

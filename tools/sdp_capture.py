@@ -9,8 +9,9 @@ those of the four benchmark workloads (`perfbench/workloads.py`), and each
 `--fixture NAME` adds `solve --all` on `fixtures/NAME.json`.  For each SDP
 that `sdpbackend.solve` returns it writes the moment count m, the status, the
 exit, the iteration count and the sha1 of the bytes of y; for each command
-line, its exit code and its --json report without `file` and without any
-`time` entry (null when the command wrote none).
+line, its exit code (1 for bad input, such as a fixture that fails to
+parse) and its --json report without `file` and without any `time` entry
+(null when the command wrote none).
 
 `--compare` prints every difference between two captures and exits 1 when
 there is one, 0 otherwise.  To compare two versions of the code, copy this
@@ -27,7 +28,6 @@ capture of the other.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -41,13 +41,20 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import click  # noqa: E402
 import numpy as np  # noqa: E402
 
 import child  # noqa: E402
 import workloads  # noqa: E402
 from polyvi import cli, sdpbackend  # noqa: E402
 
-run_cli = functools.partial(child.run_cli, cli)
+
+def run_cli(argv: list[str]) -> int:
+    """perfbench's run_cli, with bad input (a click error) giving its exit code."""
+    try:
+        return child.run_cli(cli, argv)
+    except click.ClickException as exc:
+        return exc.exit_code
 
 
 def _untimed(value):
