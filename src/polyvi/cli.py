@@ -459,7 +459,7 @@ def cmd_verify(file, point, as_json):
     """Check whether POINT solves the problem in FILE (gap tolerance 1e-6)."""
     problem, opts = load_problem(file)
     try:
-        u = np.array([float(v) for v in point.replace(" ", "").split(",") if v != ""])
+        u = np.array([float(v) for v in point.replace(" ", "").split(",")])
     except ValueError:
         raise ProblemFileError(f"cannot parse point {point!r}")
     if len(u) != problem.n:

@@ -27,12 +27,16 @@ Per iteration the method
      without densifying any A_b.  For a block of size s, where A_b has c_b
      nonzero rows I_b, the compressed rows A_b[I_b, :] T^-1 cost O(s*nnz)
      for all variables together, and T^-1 A_b T^-1 = T^-1[I_b, :]^T
-     (A_b[I_b, :] T^-1) costs s^2*c_b per variable.  A sparse contraction
-     of every A_a against these products (entries r <= c, weighted 2 off the
-     diagonal) then costs O(m*nnz).  It fills the upper triangle (a <= b)
-     and part of the lower one; the factorization H = R^T R reads only the
-     upper triangle.  With W = R^-T A^T, the equality complement A H^-1 A^T
-     is W^T W,
+     (A_b[I_b, :] T^-1) costs s^2*c_b per variable.  Per column chunk of
+     variables b < stop, one flat index gathers the upper-triangle entries
+     (r <= c) of all their T^-1 A_b T^-1, and a sparse contraction with
+     the A_a of the rows a < stop (weighted 2 off the diagonal), O(m*nnz)
+     in all, gives H_ab for every a <= b.  Each chunk writes its columns
+     of H as contiguous rows of an m x m array, and H is that array's
+     transpose: a Fortran-ordered view whose upper triangle (a <= b), all
+     that the factorization H = R^T R reads, goes to LAPACK without a
+     transposing copy.  With W = R^-T A^T, the equality complement
+     A H^-1 A^T is W^T W,
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -170,11 +174,10 @@ def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
 # the Schur assembly.  A smaller chunk pads fewer rows (each chunk pads its
 # variables to its own largest c_b) but makes more scipy and numpy calls.
 # Re-solving captured SDPs at 1 thread (2-core Xeon, OpenBLAS 0.3.31), median
-# ms per IPM iteration over 4 interleaved rounds with 1e5 / 1.5e5 / 2.5e5 /
-# 1e6 entries: 49.8 / 49.9 / 51.2 / 74.4 on six ring SDPs (m=495 and 210) and
-# 400 / 368 / 341 / 367 on an m=1716 ball SDP, whose rounds spread by up to
-# 30 %; an earlier round gave 56.6 / 57.5 / 70.9 on ring.  H's
-# upper triangle came out bitwise the same at every chunk from 1e4 to 1e6
+# ms per IPM iteration over 4 interleaved rounds with 1e5 / 2.5e5 / 1e6
+# entries: 37.8 / 40.7 / 48.0 on six ring SDPs (m=495 and 210) and
+# 246 / 244 / 256 on an m=1716 ball SDP, whose rounds spread by up to 12 %.
+# H's upper triangle came out bitwise the same at every chunk from 1e4 to 1e6
 # entries, and so did the iteration counts.
 _SCHUR_CHUNK = 1.0e5
 
@@ -183,19 +186,30 @@ class _Cone:
     """One PSD block: its span of the cone vector and its Schur assembly data.
 
     A_b is the block's s x s matrix of variable b in G (the scaled -A_b); only
-    variables up to the block's last one get an entry.  `contract` holds row
-    a of the upper-triangle contraction: A_a on the positions `upper` (flat
-    r*s + c, r <= c) that any A_a uses, doubled off the diagonal, so that
-    <A_a, Z> = contract[a] . Z.flat[upper] for every symmetric Z.  `chunks`
-    lists, per column range [start, stop) of k variables, the nonzero rows
-    I_b of each A_b as a (k, c) index array padded with row 0 to the range's
-    largest count c, and the compressed rows A_b[I_b, :] as one sparse
-    (k*c, s) matrix whose row (b - start)*c + j is row I_b[j] of A_b and
-    whose padding rows are empty.  `_schur` contracts all rows of `contract`
-    against each chunk; the rows a >= stop land below H's diagonal.
+    variables up to the block's last one get an entry.  Row a of the
+    upper-triangle contraction `contract` is A_a on the positions `upper`
+    (flat r*s + c, r <= c) that any A_a uses, doubled off the diagonal, so
+    that <A_a, Z> = contract[a] . Z.flat[upper] for every symmetric Z.
+    `chunks` holds one tuple (start, stop, row_idx, a_rows, flat, prefix) per
+    column range [start, stop) of k variables:
+
+      - row_idx: the nonzero rows I_b of each A_b as a (k, c) index array,
+        padded with row 0 to the range's largest count c;
+      - a_rows: the compressed rows A_b[I_b, :] as one sparse (k*c, s)
+        matrix whose row (b - start)*c + j is row I_b[j] of A_b and whose
+        padding rows are empty;
+      - flat: the (len(upper), k) index upper[u] + s*s*(b - start), which
+        takes Z_b.flat[upper], Z_b = T^-1 A_b T^-1, of all k variables from
+        their (k, s*s) stack in one gather;
+      - prefix: rows a < stop of `contract`, the only rows with a <= b for
+        the range's variables.
+
+    `flats` maps (s, k, upper) to `flat` and is shared by the IPM's cones, so
+    blocks of one size and pattern hold one index per width k (a block has at
+    most two widths).  Each prefix shares the memory of the next longer one.
     """
 
-    def __init__(self, size: int, span: slice, g_blk: sp.csr_matrix):
+    def __init__(self, size: int, span: slice, g_blk: sp.csr_matrix, flats: dict):
         self.size = size
         self.span = span
         coo = g_blk.tocoo()
@@ -203,10 +217,10 @@ class _Cone:
         var = coo.col
         m_used = int(var.max()) + 1 if len(var) else 0
         up = rows <= cols
-        self.upper, pos = np.unique(coo.row[up], return_inverse=True)
+        upper, pos = np.unique(coo.row[up], return_inverse=True)
         weight = np.where(rows[up] == cols[up], 1.0, 2.0)
-        self.contract = sp.csr_matrix(
-            (weight * coo.data[up], (var[up], pos)), shape=(m_used, len(self.upper))
+        contract = sp.csr_matrix(
+            (weight * coo.data[up], (var[up], pos)), shape=(m_used, len(upper))
         )
         # each distinct (variable, row) pair and its slot j among the rows of
         # that variable; `pair_of` maps every entry to its pair
@@ -215,8 +229,13 @@ class _Cone:
         slot = np.arange(len(pairs)) - np.searchsorted(pair_var, pair_var)
         counts = np.bincount(pair_var, minlength=m_used)
         width = max(1, int(_SCHUR_CHUNK / (size * size)))
+        # longest prefix first: scipy keeps a prefix built on the arrays of a
+        # longer one as a view, and copies it only when it keeps under half
+        # of them, so all prefixes together hold at most twice `contract`
+        data, indices = contract.data, contract.indices
+        pattern = upper.tobytes()
         self.chunks = []
-        for start in range(0, m_used, width):
+        for start in reversed(range(0, m_used, width)):
             stop = min(m_used, start + width)
             k, c = stop - start, int(counts[start:stop].max())
             if c == 0:
@@ -229,7 +248,15 @@ class _Cone:
                 (coo.data[sel], ((var[sel] - start) * c + slot[pair_of[sel]], cols[sel])),
                 shape=(k * c, size),
             )
-            self.chunks.append((start, stop, row_idx, a_rows))
+            key = (size, k, pattern)
+            if key not in flats:
+                flats[key] = upper[:, None] + size * size * np.arange(k)
+            prefix = sp.csr_matrix(
+                (data, indices, contract.indptr[: stop + 1]), shape=(stop, len(upper))
+            )
+            data, indices = prefix.data, prefix.indices
+            self.chunks.append((start, stop, row_idx, a_rows, flats[key], prefix))
+        self.chunks.reverse()
 
 
 class _ConeState:
@@ -253,7 +280,8 @@ def _chol_with_jitter(mat: np.ndarray, lower: bool = True):
     """Cholesky factor of mat (lower L, or upper R when lower=False, reading
     only that triangle of mat), or else of mat + jitter*I for the first
     jitter of 1e-14, 1e-12, ..., 1e-2 times max(1, max |mat_ii|) that
-    factors; None when none does.  mat is left unchanged."""
+    factors; None when none does.  mat is left unchanged, and the shifted
+    copy keeps its memory order, so scipy copies it without transposing."""
     try:
         return sla.cholesky(mat, lower=lower)
     except np.linalg.LinAlgError:
@@ -261,7 +289,7 @@ def _chol_with_jitter(mat: np.ndarray, lower: bool = True):
     n = mat.shape[0]
     diag = mat.diagonal().copy()
     scale = max(1.0, float(np.abs(diag).max()))
-    work = mat.copy()
+    work = mat.copy(order="K")
     jitter = 1e-14 * scale
     for _ in range(7):
         work.flat[:: n + 1] = diag + jitter
@@ -283,8 +311,11 @@ class ReferenceIpm:
 
         self._gather_cones(problem)
         self._equilibrate(problem.c, problem.eq_rows, problem.eq_rhs)
+        # gather indices by block size, width and upper-triangle pattern; the
+        # blocks of one size mostly share one pattern
+        flats = {}
         self.cones = [
-            _Cone(size, slice(lo, hi), self.G[lo:hi])
+            _Cone(size, slice(lo, hi), self.G[lo:hi], flats)
             for size, lo, hi in zip(self.sizes, self.offsets, self.offsets[1:])
         ]
         self._orthonormalize_equalities()
@@ -450,26 +481,30 @@ class ReferenceIpm:
         """H = G^T (W^T W)^{-1} G, i.e. H_ab = sum over blocks of <A_a, T^-1 A_b T^-1>.
 
         Only the upper triangle (a <= b) is complete; `_factor` reads no more.
+        With states, H is assembled by rows, row b holding column b of H, and
+        returned as the transpose of that array: a Fortran-ordered view.
         """
         if states is None:
             return (self.GT @ self.G).toarray()
-        h_mat = np.zeros((self.m, self.m))
+        h_rows = np.zeros((self.m, self.m))
         for st, cone in zip(states, self.cones):
             s = cone.size
-            for start, stop, row_idx, a_rows in cone.chunks:
+            for start, stop, row_idx, a_rows, flat, prefix in cone.chunks:
                 k, c = row_idx.shape
                 # Z_b = T^-1 A_b T^-1 = T^-1[I_b, :]^T (A_b[I_b, :] T^-1), s*s*c
                 # multiply-adds per variable
                 q = (a_rows @ st.t_inv).reshape(k, c, s)
-                z = np.matmul(st.t_inv[row_idx].transpose(0, 2, 1), q).reshape(k, s * s)
-                h_mat[: cone.contract.shape[0], start:stop] += cone.contract @ z.T[cone.upper]
-        return h_mat
+                z = np.matmul(st.t_inv[row_idx].transpose(0, 2, 1), q)
+                zu = np.take(z.reshape(-1), flat)
+                h_rows[start:stop, :stop] += (prefix @ zu).T
+        return h_rows.T
 
     def _factor(self, states) -> bool:
         h_mat = self._schur(states)
         m = self.m
         # static regularization; iterative refinement absorbs the bias
-        h_mat.flat[:: m + 1] += 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
+        diag = np.arange(m)
+        h_mat[diag, diag] += 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
         # H = R^T R from its upper triangle
         self._hchol = _chol_with_jitter(h_mat, lower=False)
         if self._hchol is None:

@@ -319,9 +319,10 @@ def test_bad_env_seed_exits_1(tiny_file, argv, env_seed, message):
 
 
 def test_verify_accepts_and_rejects(tiny_file):
-    good = invoke("verify", tiny_file, "--point", "0.6,0.8")
-    assert good.exit_code == 0
-    assert "accepted" in good.output
+    for point in ("0.6,0.8", "0.6, 0.8"):
+        good = invoke("verify", tiny_file, "--point", point)
+        assert good.exit_code == 0
+        assert "accepted" in good.output
     bad = invoke("verify", tiny_file, "--point", "0.0,0.0")
     assert bad.exit_code == 2
     assert "rejected" in bad.output
@@ -337,6 +338,12 @@ def test_verify_infeasible_point_rejected(tiny_file):
 def test_verify_bad_point_exits_1(tiny_file):
     assert invoke("verify", tiny_file, "--point", "1,2,3").exit_code == 1
     assert invoke("verify", tiny_file, "--point", "a,b").exit_code == 1
+    # an empty field is not a coordinate, even where dropping it would leave
+    # a point of the right length
+    for point in ("0.6,,0.8", "0.6,0.8,", ",0.6,0.8"):
+        result = invoke("verify", tiny_file, "--point", point)
+        assert result.exit_code == 1
+        assert result.output == f"error: cannot parse point {point!r}\n"
     # float() reads these, and the comparison relaxation cannot take them
     for point in ("nan,0", "inf,0", "1e400,0"):
         result = invoke("verify", tiny_file, "--point", point)

@@ -276,6 +276,9 @@ def test_chol_with_jitter_shifts_singular_psd_matrix(lower):
     assert 0.0 < jitter <= 1e-2
     assert np.abs(shift - jitter * np.eye(4)).max() <= 0.1 * jitter
     assert np.array_equal(mat, copy)
+    # the Schur matrix arrives Fortran-ordered; the shifted copy keeps that
+    # order and the factor its value
+    assert np.array_equal(sb._chol_with_jitter(np.asfortranarray(mat), lower), fac)
 
 
 def schur_problems():
@@ -315,7 +318,8 @@ def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
         assert max(ipm.sizes) == 6 and len(prob.eq_rows) > 1
     if idx == 2 and chunk == 100.0:
         # the ranges pad their nonzero rows to different counts
-        assert len({c.shape[1] for cone in ipm.cones for _, _, c, _ in cone.chunks}) > 2
+        counts = {row_idx.shape[1] for cone in ipm.cones for _, _, row_idx, *_ in cone.chunks}
+        assert len(counts) > 2
     states = _random_states(ipm, np.random.default_rng(idx))
     h = ipm._schur(states)
     ref = np.zeros((ipm.m, ipm.m))
@@ -328,6 +332,31 @@ def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
     # _factor reads the upper triangle, which stands for a symmetric matrix
     assert np.abs(np.triu(h - ref)).max() <= bound
     assert np.abs(np.triu(h) + np.triu(h, 1).T - ref).max() <= bound
+
+
+def test_schur_does_not_depend_on_the_chunk(monkeypatch):
+    # the iteration counts move with the last bit of H (CHANGES.md), so the
+    # column ranges must not change it: each entry sums the same products of
+    # the same blocks in the same order at every chunk
+    prob = schur_problems()[2]
+    uppers, factors = [], []
+    for chunk in (1.0e6, 1.0e4, 100.0):
+        monkeypatch.setattr(sb, "_SCHUR_CHUNK", chunk)
+        ipm = sb.ReferenceIpm(prob, 1e-8, 200)
+        states = _random_states(ipm, np.random.default_rng(2))
+        h = ipm._schur(states)
+        uppers.append(np.triu(h))
+        assert ipm._factor(states)
+        factors.append(ipm._hchol)
+        # the factor of the row-assembled, Fortran-ordered H equals that of
+        # the symmetric C-ordered H with the same diagonal shift
+        sym = np.triu(h) + np.triu(h, 1).T
+        sym[np.diag_indices(ipm.m)] += 1e-10 * max(1.0, float(np.trace(sym)) / ipm.m)
+        assert np.array_equal(ipm._hchol, sla.cholesky(sym, lower=False))
+    assert ipm.m == 28 and len(ipm.cones[0].chunks) > 1
+    for upper, factor in zip(uppers[1:], factors[1:]):
+        assert np.array_equal(upper, uppers[0])
+        assert np.array_equal(factor, factors[0])
 
 
 def test_solve3_residuals():
