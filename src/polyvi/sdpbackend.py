@@ -47,11 +47,11 @@ inconsistent right-hand side short-circuits to primal infeasibility.
 The score of an iterate is the worst of its relative primal, dual and gap
 residuals.  `SdpResult.exit` records where a solve ended:
 
-  - `optimal`: the residuals and the gap are within tol.
+  - `optimal`: the residuals and the gap are within `_TOL`.
   - `certificate`: the iterate is a primal or dual infeasibility
-    certificate within tol.
+    certificate within `_TOL`.
   - `stall`: 30 iterations without cutting the best score by 20 %.
-  - `diverged`: the best score is within the relaxed band max(1e-4, 100 tol)
+  - `diverged`: the best score is within the relaxed band `_RELAXED_BAND`
     and the current one exceeds `_DIVERGE_FACTOR` times it.  Once mu/mu0
     nears 1e-10 the Newton systems lose their accuracy and the score climbs
     by orders of magnitude; on the measured relaxations no later iterate
@@ -64,7 +64,7 @@ residuals.  `SdpResult.exit` records where a solve ended:
 
 After every loop exit except `optimal` and `certificate`, an iterate whose
 kappa dominates tau is tested as a certificate at the looser tolerance
-max(1e-6, 10 tol).  Failing that, the saved best iterate is returned, with
+`_RELAXED_TOL`.  Failing that, the saved best iterate is returned, with
 `residuals["relaxed"]` set, when its score is within the relaxed band; so
 a `diverged` solve returns that best iterate.  Anything else is a numerical
 failure.
@@ -85,6 +85,12 @@ PRIMAL_INFEASIBLE = "primal_infeasible"
 DUAL_INFEASIBLE = "dual_infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
 
+# the accuracy of the `optimal` and `certificate` exits, and the looser
+# bounds of the exits after a break: the score of a best iterate the
+# relaxed exit returns, and the residual of a certificate taken there
+_TOL = 1e-8
+_RELAXED_BAND = max(1e-4, 100 * _TOL)
+_RELAXED_TOL = max(1e-6, 10 * _TOL)
 _STEP_DAMP = 0.99
 # the `diverged` exit's bound on score / best_score.  On the 214 SDPs of the
 # benchmark workloads and the acceptance tests, 100, 1e3 and 1e4 all return
@@ -185,11 +191,13 @@ _SCHUR_CHUNK = 1.0e5
 class _Cone:
     """One PSD block: its span of the cone vector and its Schur assembly data.
 
-    A_b is the block's s x s matrix of variable b in G (the scaled -A_b); only
-    variables up to the block's last one get an entry.  Row a of the
-    upper-triangle contraction `contract` is A_a on the positions `upper`
-    (flat r*s + c, r <= c) that any A_a uses, doubled off the diagonal, so
-    that <A_a, Z> = contract[a] . Z.flat[upper] for every symmetric Z.
+    A_b is the block's s x s matrix of variable b in G (the scaled -A_b),
+    given by the block's entries of G: their position (rows, cols) in the
+    block, variable and value.  Only variables up to the block's last one
+    get an entry.  Row a of the upper-triangle contraction `contract` is
+    A_a on the positions `upper` (flat r*s + c, r <= c) that any A_a uses,
+    doubled off the diagonal, so that <A_a, Z> = contract[a] . Z.flat[upper]
+    for every symmetric Z.
     `chunks` holds one tuple (start, stop, row_idx, a_rows, flat, prefix) per
     column range [start, stop) of k variables:
 
@@ -209,19 +217,14 @@ class _Cone:
     most two widths).  Each prefix shares the memory of the next longer one.
     """
 
-    def __init__(self, size: int, span: slice, g_blk: sp.csr_matrix, flats: dict):
+    def __init__(self, size: int, span: slice, rows, cols, var, vals, flats: dict):
         self.size = size
         self.span = span
-        coo = g_blk.tocoo()
-        rows, cols = np.divmod(coo.row, size)
-        var = coo.col
         m_used = int(var.max()) + 1 if len(var) else 0
         up = rows <= cols
-        upper, pos = np.unique(coo.row[up], return_inverse=True)
+        upper, pos = np.unique(rows[up] * size + cols[up], return_inverse=True)
         weight = np.where(rows[up] == cols[up], 1.0, 2.0)
-        contract = sp.csr_matrix(
-            (weight * coo.data[up], (var[up], pos)), shape=(m_used, len(upper))
-        )
+        contract = sp.csr_matrix((weight * vals[up], (var[up], pos)), shape=(m_used, len(upper)))
         # each distinct (variable, row) pair and its slot j among the rows of
         # that variable; `pair_of` maps every entry to its pair
         pairs, pair_of = np.unique(var * size + rows, return_inverse=True)
@@ -245,7 +248,7 @@ class _Cone:
             row_idx[pair_var[sel] - start, slot[sel]] = pair_row[sel]
             sel = (var >= start) & (var < stop)
             a_rows = sp.csr_matrix(
-                (coo.data[sel], ((var[sel] - start) * c + slot[pair_of[sel]], cols[sel])),
+                (vals[sel], ((var[sel] - start) * c + slot[pair_of[sel]], cols[sel])),
                 shape=(k * c, size),
             )
             key = (size, k, pattern)
@@ -303,21 +306,24 @@ def _chol_with_jitter(mat: np.ndarray, lower: bool = True):
 class ReferenceIpm:
     """State for one solve; not reusable across problems."""
 
-    def __init__(self, problem: SdpProblem, tol: float, max_iters: int):
-        self.tol = tol
+    def __init__(self, problem: SdpProblem, max_iters: int):
         self.max_iters = max_iters
         self.m = problem.num_vars
         self.c_orig = problem.c.copy()
 
-        self._gather_cones(problem)
-        self._equilibrate(problem.c, problem.eq_rows, problem.eq_rhs)
+        blk, pos, rows, cols, var, val = self._gather_cones(problem)
+        val = self._equilibrate(problem, blk, rows, cols, var, val)
+        self.G = sp.csr_matrix((val, (pos, var)), shape=(self.offsets[-1], self.m))
+        self.GT = self.G.T.tocsr()
         # gather indices by block size, width and upper-triangle pattern; the
         # blocks of one size mostly share one pattern
         flats = {}
-        self.cones = [
-            _Cone(size, slice(lo, hi), self.G[lo:hi], flats)
-            for size, lo, hi in zip(self.sizes, self.offsets, self.offsets[1:])
-        ]
+        ends = np.searchsorted(blk, np.arange(len(self.sizes) + 1))
+        self.cones = []
+        for b, size in enumerate(self.sizes):
+            span = slice(self.offsets[b], self.offsets[b + 1])
+            ent = slice(ends[b], ends[b + 1])
+            self.cones.append(_Cone(size, span, rows[ent], cols[ent], var[ent], val[ent], flats))
         self._orthonormalize_equalities()
 
         self.identity = np.concatenate([np.eye(size).ravel() for size in self.sizes])
@@ -329,9 +335,12 @@ class ReferenceIpm:
     # -- setup -------------------------------------------------------------
 
     def _gather_cones(self, problem: SdpProblem):
-        """G and h, each block's rows holding its s x s matrices row-major.
+        """h, and the entries of G, one array per field, in G's row-major order.
 
-        Column j of G holds the entries of -A_j, mirrored below the diagonal.
+        Each block's rows of G hold its s x s matrices row-major, and column j
+        of G holds the entries of -A_j, mirrored below the diagonal.  The
+        fields are an entry's block, its row of G, its row and column in the
+        block, its variable and its value.
         """
         self.sizes = np.array([blk.size for blk in problem.blocks])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes**2)])
@@ -343,28 +352,30 @@ class ReferenceIpm:
             var += [blk.var_idx, blk.var_idx[lower]]
             val += [-blk.vals, -blk.vals[lower]]
             h_parts.append((np.triu(blk.const) + np.triu(blk.const, 1).T).ravel())
-        self.G = sp.csr_matrix(
+        self.h = np.concatenate(h_parts)
+        g = sp.coo_matrix(
             (np.concatenate(val), (np.concatenate(pos), np.concatenate(var))),
             shape=(self.offsets[-1], self.m),
         )
-        self.h = np.concatenate(h_parts)
+        g.sum_duplicates()  # also sorts the entries row-major
+        blk = np.searchsorted(self.offsets, g.row, side="right") - 1
+        rows, cols = np.divmod(g.row - self.offsets[blk], self.sizes[blk])
+        return blk, g.row, rows, cols, g.col, g.data
 
-    def _equilibrate(self, c, raw_a, raw_b):
+    def _equilibrate(self, problem: SdpProblem, blk, rows, cols, var, val) -> np.ndarray:
         """Ruiz scaling: per-column, per-equality-row, one scalar per block.
 
         A PSD block only tolerates a uniform positive rescaling (congruence
         by alpha*I), so all its entries share one factor.  Column scaling is a
         diagonal change of variables, undone when results are reported.  An
         off-diagonal a_ij weighs sqrt(2)*|a_ij|, the Frobenius norm of the
-        pair (a_ij, a_ji).
+        pair (a_ij, a_ji).  Returns the scaled values of G's entries.
         """
         m = self.m
-        coo = self.G.tocoo()
-        blk = np.searchsorted(self.offsets, coo.row, side="right") - 1
-        rows, cols = np.divmod(coo.row - self.offsets[blk], self.sizes[blk])
-        weight = np.abs(coo.data) * np.where(rows == cols, 1.0, np.sqrt(2.0))
+        raw_a, raw_b = problem.eq_rows, problem.eq_rhs
+        weight = np.abs(val) * np.where(rows == cols, 1.0, np.sqrt(2.0))
         col_max = np.zeros((len(self.sizes), m))
-        np.maximum.at(col_max, (blk, coo.col), weight)
+        np.maximum.at(col_max, (blk, var), weight)
         e = np.ones(m)
         d_eq = np.ones(len(raw_b))
         d_blk = np.ones(len(self.sizes))
@@ -381,7 +392,7 @@ class ReferenceIpm:
             e /= clipped(col * e)
             d_eq /= clipped((abs_a * e[None, :]).max(axis=1) * d_eq)
             blk_max = np.zeros(len(self.sizes))
-            np.maximum.at(blk_max, blk, weight * e[coo.col])
+            np.maximum.at(blk_max, blk, weight * e[var])
             d_blk /= clipped(blk_max * d_blk)
 
         self.var_scale = e
@@ -389,14 +400,11 @@ class ReferenceIpm:
         self.blk_scale = d_blk
         self.A_raw = raw_a * d_eq[:, None] * e[None, :]
         self.b_raw = raw_b * d_eq
-        self.G = sp.csr_matrix(
-            (coo.data * e[coo.col] * d_blk[blk], (coo.row, coo.col)), shape=self.G.shape
-        )
-        self.GT = self.G.T.tocsr()
         self.h = self.h * np.repeat(d_blk, self.sizes**2)
-        c_eff = c * e
+        c_eff = problem.c * e
         self.c_scale = max(1.0, float(np.abs(c_eff).max()))
         self.c = c_eff / self.c_scale
+        return val * e[var] * d_blk[blk]
 
     def _orthonormalize_equalities(self):
         self.inconsistent = False
@@ -591,8 +599,6 @@ class ReferenceIpm:
         best: SdpResult | None = None
         best_score = np.inf
         best_it = 0
-        # the relaxed exit accepts a best iterate whose score is within this
-        relaxed_band = max(1e-4, 100 * self.tol)
         mu0 = mu = (s @ z + tau * kappa) / (self.nu + 1.0)
         it = 0
 
@@ -623,19 +629,23 @@ class ReferenceIpm:
                 best_it = it
             if score < best_score:
                 best_score = score
-                best = self._make_result(x / tau, pres, dres, relgap, it)
+                y_orig = self.var_scale * (x / tau)
+                residuals = {"primal": float(pres), "dual": float(dres), "gap": float(relgap)}
+                best = SdpResult(OPTIMAL, y_orig, float(self.c_orig @ y_orig), residuals, it)
 
-            if pres <= self.tol and dres <= self.tol and (gap <= self.tol or relgap <= self.tol):
-                return finish(self._make_result(x / tau, pres, dres, relgap, it), "optimal")
+            # an optimal iterate scores at most _TOL, and any earlier one that
+            # did would have exited here, so it is the saved best one
+            if pres <= _TOL and dres <= _TOL and (gap <= _TOL or relgap <= _TOL):
+                return finish(best, "optimal")
 
-            cert = self._certificates(x, y, z, s, self.tol, it)
+            cert = self._certificates(x, y, z, s, _TOL, it)
             if cert is not None:
                 return finish(cert, "certificate")
 
             if it - best_it >= 30:
                 exit_path = "stall"  # no residual progress for many iterations
                 break
-            if best_score <= relaxed_band and score > _DIVERGE_FACTOR * best_score:
+            if best_score <= _RELAXED_BAND and score > _DIVERGE_FACTOR * best_score:
                 exit_path = "diverged"  # the saved best iterate is the answer
                 break
 
@@ -648,6 +658,15 @@ class ReferenceIpm:
             denom_u1 = float(self.c @ u1[0] + self.b @ u1[1] + self.h @ u1[2])
 
             lam_sq = np.concatenate([np.diag(st.lam**2).ravel() for st in states])
+
+            def step_length(ds_hat, wdz, dtau, dkap):
+                """sup alpha keeping s, z, tau and kappa in their cones."""
+                return min(
+                    self._step_to_boundary(states, ds_hat),
+                    self._step_to_boundary(states, wdz),
+                    (-tau / dtau) if dtau < 0 else np.inf,
+                    (-kappa / dkap) if dkap < 0 else np.inf,
+                )
 
             def newton(ds_scaled, d_kappa, r_weight):
                 lam_inv_ds = self._lambda_solve(states, ds_scaled)
@@ -670,13 +689,7 @@ class ReferenceIpm:
 
             # affine scaling pass fixes the centering weight
             dx, dy, dz, ds, dtau, dkap, ds_hat, wdz = newton(-lam_sq, -tau * kappa, 1.0)
-            alpha_aff = min(
-                1.0,
-                self._step_to_boundary(states, ds_hat),
-                self._step_to_boundary(states, wdz),
-                (-tau / dtau) if dtau < 0 else np.inf,
-                (-kappa / dkap) if dkap < 0 else np.inf,
-            )
+            alpha_aff = min(1.0, step_length(ds_hat, wdz, dtau, dkap))
             sigma = (1.0 - alpha_aff) ** 3
 
             corr = self._jordan_product(ds_hat, wdz)
@@ -684,13 +697,7 @@ class ReferenceIpm:
             dkap_comb = sigma * mu - tau * kappa - dtau * dkap
             dx, dy, dz, ds, dtau, dkap, ds_hat, wdz = newton(ds_comb, dkap_comb, 1.0 - sigma)
 
-            alpha = min(
-                self._step_to_boundary(states, ds_hat),
-                self._step_to_boundary(states, wdz),
-                (-tau / dtau) if dtau < 0 else np.inf,
-                (-kappa / dkap) if dkap < 0 else np.inf,
-            )
-            step = min(1.0, _STEP_DAMP * alpha)
+            step = min(1.0, _STEP_DAMP * step_length(ds_hat, wdz, dtau, dkap))
             if not np.isfinite(step) or step <= 1e-12:
                 exit_path = "step"
                 break
@@ -705,17 +712,17 @@ class ReferenceIpm:
                 exit_path = "collapse"
                 break
 
-        relaxed = max(1e-6, 10 * self.tol)
         # stalled; when the embedding drove tau to zero the iterate is a
         # near-certificate, which beats reporting a numerical failure
         if kappa > 1e4 * max(tau, 1e-300):
-            cert = self._certificates(x, y, z, s, relaxed, it, relaxed_flag=True)
+            cert = self._certificates(x, y, z, s, _RELAXED_TOL, it)
             if cert is not None:
+                cert.residuals["relaxed"] = True
                 return finish(cert, exit_path)
         # moment-style instances routinely stall short of full accuracy; the
         # best iterate is still usable when callers read the recorded
         # residuals and treat the value/point accordingly
-        if best is not None and best_score <= relaxed_band:
+        if best is not None and best_score <= _RELAXED_BAND:
             best.residuals["relaxed"] = True
             best.iterations = it
             return finish(best, exit_path)
@@ -724,15 +731,13 @@ class ReferenceIpm:
             exit_path,
         )
 
-    def _certificates(self, x, y, z, s, tol, it, relaxed_flag=False):
+    def _certificates(self, x, y, z, s, tol, it):
         hz_by = float(self.b @ y + self.h @ z)
         if hz_by < 0.0:
             cert = np.linalg.norm(self.A.T @ y + self.GT @ z)
             pinf = cert / self.resx0 / (-hz_by)
             if pinf <= tol:
                 info = {"certificate_residual": float(pinf)}
-                if relaxed_flag:
-                    info["relaxed"] = True
                 return SdpResult(PRIMAL_INFEASIBLE, None, None, info, it)
         cx = float(self.c @ x)
         if cx < 0.0:
@@ -741,8 +746,6 @@ class ReferenceIpm:
             dinf = max(ax, gx) / (-cx)
             if dinf <= tol:
                 info = {"certificate_residual": float(dinf)}
-                if relaxed_flag:
-                    info["relaxed"] = True
                 ray = self.var_scale * x
                 denom = -float(self.c_orig @ ray)
                 if denom > 0:
@@ -750,18 +753,8 @@ class ReferenceIpm:
                 return SdpResult(DUAL_INFEASIBLE, ray, None, info, it)
         return None
 
-    def _make_result(self, y_vars, pres, dres, relgap, it) -> SdpResult:
-        y_orig = self.var_scale * y_vars
-        return SdpResult(
-            OPTIMAL,
-            y_orig,
-            float(self.c_orig @ y_orig),
-            {"primal": float(pres), "dual": float(dres), "gap": float(relgap)},
-            it,
-        )
 
-
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iters: int = 200) -> SdpResult:
+def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
     """Solve an SdpProblem with the reference interior point method."""
-    return ReferenceIpm(problem, tol, max_iters).run()
+    return ReferenceIpm(problem, max_iters).run()
 

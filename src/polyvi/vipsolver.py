@@ -295,15 +295,6 @@ def polish_candidate(problem: VipProblem, u0, tol_active=1e-4) -> np.ndarray:
     return _kkt_polish(problem.field_at, problem.jacobian_at, problem.cs, u0, tol_active)
 
 
-def _polish_comparison_point(problem: VipProblem, fu, v, tol_active=1e-4) -> np.ndarray:
-    # minimizers of a linear comparison objective satisfy the same KKT system
-    # with the field frozen at fu
-    n = problem.n
-    return _kkt_polish(
-        lambda x: fu, lambda x: np.zeros((n, n)), problem.cs, v, tol_active
-    )
-
-
 def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) -> VerifyResult:
     """Decide whether u solves the problem by bounding min_X (y - u)^T F(u).
 
@@ -339,8 +330,11 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
         if eps >= -EPS_TOL and out.accuracy <= EPS_TOL:
             return VerifyResult(SOLUTION, eps, via=f"{route}_points")
         if eps < -EPS_TOL:
+            # minimizers of the linear comparison objective satisfy the same
+            # KKT system with the field frozen at fu
+            tol_active = max(1e-4, RANK_WIDENING * out.accuracy)
             polished = [
-                _polish_comparison_point(problem, fu, p, max(1e-4, RANK_WIDENING * out.accuracy))
+                _kkt_polish(lambda x: fu, lambda x: np.zeros((n, n)), cs, p, tol_active)
                 for p in out.points
             ]
             pts = [p for p in polished if violation(p, phi, psi) <= 10 * TOL_FEAS]
@@ -376,12 +370,15 @@ def _solve_loop(
     cuts: CutSet,
     extra_ineqs: list[Polynomial],
     opts: SolverOptions,
+    log: list,
 ) -> SolveOutcome:
-    log: list = []
+    """Search, verify and cut until one pass ends, logging each step to `log`.
+
+    Only NO_SOLUTION carries an order: that of its infeasibility certificate.
+    """
     for loop in range(opts.max_loops):
         t0 = time.time()
         cand = find_candidate(problem, theta, cuts, extra_ineqs, opts)
-        dt = time.time() - t0
         log.append(
             _log_entry(
                 "search",
@@ -390,13 +387,13 @@ def _solve_loop(
                 order=cand.order,
                 value=cand.value,
                 cuts=len(cuts),
-                time=round(dt, 3),
+                time=round(time.time() - t0, 3),
             )
         )
         if cand.status == INFEASIBLE:
-            return SolveOutcome(NO_SOLUTION, order=cand.order, loops=loop + 1, log=log)
+            return SolveOutcome(NO_SOLUTION, order=cand.order, loops=loop + 1)
         if cand.status != MINIMIZERS:
-            return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1, log=log)
+            return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
 
         added = 0
         for u in cand.points:
@@ -420,28 +417,27 @@ def _solve_loop(
                     eps=ver.eps,
                     objective=theta.evaluate(u),
                     loops=loop + 1,
-                    order=cand.order,
-                    log=log,
                 )
             if ver.status == CUT:
                 for v in ver.cut_points:
                     if cuts.add(v):
                         added += 1
             else:
-                return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1, log=log)
+                return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
         if added == 0:
             # no progress possible: the same candidate would return
             log.append(_log_entry("search", loop, "stalled"))
-            return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1, log=log)
-    return SolveOutcome(INCONCLUSIVE_RUN, loops=opts.max_loops, log=log)
+            return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
+    return SolveOutcome(INCONCLUSIVE_RUN, loops=opts.max_loops)
 
 
 def solve_one(problem: VipProblem, opts: SolverOptions | None = None) -> SolveOutcome:
     """Find one solution or certify that none exists."""
     opts = opts or SolverOptions()
-    theta = random_theta(problem.n, opts.seed)
-    cuts = CutSet()
-    return _solve_loop(problem, theta, cuts, [], opts)
+    log: list = []
+    out = _solve_loop(problem, random_theta(problem.n, opts.seed), CutSet(), [], opts, log)
+    out.log = log
+    return out
 
 
 def find_delta(
@@ -450,20 +446,20 @@ def find_delta(
     cuts: CutSet,
     x_star,
     opts: SolverOptions,
-) -> tuple[float, bool, list]:
+    log: list,
+) -> tuple[float, bool]:
     """Gap width so no solution has objective in (theta(x*), theta(x*)+delta).
 
     Certified by maximizing theta over the KKT set within the band
     theta <= theta(x*) + delta: the maximum always is >= theta(x*) since x*
     sits in the band, and delta is accepted when it is <= theta(x*) + tol.
-    Returns (delta, certified, log).
+    Appends one entry per band tried to `log` and returns (delta, certified).
     """
     kkt = problem.kkt
     theta_star = theta.evaluate(x_star)
     accept = 1e-6 * max(1.0, abs(theta_star))
     base_ineqs = list(kkt.inequalities) + cuts.polys(problem.F)
     delta = DELTA0
-    log: list = []
     for shrink in range(MAX_SHRINKS + 1):
         band = Polynomial.constant(problem.n, theta_star + delta) - theta.poly
         prog = PolyProgram(
@@ -475,59 +471,44 @@ def find_delta(
             _log_entry("delta", shrink, out.status, delta=delta, gamma=gamma, order=out.order)
         )
         if out.status == BOUND_REACHED:
-            return delta, True, log
+            return delta, True
         if out.status == INFEASIBLE:
             # the band holds x*, so emptiness is numerical, and a smaller band
             # is a subset of this one: the gap stays uncertified
-            return delta, False, log
+            return delta, False
         # a relaxed solve cannot pin gamma tighter than its own accuracy
         accept_eff = max(accept, RANK_WIDENING * out.accuracy * max(1.0, abs(theta_star)))
         if out.status in (MINIMIZERS, INCONCLUSIVE) and gamma is not None:
             if gamma - theta_star <= accept_eff:
-                return delta, True, log
+                return delta, True
         delta *= RHO
-    return delta, False, log
+    return delta, False
 
 
 def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> EnumerationResult:
-    """Enumerate solutions in increasing generic-objective order."""
+    """Enumerate solutions in increasing generic-objective order.
+
+    Each pass searches strictly above the gap certified over the last
+    solution's objective; the first pass has no floor.  A pass without a
+    solution ends the run, complete when it is infeasible and the last gap
+    is certified.
+    """
     opts = opts or SolverOptions()
     theta = random_theta(problem.n, opts.seed)
     cuts = CutSet()
-    log: list = []
-
-    first = _solve_loop(problem, theta, cuts, [], opts)
-    log.extend(first.log)
-    if first.status == NO_SOLUTION:
-        return EnumerationResult(
-            NO_SOLUTION, complete=True, order=first.order, log=log
-        )
-    if first.status != SOLUTION:
-        return EnumerationResult(INCONCLUSIVE_RUN, log=log)
-
-    sols = [first.point]
-    eps = [first.eps]
-    objs = [first.objective]
-    complete = False
-    order = None
-
-    while len(sols) < MAX_SOLUTIONS:
-        # search strictly above the certified gap over theta(x*)
-        delta, certified, dlog = find_delta(problem, theta, cuts, sols[-1], opts)
-        log.extend(dlog)
-        floor = Polynomial.constant(problem.n, -(theta.evaluate(sols[-1]) + delta)) + theta.poly
-        nxt = _solve_loop(problem, theta, cuts, [floor], opts)
-        log.extend(nxt.log)
+    sols, eps, objs, log = [], [], [], []
+    floor: list[Polynomial] = []
+    certified, complete, order = True, False, None
+    while True:
+        nxt = _solve_loop(problem, theta, cuts, floor, opts, log)
         if nxt.status == NO_SOLUTION:
-            complete = certified
-            order = nxt.order
-            break
+            complete, order = certified, nxt.order
         if nxt.status != SOLUTION:
             break
         if any(np.max(np.abs(nxt.point - s)) <= DUP_TOL for s in sols):
             log.append(_log_entry("enumerate", len(sols), "duplicate"))
             break
-        if nxt.objective < objs[-1] - 1e-6:
+        if objs and nxt.objective < objs[-1] - 1e-6:
             log.append(_log_entry("enumerate", len(sols), "order_violation"))
             break
         if not certified:
@@ -535,10 +516,13 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
         sols.append(nxt.point)
         eps.append(nxt.eps)
         objs.append(nxt.objective)
+        if len(sols) == MAX_SOLUTIONS:
+            break
+        delta, certified = find_delta(problem, theta, cuts, nxt.point, opts, log)
+        floor = [Polynomial.constant(problem.n, -(nxt.objective + delta)) + theta.poly]
 
-    return EnumerationResult(
-        SOLUTIONS, sols, eps, objs, complete=complete, order=order, log=log
-    )
+    status = SOLUTIONS if sols else (NO_SOLUTION if complete else INCONCLUSIVE_RUN)
+    return EnumerationResult(status, sols, eps, objs, complete=complete, order=order, log=log)
 
 
 # -- counting bound -----------------------------------------------------------

@@ -72,6 +72,18 @@ def test_orthant_ncp_enumerates_both_solutions():
         1e-4,
     )
     assert all(abs(e) <= 1e-6 for e in res.eps)
+    # one search-and-gap loop: each solution's search and verification, the
+    # gap bands after it, and the infeasible search that completes the run
+    assert [(e["phase"], e["loop"], e["status"]) for e in res.log] == [
+        ("search", 0, "minimizers"),
+        ("verify", 0, "solution"),
+        ("delta", 0, "minimizers"),
+        ("delta", 1, "minimizers"),
+        ("search", 0, "minimizers"),
+        ("verify", 0, "solution"),
+        ("delta", 0, "minimizers"),
+        ("search", 0, "infeasible"),
+    ]
     assert elapsed <= 60.0
 
 
@@ -325,9 +337,11 @@ def test_props_degree_bound_matches_brute_force():
     assert checked > 500
 
 
-def test_props_backend_toys_to_high_accuracy():
+def test_props_backend_toys_to_high_accuracy(monkeypatch):
+    # a tenth of the backend's tolerance; its relaxed bounds stay as they are
+    monkeypatch.setattr(sb, "_TOL", 1e-9)
     for prob, opt, ystar in toy_sdps.toy_problems():
-        res = sb.solve(prob, tol=1e-9)
+        res = sb.solve(prob)
         assert res.status == sb.OPTIMAL
         assert abs(res.objective - opt) <= 1e-7 * max(1.0, abs(opt))
         if ystar is not None:
@@ -338,7 +352,7 @@ def test_props_backend_certifies_constructed_infeasible():
     infeasible = toy_sdps.infeasible_problems()
     assert len(infeasible) == 3
     for prob in infeasible:
-        res = sb.solve(prob, tol=1e-8)
+        res = sb.solve(prob)
         assert res.status == sb.PRIMAL_INFEASIBLE
 
 

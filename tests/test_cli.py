@@ -184,6 +184,21 @@ def test_solve_all_flag(tiny_file):
     assert len(report["solutions"]) == 1
 
 
+@pytest.mark.parametrize(
+    "name,status", [("eig_linear_cone", "solution"), ("ring_empty", "no_solution")]
+)
+def test_solve_reports_the_order_of_a_certificate_only(name, status):
+    # a solution rests on its verification, not on a relaxation order; an
+    # empty set rests on the infeasible relaxation of its order
+    result = invoke("solve", os.path.join(FIXTURES, f"{name}.json"), "--json")
+    report = json.loads(result.output)
+    assert report["status"] == status
+    if status == "solution":
+        assert report["certificate_order"] is None
+    else:
+        assert isinstance(report["certificate_order"], int)
+
+
 def test_solve_missing_file_exits_1(tmp_path):
     result = invoke("solve", str(tmp_path / "nope.json"))
     assert result.exit_code == 1

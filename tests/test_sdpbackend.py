@@ -140,7 +140,7 @@ def unbounded_problems():
 @pytest.mark.parametrize("idx", range(10))
 def test_toy_optimal_values(idx):
     prob, opt, ystar = toy_problems()[idx]
-    res = sb.solve(prob, tol=1e-8)
+    res = sb.solve(prob)
     assert res.status == sb.OPTIMAL
     assert res.exit == "optimal"
     assert res.objective == pytest.approx(opt, abs=1e-7)
@@ -151,7 +151,7 @@ def test_toy_optimal_values(idx):
 @pytest.mark.parametrize("idx", range(3))
 def test_infeasible_detection(idx):
     prob = infeasible_problems()[idx]
-    res = sb.solve(prob, tol=1e-8)
+    res = sb.solve(prob)
     assert res.status == sb.PRIMAL_INFEASIBLE
     assert res.exit == "certificate"
 
@@ -159,7 +159,7 @@ def test_infeasible_detection(idx):
 @pytest.mark.parametrize("idx", range(2))
 def test_unbounded_detection(idx):
     prob = unbounded_problems()[idx]
-    res = sb.solve(prob, tol=1e-8)
+    res = sb.solve(prob)
     assert res.status == sb.DUAL_INFEASIBLE
     assert res.exit == "certificate"
 
@@ -172,14 +172,14 @@ def test_unbounded_without_ray_is_not_reported_optimal():
                     np.array([[1.0, 0.0], [0.0, 0.0]]),
                     [(0, np.array([[0.0, 1.0], [1.0, 0.0]])),
                      (1, np.array([[0.0, 0.0], [0.0, 1.0]]))])])
-    res = sb.solve(prob, tol=1e-8)
+    res = sb.solve(prob)
     assert res.status in (sb.DUAL_INFEASIBLE, sb.NUMERICAL_FAILURE)
 
 
 def test_optimal_iterate_quality():
     # on optimal termination the returned point is nearly feasible
     for prob, _, _ in toy_problems():
-        res = sb.solve(prob, tol=1e-8)
+        res = sb.solve(prob)
         assert res.status == sb.OPTIMAL
         assert sb.min_block_eigenvalue(prob, res.y) >= -1e-7
         assert sb.equality_violation(prob, res.y) <= 1e-7
@@ -313,7 +313,7 @@ def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
     # default does on these problems; 100 splits them into many ranges
     monkeypatch.setattr(sb, "_SCHUR_CHUNK", chunk)
     prob = schur_problems()[idx]
-    ipm = sb.ReferenceIpm(prob, 1e-8, 200)
+    ipm = sb.ReferenceIpm(prob, 200)
     if idx == 0:
         assert max(ipm.sizes) == 6 and len(prob.eq_rows) > 1
     if idx == 2 and chunk == 100.0:
@@ -342,7 +342,7 @@ def test_schur_does_not_depend_on_the_chunk(monkeypatch):
     uppers, factors = [], []
     for chunk in (1.0e6, 1.0e4, 100.0):
         monkeypatch.setattr(sb, "_SCHUR_CHUNK", chunk)
-        ipm = sb.ReferenceIpm(prob, 1e-8, 200)
+        ipm = sb.ReferenceIpm(prob, 200)
         states = _random_states(ipm, np.random.default_rng(2))
         h = ipm._schur(states)
         uppers.append(np.triu(h))
@@ -361,7 +361,7 @@ def test_schur_does_not_depend_on_the_chunk(monkeypatch):
 
 def test_solve3_residuals():
     # the relaxation has 7 equality rows, so the equality complement is used
-    ipm = sb.ReferenceIpm(schur_problems()[0], 1e-8, 200)
+    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
     rng = np.random.default_rng(5)
     states = _random_states(ipm, rng)
     assert len(ipm.b) == 7 and ipm._factor(states)
@@ -383,7 +383,7 @@ def test_cone_map_reproduces_each_block(idx):
     # h - G (y / var_scale) is each block's A0 + sum_j y_j A_j, row-major and
     # times the block's equilibration factor
     prob = schur_problems()[idx]
-    ipm = sb.ReferenceIpm(prob, 1e-8, 200)
+    ipm = sb.ReferenceIpm(prob, 200)
     y = np.random.default_rng(idx).standard_normal(ipm.m)
     slack = ipm.h - ipm.G @ (y / ipm.var_scale)
     start = 0
@@ -416,7 +416,7 @@ EXPECTED_SCALING = [
 
 @pytest.mark.parametrize("idx", range(2))
 def test_equilibration_factors(idx):
-    ipm = sb.ReferenceIpm(schur_problems()[idx], 1e-8, 200)
+    ipm = sb.ReferenceIpm(schur_problems()[idx], 200)
     var_scale, blk_scale, eq_scale = EXPECTED_SCALING[idx]
     np.testing.assert_array_equal(ipm.var_scale, var_scale)
     np.testing.assert_array_equal(ipm.blk_scale, blk_scale)

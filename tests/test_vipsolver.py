@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from polyvi import vipsolver as vs
 from polyvi.lme import ConstraintSystem
-from polyvi.momentsdp import INFEASIBLE, HierarchyOutcome
+from polyvi.momentsdp import INCONCLUSIVE, INFEASIBLE, HierarchyOutcome
 from polyvi.polycore import Polynomial, violation
 
 
@@ -180,9 +180,26 @@ def test_find_delta_infeasible_band_is_uncertified(monkeypatch):
     theta = vs.random_theta(prob.n, 0)
     monkeypatch.setattr(vs, "minimize", lambda *args, **kwargs: HierarchyOutcome(INFEASIBLE, 1))
     x_star = np.array([0.6, 0.8])
-    _, certified, log = vs.find_delta(prob, theta, vs.CutSet(), x_star, vs.SolverOptions())
+    log = []
+    _, certified = vs.find_delta(prob, theta, vs.CutSet(), x_star, vs.SolverOptions(), log)
     assert not certified
     assert [entry["status"] for entry in log] == [INFEASIBLE]
+
+
+def test_solve_all_first_pass_inconclusive(monkeypatch):
+    # the first pass takes the same path as every later one: an inconclusive
+    # search ends the run with nothing certified
+    prob = ball_projection_problem(np.array([0.9, 1.2]))
+    monkeypatch.setattr(
+        vs, "find_candidate", lambda *args, **kwargs: HierarchyOutcome(INCONCLUSIVE, 2)
+    )
+    res = vs.solve_all(prob)
+    assert res.status == vs.INCONCLUSIVE_RUN
+    assert not res.complete and res.order is None
+    assert res.solutions == []
+    assert [(e["phase"], e["loop"], e["status"]) for e in res.log] == [
+        ("search", 0, INCONCLUSIVE)
+    ]
 
 
 def test_complete_symmetric_values():
