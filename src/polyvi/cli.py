@@ -205,14 +205,15 @@ def gen_eig_linear(n: int, seed: int) -> dict:
 
 
 def gen_eig_soc(n: int, seed: int) -> dict:
-    """F = A x over {x^T B x = 1} inside the second-order cone."""
+    """F = A x over {x^T B x = 1} inside the second-order cone x_n >= |x_bar|."""
     field, quadric = _eig_data(n, seed)
     cone = Polynomial.quadratic(n, quad=np.diag(np.r_[-np.ones(n - 1), 1.0]))
+    upper = Polynomial.variable(n, n - 1)
     return {
         "name": f"eig-soc-n{n}-seed{seed}",
         "n": n,
         "F": field,
-        "constraints": [quadric, {"poly": cone.to_json(), "kind": "ineq"}],
+        "constraints": [quadric] + [{"poly": p.to_json(), "kind": "ineq"} for p in (cone, upper)],
         "lme": {"kind": "soc_quadric"},
     }
 
@@ -564,20 +565,13 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         t0 = time.time()
         try:
             res = solve_one(problem, SolverOptions(seed=s))
-            solved = res.status == SOLUTION and abs(res.eps) <= EPS_TOL
-            certified_empty = res.status == NO_SOLUTION
             status = res.status
+            # a certified empty solution set counts as a success too
+            success = status == NO_SOLUTION or (status == SOLUTION and abs(res.eps) <= EPS_TOL)
         except (np.linalg.LinAlgError, ExtractionFailed) as exc:
             # numerical failures count against SR; programming errors propagate
-            solved, certified_empty, status = False, False, f"error: {exc}"
-        runs.append(
-            {
-                "seed": s,
-                "status": status,
-                "success": bool(solved or certified_empty),
-                "time": time.time() - t0,
-            }
-        )
+            status, success = f"error: {exc}", False
+        runs.append({"seed": s, "status": status, "success": success, "time": time.time() - t0})
     successes = sum(r["success"] for r in runs)
     report = {
         "command": "batch",
@@ -586,6 +580,8 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         "degree": degree if family == "ball" else None,
         "count": count,
         "success_rate": successes / count if count else None,
+        "solutions": sum(r["status"] == SOLUTION for r in runs),
+        "no_solutions": sum(r["status"] == NO_SOLUTION for r in runs),
         "mean_time": (sum(r["time"] for r in runs) / count) if count else None,
         "runs": runs,
         "blas_threads": blas_threads(),
@@ -594,11 +590,15 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
     def render(rep):
         if not rep["count"]:
             return "no instances"
-        head = f"{'family':<12} {'dims':<8} {'count':>5} {'SR':>7} {'mean time':>10}"
+        head = (
+            f"{'family':<12} {'dims':<8} {'count':>5} {'SR':>7} "
+            f"{'solutions':>9} {'no_solution':>11} {'mean time':>10}"
+        )
         dims_s = "x".join(str(d) for d in rep["dims"])
         row = (
             f"{rep['family']:<12} {dims_s:<8} {rep['count']:>5} "
-            f"{100 * rep['success_rate']:>6.0f}% {rep['mean_time']:>9.2f}s"
+            f"{100 * rep['success_rate']:>6.0f}% {rep['solutions']:>9} "
+            f"{rep['no_solutions']:>11} {rep['mean_time']:>9.2f}s"
         )
         return "\n".join([head, row])
 

@@ -19,12 +19,16 @@ The catalog covers the geometries the built-in problems and generators use:
                          do not come from an exact left inverse, so
                          verify_lme reports False and the KKT assembly uses
                          a dedicated degree-lowering rewrite)
-    soc_quadric          x^T B x = 1 with x_n^2 - |x_bar|^2 >= 0; rational
-                         multipliers with denominator 2 x_n > 0 on the set
+    soc_quadric          x^T B x = 1 in the cone nappe x_n^2 - |x_bar|^2 >= 0,
+                         x_n >= 0; rational multipliers with denominator
+                         2 x_n > 0 on the set, and x_n >= 0's multiplier 0
 
 Exactness of L G = I is checked symbolically by verify_lme.  Rational
 multipliers are carried as (numerator, denominator) pairs; the KKT assembly
-clears denominators without polynomial division.
+clears denominators without polynomial division.  A problem's multipliers
+are built once, for its field F (lme_from_spec); they serve the search
+relaxations only, since candidate verification relaxes the comparison
+problem over X directly.
 """
 
 from __future__ import annotations
@@ -125,22 +129,15 @@ class KktSystem:
 # -- template checks ------------------------------------------------------
 
 
-def _quadratic_form_matrix(p: Polynomial, n: int) -> np.ndarray:
+def _quadratic_form_matrix(p: Polynomial) -> np.ndarray:
     """Extract B from x^T B x - 1; raises TemplateMismatch on any other shape."""
     degs = p.exps.sum(axis=1)
     odd = degs[(degs != 0) & (degs != 2)]
     if len(odd):
         raise TemplateMismatch(f"quadric has a degree-{odd[0]} term")
-    if not len(degs) or degs[0] != 0 or p.coefs[0] != -1.0:
+    const, _, b_mat = p.quadratic_parts()
+    if const != -1.0:
         raise TemplateMismatch("quadric must have constant term -1")
-    # each quadratic row is e_a + e_b with a <= b: a its first and b its last
-    # nonzero position
-    quad = p.exps[1:] > 0
-    a = quad.argmax(axis=1)
-    b = n - 1 - quad[:, ::-1].argmax(axis=1)
-    w = np.where(a == b, p.coefs[1:], p.coefs[1:] / 2.0)
-    b_mat = np.zeros((n, n))
-    b_mat[a, b] = b_mat[b, a] = w
     return b_mat
 
 
@@ -217,7 +214,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
 
     if kind == QUADRIC_LINEAR:
         _require(m == n + 1 and cs.eq_idx == (0,), "pattern: one quadric equality then the cone")
-        b_mat = _quadratic_form_matrix(cs.g[0], n)
+        b_mat = _quadratic_form_matrix(cs.g[0])
         lin = Polynomial.quadratic(n, lin=np.r_[1.0, -np.ones(n - 1)])
         _require(cs.g[1] == lin, "second constraint is not x_1 - x_2 - ... - x_n")
         for i in range(2, n + 1):
@@ -264,23 +261,32 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
             )
         return LmeMatrix(tuple(rows), n)
 
-    raise UnknownKind(f"{kind} has no L-matrix template; use the recipe interface")
+    raise UnknownKind(f"{kind} has no L-matrix template; its multipliers come from soc_lme")
 
 
 def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
-    """Rational multipliers for the quadric + second-order-cone pattern."""
+    """Rational multipliers for the quadric + second-order-cone pattern.
+
+    The cone is one nappe, x_n >= |x_bar|, so x_n >= 0 is the third
+    constraint.  On the set x != 0, hence x_n > 0: the denominator 2 x_n is
+    positive and the multiplier of x_n >= 0 is the zero polynomial.
+    """
     n = cs.n
-    _require(cs.m == 2 and cs.eq_idx == (0,), "pattern: quadric equality plus one cone inequality")
-    b_mat = _quadratic_form_matrix(cs.g[0], n)
+    _require(
+        cs.m == 3 and cs.eq_idx == (0,),
+        "pattern: quadric equality, the cone inequality, then x_n >= 0",
+    )
+    b_mat = _quadratic_form_matrix(cs.g[0])
     cone = Polynomial.quadratic(n, quad=np.diag(np.r_[-np.ones(n - 1), 1.0]))
     _require(cs.g[1] == cone, "inequality is not x_n^2 - x_1^2 - ... - x_{n-1}^2")
+    x_n = Polynomial.variable(n, n - 1)
+    _require(cs.g[2] == x_n, f"third constraint is not x_{n}")
     x_dot_f = Polynomial.zero(n)
     for j in range(n):
         x_dot_f = x_dot_f + Polynomial.variable(n, j) * F[j]
     lam0 = x_dot_f.scale(0.5)
     p1 = F[n - 1] - x_dot_f * Polynomial.quadratic(n, lin=b_mat[n - 1])
-    q1 = Polynomial.variable(n, n - 1).scale(2.0)
-    return LmeSet((lam0, p1), (None, q1))
+    return LmeSet((lam0, p1, Polynomial.zero(n)), (None, x_n.scale(2.0), None))
 
 
 def verify_lme(L: LmeMatrix, cs: ConstraintSystem, tol: float = 1e-12) -> bool:
@@ -301,35 +307,7 @@ def verify_lme(L: LmeMatrix, cs: ConstraintSystem, tol: float = 1e-12) -> bool:
     return True
 
 
-# -- recipes: how a problem instantiates lambdas for a given F --------------
-
-
-@dataclass(frozen=True)
-class LmeRecipe:
-    """How to produce an LmeSet from an F vector.
-
-    Candidate search instantiates with the symbolic field F(x); candidate
-    verification re-instantiates with the constant vector F(u).  Explicit
-    lambda lists cannot be re-instantiated, which callers must handle.
-    """
-
-    cs: ConstraintSystem
-    kind: str | None = None
-    matrix: LmeMatrix | None = None
-    explicit: LmeSet | None = None
-
-    @property
-    def can_reinstantiate(self) -> bool:
-        return self.explicit is None
-
-    def instantiate(self, F: tuple[Polynomial, ...]) -> LmeSet:
-        if self.explicit is not None:
-            return self.explicit
-        if self.kind == SOC_QUADRIC:
-            return soc_lme(F, self.cs)
-        lams = self.matrix.lambdas(F)
-        rewrite = "orthant_product" if self.kind == ORTHANT_PRODUCT else None
-        return LmeSet(lams, None, rewrite)
+# -- problem files ----------------------------------------------------------
 
 
 def _json_list(value, where: str, length: int, what: str) -> list:
@@ -341,8 +319,8 @@ def _json_list(value, where: str, length: int, what: str) -> list:
     return value
 
 
-def recipe_from_spec(data: dict, cs: ConstraintSystem) -> LmeRecipe:
-    """Parse the problem-file `lme` object: {kind}, {L}, or {lambdas, denoms}.
+def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
+    """The multipliers of a problem-file `lme` object: {kind}, {L}, or {lambdas, denoms}.
 
     A kind that is not a string, a list of another length or a bad term
     raises a ValueError that names its place, such as `L[0][1], term 0`.
@@ -353,11 +331,9 @@ def recipe_from_spec(data: dict, cs: ConstraintSystem) -> LmeRecipe:
             raise ValueError(f"kind must be a string, got {data['kind']!r}")
         kind = normalize_kind(data["kind"])
         if kind == SOC_QUADRIC:
-            probe = tuple(Polynomial.zero(n) for _ in range(n))
-            soc_lme(probe, cs)  # template match check
-            return LmeRecipe(cs, kind=kind)
-        matrix = catalog_lme(kind, cs)
-        return LmeRecipe(cs, kind=kind, matrix=matrix)
+            return soc_lme(F, cs)
+        rewrite = "orthant_product" if kind == ORTHANT_PRODUCT else None
+        return LmeSet(catalog_lme(kind, cs).lambdas(F), None, rewrite)
     if "L" in data:
         rows = []
         for i, row in enumerate(_json_list(data["L"], "L", m, f"m={m} rows")):
@@ -368,7 +344,7 @@ def recipe_from_spec(data: dict, cs: ConstraintSystem) -> LmeRecipe:
         matrix = LmeMatrix(tuple(rows), n)
         if not verify_lme(matrix, cs):
             raise TemplateMismatch("supplied L matrix is not an exact left inverse")
-        return LmeRecipe(cs, matrix=matrix)
+        return LmeSet(matrix.lambdas(F))
     if "lambdas" in data:
         items = _json_list(data["lambdas"], "lambdas", m, f"m={m} entries")
         lams = tuple(Polynomial.from_json(n, p, f"lambdas[{i}]") for i, p in enumerate(items))
@@ -379,7 +355,7 @@ def recipe_from_spec(data: dict, cs: ConstraintSystem) -> LmeRecipe:
                 None if p is None else Polynomial.from_json(n, p, f"denoms[{i}]")
                 for i, p in enumerate(items)
             )
-        return LmeRecipe(cs, explicit=LmeSet(lams, denoms))
+        return LmeSet(lams, denoms)
     raise ValueError("lme object needs one of: kind, L, lambdas")
 
 

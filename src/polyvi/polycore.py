@@ -168,6 +168,20 @@ class Polynomial:
         units = np.eye(n + 1, n, -1, dtype=np.int64)
         return Polynomial.from_terms(n, units[rows] + units[cols], coefs)
 
+    def quadratic_parts(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(const, lin, quad) with quad symmetric: the inverse of `quadratic`.
+
+        Each term x^e is e_a + e_b for the pair a <= b that pads e with
+        2 - |e| in front: a is its first nonzero position, b its last.
+        """
+        if self.degree > 2:
+            raise ValueError(f"degree-{self.degree} polynomial has no quadratic parts")
+        padded = np.hstack([2 - self.exps.sum(axis=1, keepdims=True), self.exps]) > 0
+        c_mat = np.zeros((self.n + 1, self.n + 1))
+        c_mat[padded.argmax(axis=1), self.n - padded[:, ::-1].argmax(axis=1)] = self.coefs
+        upper = c_mat[1:, 1:]
+        return float(c_mat[0, 0]), c_mat[0, 1:], (upper + upper.T) / 2.0
+
     # ---- structure -----------------------------------------------------
 
     @property

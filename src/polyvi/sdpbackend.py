@@ -746,11 +746,7 @@ class ReferenceIpm:
             dinf = max(ax, gx) / (-cx)
             if dinf <= tol:
                 info = {"certificate_residual": float(dinf)}
-                ray = self.var_scale * x
-                denom = -float(self.c_orig @ ray)
-                if denom > 0:
-                    ray = ray / denom
-                return SdpResult(DUAL_INFEASIBLE, ray, None, info, it)
+                return SdpResult(DUAL_INFEASIBLE, None, None, info, it)
         return None
 
 

@@ -7,8 +7,9 @@ multipliers become functions of x, so the solution set lives inside an
 explicit semialgebraic set K.  Searching K alone is not enough: K contains
 KKT points that are not solutions.  The loop here minimizes a generic
 positive definite quadratic over K, verifies the minimizer by solving the
-linear comparison problem min_{y in X} (y - u)^T F(u), and on failure turns
-the comparison minimizers into valid cuts (v - x)^T F(x) >= 0, which every
+linear comparison problem min_{y in X} (y - u)^T F(u) with one relaxation
+over X itself (no multiplier expression), and on failure turns the
+comparison minimizers into valid cuts (v - x)^T F(x) >= 0, which every
 solution satisfies but the rejected candidate does not.
 
 Enumeration orders solutions by the generic quadratic.  After finding x*,
@@ -31,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .lme import ConstraintSystem, LmeRecipe, LmeSet, build_kkt_sets, recipe_from_spec
+from .lme import ConstraintSystem, LmeSet, build_kkt_sets, lme_from_spec
 from .momentsdp import (
     BOUND_REACHED,
     INCONCLUSIVE,
@@ -66,24 +67,18 @@ class SolverOptions:
     k_max_extra: int = 4
 
 
+@dataclass
 class VipProblem:
-    """Field F, constraint system, and the multiplier recipe binding them."""
+    """Field F, constraint system, and the multipliers binding them."""
 
-    def __init__(self, F, cs: ConstraintSystem, recipe: LmeRecipe, name: str = ""):
-        self.F = tuple(F)
-        self.cs = cs
-        self.recipe = recipe
-        self.name = name
-        if len(self.F) != cs.n:
-            raise ValueError("field arity does not match the constraint system")
+    F: tuple[Polynomial, ...]
+    cs: ConstraintSystem
+    lam: LmeSet
+    name: str = ""
 
     @property
     def n(self) -> int:
         return self.cs.n
-
-    @cached_property
-    def lam(self) -> LmeSet:
-        return self.recipe.instantiate(self.F)
 
     @cached_property
     def kkt(self):
@@ -106,7 +101,11 @@ def build_problem(F, cs: ConstraintSystem, lme: dict | str, name: str = "") -> V
         lme = {"kind": lme}
     elif not isinstance(lme, dict):
         raise TypeError(f"cannot interpret lme={lme!r}")
-    return VipProblem(F, cs, recipe_from_spec(lme, cs), name)
+    F = tuple(F)
+    # the multipliers read F by position
+    if len(F) != cs.n:
+        raise ValueError("field arity does not match the constraint system")
+    return VipProblem(F, cs, lme_from_spec(lme, F, cs), name)
 
 
 # -- generic objective ---------------------------------------------------------
@@ -182,7 +181,7 @@ class VerifyResult:
     status: str  # SOLUTION | CUT | INCONCLUSIVE_RUN
     eps: float | None
     cut_points: list = field(default_factory=list)
-    via: str = ""  # "kkt_bound" | "kkt_points" | "ball_bound" | "ball_points"
+    via: str = ""  # "bound" | "points"
 
 
 @dataclass
@@ -295,15 +294,44 @@ def polish_candidate(problem: VipProblem, u0, tol_active=1e-4) -> np.ndarray:
     return _kkt_polish(problem.field_at, problem.jacobian_at, problem.cs, u0, tol_active)
 
 
+def enclosing_ball(cs: ConstraintSystem) -> tuple[np.ndarray, float] | None:
+    """A ball B(c, r) that holds X, or None when no constraint gives one.
+
+    A degree-2 constraint s g >= 0 (s = 1 for an inequality, either sign for
+    an equality) whose quadratic part -A is negative definite reads
+    (x - c)^T A (x - c) <= rho, so |x - c|^2 <= rho / lambda_min(A).
+    """
+    for i, g in enumerate(cs.g):
+        if g.degree == 2:
+            const, lin, quad = g.quadratic_parts()
+            for sign in (1.0, -1.0) if i in cs.eq_idx else (1.0,):
+                a_mat = -sign * quad
+                low = np.linalg.eigvalsh(a_mat)[0]
+                if low > 0:
+                    c = np.linalg.solve(a_mat, sign * lin) / 2.0
+                    return c, math.sqrt(max(sign * const + float(c @ a_mat @ c), 0.0) / low)
+    return None
+
+
+def _is_convex(cs: ConstraintSystem) -> bool:
+    """Every equality affine, every inequality affine or a concave quadratic."""
+    for i, g in enumerate(cs.g):
+        if g.degree <= 1:
+            continue
+        if i in cs.eq_idx or g.degree > 2 or np.linalg.eigvalsh(g.quadratic_parts()[2])[-1] > 0:
+            return False
+    return True
+
+
 def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) -> VerifyResult:
     """Decide whether u solves the problem by bounding min_X (y - u)^T F(u).
 
-    A bound >= -EPS_TOL certifies u.  Otherwise the comparison minimizers
-    become cut points.  The primary route substitutes the multiplier
-    expression of the comparison problem (same recipe, constant field); when
-    that route cannot run or stays inconclusive, a direct relaxation over X
-    intersected with a large ball around u is used, trusted only when its
-    minimizers land strictly inside the ball.
+    One relaxation minimizes over X cut with a ball around u.  A bound or
+    minimizers at >= -EPS_TOL (via "bound" or "points") certify u only when
+    X lies in the ball, which is made to hold `enclosing_ball`, or X is
+    convex, so that a point of X below the bound gives one inside the ball;
+    else the verdict is INCONCLUSIVE.  Minimizers below -EPS_TOL become cut
+    points on any X: every point of X is a valid comparison point.
     """
     opts = opts or SolverOptions()
     u = np.asarray(u, dtype=float)
@@ -313,49 +341,34 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     ell = Polynomial.quadratic(n, -float(fu @ u), fu)  # (x - u)^T F(u)
     phi = tuple(cs.g[i] for i in cs.eq_idx)
     psi = tuple(cs.g[i] for i in cs.ineq_idx)
-
-    def settle(prog: PolyProgram, route: str, radius: float | None = None):
-        """The verdict of one route, or None when it decides nothing."""
-        out = minimize(prog, opts.k_max_extra, opts.seed, floor=-EPS_TOL)
-        if out.status == BOUND_REACHED:
-            return VerifyResult(SOLUTION, float(out.value), via=f"{route}_bound")
-        if out.status != MINIMIZERS:
-            return None
-        eps = float(out.value)
-        if radius is not None and not all(
-            float((p - u) @ (p - u)) <= 0.99 * radius for p in out.points
-        ):
-            return VerifyResult(INCONCLUSIVE_RUN, eps)
-        # the bound only resolves eps down to the solve's accuracy
-        if eps >= -EPS_TOL and out.accuracy <= EPS_TOL:
-            return VerifyResult(SOLUTION, eps, via=f"{route}_points")
-        if eps < -EPS_TOL:
-            # minimizers of the linear comparison objective satisfy the same
-            # KKT system with the field frozen at fu
-            tol_active = max(1e-4, RANK_WIDENING * out.accuracy)
-            polished = [
-                _kkt_polish(lambda x: fu, lambda x: np.zeros((n, n)), cs, p, tol_active)
-                for p in out.points
-            ]
-            pts = [p for p in polished if violation(p, phi, psi) <= 10 * TOL_FEAS]
-            if pts:
-                return VerifyResult(CUT, eps, pts, via=f"{route}_points")
-        return None
-
-    if problem.recipe.can_reinstantiate:
-        f_const = tuple(Polynomial.constant(n, float(c)) for c in fu)
-        lam_u = problem.recipe.instantiate(f_const)
-        kkt_u = build_kkt_sets(f_const, cs, lam_u)
-        verdict = settle(PolyProgram(ell, kkt_u.equations, kkt_u.inequalities, n), "kkt")
-        if verdict is not None:
-            return verdict
-        # infeasible or inconclusive: fall through to the direct route
-
     radius = float(u @ u) + 100.0
+    holder = enclosing_ball(cs)
+    if holder is not None:
+        c, r = holder
+        radius = max(radius, (float(np.linalg.norm(u - c)) + r) ** 2)
     # radius - |x - u|^2
     ball = Polynomial.quadratic(n, radius - float(u @ u), 2.0 * u, -np.eye(n))
-    verdict = settle(PolyProgram(ell, phi, psi + (ball,), n), "ball", radius)
-    return verdict or VerifyResult(INCONCLUSIVE_RUN, None)
+    prog = PolyProgram(ell, phi, psi + (ball,), n)
+    out = minimize(prog, opts.k_max_extra, opts.seed, floor=-EPS_TOL)
+    if out.status == MINIMIZERS and out.value < -EPS_TOL:
+        # minimizers of the linear comparison objective satisfy the same
+        # KKT system with the field frozen at fu
+        tol_active = max(1e-4, RANK_WIDENING * out.accuracy)
+        polished = [
+            _kkt_polish(lambda x: fu, lambda x: np.zeros((n, n)), cs, p, tol_active)
+            for p in out.points
+        ]
+        pts = [p for p in polished if violation(p, phi, psi) <= 10 * TOL_FEAS]
+        if pts:
+            return VerifyResult(CUT, float(out.value), pts, via="points")
+        return VerifyResult(INCONCLUSIVE_RUN, None)
+    # the bound only resolves eps down to the solve's accuracy
+    points = out.status == MINIMIZERS and out.accuracy <= EPS_TOL
+    if out.status != BOUND_REACHED and not points:
+        return VerifyResult(INCONCLUSIVE_RUN, None)
+    if holder is None and not _is_convex(cs):
+        return VerifyResult(INCONCLUSIVE_RUN, float(out.value))
+    return VerifyResult(SOLUTION, float(out.value), via="points" if points else "bound")
 
 
 def _log_entry(phase, loop, status, **extra):

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import test_sdpbackend as toy_sdps
 from polyvi import momentsdp as ms
@@ -24,7 +25,7 @@ from polyvi.lme import (
     catalog_lme,
     verify_lme,
 )
-from polyvi.polycore import MomentVector, Polynomial, basis, lift, pairing
+from polyvi.polycore import MomentVector, Polynomial, basis, lift, pairing, violation
 from polyvi.vipsolver import (
     SolverOptions,
     algebraic_degree_bound,
@@ -149,6 +150,54 @@ def test_eigenvalue_over_second_order_cone():
     if res.status == "solution":
         ref = np.array([0.6906, 0.5866, -0.3661, 0.9773])
         assert np.max(np.abs(res.point - ref)) <= 1e-3
+
+
+def _multistart_comparison_min(problem, u, starts=200, seed=0):
+    """min over K of F(u)^T (x - u) by SLSQP from random starts, trusting no
+    relaxation: only end points within 1e-8 of K count."""
+    cs = problem.cs
+    fu = problem.field_at(u)
+
+    def constraint(kind, g):
+        grad = g.gradient()
+        return {
+            "type": kind,
+            "fun": g.evaluate,
+            "jac": lambda x: np.array([p.evaluate(x) for p in grad]),
+        }
+
+    cons = [constraint("eq", cs.g[i]) for i in cs.eq_idx]
+    cons += [constraint("ineq", cs.g[i]) for i in cs.ineq_idx]
+    phi = [cs.g[i] for i in cs.eq_idx]
+    psi = [cs.g[i] for i in cs.ineq_idx]
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for _ in range(starts):
+        out = scipy.optimize.minimize(
+            lambda x: float(fu @ (x - u)),
+            rng.standard_normal(problem.n),
+            jac=lambda x: fu,
+            method="SLSQP",
+            constraints=cons,
+        )
+        if violation(out.x, phi, psi) <= 1e-8:
+            best = min(best, float(fu @ (out.x - u)))
+    return best
+
+
+@pytest.mark.slow
+def test_eig_soc_solutions_survive_an_outside_check():
+    # every reported solution of 20 generated eig-soc instances must pass a
+    # multi-start local search over K; a comparison point below -1e-6 refutes it
+    counts = {}
+    for seed in range(20):
+        problem, _ = parse_problem(generate("eig-soc", (4,), 2, seed), f"eig-soc-{seed}")
+        res = solve_one(problem, SolverOptions(seed=seed))
+        counts[res.status] = counts.get(res.status, 0) + 1
+        if res.status == "solution":
+            gap = _multistart_comparison_min(problem, res.point)
+            assert gap >= -1e-6, f"seed {seed}: x in K with F(u)^T (x - u) = {gap}"
+    assert counts.get("solution", 0) >= 10
 
 
 @pytest.mark.slow

@@ -475,7 +475,7 @@ def test_gen_random_families_parse(tmp_path, family, dims, n):
         ("ball", "4", "fa07098bf2f045e3b94855166d5ae28dc28d18e1f809d37a83e8c8bab7406245"),
         ("ball", "7", "b8105fe017b890385ce3318ff3065a314bad71907c20f5feea9787955ced4c97"),
         ("eig-linear", "3", "a420d70d8201110f78d4c5963c78176a8df00732f072f6af501bb0d8b353f674"),
-        ("eig-soc", "3", "ef36efde8b040d905eef61a164d0714e060f364a06bc41e7bf4ad368a0643b12"),
+        ("eig-soc", "3", "131df59005b416f9d2b4d0f694f2d6ff033791a72b15feee15701fa6091faa02"),
         ("capital", "2,2", "acc502d3bc1cc18d613121af31a4880a4a91aabc97450e67fd717b3a6590cfc6"),
     ],
 )
@@ -539,6 +539,16 @@ def test_batch_reports_success_rate():
     assert report["count"] == 2
     assert 0.0 <= report["success_rate"] <= 1.0
     assert report["success_rate"] == 1.0
+    # a success is a solution or a certified empty set, and each is counted
+    statuses = [r["status"] for r in report["runs"]]
+    assert report["solutions"] == statuses.count("solution")
+    assert report["no_solutions"] == statuses.count("no_solution")
+    assert report["solutions"] + report["no_solutions"] == 2
+    table = invoke("batch", "ball", "--dims", "1", "--count", "2", "--degree", "1",
+                   "--seed", "0")
+    head, row = table.output.splitlines()
+    assert head.split()[4:6] == ["solutions", "no_solution"]
+    assert row.split()[4:6] == [str(report["solutions"]), str(report["no_solutions"])]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from polyvi.lme import (
     build_kkt_sets,
     catalog_lme,
     normalize_kind,
-    recipe_from_spec,
+    lme_from_spec,
     soc_lme,
     verify_lme,
 )
@@ -74,7 +74,7 @@ def soc_cs(b_mat):
     cone = var(n, n - 1) * var(n, n - 1)
     for i in range(n - 1):
         cone = cone - var(n, i) * var(n, i)
-    return ConstraintSystem((quad - 1.0, cone), (0,), (1,), n)
+    return ConstraintSystem((quad - 1.0, cone, var(n, n - 1)), (0,), (1, 2), n)
 
 
 def orthant_product_cs():
@@ -351,36 +351,41 @@ def test_quadric_linear_multipliers_match_closed_form():
             assert lams[i].evaluate(x) == pytest.approx(want, rel=1e-11, abs=1e-10)
 
 
-# -- recipes ------------------------------------------------------------------
+# -- recipes: the multipliers a problem file's lme object names ---------------
 
 
 def test_recipe_kind_roundtrip():
     cs = orthant_cs(3)
-    rec = recipe_from_spec({"kind": "Orthant"}, cs)
-    assert rec.can_reinstantiate
     F = tuple(var(3, i) - 1.0 for i in range(3))
-    lam = rec.instantiate(F)
+    lam = lme_from_spec({"kind": "Orthant"}, F, cs)
     assert lam.lambdas[1] == F[1]
-    # constant re-instantiation, as candidate verification performs
-    Fu = tuple(const(3, c) for c in (2.0, 0.0, -1.0))
-    lam_u = rec.instantiate(Fu)
-    assert lam_u.lambdas[0] == const(3, 2.0)
+    assert lam.denoms is None and lam.rewrite is None
 
 
 def test_recipe_soc_kind():
     cs = soc_cs(B_QUAD)
-    rec = recipe_from_spec({"kind": "soc_quadric"}, cs)
     F = tuple(var(4, i) for i in range(4))
-    lam = rec.instantiate(F)
+    lam = lme_from_spec({"kind": "soc_quadric"}, F, cs)
     assert lam.denoms[1] is not None
+    # x_4 > 0 on the set, so the multiplier of x_4 >= 0 is zero
+    assert lam.lambdas[2].is_zero and lam.denoms[2] is None
+
+
+def test_soc_kind_needs_the_upper_nappe():
+    # both nappes of the cone: the denominator 2 x_n would change sign on K
+    cs = soc_cs(B_QUAD)
+    both = ConstraintSystem(cs.g[:2], (0,), (1,), 4)
+    with pytest.raises(TemplateMismatch, match="x_n >= 0"):
+        lme_from_spec({"kind": "soc"}, tuple(var(4, i) for i in range(4)), both)
+    flipped = ConstraintSystem(cs.g[:2] + (const(4, 0.0) - var(4, 3),), (0,), (1, 2), 4)
+    with pytest.raises(TemplateMismatch, match="third constraint is not x_4"):
+        lme_from_spec({"kind": "soc"}, tuple(var(4, i) for i in range(4)), flipped)
 
 
 def test_recipe_explicit_lambdas():
     cs = ball_cs(2)
     lam_json = [{"coef": -0.5, "exp": [2, 0]}, {"coef": -0.5, "exp": [0, 2]}]
-    rec = recipe_from_spec({"lambdas": [lam_json]}, cs)
-    assert not rec.can_reinstantiate
-    lam = rec.instantiate(tuple(var(2, i) for i in range(2)))
+    lam = lme_from_spec({"lambdas": [lam_json]}, tuple(var(2, i) for i in range(2)), cs)
     assert lam.lambdas[0].evaluate((1.0, 1.0)) == pytest.approx(-1.0)
 
 
@@ -388,14 +393,13 @@ def test_recipe_matrix_rejects_inexact():
     cs = ball_cs(2)
     bad_rows = [[p.to_json() for p in (var(2, 0), var(2, 1), const(2, 1.0))]]
     with pytest.raises(TemplateMismatch):
-        recipe_from_spec({"L": bad_rows}, cs)
+        lme_from_spec({"L": bad_rows}, (var(2, 0), var(2, 1)), cs)
 
 
 def test_recipe_matrix_accepts_catalog_rows():
     cs = ball_cs(2)
     mat = catalog_lme(BALL, cs)
     rows = [[p.to_json() for p in row] for row in mat.rows]
-    rec = recipe_from_spec({"L": rows}, cs)
     F = (var(2, 0) - 3.0, var(2, 1))
-    lam = rec.instantiate(F)
+    lam = lme_from_spec({"L": rows}, F, cs)
     assert lam.lambdas[0].evaluate((1.0, 0.0)) == pytest.approx(1.0, abs=1e-14)

@@ -281,6 +281,30 @@ def test_quadratic_term_order():
     assert Polynomial.quadratic(3) == Polynomial.zero(3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quadratic_parts_inverts_quadratic(data):
+    n = data.draw(st.integers(1, 4))
+    # dyadic coefficients, so that halving and summing them is exact
+    num = st.integers(-40, 40).map(lambda k: k / 8.0)
+    c = data.draw(num)
+    q = np.array(data.draw(st.lists(num, min_size=n, max_size=n)))
+    mat = np.array(data.draw(st.lists(num, min_size=n * n, max_size=n * n))).reshape(n, n)
+    p = Polynomial.quadratic(n, c, q, mat)
+    const, lin, quad = p.quadratic_parts()
+    assert Polynomial.quadratic(n, const, lin, quad) == p
+    assert const == c and (lin == q).all()
+    assert (quad == quad.T).all()
+    assert (quad == (mat + mat.T) / 2.0).all()
+
+
+def test_quadratic_parts_refuses_higher_degree():
+    x = Polynomial.variable(2, 0)
+    assert Polynomial.zero(2).quadratic_parts()[0] == 0.0
+    with pytest.raises(ValueError, match="degree-3"):
+        (x * x * x).quadratic_parts()
+
+
 def test_violation_takes_the_worst_residual():
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     assert violation((1.0, -2.0), [x - 1.0], [y + 3.0]) == 0.0

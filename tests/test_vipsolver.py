@@ -237,3 +237,40 @@ def test_duplicate_guard_in_enumeration():
     assert res.status == "solutions"
     assert len(res.solutions) == 1
     assert res.complete
+
+
+def test_enclosing_ball_of_ring_and_quadric():
+    ring = Polynomial.quadratic(3, quad=np.eye(3))
+    cs = ConstraintSystem((ring - 1.0, 2.0 - ring), (), (0, 1), 3)
+    center, radius = vs.enclosing_ball(cs)
+    assert np.allclose(center, 0.0) and radius == pytest.approx(np.sqrt(2.0))
+    # an equality x^T B x = 1 holds X with either sign; here with its negation
+    b_mat = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    quadric = Polynomial.quadratic(3, -1.0, quad=b_mat)
+    cs = ConstraintSystem((quadric, _var(3, 2)), (0,), (1,), 3)
+    center, radius = vs.enclosing_ball(cs)
+    assert np.allclose(center, 0.0)
+    assert radius == pytest.approx(1.0 / np.sqrt(np.linalg.eigvalsh(b_mat)[0]))
+    # a shifted ball |x - c|^2 <= 4
+    c = np.array([1.0, -2.0, 0.5])
+    shifted = Polynomial.quadratic(3, 4.0 - c @ c, 2.0 * c, -np.eye(3))
+    center, radius = vs.enclosing_ball(ConstraintSystem((shifted,), (), (0,), 3))
+    assert np.allclose(center, c) and radius == pytest.approx(2.0)
+    # the orthant holds no ball
+    assert vs.enclosing_ball(ConstraintSystem((_var(2, 0), _var(2, 1)), (), (0, 1), 2)) is None
+
+
+def test_verify_refuses_a_solution_on_a_gapped_set():
+    # K = [1, 2] u (-inf, -20] with F = 1: u = 1 is a local minimizer of the
+    # comparison function, but y = -20 gives F(u)(y - u) = -21.  K is neither
+    # bounded nor convex, so no bound over K cut with a ball may accept u.
+    x = _var(1, 0)
+    g = -((x - 1.0) * (x - 2.0) * (x + 20.0))
+    cs = ConstraintSystem((g,), (), (0,), 1)
+    prob = vs.build_problem((_const(1, 1.0),), cs, {"lambdas": [[{"coef": 1.0, "exp": [0]}]]})
+    ver = vs.verify_candidate(prob, np.array([1.0]))
+    assert ver.status != vs.SOLUTION
+    assert ver.via in ("", "points")
+    # a cut, when the relaxation finds one, comes from a point of K below u
+    for v in ver.cut_points:
+        assert g.evaluate(v) >= -1e-6 and v[0] - 1.0 < -1e-6
