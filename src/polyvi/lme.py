@@ -14,11 +14,15 @@ The catalog covers the geometries the built-in problems and generators use:
     ring                 |x|^2 - 1 >= 0 and 2 - |x|^2 >= 0
     quadric_with_linear  x^T B x = 1 with the linear cone
                          x_1 - x_2 - ... - x_n >= 0, x_i >= 0 (i >= 2)
-    orthant_with_product x >= 0 with x_1 x_2 x_3 x_4 = 2 (carrier only: the
-                         well-known closed-form multipliers for this fixture
-                         do not come from an exact left inverse, so
-                         verify_lme reports False and the KKT assembly uses
-                         a dedicated degree-lowering rewrite)
+    orthant_with_product x >= 0 with x_1 x_2 x_3 x_4 = 2 (carrier only: its
+                         closed-form multipliers are not an exact left
+                         inverse, so verify_lme reports False and the KKT
+                         assembly uses a dedicated degree-lowering rewrite.
+                         That rewrite keeps only the KKT points with F = 0
+                         and so loses solutions.  An exact left inverse
+                         exists: with P_t = prod_{j != t} x_j, row 0 is
+                         (-x_j/8 | 1/2, 1/8 x4) and row t is
+                         (delta_tj - x_j P_t/8 | P_t/2, P_t/8 x4))
     soc_quadric          x^T B x = 1 in the cone nappe x_n^2 - |x_bar|^2 >= 0,
                          x_n >= 0; rational multipliers with denominator
                          2 x_n > 0 on the set, and x_n >= 0's multiplier 0
@@ -246,7 +250,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
         _require(cs.g[0] == prod_poly, "equality is not 2 - x1 x2 x3 x4")
         for i in range(1, 5):
             _require(cs.g[i] == Polynomial.variable(n, i - 1), f"constraint {i} is not x_{i}")
-        # closed-form carrier; rows 1..4 admit no exact tail completion
+        # closed-form carrier, not a left inverse (see the module docstring)
         row0 = tuple(Polynomial.variable(n, j).scale(-0.125) for j in range(n)) + tuple(
             zero for _ in range(m)
         )

@@ -12,15 +12,17 @@ relaxation replaces a measure by its pseudo-moment vector y up to degree 2k:
 
 Relaxation values grow with k and lower-bound the true minimum.  An
 infeasible relaxation certifies the program itself is infeasible.  Two
-finite-convergence detectors turn an optimal y into actual minimizers: the
-point check (the degree-one moments already form a feasible point achieving
-the bound) and flat truncation (rank M_t == rank M_{t-d0}), after which
-minimizers are read off a multiplication-operator eigendecomposition.
+finite-convergence detectors turn an optimal y into candidate minimizers:
+the point check (the degree-one moments) and flat extension (Curto &
+Fialkow): when rank M_t == rank M_{t-1}, M_t has a unique r-atomic
+representing measure, whose atoms are read off a multiplication-operator
+eigendecomposition (Henrion & Lasserre).  A candidate counts only when it
+is feasible and reaches the bound, so no answer rests on the rank test.
 
 Tolerance contract.  Every accept test has a fixed base tolerance: TOL_FEAS
 for constraint violation, TOL_GAP for the distance between a point's value
-and the bound, TOL_RANK for the singular values that count toward a rank and
-EXTRACT_TOL for the atom reconstruction residual.  A relaxation solved only
+and the bound, and TOL_RANK both for the singular values that count toward a
+rank and for the atom reconstruction residual.  A relaxation solved only
 to accuracy a (the worst of the backend's primal, dual and gap residuals)
 cannot support tighter tests, so each test takes the larger of its base and
 a widened accuracy: GAP_WIDENING * a for the gap (scaled by the bound's
@@ -50,7 +52,6 @@ BOUND_REACHED = "bound_reached"
 TOL_FEAS = 1e-6
 TOL_GAP = 1e-6
 TOL_RANK = 1e-6
-EXTRACT_TOL = 1e-6
 GAP_WIDENING = 30.0
 RANK_WIDENING = 50.0
 
@@ -186,14 +187,10 @@ def _leading(mk: np.ndarray, n: int, t: int) -> np.ndarray:
     return mk[:size, :size]
 
 
-def flat_truncation(
-    mk: np.ndarray, n: int, d0: int, t: int, tol_rank: float = TOL_RANK
-) -> int | None:
-    """Rank r when M_t[y] and M_{t-d0}[y], read off mk = M_k[y], agree in numeric rank."""
-    if t < d0:
-        raise ValueError(f"need d0 <= t, got t={t}, d0={d0}")
+def flat_truncation(mk: np.ndarray, n: int, t: int, tol_rank: float = TOL_RANK) -> int | None:
+    """Rank r when M_t[y] and M_{t-1}[y], read off mk = M_k[y], agree in numeric rank."""
     r_big = _numeric_rank(_leading(mk, n, t), tol_rank)
-    r_small = _numeric_rank(_leading(mk, n, t - d0), tol_rank)
+    r_small = _numeric_rank(_leading(mk, n, t - 1), tol_rank)
     return r_big if r_big == r_small else None
 
 
@@ -221,7 +218,7 @@ def extract_minimizers(
     t: int,
     r: int,
     seed: int = 0,
-    tol: float = EXTRACT_TOL,
+    tol: float = TOL_RANK,
 ) -> list[np.ndarray]:
     """Read r atoms out of a flat M_t[y], the leading block of mk = M_k[y].
 
@@ -334,7 +331,8 @@ def minimize(
     up the moment matrices' dynamic range and stall the backend.  The run
     ends with INFEASIBLE at an infeasible order, BOUND_REACHED at a trusted
     bound >= `floor` (without extraction), or MINIMIZERS (in x) once
-    candidate points reach the bound; else it is INCONCLUSIVE at order
+    candidate points reach the bound: the degree-one moments, else the atoms
+    of each flat M_t, t = 1 .. k, in turn; else it is INCONCLUSIVE at order
     d0 + k_max_extra, with the largest bound and the accuracy and trust of
     the last optimal solve.
     """
@@ -363,7 +361,6 @@ def minimize(
         gap_eff = max(TOL_GAP, GAP_WIDENING * acc * max(1.0, abs(bound)))
         feas_eff = max(TOL_FEAS, GAP_WIDENING * acc)
         rank_eff = max(TOL_RANK, RANK_WIDENING * acc)
-        extract_eff = max(EXTRACT_TOL, RANK_WIDENING * acc)
 
         if trusted and floor is not None and bound >= floor:
             return HierarchyOutcome(BOUND_REACHED, k, value=bound, accuracy=acc)
@@ -384,12 +381,12 @@ def minimize(
             return found
 
         mk = moment_matrix(y, k)
-        for t in range(d0, k + 1):
-            r = flat_truncation(mk, prog.n, d0, t, rank_eff)
+        for t in range(1, k + 1):
+            r = flat_truncation(mk, prog.n, t, rank_eff)
             if r is None:
                 continue
             try:
-                found = minimizers(extract_minimizers(mk, prog.n, t, r, seed, extract_eff))
+                found = minimizers(extract_minimizers(mk, prog.n, t, r, seed, rank_eff))
             except ExtractionFailed:
                 continue
             if found:

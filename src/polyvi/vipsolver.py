@@ -331,7 +331,8 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     X lies in the ball, which is made to hold `enclosing_ball`, or X is
     convex, so that a point of X below the bound gives one inside the ball;
     else the verdict is INCONCLUSIVE.  Minimizers below -EPS_TOL become cut
-    points on any X: every point of X is a valid comparison point.
+    points on any X, once polished, when they still lie in X and compare
+    below -EPS_TOL: every such point of X is a valid comparison point.
     """
     opts = opts or SolverOptions()
     u = np.asarray(u, dtype=float)
@@ -358,7 +359,12 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
             _kkt_polish(lambda x: fu, lambda x: np.zeros((n, n)), cs, p, tol_active)
             for p in out.points
         ]
-        pts = [p for p in polished if violation(p, phi, psi) <= 10 * TOL_FEAS]
+        # a polished point stays a cut point only while it lies in X and
+        # still compares below u; u itself would cut nothing
+        pts = [
+            p for p in polished
+            if violation(p, phi, psi) <= 10 * TOL_FEAS and ell.evaluate(p) < -EPS_TOL
+        ]
         if pts:
             return VerifyResult(CUT, float(out.value), pts, via="points")
         return VerifyResult(INCONCLUSIVE_RUN, None)

@@ -310,7 +310,7 @@ def test_props_atom_extraction_round_trip():
             w * lift(a, 4).values for w, a in zip(weights, atoms)
         )
         mk = ms.moment_matrix(MomentVector(n, 4, vals), 2)
-        rank = ms.flat_truncation(mk, n, 1, 2, 1e-6)
+        rank = ms.flat_truncation(mk, n, 2, 1e-6)
         assert rank == r
         got = ms.extract_minimizers(mk, n, 2, rank, seed=trial)
         assert len(got) == r

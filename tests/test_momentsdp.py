@@ -149,6 +149,20 @@ def test_minimize_returns_extracted_atoms(monkeypatch):
     assert calls == [1, 2]
 
 
+@pytest.mark.parametrize("psi", [(), (poly1({(0,): 4.0, (4,): -1.0}),)])
+def test_minimize_extracts_two_minimizers_at_the_first_order(psi):
+    # min (x^2 - 1)^2, free or with 4 - x^4 >= 0: the minimizers are -1 and 1,
+    # so the degree-one moment is 0 and the point check fails; M_2 is flat
+    # over M_1 (rank 2), and both atoms come out at the first order solved
+    x = poly1({(1,): 1.0})
+    theta = (x * x - 1.0) * (x * x - 1.0)
+    prog = ms.PolyProgram(theta, (), psi, 1)
+    out = ms.minimize(prog)
+    assert out.status == ms.MINIMIZERS
+    assert out.order == prog.d0 == 2
+    assert sorted(float(u[0]) for u in out.points) == pytest.approx([-1.0, 1.0], abs=1e-4)
+
+
 def test_point_check_builds_no_moment_matrix(monkeypatch):
     def refuse(y, t):
         raise AssertionError("moment matrix built although the point check passed")
@@ -235,7 +249,7 @@ def test_flat_truncation_two_atoms():
     # moments of (delta_0 + delta_1)/2 in one variable
     y_vals = 0.5 * (lift((0.0,), 4).values + lift((1.0,), 4).values)
     mk = ms.moment_matrix(MomentVector(1, 4, y_vals), 2)
-    r = ms.flat_truncation(mk, 1, 1, 2)
+    r = ms.flat_truncation(mk, 1, 2)
     assert r == 2
     atoms = ms.extract_minimizers(mk, 1, 2, r)
     got = sorted(float(a[0]) for a in atoms)
@@ -247,7 +261,7 @@ def test_flat_truncation_not_flat():
     pts = [(-0.7,), (0.1,), (0.8,)]
     y_vals = sum(lift(p, 4).values for p in pts) / 3.0
     mk = ms.moment_matrix(MomentVector(1, 4, y_vals), 2)
-    assert ms.flat_truncation(mk, 1, 1, 2) is None
+    assert ms.flat_truncation(mk, 1, 2) is None
 
 
 def test_extraction_round_trip():
@@ -264,7 +278,7 @@ def test_extraction_round_trip():
         w /= w.sum()
         y_vals = sum(wi * lift(a, 4).values for wi, a in zip(w, atoms))
         mk = ms.moment_matrix(MomentVector(n, 4, y_vals), 2)
-        rank = ms.flat_truncation(mk, n, 1, 2)
+        rank = ms.flat_truncation(mk, n, 2)
         if rank != r:
             continue
         got = ms.extract_minimizers(mk, n, 2, rank)

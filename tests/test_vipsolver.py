@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from polyvi import vipsolver as vs
 from polyvi.lme import ConstraintSystem
-from polyvi.momentsdp import INCONCLUSIVE, INFEASIBLE, HierarchyOutcome
+from polyvi.momentsdp import INCONCLUSIVE, INFEASIBLE, MINIMIZERS, HierarchyOutcome
 from polyvi.polycore import Polynomial, violation
 
 
@@ -135,6 +135,21 @@ def test_verify_accepts_solution_and_cuts_imposter():
         assert float((v - bad) @ fu) <= ver2.eps + 1e-5
         # and its cut keeps the true solution feasible
         assert cut_polynomial(v, prob.F).evaluate(star) >= -1e-7
+
+
+def test_verify_keeps_no_cut_point_that_cuts_nothing(monkeypatch):
+    # the relaxation reports a bound below -EPS_TOL, but its one minimizer is
+    # the solution u itself, where (v - u) . F(u) = 0: a cut through u
+    # excludes nothing, so the verdict is inconclusive, not a cut
+    prob = ball_projection_problem(np.array([0.9, 1.2]))
+    star = np.array([0.6, 0.8])
+    monkeypatch.setattr(
+        vs, "minimize",
+        lambda *args, **kwargs: HierarchyOutcome(MINIMIZERS, 1, -1e-3, [star.copy()]),
+    )
+    ver = vs.verify_candidate(prob, star)
+    assert ver.status == vs.INCONCLUSIVE_RUN
+    assert ver.cut_points == []
 
 
 def test_solve_all_enumerates_cubic_ncp():

@@ -1,17 +1,19 @@
 """Record every SDP solve of the benchmark's command lines, or compare two records.
 
-    python3 tools/sdp_capture.py OUT.json [--fixture NAME]...
+    python3 tools/sdp_capture.py OUT.json [--fixture NAME]... [--solve NAME]...
     python3 tools/sdp_capture.py --compare A.json B.json
 
 A capture runs polyvi from the `src` tree next to this file, in this process,
 through `cli.main`, with every OpenBLAS on one thread.  The command lines are
-those of the four benchmark workloads (`perfbench/workloads.py`), and each
-`--fixture NAME` adds `solve --all` on `fixtures/NAME.json`.  For each SDP
-that `sdpbackend.solve` returns it writes the moment count m, the status, the
-exit, the iteration count and the sha1 of the bytes of y; for each command
-line, its exit code (1 for bad input, such as a fixture that fails to
-parse) and its --json report without `file` and without any `time` entry
-(null when the command wrote none).
+those of the four benchmark workloads (`perfbench/workloads.py`); each
+`--fixture NAME` adds `solve --all` on `fixtures/NAME.json`, and each
+`--solve NAME` adds `solve` without `--all` on it, for a fixture whose
+enumeration runs too long (`capital_stock --all` takes over 15 minutes).
+For each SDP that `sdpbackend.solve` returns it writes the moment count m,
+the status, the exit, the iteration count and the sha1 of the bytes of y;
+for each command line, its exit code (1 for bad input, such as a fixture
+that fails to parse) and its --json report without `file` and without any
+`time` entry (null when the command wrote none).
 
 `--compare` prints every difference between two captures and exits 1 when
 there is one, 0 otherwise.  To compare two versions of the code, copy this
@@ -89,9 +91,9 @@ def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
     out: dict = {}
     try:
         for kind, name in targets:
-            if kind == "fixture":
-                path = ROOT / "fixtures" / f"{name}.json"
-                lines = [(name, ["solve", str(path), "--all"])]
+            if kind in ("fixture", "solve"):
+                argv = ["solve", str(ROOT / "fixtures" / f"{name}.json")]
+                lines = [(name, argv + ["--all"] if kind == "fixture" else argv)]
             else:
                 insts = workloads.prepare(name, workdir, run_cli)
                 lines = [(inst.label, inst.argv) for inst in insts]
@@ -152,6 +154,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?", type=Path, help="where to write the capture")
     ap.add_argument("--fixture", action="append", default=[])
+    ap.add_argument("--solve", action="append", default=[])
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
     args = ap.parse_args()
 
@@ -168,6 +171,7 @@ def main() -> int:
         ap.error("give OUT, or --compare A B")
     targets = [("workload", w) for w in sorted(workloads.WORKLOADS)]
     targets += [("fixture", f) for f in args.fixture]
+    targets += [("solve", f) for f in args.solve]
     with tempfile.TemporaryDirectory() as tmp:
         result = capture(targets, Path(tmp))
     args.out.write_text(json.dumps(result, indent=1) + "\n")
