@@ -105,11 +105,9 @@ def localizing_block(q: Polynomial, k: int, n: int) -> sb.SdpBlock:
     t = k - math.ceil(q.degree / 2)
     if t < 0:
         raise ValueError(f"order {k} too small to localize degree {q.degree}")
-    size = len(basis(n, t))
     rows, cols, sums = _pair_sums(n, t)
     return sb.SdpBlock(
-        size,
-        np.zeros((size, size)),
+        len(basis(n, t)),
         monomial_index(sums[:, None, :] + q.exps).ravel(),
         np.repeat(rows, len(q.coefs)),
         np.repeat(cols, len(q.coefs)),
@@ -146,17 +144,8 @@ def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
         if q.is_zero:
             continue
         if q.degree == 0:
-            # constant inequality: infeasible constant goes in as an
-            # impossible 1x1 block, positive constants carry no information
-            val = q.coefs[0]
-            if val < 0:
-                blocks.append(
-                    sb.SdpBlock(
-                        1, np.array([[val]]),
-                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=float),
-                    )
-                )
+            if q.coefs[0] < 0:  # the impossible 1x1 block [q * y_0]
+                blocks.append(localizing_block(q, 0, n))
             continue
         blocks.append(localizing_block(q, k, n))
     return sb.SdpProblem(m, c, eq_rows, eq_rhs, blocks)

@@ -4,17 +4,25 @@ Problem form (the only form the rest of the package produces):
 
     minimize    c . y                          y in R^m
     subject to  a_i . y  = b_i                 i = 1..p
-                A0_l + sum_j y_j A_jl  >= 0    one PSD constraint per block l
+                sum_j y_j A_jl  >= 0           one PSD constraint per block l
 
-Internally the problem is rewritten in conic form  G y + s = h,  s in a
-product of PSD cones.  A cone vector holds each block's symmetric s x s
-matrix flattened row-major, so the trace inner product of two blocks is the
-dot product of their vectors and the Frobenius norm is the 2-norm.  The
-problem is solved on the homogeneous self-dual embedding with
-Nesterov-Todd scaling and a Mehrotra predictor-corrector step.  The
-self-dual embedding is what makes infeasibility detection reliable: instead
-of diverging, an infeasible instance drives tau -> 0 and the iterate itself
-becomes a primal or dual infeasibility certificate.
+The blocks have no constant term: a moment relaxation fixes y_0 = 1 by an
+equality row, and a constant enters as a multiple of y_0.  Internally the
+problem is rewritten in conic form  G y + s = 0,  s in a product of PSD
+cones.  A cone vector holds each block's symmetric s x s matrix flattened
+row-major, so the trace inner product of two blocks is the dot product of
+their vectors and the Frobenius norm is the 2-norm.  The problem is solved
+on the homogeneous self-dual embedding with Nesterov-Todd scaling and a
+Mehrotra predictor-corrector step.  The embedding is what makes
+infeasibility detection reliable: instead of diverging, an infeasible
+instance drives tau -> 0 and the iterate becomes a primal infeasibility
+certificate, a ray (y, z) with A^T y + G^T z = 0, z >= 0 and b . y < 0.
+There is no unboundedness certificate, because every relaxation the
+package builds is bounded below: a search's theta is positive definite, so
+<theta, y> = tr(Theta M_1(y)) >= 0; the gap band's localizer bounds
+<theta, y> <= theta* + delta; and the verification ball's localizer bounds
+the second moments, so M_1 >= 0 bounds the first.  An unbounded program
+ends in a numerical failure.
 
 Per iteration the method
 
@@ -48,8 +56,8 @@ The score of an iterate is the worst of its relative primal, dual and gap
 residuals.  `SdpResult.exit` records where a solve ended:
 
   - `optimal`: the residuals and the gap are within `_TOL`.
-  - `certificate`: the iterate is a primal or dual infeasibility
-    certificate within `_TOL`.
+  - `certificate`: the iterate is a primal infeasibility certificate
+    within `_TOL`.
   - `stall`: 30 iterations without cutting the best score by 20 %.
   - `diverged`: the best score is within the relaxed band `_RELAXED_BAND`
     and the current one exceeds `_DIVERGE_FACTOR` times it.  Once mu/mu0
@@ -69,7 +77,9 @@ kappa dominates tau is tested as a certificate at the looser tolerance
 a `diverged` solve returns that best iterate.  Anything else is a numerical
 failure.
 
-Everything here is deterministic: no randomness anywhere in this module.
+No randomness is used here, yet a result can differ in its last bits
+between processes: the m=1716 search SDP of large-sdp seed 1 has, likely
+through an alignment-dependent BLAS path.
 """
 
 from __future__ import annotations
@@ -82,7 +92,6 @@ import scipy.sparse as sp
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
-DUAL_INFEASIBLE = "dual_infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
 
 # the accuracy of the `optimal` and `certificate` exits, and the looser
@@ -101,15 +110,14 @@ _DIVERGE_FACTOR = 1e3
 
 @dataclass
 class SdpBlock:
-    """One PSD constraint  A0 + sum_j y_j A_j >= 0  in sparse triplet form.
+    """One PSD constraint  sum_j y_j A_j >= 0  in sparse triplet form.
 
-    `const` is the dense symmetric A0.  Linear coefficients are triplets
+    There is no constant term.  The coefficients are triplets
     (var_idx, row, col, val) restricted to the upper triangle (row <= col);
     the symmetric mirror entry is implied, not stored.
     """
 
     size: int
-    const: np.ndarray
     var_idx: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -119,9 +127,7 @@ class SdpBlock:
         """Dense symmetric value of the block map at y."""
         mat = np.zeros((self.size, self.size))
         np.add.at(mat, (self.rows, self.cols), self.vals * y[self.var_idx])
-        mat = mat + mat.T - np.diag(np.diag(mat))
-        const_sym = np.triu(self.const) + np.triu(self.const, 1).T
-        return const_sym + mat
+        return mat + mat.T - np.diag(np.diag(mat))
 
 
 @dataclass
@@ -150,7 +156,8 @@ class SdpProblem:
 class SdpResult:
     """`exit` names where the solve ended (the module docstring lists the
     exits); `best_score` is the best score of any iterate and `mu_ratio` is
-    mu/mu0 at the last one, both None on the exits before the loop."""
+    mu/mu0 at the last one, both None on the exits before the loop.  No
+    status claims unboundedness (the module docstring says why)."""
 
     status: str
     y: np.ndarray | None
@@ -168,7 +175,7 @@ class SdpResult:
 
 
 def min_block_eigenvalue(problem: SdpProblem, y: np.ndarray) -> float:
-    """Smallest eigenvalue over all blocks at y; used by feasibility checks."""
+    """Smallest eigenvalue over all blocks at y."""
     return min(float(sla.eigvalsh(b.evaluate(y)).min()) for b in problem.blocks)
 
 
@@ -329,13 +336,12 @@ class ReferenceIpm:
         self.identity = np.concatenate([np.eye(size).ravel() for size in self.sizes])
         self.resx0 = max(1.0, float(np.linalg.norm(self.c)))
         self.resy0 = max(1.0, float(np.linalg.norm(self.b)))
-        self.resz0 = max(1.0, float(np.linalg.norm(self.h)))
         self.nu = float(self.sizes.sum())
 
     # -- setup -------------------------------------------------------------
 
     def _gather_cones(self, problem: SdpProblem):
-        """h, and the entries of G, one array per field, in G's row-major order.
+        """The entries of G, one array per field, in G's row-major order.
 
         Each block's rows of G hold its s x s matrices row-major, and column j
         of G holds the entries of -A_j, mirrored below the diagonal.  The
@@ -344,15 +350,13 @@ class ReferenceIpm:
         """
         self.sizes = np.array([blk.size for blk in problem.blocks])
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes**2)])
-        pos, var, val, h_parts = [], [], [], []
+        pos, var, val = [], [], []
         for blk, off in zip(problem.blocks, self.offsets):
             size = blk.size
             lower = blk.rows != blk.cols
             pos += [off + blk.rows * size + blk.cols, off + (blk.cols * size + blk.rows)[lower]]
             var += [blk.var_idx, blk.var_idx[lower]]
             val += [-blk.vals, -blk.vals[lower]]
-            h_parts.append((np.triu(blk.const) + np.triu(blk.const, 1).T).ravel())
-        self.h = np.concatenate(h_parts)
         g = sp.coo_matrix(
             (np.concatenate(val), (np.concatenate(pos), np.concatenate(var))),
             shape=(self.offsets[-1], self.m),
@@ -400,7 +404,6 @@ class ReferenceIpm:
         self.blk_scale = d_blk
         self.A_raw = raw_a * d_eq[:, None] * e[None, :]
         self.b_raw = raw_b * d_eq
-        self.h = self.h * np.repeat(d_blk, self.sizes**2)
         c_eff = problem.c * e
         self.c_scale = max(1.0, float(np.abs(c_eff).max()))
         self.c = c_eff / self.c_scale
@@ -585,12 +588,13 @@ class ReferenceIpm:
                 NUMERICAL_FAILURE, None, None, {"reason": "initial factorization"},
                 exit="initial_factor",
             )
-        x, _, z_hat = self._solve3(None, np.zeros(m), self.b, self.h)
+        zero = np.zeros(self.offsets[-1])
+        x, _, z_hat = self._solve3(None, np.zeros(m), self.b, zero)
         s = -z_hat
         lo = self._min_eig(s)
         if lo < 1e-8:
             s = s + (1.0 - lo) * self.identity
-        _, y, z = self._solve3(None, -self.c, np.zeros(p), np.zeros(len(self.h)))
+        _, y, z = self._solve3(None, -self.c, np.zeros(p), zero)
         lo = self._min_eig(z)
         if lo < 1e-8:
             z = z + (1.0 - lo) * self.identity
@@ -612,8 +616,8 @@ class ReferenceIpm:
         for it in range(1, self.max_iters + 1):
             rx = self.A.T @ y + self.GT @ z + self.c * tau
             ry = self.A @ x - self.b * tau
-            rz = self.G @ x + s - self.h * tau
-            rt = kappa + self.c @ x + self.b @ y + self.h @ z
+            rz = self.G @ x + s
+            rt = kappa + self.c @ x + self.b @ y
 
             gap_sz = float(s @ z)
             mu = (gap_sz + tau * kappa) / (self.nu + 1.0)
@@ -621,7 +625,7 @@ class ReferenceIpm:
             pcost = float(self.c @ x) / tau
             gap = gap_sz / (tau * tau)
             relgap = gap / max(1.0, abs(pcost))
-            pres = max(np.linalg.norm(ry) / self.resy0, np.linalg.norm(rz) / self.resz0) / tau
+            pres = max(np.linalg.norm(ry) / self.resy0, np.linalg.norm(rz)) / tau
             dres = (np.linalg.norm(rx) / self.resx0) / tau
 
             score = max(pres, dres, relgap)
@@ -638,7 +642,7 @@ class ReferenceIpm:
             if pres <= _TOL and dres <= _TOL and (gap <= _TOL or relgap <= _TOL):
                 return finish(best, "optimal")
 
-            cert = self._certificates(x, y, z, s, _TOL, it)
+            cert = self._certificate(y, z, _TOL, it)
             if cert is not None:
                 return finish(cert, "certificate")
 
@@ -654,8 +658,8 @@ class ReferenceIpm:
                 exit_path = "scaling"
                 break
 
-            u1 = self._solve3_refined(states, -self.c, self.b, self.h)
-            denom_u1 = float(self.c @ u1[0] + self.b @ u1[1] + self.h @ u1[2])
+            u1 = self._solve3_refined(states, -self.c, self.b, zero)
+            denom_u1 = float(self.c @ u1[0] + self.b @ u1[1])
 
             lam_sq = np.concatenate([np.diag(st.lam**2).ravel() for st in states])
 
@@ -672,11 +676,7 @@ class ReferenceIpm:
                 lam_inv_ds = self._lambda_solve(states, ds_scaled)
                 bhat_z = -r_weight * rz - self._congruence(states, "r_t", lam_inv_ds)
                 u0 = self._solve3_refined(states, -r_weight * rx, -r_weight * ry, bhat_z)
-                numer = (
-                    -r_weight * rt
-                    - d_kappa / tau
-                    - float(self.c @ u0[0] + self.b @ u0[1] + self.h @ u0[2])
-                )
+                numer = -r_weight * rt - d_kappa / tau - float(self.c @ u0[0] + self.b @ u0[1])
                 dtau = numer / (denom_u1 - kappa / tau)
                 dx = u0[0] + dtau * u1[0]
                 dy = u0[1] + dtau * u1[1]
@@ -715,7 +715,7 @@ class ReferenceIpm:
         # stalled; when the embedding drove tau to zero the iterate is a
         # near-certificate, which beats reporting a numerical failure
         if kappa > 1e4 * max(tau, 1e-300):
-            cert = self._certificates(x, y, z, s, _RELAXED_TOL, it)
+            cert = self._certificate(y, z, _RELAXED_TOL, it)
             if cert is not None:
                 cert.residuals["relaxed"] = True
                 return finish(cert, exit_path)
@@ -731,22 +731,13 @@ class ReferenceIpm:
             exit_path,
         )
 
-    def _certificates(self, x, y, z, s, tol, it):
-        hz_by = float(self.b @ y + self.h @ z)
-        if hz_by < 0.0:
-            cert = np.linalg.norm(self.A.T @ y + self.GT @ z)
-            pinf = cert / self.resx0 / (-hz_by)
+    def _certificate(self, y, z, tol, it):
+        """PRIMAL_INFEASIBLE when (y, z) is a ray A^T y + G^T z = 0, b . y < 0 within tol."""
+        by = float(self.b @ y)
+        if by < 0.0:
+            pinf = float(np.linalg.norm(self.A.T @ y + self.GT @ z)) / self.resx0 / (-by)
             if pinf <= tol:
-                info = {"certificate_residual": float(pinf)}
-                return SdpResult(PRIMAL_INFEASIBLE, None, None, info, it)
-        cx = float(self.c @ x)
-        if cx < 0.0:
-            ax = np.linalg.norm(self.A @ x) / self.resy0
-            gx = np.linalg.norm(self.G @ x + s) / self.resz0
-            dinf = max(ax, gx) / (-cx)
-            if dinf <= tol:
-                info = {"certificate_residual": float(dinf)}
-                return SdpResult(DUAL_INFEASIBLE, None, None, info, it)
+                return SdpResult(PRIMAL_INFEASIBLE, None, None, {"certificate_residual": pinf}, it)
         return None
 
 

@@ -198,6 +198,23 @@ def test_solve_all_flag(tiny_file):
     assert len(report["solutions"]) == 1
 
 
+def test_negative_constant_field_on_the_orthant_has_no_solution(tmp_path):
+    # F = -1 on x >= 0: F(x)(y - x) >= 0 fails for y > x at every x, and the
+    # multiplier F = -1 >= 0 is the impossible constant of the search
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "name": "orthant-minus-one",
+        "n": 1,
+        "F": [[{"coef": -1.0, "exp": [0]}]],
+        "constraints": [{"poly": [{"coef": 1.0, "exp": [1]}], "kind": "ineq"}],
+        "lme": {"kind": "orthant"},
+    }))
+    report = json.loads(invoke("solve", str(path), "--all", "--json").output)
+    assert report["status"] == "no_solution"
+    assert report["complete"] is True
+    assert report["certificate_order"] == 1
+
+
 @pytest.mark.parametrize(
     "name,status", [("eig_linear_cone", "solution"), ("ring_empty", "no_solution")]
 )

@@ -116,6 +116,31 @@ def test_build_relaxation_rejects_low_order():
         ms.build_relaxation(prog, 1)
 
 
+def test_negative_constant_inequality_is_an_order_zero_block():
+    # x >= 0 and -1 >= 0: the constant is the 1x1 block [-y_0]
+    x, minus_one = poly1({(1,): 1.0}), poly1({(0,): -1.0})
+    relaxation = ms.build_relaxation(ms.PolyProgram(x, (), (x, minus_one), 1), 1)
+    assert [blk.size for blk in relaxation.blocks] == [2, 1, 1]
+    last = relaxation.blocks[-1]
+    assert [tuple(a.tolist()) for a in (last.var_idx, last.rows, last.cols, last.vals)] == [
+        (0,), (0,), (0,), (-1.0,)
+    ]
+
+
+def test_positive_constant_inequality_adds_no_block():
+    x = poly1({(1,): 1.0})
+    relaxation = ms.build_relaxation(ms.PolyProgram(x, (), (x, poly1({(0,): 2.0})), 1), 1)
+    assert [blk.size for blk in relaxation.blocks] == [2, 1]
+
+
+def test_minimize_certifies_a_negative_constant_infeasible(sdp_solves):
+    x = poly1({(1,): 1.0})
+    out = ms.minimize(ms.PolyProgram(x, (), (x, poly1({(0,): -1.0})), 1))
+    assert out.status == ms.INFEASIBLE and out.order == 1
+    [(_, res)] = sdp_solves
+    assert res.exit == "certificate" and "relaxed" not in res.residuals
+
+
 def test_minimize_interval():
     # min -x over [-1, 1]: value -1 at x = 1
     theta = poly1({(1,): -1.0})

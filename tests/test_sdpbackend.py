@@ -13,9 +13,16 @@ from polyvi.vipsolver import solve_one
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
+# the placeholder variable of a block's constant term; `make` fixes it to 1
+ONE = -1
+
+
 def dense_block(const, coeffs):
-    """SdpBlock from a dense A0 and (variable index, dense symmetric A_j) pairs."""
+    """SdpBlock of A0 + sum_j y_j A_j from a dense A0 and (variable index,
+    dense symmetric A_j) pairs; a nonzero A0 is the matrix of variable ONE."""
     const = np.asarray(const, dtype=float)
+    if const.any():
+        coeffs = [(ONE, const), *coeffs]
     vi, rr, cc, vv = [np.zeros(0, dtype=np.int64)] * 3 + [np.zeros(0)]
     for j, mat in coeffs:
         mat = np.triu(np.asarray(mat, dtype=float))
@@ -24,7 +31,7 @@ def dense_block(const, coeffs):
         rr = np.concatenate([rr, r])
         cc = np.concatenate([cc, c])
         vv = np.concatenate([vv, mat[r, c]])
-    return sb.SdpBlock(const.shape[0], const, vi, rr, cc, vv)
+    return sb.SdpBlock(const.shape[0], vi, rr, cc, vv)
 
 
 def one_var_block(entries):
@@ -34,8 +41,20 @@ def one_var_block(entries):
 
 
 def make(num_vars, c, eq_rows, blocks):
+    """SdpProblem over y_0 .. y_{num_vars-1}.  When a block uses ONE, it
+    becomes y_{num_vars}, fixed to 1 by one more equality row, with c entry 0."""
+    c = np.array(c, dtype=float)
     rows = np.array([a for a, _ in eq_rows], dtype=float).reshape(len(eq_rows), num_vars)
-    return sb.SdpProblem(num_vars, np.array(c, dtype=float), rows, [b for _, b in eq_rows], blocks)
+    rhs = [b for _, b in eq_rows]
+    if any((blk.var_idx == ONE).any() for blk in blocks):
+        for blk in blocks:
+            blk.var_idx = np.where(blk.var_idx == ONE, num_vars, blk.var_idx)
+        num_vars += 1
+        c = np.append(c, 0.0)
+        rows = np.hstack([rows, np.zeros((len(rows), 1))])
+        rows = np.vstack([rows, np.eye(1, num_vars, num_vars - 1)])
+        rhs.append(1.0)
+    return sb.SdpProblem(num_vars, c, rows, rhs, blocks)
 
 
 # Analytic instances: (problem, optimal value, optimal y or None)
@@ -145,7 +164,7 @@ def test_toy_optimal_values(idx):
     assert res.exit == "optimal"
     assert res.objective == pytest.approx(opt, abs=1e-7)
     if ystar is not None:
-        assert np.allclose(res.y, ystar, atol=1e-5)
+        assert np.allclose(res.y[:len(ystar)], ystar, atol=1e-5)
 
 
 @pytest.mark.parametrize("idx", range(3))
@@ -157,23 +176,26 @@ def test_infeasible_detection(idx):
 
 
 @pytest.mark.parametrize("idx", range(2))
-def test_unbounded_detection(idx):
+def test_unbounded_ends_in_numerical_failure(idx):
+    # no relaxation the package builds is unbounded, so the solver has no
+    # unboundedness certificate; an unbounded problem must still never be
+    # reported optimal
     prob = unbounded_problems()[idx]
     res = sb.solve(prob)
-    assert res.status == sb.DUAL_INFEASIBLE
-    assert res.exit == "certificate"
+    assert res.status == sb.NUMERICAL_FAILURE
+    assert res.exit == "collapse"
 
 
 def test_unbounded_without_ray_is_not_reported_optimal():
     # min y1 with [[1, y1], [y1, y2]] >= 0 has value -inf but no improving
-    # ray, so no certificate exists; any status except optimal is acceptable
+    # ray; like a problem with one, it ends in a numerical failure
     prob = make(2, [1.0, 0.0], [],
                 [dense_block(
                     np.array([[1.0, 0.0], [0.0, 0.0]]),
                     [(0, np.array([[0.0, 1.0], [1.0, 0.0]])),
                      (1, np.array([[0.0, 0.0], [0.0, 1.0]]))])])
     res = sb.solve(prob)
-    assert res.status in (sb.DUAL_INFEASIBLE, sb.NUMERICAL_FAILURE)
+    assert res.status == sb.NUMERICAL_FAILURE
 
 
 def test_optimal_iterate_quality():
@@ -246,11 +268,14 @@ def test_problem_rejects_mismatched_equalities():
 
 def test_block_evaluate_matches_dense():
     rng = np.random.default_rng(7)
-    mats = [np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[0.0, -1.0], [-1.0, 4.0]])]
-    const = np.array([[1.0, 0.5], [0.5, 2.0]])
-    blk = dense_block(const, [(0, mats[0]), (1, mats[1])])
-    y = rng.standard_normal(2)
-    expect = const + y[0] * mats[0] + y[1] * mats[1]
+    mats = [
+        np.array([[2.0, 1.0], [1.0, 3.0]]),
+        np.array([[0.0, -1.0], [-1.0, 4.0]]),
+        np.array([[1.0, 0.5], [0.5, 2.0]]),
+    ]
+    blk = dense_block(np.zeros((2, 2)), list(enumerate(mats)))
+    y = rng.standard_normal(3)
+    expect = y[0] * mats[0] + y[1] * mats[1] + y[2] * mats[2]
     assert np.allclose(blk.evaluate(y), expect, atol=1e-14)
 
 
@@ -365,7 +390,7 @@ def test_solve3_residuals():
     rng = np.random.default_rng(5)
     states = _random_states(ipm, rng)
     assert len(ipm.b) == 7 and ipm._factor(states)
-    bx, by, bz = (rng.standard_normal(n) for n in (ipm.m, len(ipm.b), len(ipm.h)))
+    bx, by, bz = (rng.standard_normal(n) for n in (ipm.m, len(ipm.b), ipm.offsets[-1]))
     bz = ipm._jordan_product(bz, ipm.identity)  # cone vectors hold symmetric blocks
     ux, uy, uz = ipm._solve3(states, bx, by, bz)
     rx = ipm.A.T @ uy + ipm.GT @ uz - bx
@@ -380,12 +405,12 @@ def test_solve3_residuals():
 
 @pytest.mark.parametrize("idx", range(3))
 def test_cone_map_reproduces_each_block(idx):
-    # h - G (y / var_scale) is each block's A0 + sum_j y_j A_j, row-major and
-    # times the block's equilibration factor
+    # -G (y / var_scale) is each block's sum_j y_j A_j, row-major and times
+    # the block's equilibration factor
     prob = schur_problems()[idx]
     ipm = sb.ReferenceIpm(prob, 200)
     y = np.random.default_rng(idx).standard_normal(ipm.m)
-    slack = ipm.h - ipm.G @ (y / ipm.var_scale)
+    slack = -ipm.G @ (y / ipm.var_scale)
     start = 0
     for blk, scale in zip(prob.blocks, ipm.blk_scale):
         mat = slack[start:start + blk.size**2].reshape(blk.size, blk.size)
@@ -407,9 +432,9 @@ EXPECTED_SCALING = [
         [1.0] + [_C] * 6,
     ),
     (
-        [0.48075522949711974, 0.8908955772567231, 1.0491119932398236],
+        [0.48075522949711974, 0.8908955772567231, 1.0491119932398236, 1.0],
         [0.6933651487471225, 0.9531828982732621, 1.1224600696749367],
-        [],
+        [1.0],
     ),
 ]
 

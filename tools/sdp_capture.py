@@ -10,14 +10,17 @@ those of the four benchmark workloads (`perfbench/workloads.py`); each
 `--solve NAME` adds `solve` without `--all` on it, for a fixture whose
 enumeration runs too long (`capital_stock --all` takes over 15 minutes).
 For each SDP that `sdpbackend.solve` returns it writes the moment count m,
-the status, the exit, the iteration count and the sha1 of the bytes of y;
-for each command line, its exit code (1 for bad input, such as a fixture
-that fails to parse) and its --json report without `file` and without any
-`time` entry (null when the command wrote none).
+the sha1 of its data (c, the equality rows and right-hand sides, and each
+block's size and triplets), the status, the exit, the iteration count and
+the sha1 of the bytes of y; for each command line, its exit code (1 for bad
+input, such as a fixture that fails to parse) and its --json report without
+`file` and without any `time` entry (null when the command wrote none).
 
-`--compare` prints every difference between two captures and exits 1 when
-there is one, 0 otherwise.  To compare two versions of the code, copy this
-file into a checkout of each and capture both.
+`--compare` prints every difference between two captures, then per target
+the totals of each capture (SDPs, IPM iterations and the count of each
+exit), and exits 1 when there is a difference, 0 otherwise.  To compare two
+versions of the code, copy this file into a checkout of each and capture
+both.
 
 The m=1716 search SDP of large-sdp seed 1 does not always give the same
 iterate in two processes of the same code: its objective came out as
@@ -35,6 +38,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 # before numpy loads: OpenBLAS reads its thread count once, at load time
@@ -68,6 +72,18 @@ def _untimed(value):
     return value
 
 
+def _data_sha1(problem) -> str:
+    """sha1 of an SdpProblem's c, eq_rows, eq_rhs and each block's size and triplets."""
+    digest = hashlib.sha1()
+    arrays = [(problem.c, float), (problem.eq_rows, float), (problem.eq_rhs, float)]
+    for blk in problem.blocks:
+        arrays += [(np.array([blk.size]), np.int64), (blk.var_idx, np.int64)]
+        arrays += [(blk.rows, np.int64), (blk.cols, np.int64), (blk.vals, float)]
+    for arr, dtype in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
 def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
     """{target name: [one record per command line]} for (kind, name) targets."""
     sdps: list[dict] = []
@@ -79,6 +95,7 @@ def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
         sdps.append(
             {
                 "m": problem.num_vars,
+                "data_sha1": _data_sha1(problem),
                 "status": res.status,
                 "exit": res.exit,
                 "iterations": res.iterations,
@@ -145,9 +162,21 @@ def compare(a: dict, b: dict) -> list[str]:
                 diffs.append(f"{where}: {len(x['sdps'])} SDPs against {len(y['sdps'])}")
             for i, (s, t) in enumerate(zip(x["sdps"], y["sdps"])):
                 for key in s:
-                    if s[key] != t[key]:
-                        diffs.append(f"{where}, SDP {i} (m={s['m']}): {key} {s[key]} != {t[key]}")
+                    if s[key] != t.get(key):
+                        diffs.append(f"{where}, SDP {i} (m={s['m']}): {key} {s[key]} != {t.get(key)}")
     return diffs
+
+
+def totals(record: dict) -> list[str]:
+    """One line per target: its SDPs, IPM iterations and exit counts."""
+    lines = []
+    for target, records in sorted(record.items()):
+        sdps = [s for r in records for s in r["sdps"]]
+        exits = Counter(s["exit"] for s in sdps)
+        counts = ", ".join(f"{k} {v}" for k, v in sorted(exits.items()))
+        its = sum(s["iterations"] for s in sdps)
+        lines.append(f"{target}: {len(sdps)} SDPs, {its} iterations ({counts})")
+    return lines
 
 
 def main() -> int:
@@ -163,6 +192,10 @@ def main() -> int:
         diffs = compare(a, b)
         for line in diffs:
             print(line)
+        for name, cap in zip(args.compare, (a, b)):
+            print(f"totals of {name}:")
+            for line in totals(cap):
+                print(f"  {line}")
         sdps = sum(len(r["sdps"]) for records in a.values() for r in records)
         print(f"{len(diffs)} differences over {sdps} SDPs of {len(a)} targets")
         return 1 if diffs else 0
