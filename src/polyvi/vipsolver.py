@@ -14,8 +14,12 @@ solution satisfies but the rejected candidate does not.
 
 Enumeration orders solutions by the generic quadratic.  After finding x*,
 a gap width delta is certified so that no solution has objective value in
-(theta(x*), theta(x*) + delta), and the search resumes above the gap.  An
-infeasible relaxation then certifies that the enumeration is complete.
+(theta(x*), theta(x*) + delta], and the search resumes above the gap.  The
+band relaxation that tries delta maximizes the objective over the cut KKT
+set; when its maximizers lie above theta(x*) they are verified like search
+candidates, and their cut points, valid for every solution, join the cuts
+before delta is tried again or shrunk.  An infeasible relaxation then
+certifies that the enumeration is complete.
 
 All optimization goes through the moment relaxation hierarchy (momentsdp).
 Infeasibility certificates are exact up to SDP tolerance; point candidates
@@ -467,27 +471,49 @@ def find_delta(
     opts: SolverOptions,
     log: list,
 ) -> tuple[float, bool]:
-    """Gap width so no solution has objective in (theta(x*), theta(x*)+delta).
+    """Gap width so no solution has objective in (theta(x*), theta(x*)+delta].
 
-    Certified by maximizing theta over the KKT set within the band
-    theta <= theta(x*) + delta: the maximum always is >= theta(x*) since x*
-    sits in the band, and delta is accepted when it is <= theta(x*) + tol.
-    Appends one entry per band tried to `log` and returns (delta, certified).
+    Certified by maximizing theta over the KKT set, cut by `cuts`, within
+    the band theta <= theta(x*) + delta: the maximum always is >= theta(x*)
+    since x* sits in the band, and delta is accepted when it is
+    <= theta(x*) + tol.  A band that fails the test at MINIMIZERS has
+    extracted the KKT points that block the gap.  Each maximizer above
+    theta(x*) is polished and verified; its CUT points go into `cuts`, and
+    the band is solved again at the same delta.  Only when no maximizer
+    adds a cut, or one is a solution, does delta shrink by RHO.  At most
+    MAX_SHRINKS + 1 bands are solved either way.
+
+    The cuts keep the certificate sound: a cut point v lies in X, so every
+    solution x satisfies (v - x)^T F(x) >= 0 and stays in the cut band, x*
+    included, while the rejected maximizer u, with (v - u)^T F(u) < -EPS_TOL,
+    leaves it.  A certified cut band thus still proves that no solution has
+    objective in (theta(x*), theta(x*) + delta].  The cuts are shared with
+    the searches that follow.
+
+    Appends one entry per band tried, and one per maximizer verified, to
+    `log` and returns (delta, certified).
     """
     kkt = problem.kkt
     theta_star = theta.evaluate(x_star)
     accept = 1e-6 * max(1.0, abs(theta_star))
-    base_ineqs = list(kkt.inequalities) + cuts.polys(problem.F)
     delta = DELTA0
-    for shrink in range(MAX_SHRINKS + 1):
+    for attempt in range(MAX_SHRINKS + 1):
+        t0 = time.time()
         band = Polynomial.constant(problem.n, theta_star + delta) - theta.poly
-        prog = PolyProgram(
-            theta.poly.scale(-1.0), kkt.equations, tuple(base_ineqs + [band]), problem.n
-        )
+        ineqs = list(kkt.inequalities) + cuts.polys(problem.F) + [band]
+        prog = PolyProgram(theta.poly.scale(-1.0), kkt.equations, tuple(ineqs), problem.n)
         out = minimize(prog, opts.k_max_extra, opts.seed, floor=-(theta_star + accept))
         gamma = None if out.value is None else -float(out.value)
         log.append(
-            _log_entry("delta", shrink, out.status, delta=delta, gamma=gamma, order=out.order)
+            _log_entry(
+                "delta",
+                attempt,
+                out.status,
+                delta=delta,
+                gamma=gamma,
+                order=out.order,
+                time=round(time.time() - t0, 3),
+            )
         )
         if out.status == BOUND_REACHED:
             return delta, True
@@ -500,7 +526,32 @@ def find_delta(
         if out.status in (MINIMIZERS, INCONCLUSIVE) and gamma is not None:
             if gamma - theta_star <= accept_eff:
                 return delta, True
-        delta *= RHO
+        added = 0
+        # only a MINIMIZERS outcome carries points
+        for u in out.points:
+            t1 = time.time()
+            u = polish_candidate(problem, u, max(1e-4, RANK_WIDENING * out.accuracy))
+            if theta.evaluate(u) - theta_star <= accept_eff:
+                continue
+            ver = verify_candidate(problem, u, opts)
+            log.append(
+                _log_entry(
+                    "verify",
+                    attempt,
+                    ver.status,
+                    eps=ver.eps,
+                    via=ver.via,
+                    time=round(time.time() - t1, 3),
+                )
+            )
+            if ver.status == SOLUTION:
+                # a solution above theta(x*) sits in every band this wide
+                added = 0
+                break
+            if ver.status == CUT:
+                added += sum(cuts.add(v) for v in ver.cut_points)
+        if not added:
+            delta *= RHO
     return delta, False
 
 

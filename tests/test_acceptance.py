@@ -74,11 +74,14 @@ def test_orthant_ncp_enumerates_both_solutions():
     )
     assert all(abs(e) <= 1e-6 for e in res.eps)
     # one search-and-gap loop: each solution's search and verification, the
-    # gap bands after it, and the infeasible search that completes the run
+    # gap bands after it, and the infeasible search that completes the run;
+    # the first band's maximizer is the second solution, so it verifies as
+    # one and the band shrinks
     assert [(e["phase"], e["loop"], e["status"]) for e in res.log] == [
         ("search", 0, "minimizers"),
         ("verify", 0, "solution"),
         ("delta", 0, "minimizers"),
+        ("verify", 0, "solution"),
         ("delta", 1, "minimizers"),
         ("search", 0, "minimizers"),
         ("verify", 0, "solution"),
@@ -123,6 +126,22 @@ def test_ring_enumeration_and_empty_variant():
         ],
         1e-3,
     )
+    # the first gap band's maximizer is cut and the band certified at the
+    # same width, so no search rediscovers it: five searches and five bands,
+    # each one relaxation at m=495
+    assert [(e["phase"], e["loop"], e["status"]) for e in res.log] == [
+        ("search", 0, "minimizers"),
+        ("verify", 0, "solution"),
+        ("delta", 0, "minimizers"),
+        ("verify", 0, "cut"),
+        ("delta", 1, "minimizers"),
+    ] + [
+        ("search", 0, "minimizers"),
+        ("verify", 0, "solution"),
+        ("delta", 0, "minimizers"),
+    ] * 3 + [("search", 0, "infeasible")]
+    # the hierarchy starts at order 4, the m=495 relaxation in 4 variables
+    assert all(e["order"] == 4 for e in res.log if e["phase"] in ("search", "delta"))
     empty, eopts = fixture("ring_empty.json")
     res2 = solve_all(empty, eopts)
     assert res2.status == "no_solution"

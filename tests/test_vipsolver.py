@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from polyvi import vipsolver as vs
 from polyvi.lme import ConstraintSystem
-from polyvi.momentsdp import INCONCLUSIVE, INFEASIBLE, MINIMIZERS, HierarchyOutcome
+from polyvi.momentsdp import (
+    BOUND_REACHED,
+    INCONCLUSIVE,
+    INFEASIBLE,
+    MINIMIZERS,
+    HierarchyOutcome,
+)
 from polyvi.polycore import Polynomial, violation
 
 
@@ -199,6 +205,117 @@ def test_find_delta_infeasible_band_is_uncertified(monkeypatch):
     _, certified = vs.find_delta(prob, theta, vs.CutSet(), x_star, vs.SolverOptions(), log)
     assert not certified
     assert [entry["status"] for entry in log] == [INFEASIBLE]
+
+
+def _band_run(monkeypatch, bands, verdict):
+    """find_delta on the projection problem with scripted band solves.
+
+    `bands(k, theta_star, far)` gives the k-th band's outcome for k = 0, 1, ...;
+    far is a point well above x* in theta.  `verdict(k)` gives the k-th
+    verification's result.  Polishing is the identity.  Returns the result,
+    the log, the cuts, the inequality count of each band program and the
+    number of verifications.
+    """
+    prob = ball_projection_problem(np.array([0.9, 1.2]))
+    theta = vs.random_theta(prob.n, 0)
+    x_star = np.array([0.6, 0.8])
+    theta_star = theta.evaluate(x_star)
+    far = x_star + 10.0
+    assert theta.evaluate(far) > theta_star + 1.0
+    band_ineqs, verified = [], []
+
+    def fake_minimize(prog, *args, **kwargs):
+        band_ineqs.append(len(prog.psi))
+        return bands(len(band_ineqs) - 1, theta_star, far)
+
+    def fake_verify(problem, u, opts=None):
+        verified.append(u)
+        return verdict(len(verified) - 1)
+
+    monkeypatch.setattr(vs, "minimize", fake_minimize)
+    monkeypatch.setattr(vs, "verify_candidate", fake_verify)
+    monkeypatch.setattr(vs, "polish_candidate", lambda problem, u, tol: np.asarray(u, float))
+    cuts, log = vs.CutSet(), []
+    result = vs.find_delta(prob, theta, cuts, x_star, vs.SolverOptions(), log)
+    return result, log, cuts, band_ineqs, len(verified)
+
+
+def _entries(log):
+    return [(e["phase"], e["loop"], e["status"]) for e in log]
+
+
+def test_find_delta_cuts_a_band_maximizer_and_retries_the_same_delta(monkeypatch):
+    def bands(k, theta_star, far):
+        if k == 0:
+            return HierarchyOutcome(MINIMIZERS, 2, -(theta_star + 5.0), [far])
+        return HierarchyOutcome(BOUND_REACHED, 2, -theta_star)
+
+    cut = vs.VerifyResult(vs.CUT, -1.0, [np.array([-0.6, -0.8])], via="points")
+    (delta, certified), log, cuts, band_ineqs, n_verified = _band_run(
+        monkeypatch, bands, lambda k: cut
+    )
+    assert (delta, certified) == (vs.DELTA0, True)
+    assert len(cuts) == 1 and n_verified == 1
+    # the second band carries the new cut
+    assert band_ineqs[1] == band_ineqs[0] + 1
+    assert _entries(log) == [
+        ("delta", 0, MINIMIZERS),
+        ("verify", 0, vs.CUT),
+        ("delta", 1, BOUND_REACHED),
+    ]
+    assert [e["delta"] for e in log if e["phase"] == "delta"] == [vs.DELTA0, vs.DELTA0]
+    assert all(isinstance(e["time"], float) for e in log)
+
+
+def test_find_delta_shrinks_when_a_band_maximizer_is_a_solution(monkeypatch):
+    def bands(k, theta_star, far):
+        if k == 0:
+            return HierarchyOutcome(MINIMIZERS, 2, -(theta_star + 5.0), [far])
+        return HierarchyOutcome(BOUND_REACHED, 2, -theta_star)
+
+    solution = vs.VerifyResult(vs.SOLUTION, 0.0, via="bound")
+    (delta, certified), log, cuts, _, n_verified = _band_run(
+        monkeypatch, bands, lambda k: solution
+    )
+    assert (delta, certified) == (vs.DELTA0 * vs.RHO, True)
+    assert len(cuts) == 0 and n_verified == 1
+    assert _entries(log) == [
+        ("delta", 0, MINIMIZERS),
+        ("verify", 0, vs.SOLUTION),
+        ("delta", 1, BOUND_REACHED),
+    ]
+
+
+def test_find_delta_does_not_verify_a_maximizer_at_theta_star(monkeypatch):
+    # gamma is above theta*, but the extracted point is x* itself
+    def bands(k, theta_star, far):
+        if k == 0:
+            return HierarchyOutcome(MINIMIZERS, 2, -(theta_star + 5.0), [np.array([0.6, 0.8])])
+        return HierarchyOutcome(BOUND_REACHED, 2, -theta_star)
+
+    def verdict(k):
+        raise AssertionError("x* was verified")
+
+    (delta, certified), log, _, _, n_verified = _band_run(monkeypatch, bands, verdict)
+    assert (delta, certified) == (vs.DELTA0 * vs.RHO, True)
+    assert n_verified == 0
+    assert _entries(log) == [("delta", 0, MINIMIZERS), ("delta", 1, BOUND_REACHED)]
+
+
+def test_find_delta_fresh_cuts_cannot_exceed_the_band_budget(monkeypatch):
+    def bands(k, theta_star, far):
+        return HierarchyOutcome(MINIMIZERS, 2, -(theta_star + 5.0), [far])
+
+    def verdict(k):
+        return vs.VerifyResult(vs.CUT, -1.0, [np.array([-0.6, -0.8]) * (1.0 + k)], via="points")
+
+    (delta, certified), log, cuts, band_ineqs, n_verified = _band_run(
+        monkeypatch, bands, verdict
+    )
+    assert not certified
+    assert delta == vs.DELTA0
+    assert len(band_ineqs) == vs.MAX_SHRINKS + 1
+    assert len(cuts) == n_verified == vs.MAX_SHRINKS + 1
 
 
 def test_solve_all_first_pass_inconclusive(monkeypatch):

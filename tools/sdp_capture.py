@@ -17,10 +17,10 @@ input, such as a fixture that fails to parse) and its --json report without
 `file` and without any `time` entry (null when the command wrote none).
 
 `--compare` prints every difference between two captures, then per target
-the totals of each capture (SDPs, IPM iterations and the count of each
-exit), and exits 1 when there is a difference, 0 otherwise.  To compare two
-versions of the code, copy this file into a checkout of each and capture
-both.
+the totals of each capture (SDPs, the count of SDPs of each moment count m,
+IPM iterations and the count of each exit), and exits 1 when there is a
+difference, 0 otherwise.  To compare two versions of the code, copy this
+file into a checkout of each and capture both.
 
 The m=1716 search SDP of large-sdp seed 1 does not always give the same
 iterate in two processes of the same code: its objective came out as
@@ -168,14 +168,16 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def totals(record: dict) -> list[str]:
-    """One line per target: its SDPs, IPM iterations and exit counts."""
+    """One line per target: its SDPs, SDPs per m, IPM iterations and exit counts."""
     lines = []
     for target, records in sorted(record.items()):
         sdps = [s for r in records for s in r["sdps"]]
+        sizes = Counter(s["m"] for s in sdps)
+        per_m = ", ".join(f"m={m} x{k}" for m, k in sorted(sizes.items(), reverse=True))
         exits = Counter(s["exit"] for s in sdps)
         counts = ", ".join(f"{k} {v}" for k, v in sorted(exits.items()))
         its = sum(s["iterations"] for s in sdps)
-        lines.append(f"{target}: {len(sdps)} SDPs, {its} iterations ({counts})")
+        lines.append(f"{target}: {len(sdps)} SDPs ({per_m}), {its} iterations ({counts})")
     return lines
 
 
