@@ -28,8 +28,9 @@ cannot support tighter tests, so each test takes the larger of its base and
 a widened accuracy: GAP_WIDENING * a for the gap (scaled by the bound's
 size) and for feasibility, RANK_WIDENING * a for rank and extraction.  The
 vipsolver module widens two more tests by RANK_WIDENING * a: the active-set
-tolerance of its point polish (base 1e-4) and the accept test of its gap
-width (base 1e-6; base and widening both scaled by max(1, |theta(x*)|)).
+tolerance of its point polish (base 1e-4), for every extracted point, and
+the accept test of its gap width (base 1e-6; base and widening both scaled
+by max(1, |theta(x*)|)), which also decides which band maximizers to check.
 """
 
 from __future__ import annotations

@@ -10,16 +10,20 @@ positive definite quadratic over K, verifies the minimizer by solving the
 linear comparison problem min_{y in X} (y - u)^T F(u) with one relaxation
 over X itself (no multiplier expression), and on failure turns the
 comparison minimizers into valid cuts (v - x)^T F(x) >= 0, which every
-solution satisfies but the rejected candidate does not.
+solution satisfies but the rejected candidate does not.  Every extracted
+point takes this one step (`_check_points`): a point verified INCONCLUSIVE
+adds nothing while the points after it are still checked, and a point
+within DUP_TOL of a verified solution takes that verdict without a new
+verification.
 
 Enumeration orders solutions by the generic quadratic.  After finding x*,
 a gap width delta is certified so that no solution has objective value in
 (theta(x*), theta(x*) + delta], and the search resumes above the gap.  The
 band relaxation that tries delta maximizes the objective over the cut KKT
-set; when its maximizers lie above theta(x*) they are verified like search
-candidates, and their cut points, valid for every solution, join the cuts
-before delta is tried again or shrunk.  An infeasible relaxation then
-certifies that the enumeration is complete.
+set; its maximizers above theta(x*) take the same step, and their cut
+points, valid for every solution, join the cuts before delta is tried again
+or shrunk.  An infeasible relaxation then certifies that the enumeration is
+complete.
 
 All optimization goes through the moment relaxation hierarchy (momentsdp).
 Infeasibility certificates are exact up to SDP tolerance; point candidates
@@ -142,19 +146,28 @@ def random_theta(n: int, seed: int = 0) -> ThetaForm:
 # -- cuts --------------------------------------------------------------------
 
 
+def _same(a, b) -> bool:
+    return np.max(np.abs(a - b)) <= DUP_TOL
+
+
 class CutSet:
-    """Comparison points v; each contributes the cut (v - x)^T F(x) >= 0."""
+    """Comparison points v, each giving the cut (v - x)^T F(x) >= 0, and the
+    points verified as solutions, each with its verdict."""
 
     def __init__(self):
         self.points: list[np.ndarray] = []
+        self.solved: list[tuple[np.ndarray, VerifyResult]] = []
 
     def add(self, v) -> bool:
         v = np.asarray(v, dtype=float)
-        for w in self.points:
-            if np.max(np.abs(w - v)) <= DUP_TOL:
-                return False
+        if any(_same(w, v) for w in self.points):
+            return False
         self.points.append(v)
         return True
+
+    def verdict(self, u) -> VerifyResult | None:
+        """The verdict of a solved point within DUP_TOL of u, if any."""
+        return next((ver for w, ver in self.solved if _same(w, u)), None)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -213,6 +226,13 @@ class EnumerationResult:
 # -- search and verification ----------------------------------------------------
 
 
+def _cut_program(problem: VipProblem, objective: Polynomial, cuts: CutSet, extra) -> PolyProgram:
+    """Minimize `objective` over the KKT set cut by `cuts` and `extra`."""
+    kkt = problem.kkt
+    ineqs = list(kkt.inequalities) + cuts.polys(problem.F) + list(extra)
+    return PolyProgram(objective, kkt.equations, tuple(ineqs), problem.n)
+
+
 def find_candidate(
     problem: VipProblem,
     theta: ThetaForm,
@@ -220,9 +240,7 @@ def find_candidate(
     extra_ineqs: list[Polynomial],
     opts: SolverOptions,
 ) -> HierarchyOutcome:
-    kkt = problem.kkt
-    ineqs = list(kkt.inequalities) + cuts.polys(problem.F) + list(extra_ineqs)
-    prog = PolyProgram(theta.poly, kkt.equations, tuple(ineqs), problem.n)
+    prog = _cut_program(problem, theta.poly, cuts, extra_ineqs)
     return minimize(prog, opts.k_max_extra, opts.seed)
 
 
@@ -381,10 +399,38 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     return VerifyResult(SOLUTION, float(out.value), via="points" if points else "bound")
 
 
-def _log_entry(phase, loop, status, **extra):
-    entry = {"phase": phase, "loop": loop, "status": status}
-    entry.update(extra)
-    return entry
+def _check_points(
+    problem: VipProblem, theta: ThetaForm, out: HierarchyOutcome, cuts: CutSet,
+    opts: SolverOptions, log: list, loop: int, above: float = -math.inf, margin: float = 0.0,
+) -> tuple[tuple[np.ndarray, VerifyResult] | None, int]:
+    """Polish and verify the points of `out`, turning rejected ones into cuts.
+
+    A polished point u with theta(u) - above <= margin is skipped; every
+    other one gets a `verify` entry in `log`.  A point near one in
+    `cuts.solved` reuses its verdict, a new SOLUTION is kept there, CUT
+    points join `cuts`, and an INCONCLUSIVE point adds nothing.  Returns the
+    first solution as (u, verdict), or None, and the number of cuts added.
+    """
+    added = 0
+    for u in out.points:
+        t0 = time.time()
+        u = polish_candidate(problem, u, max(1e-4, RANK_WIDENING * out.accuracy))
+        if theta.evaluate(u) - above <= margin:
+            continue
+        ver = cuts.verdict(u)
+        if ver is None:
+            ver = verify_candidate(problem, u, opts)
+            if ver.status == SOLUTION:
+                cuts.solved.append((u, ver))
+        log.append({
+            "phase": "verify", "loop": loop, "status": ver.status,
+            "eps": ver.eps, "via": ver.via, "time": round(time.time() - t0, 3),
+        })
+        if ver.status == SOLUTION:
+            return (u, ver), added
+        if ver.status == CUT:
+            added += sum(cuts.add(v) for v in ver.cut_points)
+    return None, added
 
 
 def _solve_loop(
@@ -402,54 +448,23 @@ def _solve_loop(
     for loop in range(opts.max_loops):
         t0 = time.time()
         cand = find_candidate(problem, theta, cuts, extra_ineqs, opts)
-        log.append(
-            _log_entry(
-                "search",
-                loop,
-                cand.status,
-                order=cand.order,
-                value=cand.value,
-                cuts=len(cuts),
-                time=round(time.time() - t0, 3),
-            )
-        )
+        log.append({
+            "phase": "search", "loop": loop, "status": cand.status, "order": cand.order,
+            "value": cand.value, "cuts": len(cuts), "time": round(time.time() - t0, 3),
+        })
         if cand.status == INFEASIBLE:
             return SolveOutcome(NO_SOLUTION, order=cand.order, loops=loop + 1)
         if cand.status != MINIMIZERS:
             return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
-
-        added = 0
-        for u in cand.points:
-            t1 = time.time()
-            u = polish_candidate(problem, u, max(1e-4, RANK_WIDENING * cand.accuracy))
-            ver = verify_candidate(problem, u, opts)
-            log.append(
-                _log_entry(
-                    "verify",
-                    loop,
-                    ver.status,
-                    eps=ver.eps,
-                    via=ver.via,
-                    time=round(time.time() - t1, 3),
-                )
+        found, added = _check_points(problem, theta, cand, cuts, opts, log, loop)
+        if found is not None:
+            u, ver = found
+            return SolveOutcome(
+                SOLUTION, point=u, eps=ver.eps, objective=theta.evaluate(u), loops=loop + 1
             )
-            if ver.status == SOLUTION:
-                return SolveOutcome(
-                    SOLUTION,
-                    point=np.asarray(u, dtype=float),
-                    eps=ver.eps,
-                    objective=theta.evaluate(u),
-                    loops=loop + 1,
-                )
-            if ver.status == CUT:
-                for v in ver.cut_points:
-                    if cuts.add(v):
-                        added += 1
-            else:
-                return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
-        if added == 0:
-            # no progress possible: the same candidate would return
-            log.append(_log_entry("search", loop, "stalled"))
+        if not added:
+            # no progress possible: the same candidates would return
+            log.append({"phase": "search", "loop": loop, "status": "stalled"})
             return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
     return SolveOutcome(INCONCLUSIVE_RUN, loops=opts.max_loops)
 
@@ -477,11 +492,12 @@ def find_delta(
     the band theta <= theta(x*) + delta: the maximum always is >= theta(x*)
     since x* sits in the band, and delta is accepted when it is
     <= theta(x*) + tol.  A band that fails the test at MINIMIZERS has
-    extracted the KKT points that block the gap.  Each maximizer above
-    theta(x*) is polished and verified; its CUT points go into `cuts`, and
-    the band is solved again at the same delta.  Only when no maximizer
-    adds a cut, or one is a solution, does delta shrink by RHO.  At most
-    MAX_SHRINKS + 1 bands are solved either way.
+    extracted the KKT points that block the gap.  Its maximizers more than
+    tol above theta(x*) go through `_check_points`, the step every search
+    candidate takes: an INCONCLUSIVE one adds nothing, and CUT points go
+    into `cuts`, after which the band is solved again at the same delta.
+    Only when no maximizer adds a cut, or one is a solution, does delta
+    shrink by RHO.  At most MAX_SHRINKS + 1 bands are solved either way.
 
     The cuts keep the certificate sound: a cut point v lies in X, so every
     solution x satisfies (v - x)^T F(x) >= 0 and stays in the cut band, x*
@@ -493,28 +509,19 @@ def find_delta(
     Appends one entry per band tried, and one per maximizer verified, to
     `log` and returns (delta, certified).
     """
-    kkt = problem.kkt
     theta_star = theta.evaluate(x_star)
     accept = 1e-6 * max(1.0, abs(theta_star))
     delta = DELTA0
     for attempt in range(MAX_SHRINKS + 1):
         t0 = time.time()
         band = Polynomial.constant(problem.n, theta_star + delta) - theta.poly
-        ineqs = list(kkt.inequalities) + cuts.polys(problem.F) + [band]
-        prog = PolyProgram(theta.poly.scale(-1.0), kkt.equations, tuple(ineqs), problem.n)
+        prog = _cut_program(problem, theta.poly.scale(-1.0), cuts, [band])
         out = minimize(prog, opts.k_max_extra, opts.seed, floor=-(theta_star + accept))
         gamma = None if out.value is None else -float(out.value)
-        log.append(
-            _log_entry(
-                "delta",
-                attempt,
-                out.status,
-                delta=delta,
-                gamma=gamma,
-                order=out.order,
-                time=round(time.time() - t0, 3),
-            )
-        )
+        log.append({
+            "phase": "delta", "loop": attempt, "status": out.status, "delta": delta,
+            "gamma": gamma, "order": out.order, "time": round(time.time() - t0, 3),
+        })
         if out.status == BOUND_REACHED:
             return delta, True
         if out.status == INFEASIBLE:
@@ -526,31 +533,12 @@ def find_delta(
         if out.status in (MINIMIZERS, INCONCLUSIVE) and gamma is not None:
             if gamma - theta_star <= accept_eff:
                 return delta, True
-        added = 0
         # only a MINIMIZERS outcome carries points
-        for u in out.points:
-            t1 = time.time()
-            u = polish_candidate(problem, u, max(1e-4, RANK_WIDENING * out.accuracy))
-            if theta.evaluate(u) - theta_star <= accept_eff:
-                continue
-            ver = verify_candidate(problem, u, opts)
-            log.append(
-                _log_entry(
-                    "verify",
-                    attempt,
-                    ver.status,
-                    eps=ver.eps,
-                    via=ver.via,
-                    time=round(time.time() - t1, 3),
-                )
-            )
-            if ver.status == SOLUTION:
-                # a solution above theta(x*) sits in every band this wide
-                added = 0
-                break
-            if ver.status == CUT:
-                added += sum(cuts.add(v) for v in ver.cut_points)
-        if not added:
+        found, added = _check_points(
+            problem, theta, out, cuts, opts, log, attempt, theta_star, accept_eff
+        )
+        # a solution above theta(x*) sits in every band this wide
+        if found is not None or not added:
             delta *= RHO
     return delta, False
 
@@ -575,14 +563,14 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
             complete, order = certified, nxt.order
         if nxt.status != SOLUTION:
             break
-        if any(np.max(np.abs(nxt.point - s)) <= DUP_TOL for s in sols):
-            log.append(_log_entry("enumerate", len(sols), "duplicate"))
+        if any(_same(nxt.point, s) for s in sols):
+            log.append({"phase": "enumerate", "loop": len(sols), "status": "duplicate"})
             break
         if objs and nxt.objective < objs[-1] - 1e-6:
-            log.append(_log_entry("enumerate", len(sols), "order_violation"))
+            log.append({"phase": "enumerate", "loop": len(sols), "status": "order_violation"})
             break
         if not certified:
-            log.append(_log_entry("enumerate", len(sols), "uncertified_gap"))
+            log.append({"phase": "enumerate", "loop": len(sols), "status": "uncertified_gap"})
         sols.append(nxt.point)
         eps.append(nxt.eps)
         objs.append(nxt.objective)

@@ -60,7 +60,7 @@ def match_set(solutions, references, tol):
 # -- bundled fixtures ---------------------------------------------------------
 
 
-def test_orthant_ncp_enumerates_both_solutions():
+def test_orthant_ncp_enumerates_both_solutions(sdp_solves):
     problem, opts = fixture("ncp_quartic.json")
     t0 = time.monotonic()
     res = solve_all(problem, opts)
@@ -76,7 +76,8 @@ def test_orthant_ncp_enumerates_both_solutions():
     # one search-and-gap loop: each solution's search and verification, the
     # gap bands after it, and the infeasible search that completes the run;
     # the first band's maximizer is the second solution, so it verifies as
-    # one and the band shrinks
+    # one and the band shrinks; the search that finds it again reuses that
+    # verdict, so its one verification SDP runs once
     assert [(e["phase"], e["loop"], e["status"]) for e in res.log] == [
         ("search", 0, "minimizers"),
         ("verify", 0, "solution"),
@@ -88,6 +89,7 @@ def test_orthant_ncp_enumerates_both_solutions():
         ("delta", 0, "minimizers"),
         ("search", 0, "infeasible"),
     ]
+    assert len(sdp_solves) == 11
     assert elapsed <= 60.0
 
 

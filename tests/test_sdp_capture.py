@@ -1,0 +1,78 @@
+"""`tools/sdp_capture.py --compare` on small synthetic captures.
+
+The tool runs in a subprocess: importing it sets OPENBLAS_NUM_THREADS.
+"""
+
+import copy
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "sdp_capture.py"
+
+
+def _sdp(m, y):
+    return {
+        "m": m,
+        "data_sha1": f"data{m}",
+        "status": "optimal",
+        "exit": "optimal",
+        "iterations": 9,
+        "y_sha1": y,
+    }
+
+
+CAPTURE = {
+    "fixture toy": [
+        {
+            "label": "toy",
+            "exit_code": 0,
+            "report": {"status": "solutions", "solutions": [{"point": [1.0]}]},
+            "sdps": [_sdp(15, "aaa"), _sdp(70, "bbb")],
+        }
+    ]
+}
+
+
+def _compare(tmp_path, other):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(CAPTURE))
+    b.write_text(json.dumps(other))
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--compare", str(a), str(b)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+def _changed(edit):
+    other = copy.deepcopy(CAPTURE)
+    edit(other["fixture toy"][0])
+    return other
+
+
+def test_identical_captures_compare_equal(tmp_path):
+    code, out = _compare(tmp_path, CAPTURE)
+    assert code == 0
+    assert "0 differences over 2 SDPs of 1 targets" in out
+
+
+def test_a_changed_iterate_names_its_sdp(tmp_path):
+    code, out = _compare(tmp_path, _changed(lambda r: r["sdps"][1].update(y_sha1="ccc")))
+    assert code == 1
+    assert "fixture toy / toy, SDP 1 (m=70): y_sha1 bbb != ccc" in out
+
+
+def test_one_sdp_fewer_is_a_difference(tmp_path):
+    code, out = _compare(tmp_path, _changed(lambda r: r["sdps"].pop()))
+    assert code == 1
+    assert "fixture toy / toy: 2 SDPs against 1" in out
+
+
+def test_a_key_only_in_the_second_capture_is_a_difference(tmp_path):
+    code, out = _compare(tmp_path, _changed(lambda r: r["sdps"][0].update(extra=1)))
+    assert code == 1
+    assert "SDP 0 (m=15): extra None != 1" in out

@@ -318,6 +318,97 @@ def test_find_delta_fresh_cuts_cannot_exceed_the_band_budget(monkeypatch):
     assert len(cuts) == n_verified == vs.MAX_SHRINKS + 1
 
 
+def _search_run(monkeypatch, searches, verdict, cuts=None):
+    """_solve_loop on the projection problem with scripted searches.
+
+    `searches(k)` gives the k-th search's outcome and `verdict(k)` the k-th
+    verification's result; polishing is the identity.  Returns the outcome,
+    the log and the points verified.
+    """
+    prob = ball_projection_problem(np.array([0.9, 1.2]))
+    theta = vs.random_theta(prob.n, 0)
+    n_searched, verified = [], []
+
+    def fake_find(*args, **kwargs):
+        n_searched.append(1)
+        return searches(len(n_searched) - 1)
+
+    def fake_verify(problem, u, opts=None):
+        verified.append(u)
+        return verdict(len(verified) - 1)
+
+    monkeypatch.setattr(vs, "find_candidate", fake_find)
+    monkeypatch.setattr(vs, "verify_candidate", fake_verify)
+    monkeypatch.setattr(vs, "polish_candidate", lambda problem, u, tol: np.asarray(u, float))
+    log = []
+    cuts = vs.CutSet() if cuts is None else cuts
+    out = vs._solve_loop(prob, theta, cuts, [], vs.SolverOptions(), log)
+    return out, log, verified
+
+
+def test_search_checks_the_points_after_an_inconclusive_one(monkeypatch):
+    first, second = np.array([0.0, 1.0]), np.array([0.6, 0.8])
+    solution = vs.VerifyResult(vs.SOLUTION, 0.0, via="bound")
+    verdicts = [vs.VerifyResult(vs.INCONCLUSIVE_RUN, None), solution]
+    out, log, verified = _search_run(
+        monkeypatch,
+        lambda k: HierarchyOutcome(MINIMIZERS, 2, 1.0, [first, second]),
+        lambda k: verdicts[k],
+    )
+    assert out.status == vs.SOLUTION
+    assert np.array_equal(out.point, second) and out.eps == 0.0
+    assert len(verified) == 2
+    assert _entries(log) == [
+        ("search", 0, MINIMIZERS),
+        ("verify", 0, vs.INCONCLUSIVE_RUN),
+        ("verify", 0, vs.SOLUTION),
+    ]
+
+
+def test_search_with_only_inconclusive_points_stalls(monkeypatch):
+    points = [np.array([0.0, 1.0]), np.array([0.6, 0.8])]
+    out, log, verified = _search_run(
+        monkeypatch,
+        lambda k: HierarchyOutcome(MINIMIZERS, 2, 1.0, points),
+        lambda k: vs.VerifyResult(vs.INCONCLUSIVE_RUN, None),
+    )
+    assert out.status == vs.INCONCLUSIVE_RUN and out.loops == 1
+    assert len(verified) == 2
+    assert _entries(log) == [
+        ("search", 0, MINIMIZERS),
+        ("verify", 0, vs.INCONCLUSIVE_RUN),
+        ("verify", 0, vs.INCONCLUSIVE_RUN),
+        ("search", 0, "stalled"),
+    ]
+
+
+def test_a_point_near_a_solved_point_is_not_verified_again(monkeypatch):
+    # a band maximizer verifies as a solution; the search that follows finds
+    # it again, a rounding away, and takes the kept verdict
+    def bands(k, theta_star, far):
+        if k == 0:
+            return HierarchyOutcome(MINIMIZERS, 2, -(theta_star + 5.0), [far])
+        return HierarchyOutcome(BOUND_REACHED, 2, -theta_star)
+
+    solution = vs.VerifyResult(vs.SOLUTION, -3e-11, via="bound")
+    _, band_log, cuts, _, n_verified = _band_run(monkeypatch, bands, lambda k: solution)
+    assert n_verified == 1
+    (kept, _), = cuts.solved
+    near = kept + 5e-7
+
+    def verdict(k):
+        raise AssertionError("a solved point was verified again")
+
+    out, log, _ = _search_run(
+        monkeypatch, lambda k: HierarchyOutcome(MINIMIZERS, 2, 1.0, [near]), verdict, cuts
+    )
+    assert out.status == vs.SOLUTION
+    assert np.array_equal(out.point, near) and out.eps == solution.eps
+    assert _entries(log) == [("search", 0, MINIMIZERS), ("verify", 0, vs.SOLUTION)]
+    assert log[1]["eps"] == solution.eps and log[1]["via"] == "bound"
+    assert len(cuts.solved) == 1
+
+
 def test_solve_all_first_pass_inconclusive(monkeypatch):
     # the first pass takes the same path as every later one: an inconclusive
     # search ends the run with nothing certified

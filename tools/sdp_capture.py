@@ -161,9 +161,9 @@ def compare(a: dict, b: dict) -> list[str]:
             if len(x["sdps"]) != len(y["sdps"]):
                 diffs.append(f"{where}: {len(x['sdps'])} SDPs against {len(y['sdps'])}")
             for i, (s, t) in enumerate(zip(x["sdps"], y["sdps"])):
-                for key in s:
-                    if s[key] != t.get(key):
-                        diffs.append(f"{where}, SDP {i} (m={s['m']}): {key} {s[key]} != {t.get(key)}")
+                for key in {**s, **t}:
+                    if s.get(key) != t.get(key):
+                        diffs.append(f"{where}, SDP {i} (m={s['m']}): {key} {s.get(key)} != {t.get(key)}")
     return diffs
 
 
