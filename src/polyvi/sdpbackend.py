@@ -40,11 +40,12 @@ Per iteration the method
      (r <= c) of all their T^-1 A_b T^-1, and a sparse contraction with
      the A_a of the rows a < stop (weighted 2 off the diagonal), O(m*nnz)
      in all, gives H_ab for every a <= b.  Each chunk writes its columns
-     of H as contiguous rows of an m x m array, and H is that array's
-     transpose: a Fortran-ordered view whose upper triangle (a <= b), all
-     that the factorization H = R^T R reads, goes to LAPACK without a
-     transposing copy.  With W = R^-T A^T, the equality complement
-     A H^-1 A^T is W^T W,
+     of H as contiguous rows of one m x m buffer, allocated once per solve,
+     and H is that buffer's transpose: a Fortran-ordered view whose upper
+     triangle (a <= b), all that the factorization H = R^T R reads, LAPACK's
+     potrf factors in place, so an iteration holds one m x m array, as CSDP
+     does (Borchers, Optim. Methods Softw. 11, 1999).  With W = R^-T A^T,
+     the equality complement A H^-1 A^T is W^T W,
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -89,6 +90,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -286,16 +288,45 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _check_finite(mat: np.ndarray):
+    """The ValueError of scipy's finite check when mat holds an inf or a NaN.
+
+    A read-only scan: min and max are NaN when mat holds a NaN and infinite
+    when it holds an inf, so no boolean array of mat's size is made.
+    """
+    if not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _potrf(mat: np.ndarray, lower: bool, overwrite: bool = False):
+    """LAPACK's Cholesky factor of mat from its `lower` triangle, the other
+    triangle zeroed, as scipy's cholesky returns it; None when mat is not
+    positive definite.  With overwrite, a Fortran-ordered mat is factored in
+    place and holds the result; otherwise mat is left unchanged."""
+    fac, info = dpotrf(mat, lower=lower, clean=1, overwrite_a=overwrite)
+    return None if info else fac
+
+
+def _trtrs(r_mat: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
+    """R^-1 rhs (trans=0) or R^-T rhs (trans=1) for a Fortran-ordered upper
+    triangular R, raising LinAlgError on a zero pivot as solve_triangular does."""
+    x, info = dtrtrs(r_mat, rhs, lower=0, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def _chol_with_jitter(mat: np.ndarray, lower: bool = True):
     """Cholesky factor of mat (lower L, or upper R when lower=False, reading
     only that triangle of mat), or else of mat + jitter*I for the first
     jitter of 1e-14, 1e-12, ..., 1e-2 times max(1, max |mat_ii|) that
-    factors; None when none does.  mat is left unchanged, and the shifted
-    copy keeps its memory order, so scipy copies it without transposing."""
-    try:
-        return sla.cholesky(mat, lower=lower)
-    except np.linalg.LinAlgError:
-        pass
+    factors; None when none does.  A non-finite mat raises ValueError.  mat
+    is left unchanged, and the shifted copy keeps its memory order, so
+    potrf's own copy of it does not transpose."""
+    _check_finite(mat)
+    fac = _potrf(mat, lower)
+    if fac is not None:
+        return fac
     n = mat.shape[0]
     diag = mat.diagonal().copy()
     scale = max(1.0, float(np.abs(diag).max()))
@@ -303,10 +334,10 @@ def _chol_with_jitter(mat: np.ndarray, lower: bool = True):
     jitter = 1e-14 * scale
     for _ in range(7):
         work.flat[:: n + 1] = diag + jitter
-        try:
-            return sla.cholesky(work, lower=lower)
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
+        fac = _potrf(work, lower)
+        if fac is not None:
+            return fac
+        jitter *= 100.0
     return None
 
 
@@ -332,6 +363,9 @@ class ReferenceIpm:
             ent = slice(ends[b], ends[b + 1])
             self.cones.append(_Cone(size, span, rows[ent], cols[ent], var[ent], val[ent], flats))
         self._orthonormalize_equalities()
+        # the Schur buffer: row b holds column b of H (`_schur`), and potrf
+        # factors H in place (`_factor`)
+        self._h_rows = np.empty((self.m, self.m))
 
         self.identity = np.concatenate([np.eye(size).ravel() for size in self.sizes])
         self.resx0 = max(1.0, float(np.linalg.norm(self.c)))
@@ -492,12 +526,18 @@ class ReferenceIpm:
         """H = G^T (W^T W)^{-1} G, i.e. H_ab = sum over blocks of <A_a, T^-1 A_b T^-1>.
 
         Only the upper triangle (a <= b) is complete; `_factor` reads no more.
-        With states, H is assembled by rows, row b holding column b of H, and
-        returned as the transpose of that array: a Fortran-ordered view.
+        H is assembled into the zero-filled Schur buffer by rows, row b
+        holding column b of H, and returned as the transpose of the buffer: a
+        Fortran-ordered view.  It is valid only until the next `_schur` or
+        `_factor` call, which overwrite the buffer.  Without states (the
+        starting point) H is G^T G, scattered from the sparse product.
         """
+        h_rows = self._h_rows
+        h_rows.fill(0.0)
         if states is None:
-            return (self.GT @ self.G).toarray()
-        h_rows = np.zeros((self.m, self.m))
+            gtg = (self.GT @ self.G).tocoo()
+            h_rows[gtg.col, gtg.row] = gtg.data
+            return h_rows.T
         for st, cone in zip(states, self.cones):
             s = cone.size
             for start, stop, row_idx, a_rows, flat, prefix in cone.chunks:
@@ -511,18 +551,31 @@ class ReferenceIpm:
         return h_rows.T
 
     def _factor(self, states) -> bool:
+        """Factor H + shift = R^T R in the Schur buffer: `_hchol` is R, a view
+        of the buffer, valid until the next `_schur` or `_factor` call.
+
+        When potrf fails, it has overwritten part of H, so H is rebuilt from
+        the same states, bitwise the same, and `_chol_with_jitter` factors a
+        shifted copy of it.
+        """
         h_mat = self._schur(states)
         m = self.m
         # static regularization; iterative refinement absorbs the bias
         diag = np.arange(m)
-        h_mat[diag, diag] += 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
+        shift = 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
+        h_mat[diag, diag] += shift
         # H = R^T R from its upper triangle
-        self._hchol = _chol_with_jitter(h_mat, lower=False)
+        _check_finite(h_mat)
+        self._hchol = _potrf(h_mat, lower=False, overwrite=True)
         if self._hchol is None:
-            return False
+            h_mat = self._schur(states)
+            h_mat[diag, diag] += shift
+            self._hchol = _chol_with_jitter(h_mat, lower=False)
+            if self._hchol is None:
+                return False
         if len(self.b):
             # W = R^-T A^T, so the equality complement A H^-1 A^T is W^T W
-            self._w = sla.solve_triangular(self._hchol, self.A.T, trans="T", check_finite=False)
+            self._w = _trtrs(self._hchol, self.A.T, trans=1)
             schur = self._w.T @ self._w
             p = schur.shape[0]
             schur.flat[:: p + 1] += 1e-12 * max(1.0, float(np.trace(schur)) / p)
@@ -535,15 +588,17 @@ class ReferenceIpm:
         """Solve: A^T uy + G^T uz = bx;  A ux = by;  G ux - W^T W uz = bz."""
         rhs_z = self._congruence(states, "t_inv", bz)
         # v = R^-T (bx + G^T rhs_z), then ux = R^-1 (v - W uy); R is finite,
-        # since cholesky checked H, so the m x m scan is skipped
+        # since _factor checked H, so the m x m scan is skipped
         r_mat = self._hchol
-        v = sla.solve_triangular(r_mat, bx + self.GT @ rhs_z, trans="T", check_finite=False)
+        v = _trtrs(r_mat, bx + self.GT @ rhs_z, trans=1)
         if len(self.b):
-            uy = sla.cho_solve((self._schur_chol, True), self._w.T @ v - by)
+            rhs_y = self._w.T @ v - by
+            _check_finite(rhs_y)
+            uy, _ = dpotrs(self._schur_chol, rhs_y, lower=1)
             v = v - self._w @ uy
         else:
             uy = np.zeros(0)
-        ux = sla.solve_triangular(r_mat, v, check_finite=False)
+        ux = _trtrs(r_mat, v, trans=0)
         uz = self._congruence(states, "t_inv", self.G @ ux - bz)
         return ux, uy, uz
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import scipy.linalg as sla
 
 from polyvi import momentsdp as ms
 from polyvi import sdpbackend as sb
-from polyvi.cli import load_problem
+from polyvi.cli import generate, load_problem, parse_problem
 from polyvi.polycore import Polynomial
-from polyvi.vipsolver import solve_one
+from polyvi.vipsolver import CutSet, _cut_program, random_theta, solve_one
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -323,12 +324,14 @@ def schur_problems():
     return [relaxation, toy, ms.build_relaxation(prog, 3)]
 
 
-def _random_states(ipm, rng):
-    def interior():
-        mats = [rng.standard_normal((size, size)) for size in ipm.sizes]
-        return np.concatenate([(b @ b.T + len(b) * np.eye(len(b))).ravel() for b in mats])
+def _interior(ipm, rng):
+    """A random cone vector whose blocks are positive definite."""
+    mats = [rng.standard_normal((size, size)) for size in ipm.sizes]
+    return np.concatenate([(b @ b.T + len(b) * np.eye(len(b))).ravel() for b in mats])
 
-    return ipm._nt_scalings(interior(), interior())
+
+def _random_states(ipm, rng):
+    return ipm._nt_scalings(_interior(ipm, rng), _interior(ipm, rng))
 
 
 @pytest.mark.parametrize("chunk", [1.0e6, 100.0])
@@ -371,17 +374,78 @@ def test_schur_does_not_depend_on_the_chunk(monkeypatch):
         states = _random_states(ipm, np.random.default_rng(2))
         h = ipm._schur(states)
         uppers.append(np.triu(h))
-        assert ipm._factor(states)
-        factors.append(ipm._hchol)
         # the factor of the row-assembled, Fortran-ordered H equals that of
-        # the symmetric C-ordered H with the same diagonal shift
+        # the symmetric C-ordered H with the same diagonal shift; _factor
+        # overwrites h, so sym is built first
         sym = np.triu(h) + np.triu(h, 1).T
         sym[np.diag_indices(ipm.m)] += 1e-10 * max(1.0, float(np.trace(sym)) / ipm.m)
+        assert ipm._factor(states)
+        factors.append(ipm._hchol)
         assert np.array_equal(ipm._hchol, sla.cholesky(sym, lower=False))
     assert ipm.m == 28 and len(ipm.cones[0].chunks) > 1
     for upper, factor in zip(uppers[1:], factors[1:]):
         assert np.array_equal(upper, uppers[0])
         assert np.array_equal(factor, factors[0])
+
+
+def test_nt_scalings_leave_s_and_z_unchanged():
+    # the Cholesky factors of the blocks are taken from views into s and z
+    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
+    rng = np.random.default_rng(6)
+    s, z = _interior(ipm, rng), _interior(ipm, rng)
+    s_copy, z_copy = s.copy(), z.copy()
+    assert ipm._nt_scalings(s, z) is not None
+    assert np.array_equal(s, s_copy) and np.array_equal(z, z_copy)
+
+
+def test_factor_holds_one_schur_array():
+    # the search relaxation of a generated ball problem, n=7 at order 3:
+    # one H (8 m^2 bytes) is at least four times the assembly's four work
+    # arrays of _SCHUR_CHUNK entries, so a second m x m array would show
+    problem, _ = parse_problem(generate("ball", (7,), 2, 0), "ball")
+    prog = _cut_program(problem, random_theta(7, 0).poly, CutSet(), [])
+    ipm = sb.ReferenceIpm(ms.build_relaxation(prog, 3), 200)
+    h_bytes = 8 * ipm.m**2
+    assert ipm.m == 1716 and h_bytes >= 4 * 4 * 8 * sb._SCHUR_CHUNK
+    states = _random_states(ipm, np.random.default_rng(0))
+    ipm._schur(states)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert ipm._factor(states)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # H is assembled and factored in the buffer set up with the IPM
+    assert peak < h_bytes
+    assert np.shares_memory(ipm._hchol, ipm._h_rows)
+
+
+def test_factor_rebuilds_h_when_the_in_place_cholesky_fails(monkeypatch):
+    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
+    states = _random_states(ipm, np.random.default_rng(4))
+    h = np.array(ipm._schur(states), order="F")
+    h[np.diag_indices(ipm.m)] += 1e-10 * max(1.0, float(np.trace(h)) / ipm.m)
+    expect = sb._chol_with_jitter(h, lower=False)
+    real, failed = sb.dpotrf, []
+
+    def fails_in_place_once(a, lower=0, clean=1, overwrite_a=0):
+        if overwrite_a and not failed:
+            # a failed potrf leaves a partial factor behind
+            failed.append(True)
+            a[...] = np.nan
+            return a, 1
+        return real(a, lower=lower, clean=clean, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(sb, "dpotrf", fails_in_place_once)
+    assert ipm._factor(states)
+    assert failed and np.array_equal(ipm._hchol, expect)
+
+
+def test_trtrs_rejects_a_zero_pivot():
+    r_mat = np.asfortranarray(np.diag([1.0, 0.0, 2.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        sb._trtrs(r_mat, np.ones(3), trans=1)
 
 
 def test_solve3_residuals():
