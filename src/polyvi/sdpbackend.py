@@ -39,13 +39,19 @@ Per iteration the method
      variables b < stop, one flat index gathers the upper-triangle entries
      (r <= c) of all their T^-1 A_b T^-1, and a sparse contraction with
      the A_a of the rows a < stop (weighted 2 off the diagonal), O(m*nnz)
-     in all, gives H_ab for every a <= b.  Each chunk writes its columns
+     in all, gives H_ab for every a <= b.  A chunk takes at most
+     `_SCHUR_CHUNK` / max(s^2, m_b) variables, m_b the block's last variable
+     plus one, which bounds both its stack of T^-1 A_b T^-1 and its
+     contraction output (at most m_b rows).  Each chunk writes its columns
      of H as contiguous rows of one m x m buffer, allocated once per solve,
      and H is that buffer's transpose: a Fortran-ordered view whose upper
      triangle (a <= b), all that the factorization H = R^T R reads, LAPACK's
      potrf factors in place, so an iteration holds one m x m array, as CSDP
      does (Borchers, Optim. Methods Softw. 11, 1999).  With W = R^-T A^T,
-     the equality complement A H^-1 A^T is W^T W,
+     the equality complement A H^-1 A^T is W^T W.  Besides H, an iteration
+     holds two p x m arrays, the equality rows A and W, and W is dropped
+     before the next assembly (`solve` releases the problem and its dense
+     rows once setup has copied what it reads),
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -185,8 +191,10 @@ def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
     return float(np.abs(problem.eq_rows @ y - problem.eq_rhs).max(initial=0.0))
 
 
-# entries of the largest dense work array, Z (k x s*s), per column chunk of
-# the Schur assembly.  A smaller chunk pads fewer rows (each chunk pads its
+# entries of the largest dense work arrays per column chunk of the Schur
+# assembly: the stack Z (k x s*s) and the contraction output (stop x k, stop
+# at most the block's m_used), as the width k = chunk / max(s*s, m_used)
+# bounds both.  A smaller chunk pads fewer rows (each chunk pads its
 # variables to its own largest c_b) but makes more scipy and numpy calls.
 # Re-solving captured SDPs at 1 thread (2-core Xeon, OpenBLAS 0.3.31), median
 # ms per IPM iteration over 4 interleaved rounds with 1e5 / 2.5e5 / 1e6
@@ -240,7 +248,7 @@ class _Cone:
         pair_var, pair_row = np.divmod(pairs, size)
         slot = np.arange(len(pairs)) - np.searchsorted(pair_var, pair_var)
         counts = np.bincount(pair_var, minlength=m_used)
-        width = max(1, int(_SCHUR_CHUNK / (size * size)))
+        width = max(1, int(_SCHUR_CHUNK / max(size * size, m_used)))
         # longest prefix first: scipy keeps a prefix built on the arrays of a
         # longer one as a view, and copies it only when it keeps under half
         # of them, so all prefixes together hold at most twice `contract`
@@ -350,7 +358,10 @@ class ReferenceIpm:
         self.c_orig = problem.c.copy()
 
         blk, pos, rows, cols, var, val = self._gather_cones(problem)
-        val = self._equilibrate(problem, blk, rows, cols, var, val)
+        val, raw_a, raw_b = self._equilibrate(problem, blk, rows, cols, var, val)
+        # the scaled rows are read only here, so they die before the buffer
+        self._orthonormalize_equalities(raw_a, raw_b)
+        del raw_a, raw_b
         self.G = sp.csr_matrix((val, (pos, var)), shape=(self.offsets[-1], self.m))
         self.GT = self.G.T.tocsr()
         # gather indices by block size, width and upper-triangle pattern; the
@@ -362,7 +373,6 @@ class ReferenceIpm:
             span = slice(self.offsets[b], self.offsets[b + 1])
             ent = slice(ends[b], ends[b + 1])
             self.cones.append(_Cone(size, span, rows[ent], cols[ent], var[ent], val[ent], flats))
-        self._orthonormalize_equalities()
         # the Schur buffer: row b holds column b of H (`_schur`), and potrf
         # factors H in place (`_factor`)
         self._h_rows = np.empty((self.m, self.m))
@@ -407,7 +417,8 @@ class ReferenceIpm:
         by alpha*I), so all its entries share one factor.  Column scaling is a
         diagonal change of variables, undone when results are reported.  An
         off-diagonal a_ij weighs sqrt(2)*|a_ij|, the Frobenius norm of the
-        pair (a_ij, a_ji).  Returns the scaled values of G's entries.
+        pair (a_ij, a_ji).  Returns the scaled values of G's entries, then the
+        scaled equality rows and right-hand side, which only setup reads.
         """
         m = self.m
         raw_a, raw_b = problem.eq_rows, problem.eq_rhs
@@ -436,16 +447,13 @@ class ReferenceIpm:
         self.var_scale = e
         self.eq_scale = d_eq
         self.blk_scale = d_blk
-        self.A_raw = raw_a * d_eq[:, None] * e[None, :]
-        self.b_raw = raw_b * d_eq
         c_eff = problem.c * e
         self.c_scale = max(1.0, float(np.abs(c_eff).max()))
         self.c = c_eff / self.c_scale
-        return val * e[var] * d_blk[blk]
+        return val * e[var] * d_blk[blk], raw_a * d_eq[:, None] * e[None, :], raw_b * d_eq
 
-    def _orthonormalize_equalities(self):
+    def _orthonormalize_equalities(self, raw_a: np.ndarray, raw_b: np.ndarray):
         self.inconsistent = False
-        raw_a, raw_b = self.A_raw, self.b_raw
         if raw_a.shape[0] == 0:
             self.A = np.zeros((0, self.m))
             self.b = np.zeros(0)
@@ -558,6 +566,8 @@ class ReferenceIpm:
         the same states, bitwise the same, and `_chol_with_jitter` factors a
         shifted copy of it.
         """
+        # W is read only until the next factorization: drop it before H grows
+        self._w = self._schur_chol = None
         h_mat = self._schur(states)
         m = self.m
         # static regularization; iterative refinement absorbs the bias
@@ -797,6 +807,15 @@ class ReferenceIpm:
 
 
 def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
-    """Solve an SdpProblem with the reference interior point method."""
-    return ReferenceIpm(problem, max_iters).run()
+    """Solve an SdpProblem with the reference interior point method.
+
+    The set-up IPM holds copies of all it reads, so the problem is released
+    before the iterations start.  A caller that passes a temporary, such as
+    `solve(build_relaxation(...))`, keeps no reference of its own on CPython
+    3.11 and later, so its dense equality rows and block triplets are freed
+    before the first Schur assembly rather than held through every one.
+    """
+    ipm = ReferenceIpm(problem, max_iters)
+    del problem
+    return ipm.run()
 

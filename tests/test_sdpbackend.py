@@ -1,5 +1,7 @@
 import os
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -349,7 +351,12 @@ def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
         counts = {row_idx.shape[1] for cone in ipm.cones for _, _, row_idx, *_ in cone.chunks}
         assert len(counts) > 2
     states = _random_states(ipm, np.random.default_rng(idx))
-    h = ipm._schur(states)
+    _assert_schur_matches_dense(ipm, states, ipm._schur(states))
+
+
+def _assert_schur_matches_dense(ipm, states, h):
+    """h's upper triangle, all that _factor reads, stands for the symmetric
+    sum over blocks of G_l^T (T^-1 (.) T^-1) G_l, built densely here."""
     ref = np.zeros((ipm.m, ipm.m))
     for st, lo, hi in zip(states, ipm.offsets, ipm.offsets[1:]):
         g = ipm.G[lo:hi].toarray()
@@ -357,7 +364,6 @@ def test_schur_matches_dense_reference(monkeypatch, idx, chunk):
         cols = [(st.t_inv @ g[:, j].reshape(s, s) @ st.t_inv).ravel() for j in range(ipm.m)]
         ref += g.T @ np.stack(cols, axis=1)
     bound = 1e-12 * np.abs(ref).max()
-    # _factor reads the upper triangle, which stands for a symmetric matrix
     assert np.abs(np.triu(h - ref)).max() <= bound
     assert np.abs(np.triu(h) + np.triu(h, 1).T - ref).max() <= bound
 
@@ -398,13 +404,18 @@ def test_nt_scalings_leave_s_and_z_unchanged():
     assert np.array_equal(s, s_copy) and np.array_equal(z, z_copy)
 
 
+def _ball_search_program():
+    """The search program of a generated ball problem, n=7; its order-3
+    relaxation has m=1716 moments and 254 equality rows."""
+    problem, _ = parse_problem(generate("ball", (7,), 2, 0), "ball")
+    return _cut_program(problem, random_theta(7, 0).poly, CutSet(), [])
+
+
 def test_factor_holds_one_schur_array():
     # the search relaxation of a generated ball problem, n=7 at order 3:
     # one H (8 m^2 bytes) is at least four times the assembly's four work
     # arrays of _SCHUR_CHUNK entries, so a second m x m array would show
-    problem, _ = parse_problem(generate("ball", (7,), 2, 0), "ball")
-    prog = _cut_program(problem, random_theta(7, 0).poly, CutSet(), [])
-    ipm = sb.ReferenceIpm(ms.build_relaxation(prog, 3), 200)
+    ipm = sb.ReferenceIpm(ms.build_relaxation(_ball_search_program(), 3), 200)
     h_bytes = 8 * ipm.m**2
     assert ipm.m == 1716 and h_bytes >= 4 * 4 * 8 * sb._SCHUR_CHUNK
     states = _random_states(ipm, np.random.default_rng(0))
@@ -419,6 +430,62 @@ def test_factor_holds_one_schur_array():
     # H is assembled and factored in the buffer set up with the IPM
     assert peak < h_bytes
     assert np.shares_memory(ipm._hchol, ipm._h_rows)
+
+
+def test_solve_holds_no_stale_equality_data(monkeypatch):
+    # besides H (8 m^2 bytes), a solve's peak holds about 4.2 times 8 p m
+    # bytes: A, W, G and the cones' data.  Also holding the problem's dense
+    # rows, their scaled copy and the previous iteration's W made it 7.8
+    prog = _ball_search_program()
+    m, p = 1716, 254
+    refs, dead_at_run = [], []
+    init, run = sb.ReferenceIpm.__init__, sb.ReferenceIpm.run
+
+    def recording_init(self, problem, max_iters):
+        refs.append(weakref.ref(problem))
+        init(self, problem, max_iters)
+
+    def checking_run(self):
+        dead_at_run.append(refs[0]() is None)
+        return run(self)
+
+    monkeypatch.setattr(sb.ReferenceIpm, "__init__", recording_init)
+    monkeypatch.setattr(sb.ReferenceIpm, "run", checking_run)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = sb.solve(ms.build_relaxation(prog, 3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.status == sb.OPTIMAL and len(res.y) == m
+    assert peak < 8 * m * m + 6 * 8 * p * m
+    if sys.version_info >= (3, 11):
+        # the caller's temporary is handed to solve, which lets it go
+        assert dead_at_run == [True]
+
+
+def test_schur_of_a_wide_block_holds_no_second_array():
+    # a 1x1 block whose entry uses every variable: its chunks' contraction
+    # outputs (stop x k) are bounded like their Z stacks, so the assembly
+    # adds no m x m array to the Schur buffer
+    m = 1500
+    rng = np.random.default_rng(8)
+    wide = sb.SdpBlock(1, np.arange(m), np.zeros(m, int), np.zeros(m, int), rng.uniform(1, 2, m))
+    singles = [sb.SdpBlock(1, np.array([j]), np.zeros(1, int), np.zeros(1, int), np.ones(1))
+               for j in (0, 700, m - 1)]
+    prob = sb.SdpProblem(m, np.ones(m), np.zeros((0, m)), np.zeros(0), [wide, *singles])
+    ipm = sb.ReferenceIpm(prob, 200)
+    states = _random_states(ipm, np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = ipm._schur(states)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m / 4
+    _assert_schur_matches_dense(ipm, states, h)
 
 
 def test_factor_rebuilds_h_when_the_in_place_cholesky_fails(monkeypatch):
