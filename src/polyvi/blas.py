@@ -1,0 +1,123 @@
+"""OpenBLAS thread counts: one thread for a command, all of them for large factorizations.
+
+An IPM iteration makes many small LAPACK calls (per-block Cholesky, SVD and
+eigvalsh with s <= 210, the Schur chunks' products), and on those a second
+thread costs more in hand-off than it saves.  Only two calls of
+`sdpbackend.ReferenceIpm._factor` gain from more threads, and only once m is
+large: the Cholesky of the m x m Schur matrix H = R^T R and W = R^-T A^T for
+p equality rows.  Their median time in ms on a 2-core Xeon (scipy's
+OpenBLAS 0.3.30, random SPD H, 1 and 2 threads interleaved, the switch of
+thread count included):
+
+    m     p     1 thread   2 threads
+    210   30       0.54       0.52
+    495   70       3.9        3.2
+    1000  140     22.5       15.4
+    1716  254     90         56
+    3003  430    378        239
+
+So the command line enters `one_blas_thread` around every command: it puts
+each loaded OpenBLAS on one thread and keeps the count it had, and
+`sdpbackend` hands those counts back through `all_blas_threads` around the
+two calls when m >= `sdpbackend._PARALLEL_M`.  With OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS set to a non-empty value the user's
+setting stands and no count is changed anywhere; a library caller that never
+enters `one_blas_thread` keeps its counts too.
+"""
+
+import contextlib
+import ctypes
+import functools
+import os
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# numpy's wheels bundle libscipy_openblas64_, scipy's libscipy_openblas
+_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+# (file name, set, count before the pin) of each library the innermost active
+# `one_blas_thread` put on one thread; empty outside it.  Module state, as the
+# thread counts it mirrors belong to the whole process.
+_pinned: tuple = ()
+
+
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """(file name, get, set) of the thread count of each loaded OpenBLAS.
+
+    Looked up once per process, after numpy and scipy have loaded their
+    libraries (the command line's imports have).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh if "openblas" in line.lower()]
+    except OSError:
+        return ()
+    libs = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for pattern in _THREAD_SYMBOLS:
+            get = getattr(lib, pattern.format("get"), None)
+            put = getattr(lib, pattern.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                libs.append((os.path.basename(path), get, put))
+                break
+    return tuple(libs)
+
+
+def blas_threads() -> dict:
+    """Thread count of each loaded OpenBLAS, keyed by library file name."""
+    return {name: get() for name, get, _ in _openblas_libraries()}
+
+
+def factor_threads() -> dict:
+    """The counts that `all_blas_threads` runs at, keyed by library file name:
+    those before the pin inside `one_blas_thread`, else the current ones."""
+    if _pinned:
+        return {name: count for name, _, count in _pinned}
+    return blas_threads()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Put every loaded OpenBLAS on one thread, and restore its count on exit.
+
+    With a thread variable set, nothing is changed.
+    """
+    global _pinned
+    outer = _pinned
+    user_set = any(os.environ.get(v) for v in _THREAD_VARIABLES)
+    libs = () if user_set else _openblas_libraries()
+    pinned = tuple((name, put, get()) for name, get, put in libs)
+    for _, put, _ in pinned:
+        put(1)
+    _pinned = pinned
+    try:
+        yield
+    finally:
+        _pinned = outer
+        for _, put, count in pinned:
+            put(count)
+
+
+@contextlib.contextmanager
+def all_blas_threads():
+    """Inside `one_blas_thread`, run each library at its count before the pin,
+    and put it back on one thread on exit; elsewhere, change nothing."""
+    pinned = _pinned
+    for _, put, count in pinned:
+        put(count)
+    try:
+        yield
+    finally:
+        for _, put, _ in pinned:
+            put(1)

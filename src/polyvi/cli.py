@@ -22,10 +22,7 @@ POLYVI_SEED, --point or --dims, or a file `bound` cannot count.  A usage
 error that click reports itself (a missing or unknown argument) exits 2.
 """
 
-import contextlib
-import ctypes
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -34,6 +31,7 @@ import time
 import click
 import numpy as np
 
+from .blas import blas_threads, factor_threads, one_blas_thread
 from .lme import ConstraintSystem, TemplateMismatch
 from .momentsdp import TOL_FEAS, ExtractionFailed
 from .polycore import Polynomial, basis, is_int, violation
@@ -316,84 +314,14 @@ def _parse_dims(dims: str) -> tuple[int, ...]:
         raise ProblemFileError(f"cannot parse dims {dims!r}")
 
 
-# -- BLAS threads --------------------------------------------------------------
-
-# Every command runs with each loaded OpenBLAS on one thread.  An IPM
-# iteration makes many small LAPACK calls (per-block Cholesky, SVD and
-# eigvalsh with s <= 120, an m x m Cholesky with m <= 495 on most problems),
-# and handing those to a second thread costs more than it saves: on a 2-core
-# Xeon, 1 thread ran the four benchmark workloads 1.3-2.9x faster end to end,
-# the m=1716 relaxations included.  Any of these variables set by the user
-# takes precedence over that choice.
-_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# numpy's wheels bundle libscipy_openblas64_, scipy's libscipy_openblas
-_THREAD_SYMBOLS = (
-    "scipy_openblas_{}_num_threads64_",
-    "scipy_openblas_{}_num_threads",
-    "openblas_{}_num_threads64_",
-    "openblas_{}_num_threads",
-)
-
-
-@functools.cache
-def _openblas_libraries() -> tuple:
-    """(file name, get, set) of the thread count of each loaded OpenBLAS.
-
-    Looked up once per process; the imports of this module have loaded
-    numpy's and scipy's libraries by then.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(None, 5) for line in fh if "openblas" in line.lower()]
-    except OSError:
-        return ()
-    libs = []
-    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for pattern in _THREAD_SYMBOLS:
-            get = getattr(lib, pattern.format("get"), None)
-            put = getattr(lib, pattern.format("set"), None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                libs.append((os.path.basename(path), get, put))
-                break
-    return tuple(libs)
-
-
-def blas_threads() -> dict:
-    """Thread count of each loaded OpenBLAS, keyed by library file name."""
-    return {name: get() for name, get, _ in _openblas_libraries()}
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Put every loaded OpenBLAS on one thread, and restore its count on exit.
-
-    With OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS set to a
-    non-empty value, the user's setting stands and nothing is changed.
-    """
-    user_set = any(os.environ.get(v) for v in _THREAD_VARIABLES)
-    libs = () if user_set else _openblas_libraries()
-    before = [get() for _, get, _ in libs]
-    for _, _, put in libs:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, _, put), count in zip(libs, before):
-            put(count)
-
-
 # -- commands ------------------------------------------------------------------
 
 
 @click.group()
 def main():
     """Polynomial variational inequality solver."""
+    # one BLAS thread for the many small calls of the IPM, and the counts
+    # from before for its large factorizations (the `blas` module says why)
     click.get_current_context().with_resource(one_blas_thread())
 
 
@@ -447,6 +375,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
         )
         ok = res.status in (SOLUTION, NO_SOLUTION)
     report["blas_threads"] = blas_threads()
+    report["factor_threads"] = factor_threads()
     report["time"] = time.time() - t0
     _emit(report, as_json, out)
     sys.exit(0 if ok else 2)
@@ -483,6 +412,7 @@ def cmd_verify(file, point, as_json):
         "verdict": "accepted" if accepted else "rejected",
         "via": res.via,
         "blas_threads": blas_threads(),
+        "factor_threads": factor_threads(),
         "time": time.time() - t0,
     }
 
@@ -516,6 +446,7 @@ def cmd_bound(file, as_json):
         "subsets": [{"active": list(r["active"]), "bound": r["bound"]} for r in rows],
         "total": total,
         "blas_threads": blas_threads(),
+        "factor_threads": factor_threads(),
     }
 
     def render(rep):
@@ -585,6 +516,7 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         "mean_time": (sum(r["time"] for r in runs) / count) if count else None,
         "runs": runs,
         "blas_threads": blas_threads(),
+        "factor_threads": factor_threads(),
     }
 
     def render(rep):

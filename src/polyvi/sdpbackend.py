@@ -48,10 +48,15 @@ Per iteration the method
      triangle (a <= b), all that the factorization H = R^T R reads, LAPACK's
      potrf factors in place, so an iteration holds one m x m array, as CSDP
      does (Borchers, Optim. Methods Softw. 11, 1999).  With W = R^-T A^T,
-     the equality complement A H^-1 A^T is W^T W.  Besides H, an iteration
-     holds two p x m arrays, the equality rows A and W, and W is dropped
+     the equality complement A H^-1 A^T is W^T W, factored in place as
+     well.  Besides H, an iteration holds two p x m arrays, the equality
+     rows A (only the rank's rows of the SVD) and W, and W is dropped
      before the next assembly (`solve` releases the problem and its dense
-     rows once setup has copied what it reads),
+     rows once setup has copied what it reads).  From m = `_PARALLEL_M` on,
+     the Cholesky of H and W run on every OpenBLAS thread, the step SDPARA
+     parallelizes (Yamashita, Fujisawa & Kojima, Parallel Comput. 29, 2003);
+     the assembly, W^T W and the per-block work stay on the one thread the
+     command line sets (`blas`),
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -91,12 +96,15 @@ through an alignment-dependent BLAS path.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+from .blas import all_blas_threads
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -203,6 +211,15 @@ def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
 # H's upper triangle came out bitwise the same at every chunk from 1e4 to 1e6
 # entries, and so did the iteration counts.
 _SCHUR_CHUNK = 1.0e5
+# the least m at which `_factor` runs the Cholesky of H and W = R^-T A^T on
+# every OpenBLAS thread (`blas.all_blas_threads`; the `blas` module has the
+# timings).  At m=495 two threads save 0.7 of the two calls' 3.9 ms, 2 % of an
+# iteration, which the second thread can cost back: spinning idle after a
+# 2-thread Cholesky, it slowed the single-threaded work that followed by
+# about 8 %.  W^T W runs in numpy's OpenBLAS and stays on one thread: raising
+# that library too added a second spinning thread, and large-sdp's solve time
+# no longer fell.
+_PARALLEL_M = 1000
 
 
 class _Cone:
@@ -461,7 +478,8 @@ class ReferenceIpm:
         u_mat, sv, vt = np.linalg.svd(raw_a, full_matrices=False)
         keep = sv > (sv[0] * 1e-12 if len(sv) and sv[0] > 0 else 1e-12)
         rank = int(keep.sum())
-        self.A = vt[:rank]
+        # a copy, so that the rows past the rank die with vt
+        self.A = vt[:rank].copy() if rank < len(vt) else vt
         self.b = (u_mat[:, :rank].T @ raw_b) / sv[:rank] if rank else np.zeros(0)
         residual = raw_b - u_mat[:, :rank] @ (u_mat[:, :rank].T @ raw_b)
         if np.linalg.norm(residual) > 1e-9 * max(1.0, np.linalg.norm(raw_b)):
@@ -560,39 +578,52 @@ class ReferenceIpm:
 
     def _factor(self, states) -> bool:
         """Factor H + shift = R^T R in the Schur buffer: `_hchol` is R, a view
-        of the buffer, valid until the next `_schur` or `_factor` call.
+        of the buffer, valid until the next `_schur` or `_factor` call.  With
+        equality rows, W = R^-T A^T, and the equality complement A H^-1 A^T =
+        W^T W (plus its own shift) is factored in place as `_schur_chol`.
 
-        When potrf fails, it has overwritten part of H, so H is rebuilt from
-        the same states, bitwise the same, and `_chol_with_jitter` factors a
-        shifted copy of it.
+        When potrf fails, it has overwritten part of its matrix, so H or
+        W^T W is rebuilt, bitwise the same, and `_chol_with_jitter` factors a
+        shifted copy of it.  At m >= `_PARALLEL_M` the Cholesky of H and W
+        run on every OpenBLAS thread, and all else on one.
         """
         # W is read only until the next factorization: drop it before H grows
         self._w = self._schur_chol = None
         h_mat = self._schur(states)
         m = self.m
+        threads = all_blas_threads if m >= _PARALLEL_M else contextlib.nullcontext
         # static regularization; iterative refinement absorbs the bias
         diag = np.arange(m)
         shift = 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
         h_mat[diag, diag] += shift
         # H = R^T R from its upper triangle
         _check_finite(h_mat)
-        self._hchol = _potrf(h_mat, lower=False, overwrite=True)
+        with threads():
+            self._hchol = _potrf(h_mat, lower=False, overwrite=True)
         if self._hchol is None:
             h_mat = self._schur(states)
             h_mat[diag, diag] += shift
-            self._hchol = _chol_with_jitter(h_mat, lower=False)
+            with threads():
+                self._hchol = _chol_with_jitter(h_mat, lower=False)
             if self._hchol is None:
                 return False
-        if len(self.b):
-            # W = R^-T A^T, so the equality complement A H^-1 A^T is W^T W
+        if not len(self.b):
+            return True
+        with threads():
             self._w = _trtrs(self._hchol, self.A.T, trans=1)
+        schur = self._w.T @ self._w
+        p = schur.shape[0]
+        shift = 1e-12 * max(1.0, float(np.trace(schur)) / p)
+        schur.flat[:: p + 1] += shift
+        _check_finite(schur)
+        # W^T W is symmetric, so its transpose is the same matrix in Fortran
+        # order, which potrf factors in place
+        self._schur_chol = _potrf(schur.T, lower=True, overwrite=True)
+        if self._schur_chol is None:
             schur = self._w.T @ self._w
-            p = schur.shape[0]
-            schur.flat[:: p + 1] += 1e-12 * max(1.0, float(np.trace(schur)) / p)
+            schur.flat[:: p + 1] += shift
             self._schur_chol = _chol_with_jitter(schur)
-            if self._schur_chol is None:
-                return False
-        return True
+        return self._schur_chol is not None
 
     def _solve3(self, states, bx, by, bz):
         """Solve: A^T uy + G^T uz = bx;  A ux = by;  G ux - W^T W uz = bz."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polyvi import cli
+from polyvi import blas, cli
 from polyvi.momentsdp import ExtractionFailed
 from polyvi.polycore import Polynomial
 from polyvi.vipsolver import SolveOutcome
@@ -630,9 +630,9 @@ def test_batch_zero_instances():
 def two_blas_threads(monkeypatch):
     """No thread variable set and every loaded OpenBLAS on 2 threads, so that
     a pin to 1 shows; the counts are restored afterwards."""
-    for var in cli._THREAD_VARIABLES:
+    for var in blas._THREAD_VARIABLES:
         monkeypatch.delenv(var, raising=False)
-    libs = cli._openblas_libraries()
+    libs = blas._openblas_libraries()
     if not libs:
         pytest.skip("no OpenBLAS loaded")
     before = [get() for _, get, _ in libs]
@@ -664,7 +664,7 @@ def test_commands_run_on_one_blas_thread(monkeypatch, two_blas_threads, tiny_fil
     assert cli.blas_threads() == before
 
 
-@pytest.mark.parametrize("var", cli._THREAD_VARIABLES)
+@pytest.mark.parametrize("var", blas._THREAD_VARIABLES)
 def test_thread_variable_leaves_counts_alone(monkeypatch, two_blas_threads, tiny_file, var):
     monkeypatch.setenv(var, "2")
     seen = _spy_on_solve_one(monkeypatch)
@@ -685,19 +685,35 @@ def test_counts_restored_when_command_raises(monkeypatch, two_blas_threads):
     assert cli.blas_threads() == before
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("solve", "{file}", "--json"),
-        ("verify", "{file}", "--point", "0.6,0.8", "--json"),
-        ("bound", "{file}", "--json"),
-        ("batch", "ball", "--dims", "2", "--count", "0", "--json"),
-    ],
-)
+_REPORTING_COMMANDS = [
+    ("solve", "{file}", "--json"),
+    ("verify", "{file}", "--point", "0.6,0.8", "--json"),
+    ("bound", "{file}", "--json"),
+    ("batch", "ball", "--dims", "2", "--count", "0", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", _REPORTING_COMMANDS)
 def test_json_report_records_blas_threads(two_blas_threads, tiny_file, argv):
     result = invoke(*(arg.format(file=tiny_file) for arg in argv))
     report = json.loads(result.output)
     assert report["blas_threads"] == {name: 1 for name in cli.blas_threads()}
+
+
+@pytest.mark.parametrize("argv", _REPORTING_COMMANDS)
+def test_json_report_records_factor_threads(two_blas_threads, tiny_file, argv):
+    # the large factorizations run at the counts from before the pin
+    result = invoke(*(arg.format(file=tiny_file) for arg in argv))
+    report = json.loads(result.output)
+    assert report["factor_threads"] == {name: 2 for name in cli.blas_threads()}
+
+
+def test_factor_threads_with_a_thread_variable_are_the_counts_in_use(
+    monkeypatch, two_blas_threads, tiny_file
+):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    report = json.loads(invoke("solve", tiny_file, "--json").output)
+    assert report["factor_threads"] == report["blas_threads"] == cli.blas_threads()
 
 
 def test_perfbench_selftest():

@@ -1,6 +1,7 @@
 """`tools/sdp_capture.py --compare` on small synthetic captures.
 
-The tool runs in a subprocess: importing it sets OPENBLAS_NUM_THREADS.
+The tool runs in a subprocess, as from the command line: importing it puts
+the checkout's `src` and `perfbench` first on sys.path.
 """
 
 import copy
@@ -76,3 +77,12 @@ def test_a_key_only_in_the_second_capture_is_a_difference(tmp_path):
     code, out = _compare(tmp_path, _changed(lambda r: r["sdps"][0].update(extra=1)))
     assert code == 1
     assert "SDP 0 (m=15): extra None != 1" in out
+
+
+def test_thread_counts_are_printed_not_compared(tmp_path):
+    code, out = _compare(
+        tmp_path, _changed(lambda r: r.update(threads={"factor_threads": {"lib.so": 2}}))
+    )
+    assert code == 0
+    assert "no thread counts recorded" in out
+    assert 'factor_threads {"lib.so": 2}' in out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from polyvi import blas
 from polyvi import momentsdp as ms
 from polyvi import sdpbackend as sb
 from polyvi.cli import generate, load_problem, parse_problem
@@ -507,6 +508,168 @@ def test_factor_rebuilds_h_when_the_in_place_cholesky_fails(monkeypatch):
     monkeypatch.setattr(sb, "dpotrf", fails_in_place_once)
     assert ipm._factor(states)
     assert failed and np.array_equal(ipm._hchol, expect)
+
+
+def _shifted_equality_complement(ipm):
+    """W^T W of the factored ipm plus _factor's shift, as a new array."""
+    schur = ipm._w.T @ ipm._w
+    p = len(schur)
+    schur.flat[:: p + 1] += 1e-12 * max(1.0, float(np.trace(schur)) / p)
+    return schur
+
+
+def test_factor_rebuilds_the_equality_complement_when_its_cholesky_fails(monkeypatch):
+    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
+    states = _random_states(ipm, np.random.default_rng(4))
+    real, failed = sb.dpotrf, []
+
+    def fails_in_place_once(a, lower=0, clean=1, overwrite_a=0):
+        if overwrite_a and lower and not failed:
+            failed.append(True)
+            a[...] = np.nan
+            return a, 1
+        return real(a, lower=lower, clean=clean, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(sb, "dpotrf", fails_in_place_once)
+    assert ipm._factor(states)
+    expect = sb._chol_with_jitter(_shifted_equality_complement(ipm))
+    assert failed and np.array_equal(ipm._schur_chol, expect)
+
+
+def _capital_search_relaxation():
+    """capital_stock's search relaxation at order 3: m=1716 moments and 1135
+    equality rows of rank 1016."""
+    problem, _ = load_problem(os.path.join(FIXTURES, "capital_stock.json"))
+    prog = _cut_program(problem, random_theta(problem.n, 0).poly, CutSet(), [])
+    return ms.build_relaxation(prog, 3)
+
+
+def test_factor_of_many_equality_rows_holds_no_spare_array():
+    # besides H, the factorization adds W (r x m) and W^T W (r x r), which
+    # potrf factors in place, and the equality rows keep only the rank's
+    # rows of the SVD; a copy of W^T W and the 119 rows past the rank took
+    # 9.9 MB more
+    prob = _capital_search_relaxation()
+    ipm = sb.ReferenceIpm(prob, 200)
+    m, r = ipm.m, len(ipm.b)
+    assert (m, len(prob.eq_rhs), r) == (1716, 1135, 1016)
+    owner = ipm.A
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    assert owner.nbytes == ipm.A.nbytes == 8 * r * m
+    states = _random_states(ipm, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert ipm._factor(states)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # one MiB for the small work arrays
+    assert peak < 8 * (r * m + r * r) + 2**20
+    expect = sb._chol_with_jitter(_shifted_equality_complement(ipm))
+    assert np.array_equal(ipm._schur_chol, expect)
+
+
+class _FakeBlas:
+    """Two OpenBLAS libraries whose thread counts start at `count`; `sets`
+    logs every set call as (library, count)."""
+
+    def __init__(self, monkeypatch, count):
+        self.counts = {"liba.so": count, "libb.so": count}
+        self.sets = []
+        libs = tuple((name, self._getter(name), self._setter(name)) for name in self.counts)
+        monkeypatch.setattr(blas, "_openblas_libraries", lambda: libs)
+        for var in blas._THREAD_VARIABLES:
+            monkeypatch.delenv(var, raising=False)
+
+    def _getter(self, name):
+        return lambda: self.counts[name]
+
+    def _setter(self, name):
+        def put(count):
+            self.sets.append((name, count))
+            self.counts[name] = count
+
+        return put
+
+
+def _spy_on_lapack(monkeypatch, fake):
+    """(name, input shape, counts) of every _potrf and _trtrs call."""
+    calls = []
+    for name in ("_potrf", "_trtrs"):
+        real = getattr(sb, name)
+
+        def spy(mat, *args, real=real, name=name, **kwargs):
+            shape = args[0].shape if name == "_trtrs" else mat.shape
+            calls.append((name, shape, set(fake.counts.values())))
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(sb, name, spy)
+    return calls
+
+
+def test_large_factorizations_run_on_the_counts_from_before_the_pin(monkeypatch):
+    fake = _FakeBlas(monkeypatch, 2)
+    prob = schur_problems()[0]
+    monkeypatch.setattr(sb, "_PARALLEL_M", 15)
+    calls = _spy_on_lapack(monkeypatch, fake)
+    with blas.one_blas_thread():
+        assert blas.factor_threads() == {"liba.so": 2, "libb.so": 2}
+        res = sb.solve(prob)
+        assert set(fake.counts.values()) == {1}
+    assert res.status == sb.OPTIMAL and set(fake.counts.values()) == {2}
+    m = 15
+    factors = [c for c in calls if c[:2] == ("_potrf", (m, m))]
+    products = [c for c in calls if c[0] == "_trtrs" and len(c[1]) == 2]
+    # every _factor runs the Cholesky of H and W = R^-T A^T at 2 threads, and
+    # everything else, the per-block factors and the KKT solves, at 1
+    assert factors and len(factors) == len(products) == res.iterations
+    for name, shape, counts in calls:
+        assert counts == ({2} if (name, shape) in {f[:2] for f in factors + products} else {1})
+    # two raises and two returns to one thread per _factor, after the pin
+    assert fake.sets[:2] == [("liba.so", 1), ("libb.so", 1)]
+    per_factor = [("liba.so", 2), ("libb.so", 2), ("liba.so", 1), ("libb.so", 1)] * 2
+    assert fake.sets[2:-2] == per_factor * res.iterations
+
+
+def test_small_factorizations_change_no_count(monkeypatch):
+    fake = _FakeBlas(monkeypatch, 2)
+    with blas.one_blas_thread():
+        assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
+    # the pin and its restore
+    assert fake.sets == [("liba.so", 1), ("libb.so", 1), ("liba.so", 2), ("libb.so", 2)]
+
+
+def test_thread_variable_or_no_pin_means_no_count_changes(monkeypatch):
+    fake = _FakeBlas(monkeypatch, 2)
+    monkeypatch.setattr(sb, "_PARALLEL_M", 1)
+    # a library caller that never pins
+    monkeypatch.setattr(blas, "_pinned", ())
+    assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with blas.one_blas_thread():
+        assert blas.factor_threads() == {"liba.so": 2, "libb.so": 2}
+        assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
+    assert fake.sets == []
+
+
+def test_counts_return_to_one_when_the_factorization_raises(monkeypatch):
+    fake = _FakeBlas(monkeypatch, 2)
+    monkeypatch.setattr(sb, "_PARALLEL_M", 1)
+    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
+    states = _random_states(ipm, np.random.default_rng(4))
+
+    def broken(mat, lower, overwrite=False):
+        assert set(fake.counts.values()) == {2}
+        raise MemoryError
+
+    monkeypatch.setattr(sb, "_potrf", broken)
+    with blas.one_blas_thread():
+        with pytest.raises(MemoryError):
+            ipm._factor(states)
+        assert set(fake.counts.values()) == {1}
+    assert set(fake.counts.values()) == {2}
 
 
 def test_trtrs_rejects_a_zero_pivot():

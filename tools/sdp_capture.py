@@ -4,8 +4,10 @@
     python3 tools/sdp_capture.py --compare A.json B.json
 
 A capture runs polyvi from the `src` tree next to this file, in this process,
-through `cli.main`, with every OpenBLAS on one thread.  The command lines are
-those of the four benchmark workloads (`perfbench/workloads.py`); each
+through `cli.main`, so under the command line's own thread rule: one OpenBLAS
+thread, and the process's counts for the Cholesky of H and W of each SDP
+with m >= `sdpbackend._PARALLEL_M` (the `polyvi.blas` module).  The command
+lines are those of the four benchmark workloads (`perfbench/workloads.py`); each
 `--fixture NAME` adds `solve --all` on `fixtures/NAME.json`, and each
 `--solve NAME` adds `solve` without `--all` on it, for a fixture whose
 enumeration runs too long (`capital_stock --all` takes over 15 minutes).
@@ -13,14 +15,18 @@ For each SDP that `sdpbackend.solve` returns it writes the moment count m,
 the sha1 of its data (c, the equality rows and right-hand sides, and each
 block's size and triplets), the status, the exit, the iteration count and
 the sha1 of the bytes of y; for each command line, its exit code (1 for bad
-input, such as a fixture that fails to parse) and its --json report without
-`file` and without any `time` entry (null when the command wrote none).
+input, such as a fixture that fails to parse), its --json report without
+`file` and without any `time` entry (null when the command wrote none), and
+apart from the report the thread counts it recorded (`blas_threads`, and
+`factor_threads` where polyvi reports it).
 
 `--compare` prints every difference between two captures, then per target
 the totals of each capture (SDPs, the count of SDPs of each moment count m,
-IPM iterations and the count of each exit), and exits 1 when there is a
-difference, 0 otherwise.  To compare two versions of the code, copy this
-file into a checkout of each and capture both.
+IPM iterations and the count of each exit) and the thread counts each
+capture ran at, and exits 1 when there is a difference, 0 otherwise.  The
+thread counts are printed, not compared: a count other than 1 changes the
+last bits of the SDPs it factors.  To compare two versions of the code, copy
+this file into a checkout of each and capture both.
 
 The m=1716 search SDP of large-sdp seed 1 does not always give the same
 iterate in two processes of the same code: its objective came out as
@@ -35,14 +41,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
-
-# before numpy loads: OpenBLAS reads its thread count once, at load time
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -53,6 +55,10 @@ import numpy as np  # noqa: E402
 import child  # noqa: E402
 import workloads  # noqa: E402
 from polyvi import cli, sdpbackend  # noqa: E402
+
+
+# the report entries that record thread counts, kept apart from the report
+THREAD_KEYS = ("blas_threads", "factor_threads")
 
 
 def run_cli(argv: list[str]) -> int:
@@ -120,12 +126,19 @@ def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
                 report_path.unlink(missing_ok=True)
                 sdps.clear()
                 code = run_cli(argv + ["--json", "--out", str(report_path)])
-                report = None
+                report, threads = None, {}
                 if report_path.exists():
                     report = _untimed(json.loads(report_path.read_text()))
                     report.pop("file", None)
+                    threads = {k: report.pop(k) for k in THREAD_KEYS if k in report}
                 records.append(
-                    {"label": label, "exit_code": code, "report": report, "sdps": sdps[:]}
+                    {
+                        "label": label,
+                        "exit_code": code,
+                        "report": report,
+                        "threads": threads,
+                        "sdps": sdps[:],
+                    }
                 )
             out[f"{kind} {name}"] = records
     finally:
@@ -181,6 +194,18 @@ def totals(record: dict) -> list[str]:
     return lines
 
 
+def thread_counts(record: dict) -> list[str]:
+    """One line per distinct thread count entry over the command lines of a capture."""
+    seen: dict[str, set] = {}
+    for records in record.values():
+        for r in records:
+            for key, counts in r.get("threads", {}).items():
+                seen.setdefault(key, set()).add(json.dumps(counts, sort_keys=True))
+    if not seen:
+        return ["no thread counts recorded"]
+    return [f"{key} {' | '.join(sorted(values))}" for key, values in sorted(seen.items())]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?", type=Path, help="where to write the capture")
@@ -196,7 +221,7 @@ def main() -> int:
             print(line)
         for name, cap in zip(args.compare, (a, b)):
             print(f"totals of {name}:")
-            for line in totals(cap):
+            for line in totals(cap) + thread_counts(cap):
                 print(f"  {line}")
         sdps = sum(len(r["sdps"]) for records in a.values() for r in records)
         print(f"{len(diffs)} differences over {sdps} SDPs of {len(a)} targets")
