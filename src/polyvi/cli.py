@@ -279,12 +279,21 @@ def _fmt_point(p) -> str:
     return "(" + ", ".join(f"{v: .6f}" for v in p) + ")"
 
 
+def _certificate_kind(res) -> str | None:
+    """How the infeasibility certificate of `res.order` holds: "strict" at the
+    solver's tolerance, "relaxed" at its looser one; None without one."""
+    if res.order is None:
+        return None
+    return "strict" if res.trusted else "relaxed"
+
+
 def _render_solutions(report: dict) -> str:
     lines = [f"status      {report['status']}"]
     if "complete" in report:
         lines.append(f"complete    {'yes' if report['complete'] else 'no'}")
     if report.get("certificate_order") is not None:
         lines.append(f"cert order  {report['certificate_order']}")
+        lines.append(f"certificate {report['certificate']}")
     lines.append(f"time        {report['time']:.2f}s")
     sols = report.get("solutions", [])
     if sols:
@@ -355,6 +364,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
             status=res.status,
             complete=res.complete,
             certificate_order=res.order,
+            certificate=_certificate_kind(res),
             solutions=[
                 {"point": p, "eps": e, "objective": o}
                 for p, e, o in zip(res.solutions, res.eps, res.objectives)
@@ -367,6 +377,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
         report.update(
             status=res.status,
             certificate_order=res.order,
+            certificate=_certificate_kind(res),
             loops=res.loops,
             solutions=[]
             if res.point is None

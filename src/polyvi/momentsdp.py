@@ -319,7 +319,8 @@ def minimize(
     s starts at ones, where the dilation is exact, and grows toward the
     latest moment estimate, since large solution coordinates otherwise blow
     up the moment matrices' dynamic range and stall the backend.  The run
-    ends with INFEASIBLE at an infeasible order, BOUND_REACHED at a trusted
+    ends with INFEASIBLE at an infeasible order (trusted unless its
+    certificate is relaxed), BOUND_REACHED at a trusted
     bound >= `floor` (without extraction), or MINIMIZERS (in x) once
     candidate points reach the bound: the degree-one moments, else the atoms
     of each flat M_t, t = 1 .. k, in turn; else it is INCONCLUSIVE at order
@@ -333,17 +334,19 @@ def minimize(
     for k in range(d0, d0 + k_max_extra + 1):
         prog_k = dilate_program(prog, s_vec)
         res = sb.solve(build_relaxation(prog_k, k))
+        # a solve the backend settled at its relaxed tolerance is not trusted,
+        # be it a certificate or a bound
+        trusted = not res.residuals.get("relaxed", False)
         if res.status == sb.PRIMAL_INFEASIBLE:
-            return HierarchyOutcome(INFEASIBLE, k)
+            return HierarchyOutcome(INFEASIBLE, k, trusted=trusted)
         if res.status != sb.OPTIMAL:
             continue
 
         bound = res.objective
         y = MomentVector(prog.n, 2 * k, res.y)
-        # a solve the backend settled at reduced accuracy is not trusted: its
-        # bound cannot stop the run, and its accuracy widens every test below
+        # an untrusted bound cannot stop the run, and the solve's accuracy
+        # widens every test below
         acc = res.accuracy
-        trusted = not res.residuals.get("relaxed", False)
         out.value = bound if out.value is None else max(out.value, bound)
         out.accuracy, out.trusted = acc, trusted
         s_used, s_vec = s_vec, _scale_update(s_vec, y.dilated(s_vec))

@@ -70,7 +70,12 @@ residuals.  `SdpResult.exit` records where a solve ended:
   - `optimal`: the residuals and the gap are within `_TOL`.
   - `certificate`: the iterate is a primal infeasibility certificate
     within `_TOL`.
-  - `stall`: 30 iterations without cutting the best score by 20 %.
+  - `stall`: 30 iterations without cutting the best score by 20 %, or,
+    while kappa > 1e4 tau and the iterate is a certificate within
+    `_RELAXED_TOL`, `_RAY_PATIENCE` iterations without cutting the best
+    certificate residual by 20 %.  A solve heading to a certificate has a
+    score that grows as tau -> 0, so only the second trigger watches its
+    progress; the post-loop path below returns its relaxed certificate.
   - `diverged`: the best score is within the relaxed band `_RELAXED_BAND`
     and the current one exceeds `_DIVERGE_FACTOR` times it.  Once mu/mu0
     nears 1e-10 the Newton systems lose their accuracy and the score climbs
@@ -122,6 +127,14 @@ _STEP_DAMP = 0.99
 # the answers of running on; 10 cuts one eig_linear_cone solve short of a
 # later, better iterate.
 _DIVERGE_FACTOR = 1e3
+# iterations a relaxed Farkas ray may go without cutting its best residual
+# by 20 % before the solve ends at `stall`.  A ray that levels off above
+# _TOL is what weak infeasibility leaves in the embedding (Permenter,
+# Friberg & Andersen, SIAM J. Optim. 27, 2017).  On ncp_product_infeasible's
+# m=495 search SDP the ray is best at iteration 16 (3.4e-8) and stays at
+# 1.3-2.1e-7 through iteration 31, where the 30-iteration score stall would
+# end it; patience 3 ends it at 19 and 5 at 21, with the same status.
+_RAY_PATIENCE = 3
 
 
 @dataclass
@@ -266,6 +279,11 @@ class _Cone:
         slot = np.arange(len(pairs)) - np.searchsorted(pair_var, pair_var)
         counts = np.bincount(pair_var, minlength=m_used)
         width = max(1, int(_SCHUR_CHUNK / max(size * size, m_used)))
+        # the pairs are sorted by variable, and `by_var` orders the entries
+        # by variable, in their own order within one, so a chunk's pairs and
+        # entries are slices, not masks over the whole block
+        by_var = np.argsort(var, kind="stable")
+        var_sorted = var[by_var]
         # longest prefix first: scipy keeps a prefix built on the arrays of a
         # longer one as a view, and copies it only when it keeps under half
         # of them, so all prefixes together hold at most twice `contract`
@@ -277,10 +295,10 @@ class _Cone:
             k, c = stop - start, int(counts[start:stop].max())
             if c == 0:
                 continue
-            sel = (pair_var >= start) & (pair_var < stop)
+            sel = slice(*np.searchsorted(pair_var, [start, stop]))
             row_idx = np.zeros((k, c), dtype=np.intp)
             row_idx[pair_var[sel] - start, slot[sel]] = pair_row[sel]
-            sel = (var >= start) & (var < stop)
+            sel = by_var[slice(*np.searchsorted(var_sorted, [start, stop]))]
             a_rows = sp.csr_matrix(
                 (vals[sel], ((var[sel] - start) * c + slot[pair_of[sel]], cols[sel])),
                 shape=(k * c, size),
@@ -699,6 +717,7 @@ class ReferenceIpm:
         best: SdpResult | None = None
         best_score = np.inf
         best_it = 0
+        best_ray, best_ray_it = np.inf, 0
         mu0 = mu = (s @ z + tau * kappa) / (self.nu + 1.0)
         it = 0
 
@@ -738,9 +757,19 @@ class ReferenceIpm:
             if pres <= _TOL and dres <= _TOL and (gap <= _TOL or relgap <= _TOL):
                 return finish(best, "optimal")
 
-            cert = self._certificate(y, z, _TOL, it)
-            if cert is not None:
+            ray = self._ray_residual(y, z)
+            if ray <= _TOL:
+                cert = SdpResult(PRIMAL_INFEASIBLE, None, None, {"certificate_residual": ray}, it)
                 return finish(cert, "certificate")
+            # a ray that holds at the relaxed tolerance but has stopped
+            # improving ends the solve, for the post-loop path to return
+            if kappa > 1e4 * max(tau, 1e-300) and ray <= _RELAXED_TOL:
+                if ray < 0.8 * best_ray:
+                    best_ray_it = it
+                best_ray = min(best_ray, ray)
+                if it - best_ray_it >= _RAY_PATIENCE:
+                    exit_path = "stall"
+                    break
 
             if it - best_it >= 30:
                 exit_path = "stall"  # no residual progress for many iterations
@@ -811,10 +840,10 @@ class ReferenceIpm:
         # stalled; when the embedding drove tau to zero the iterate is a
         # near-certificate, which beats reporting a numerical failure
         if kappa > 1e4 * max(tau, 1e-300):
-            cert = self._certificate(y, z, _RELAXED_TOL, it)
-            if cert is not None:
-                cert.residuals["relaxed"] = True
-                return finish(cert, exit_path)
+            ray = self._ray_residual(y, z)
+            if ray <= _RELAXED_TOL:
+                residuals = {"certificate_residual": ray, "relaxed": True}
+                return finish(SdpResult(PRIMAL_INFEASIBLE, None, None, residuals, it), exit_path)
         # moment-style instances routinely stall short of full accuracy; the
         # best iterate is still usable when callers read the recorded
         # residuals and treat the value/point accordingly
@@ -827,14 +856,13 @@ class ReferenceIpm:
             exit_path,
         )
 
-    def _certificate(self, y, z, tol, it):
-        """PRIMAL_INFEASIBLE when (y, z) is a ray A^T y + G^T z = 0, b . y < 0 within tol."""
+    def _ray_residual(self, y, z) -> float:
+        """How far (y, z) is from a ray A^T y + G^T z = 0 with b . y < 0:
+        |A^T y + G^T z| / resx0 / (-b . y), or inf when b . y >= 0."""
         by = float(self.b @ y)
         if by < 0.0:
-            pinf = float(np.linalg.norm(self.A.T @ y + self.GT @ z)) / self.resx0 / (-by)
-            if pinf <= tol:
-                return SdpResult(PRIMAL_INFEASIBLE, None, None, {"certificate_residual": pinf}, it)
-        return None
+            return float(np.linalg.norm(self.A.T @ y + self.GT @ z)) / self.resx0 / (-by)
+        return np.inf
 
 
 def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:

@@ -209,6 +209,8 @@ class SolveOutcome:
     objective: float | None = None
     loops: int = 0
     order: int | None = None
+    # False when the certificate of `order` holds only at the relaxed tolerance
+    trusted: bool = True
     log: list = field(default_factory=list)
 
 
@@ -220,6 +222,7 @@ class EnumerationResult:
     objectives: list = field(default_factory=list)
     complete: bool = False
     order: int | None = None
+    trusted: bool = True
     log: list = field(default_factory=list)
 
 
@@ -443,7 +446,8 @@ def _solve_loop(
 ) -> SolveOutcome:
     """Search, verify and cut until one pass ends, logging each step to `log`.
 
-    Only NO_SOLUTION carries an order: that of its infeasibility certificate.
+    Only NO_SOLUTION carries an order: that of its infeasibility certificate,
+    whose trust it carries too.
     """
     for loop in range(opts.max_loops):
         t0 = time.time()
@@ -453,7 +457,9 @@ def _solve_loop(
             "value": cand.value, "cuts": len(cuts), "time": round(time.time() - t0, 3),
         })
         if cand.status == INFEASIBLE:
-            return SolveOutcome(NO_SOLUTION, order=cand.order, loops=loop + 1)
+            return SolveOutcome(
+                NO_SOLUTION, order=cand.order, trusted=cand.trusted, loops=loop + 1
+            )
         if cand.status != MINIMIZERS:
             return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
         found, added = _check_points(problem, theta, cand, cuts, opts, log, loop)
@@ -556,11 +562,11 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
     cuts = CutSet()
     sols, eps, objs, log = [], [], [], []
     floor: list[Polynomial] = []
-    certified, complete, order = True, False, None
+    certified, complete, order, trusted = True, False, None, True
     while True:
         nxt = _solve_loop(problem, theta, cuts, floor, opts, log)
         if nxt.status == NO_SOLUTION:
-            complete, order = certified, nxt.order
+            complete, order, trusted = certified, nxt.order, nxt.trusted
         if nxt.status != SOLUTION:
             break
         if any(_same(nxt.point, s) for s in sols):
@@ -580,7 +586,9 @@ def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> Enumera
         floor = [Polynomial.constant(problem.n, -(nxt.objective + delta)) + theta.poly]
 
     status = SOLUTIONS if sols else (NO_SOLUTION if complete else INCONCLUSIVE_RUN)
-    return EnumerationResult(status, sols, eps, objs, complete=complete, order=order, log=log)
+    return EnumerationResult(
+        status, sols, eps, objs, complete=complete, order=order, trusted=trusted, log=log
+    )
 
 
 # -- counting bound -----------------------------------------------------------

@@ -93,7 +93,7 @@ def test_orthant_ncp_enumerates_both_solutions(sdp_solves):
     assert elapsed <= 60.0
 
 
-def test_unbounded_set_certified_empty_at_low_order():
+def test_unbounded_set_certified_empty_at_low_order(sdp_solves):
     problem, opts = fixture("ncp_product_infeasible.json")
     t0 = time.monotonic()
     res = solve_all(problem, opts)
@@ -108,6 +108,15 @@ def test_unbounded_set_certified_empty_at_low_order():
         problem.n,
     )
     assert res.order is not None and res.order <= prog.d0 + 2
+    assert not res.trusted
+    # the m=495 search SDP holds a relaxed ray from its 13th iteration on, and
+    # its score grows as tau -> 0: it ends once that ray stops improving, not
+    # after 30 iterations without a better score (iteration 31).  That is 19
+    # iterations at one BLAS thread; a thread variable set to 2-4 moves the
+    # relaxation's data in its last bits, and the solve ends at 20
+    (last,) = [r for p, r in sdp_solves if p.num_vars == 495]
+    assert last.status == "primal_infeasible" and last.residuals.get("relaxed")
+    assert last.exit == "stall" and last.iterations <= 20
     assert elapsed <= 120.0
 
 

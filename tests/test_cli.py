@@ -216,18 +216,30 @@ def test_negative_constant_field_on_the_orthant_has_no_solution(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name,status", [("eig_linear_cone", "solution"), ("ring_empty", "no_solution")]
+    "name,status,certificate",
+    [
+        pytest.param("eig_linear_cone", "solution", None, id="eig_linear_cone-solution"),
+        pytest.param("ring_empty", "no_solution", "strict", id="ring_empty-no_solution"),
+        pytest.param(
+            "ncp_product_infeasible", "no_solution", "relaxed",
+            id="ncp_product_infeasible-no_solution",
+        ),
+    ],
 )
-def test_solve_reports_the_order_of_a_certificate_only(name, status):
+def test_solve_reports_the_order_of_a_certificate_only(name, status, certificate):
     # a solution rests on its verification, not on a relaxation order; an
-    # empty set rests on the infeasible relaxation of its order
+    # empty set rests on the infeasible relaxation of its order, whose
+    # certificate holds at the IPM's tolerance or only at its relaxed one
     result = invoke("solve", os.path.join(FIXTURES, f"{name}.json"), "--json")
     report = json.loads(result.output)
     assert report["status"] == status
+    assert report["certificate"] == certificate
     if status == "solution":
         assert report["certificate_order"] is None
     else:
         assert isinstance(report["certificate_order"], int)
+    text = cli._render_solutions(report)
+    assert (f"certificate {certificate}" in text) == (certificate is not None)
 
 
 def test_solve_missing_file_exits_1(tmp_path):

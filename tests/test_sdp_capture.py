@@ -21,6 +21,9 @@ def _sdp(m, y):
         "exit": "optimal",
         "iterations": 9,
         "y_sha1": y,
+        "best_score": 3.0e-9,
+        "mu_ratio": 1.0e-10,
+        "certificate_residual": None,
     }
 
 
@@ -36,9 +39,9 @@ CAPTURE = {
 }
 
 
-def _compare(tmp_path, other):
+def _compare(tmp_path, other, base=CAPTURE):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    a.write_text(json.dumps(CAPTURE))
+    a.write_text(json.dumps(base))
     b.write_text(json.dumps(other))
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--compare", str(a), str(b)],
@@ -65,6 +68,44 @@ def test_a_changed_iterate_names_its_sdp(tmp_path):
     code, out = _compare(tmp_path, _changed(lambda r: r["sdps"][1].update(y_sha1="ccc")))
     assert code == 1
     assert "fixture toy / toy, SDP 1 (m=70): y_sha1 bbb != ccc" in out
+
+
+def test_a_changed_certificate_names_its_sdp(tmp_path):
+    # a certificate carries no y: two of one status, exit and iteration count
+    # differ only in their residual
+    def certificate(residual):
+        return _changed(lambda r: r["sdps"][0].update(
+            status="primal_infeasible", exit="stall", y_sha1=None,
+            certificate_residual=residual,
+        ))
+
+    code, out = _compare(tmp_path, certificate(1.7e-7), base=certificate(2.1e-7))
+    assert code == 1
+    assert "fixture toy / toy, SDP 0 (m=15): certificate_residual 2.1e-07 != 1.7e-07" in out
+    assert "1 differences over 2 SDPs" in out
+
+
+def test_a_capture_records_each_certificate_residual(tmp_path):
+    # eig_linear_cone's enumeration ends in one strict certificate
+    script = (
+        "import json, sys; from pathlib import Path; "
+        f"sys.path.insert(0, {str(TOOL.parent)!r}); import sdp_capture; "
+        f"out = sdp_capture.capture([('fixture', 'eig_linear_cone')], Path({str(tmp_path)!r})); "
+        "print(json.dumps(out))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    (record,) = json.loads(proc.stdout.splitlines()[-1])["fixture eig_linear_cone"]
+    sdps = record["sdps"]
+    assert [s["status"] for s in sdps].count("primal_infeasible") == 1
+    for s in sdps:
+        assert s["best_score"] > 0 and s["mu_ratio"] > 0
+        if s["status"] == "primal_infeasible":
+            assert 0 < s["certificate_residual"] <= 1e-8
+        else:
+            assert s["certificate_residual"] is None
 
 
 def test_one_sdp_fewer_is_a_difference(tmp_path):

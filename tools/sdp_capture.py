@@ -13,12 +13,14 @@ lines are those of the four benchmark workloads (`perfbench/workloads.py`); each
 enumeration runs too long (`capital_stock --all` takes over 15 minutes).
 For each SDP that `sdpbackend.solve` returns it writes the moment count m,
 the sha1 of its data (c, the equality rows and right-hand sides, and each
-block's size and triplets), the status, the exit, the iteration count and
-the sha1 of the bytes of y; for each command line, its exit code (1 for bad
-input, such as a fixture that fails to parse), its --json report without
-`file` and without any `time` entry (null when the command wrote none), and
-apart from the report the thread counts it recorded (`blas_threads`, and
-`factor_threads` where polyvi reports it).
+block's size and triplets), the status, the exit, the iteration count, the
+sha1 of the bytes of y, the best score, mu/mu0 at exit and the residual of
+an infeasibility certificate (null when the SDP has none), so that a changed
+certificate, which carries no y, shows too; for each command line, its exit
+code (1 for bad input, such as a fixture that fails to parse), its --json
+report without `file` and without any `time` entry (null when the command
+wrote none), and apart from the report the thread counts it recorded
+(`blas_threads`, and `factor_threads` where polyvi reports it).
 
 `--compare` prints every difference between two captures, then per target
 the totals of each capture (SDPs, the count of SDPs of each moment count m,
@@ -106,6 +108,9 @@ def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
                 "exit": res.exit,
                 "iterations": res.iterations,
                 "y_sha1": None if y is None else y.hexdigest(),
+                "best_score": res.best_score,
+                "mu_ratio": res.mu_ratio,
+                "certificate_residual": res.residuals.get("certificate_residual"),
             }
         )
         return res
