@@ -9,9 +9,20 @@ Submodules:
     cli        the `polyvi` command line tool
 
 Ready-made problem files live in fixtures/ at the repository root.
+
+Importing polyvi sets OPENBLAS_THREAD_TIMEOUT to 4 when neither it nor
+GOTO_THREAD_TIMEOUT is set, before numpy or scipy load here: the idle
+workers of an OpenBLAS loaded after that sleep right after each parallel
+call instead of spinning beside the Schur assembly's second thread (the
+`blas` module says more).
 """
 
-from .polycore import (
+import os
+
+if "GOTO_THREAD_TIMEOUT" not in os.environ:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+from .polycore import (  # noqa: E402
     DegreeOverflowError,
     MomentVector,
     Polynomial,

@@ -2,7 +2,7 @@
 
 An IPM iteration makes many small LAPACK calls (per-block Cholesky, SVD and
 eigvalsh with s <= 210, the Schur chunks' products), and on those a second
-thread costs more in hand-off than it saves.  Only two calls of
+OpenBLAS thread costs more in hand-off than it saves.  Only two calls of
 `sdpbackend.ReferenceIpm._factor` gain from more threads, and only once m is
 large: the Cholesky of the m x m Schur matrix H = R^T R and W = R^-T A^T for
 p equality rows.  Their median time in ms on a 2-core Xeon (scipy's
@@ -23,6 +23,23 @@ two calls when m >= `sdpbackend._PARALLEL_M`.  With OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS or OMP_NUM_THREADS set to a non-empty value the user's
 setting stands and no count is changed anywhere; a library caller that never
 enters `one_blas_thread` keeps its counts too.
+
+When those counts (`factor_threads`) exceed one, `sdpbackend` also assembles
+H of such an SDP on two Python threads, each running single-threaded
+OpenBLAS calls; with a count of one, set by the user or the machine, it
+assembles on one.  After a parallel call, an OpenBLAS worker spins for its
+thread timeout, by default 2^28 cycles, before it sleeps, and a worker
+spinning beside the assembly's second thread takes back what that thread
+saves.  So importing polyvi sets OPENBLAS_THREAD_TIMEOUT=4 (2^4 cycles)
+unless it or GOTO_THREAD_TIMEOUT is set; OpenBLAS reads it when it loads,
+and scipy's, which runs the parallel calls, loads after that import.  To
+keep OpenBLAS's own timeout, set either variable before starting Python.
+One m=1716 assembly right after a 2-thread Cholesky, median ms of 15 per
+process over 3 processes on the host above:
+
+    timeout        1 thread    2 threads
+    2^28 cycles    49-65       50-67
+    2^4 cycles     51-67       36-39
 """
 
 import contextlib

@@ -34,15 +34,18 @@ Per iteration the method
      scaling of the block, is assembled from the sparse constraint matrices
      without densifying any A_b.  For a block of size s, where A_b has c_b
      nonzero rows I_b, the compressed rows A_b[I_b, :] T^-1 cost O(s*nnz)
-     for all variables together, and T^-1 A_b T^-1 = T^-1[I_b, :]^T
-     (A_b[I_b, :] T^-1) costs s^2*c_b per variable.  Per column chunk of
-     variables b < stop, one flat index gathers the upper-triangle entries
-     (r <= c) of all their T^-1 A_b T^-1, and a sparse contraction with
-     the A_a of the rows a < stop (weighted 2 off the diagonal), O(m*nnz)
-     in all, gives H_ab for every a <= b.  A chunk takes at most
-     `_SCHUR_CHUNK` / max(s^2, m_b) variables, m_b the block's last variable
-     plus one, which bounds both its stack of T^-1 A_b T^-1 and its
-     contraction output (at most m_b rows).  Each chunk writes its columns
+     for all variables together.  Per column chunk of variables b < stop,
+     the entries H_ab, a <= b, read T^-1 A_b T^-1 only on the upper
+     positions (r <= c) that the A_a of the rows a < stop use, and those lie
+     in its rows < r, r the chunk's row bound; on a graded moment block r
+     is a short leading range for most chunks, as in the sparse Schur
+     formulas of Fujisawa, Kojima & Nakata (Math. Program. 79, 1997).  So
+     rows < r of T^-1 A_b T^-1 = T^-1[I_b, :]^T (A_b[I_b, :] T^-1) cost
+     r*s*c_b per variable, one index gathers their upper positions, and a
+     sparse contraction with the A_a (weighted 2 off the diagonal), O(m*nnz)
+     in all, gives H_ab for every a <= b.  A chunk of k variables keeps
+     k*r*s and k*stop within `_SCHUR_CHUNK`, which bounds both its stack of
+     T^-1 A_b T^-1 and its contraction output.  Each chunk writes its columns
      of H as contiguous rows of one m x m buffer, allocated once per solve,
      and H is that buffer's transpose: a Fortran-ordered view whose upper
      triangle (a <= b), all that the factorization H = R^T R reads, LAPACK's
@@ -53,10 +56,15 @@ Per iteration the method
      rows A (only the rank's rows of the SVD) and W, and W is dropped
      before the next assembly (`solve` releases the problem and its dense
      rows once setup has copied what it reads).  From m = `_PARALLEL_M` on,
-     the Cholesky of H and W run on every OpenBLAS thread, the step SDPARA
-     parallelizes (Yamashita, Fujisawa & Kojima, Parallel Comput. 29, 2003);
-     the assembly, W^T W and the per-block work stay on the one thread the
-     command line sets (`blas`),
+     the Cholesky of H and W run on every OpenBLAS thread, and, when that
+     is more than one, the assembly runs on two Python threads, each owning
+     a contiguous range of H's columns split where the estimated work
+     halves: the two steps SDPARA parallelizes (Yamashita, Fujisawa &
+     Kojima, Parallel Comput. 29, 2003).  The split bounds every block's
+     chunks on both paths, so each column sums the same products in the
+     same order and H is bitwise the same on one thread or two.  W^T W and
+     the per-block work stay on the one thread the command line sets
+     (`blas`),
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -102,6 +110,7 @@ through an alignment-dependent BLAS path.
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +118,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .blas import all_blas_threads
+from .blas import all_blas_threads, factor_threads
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -213,25 +222,28 @@ def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
 
 
 # entries of the largest dense work arrays per column chunk of the Schur
-# assembly: the stack Z (k x s*s) and the contraction output (stop x k, stop
-# at most the block's m_used), as the width k = chunk / max(s*s, m_used)
-# bounds both.  A smaller chunk pads fewer rows (each chunk pads its
-# variables to its own largest c_b) but makes more scipy and numpy calls.
-# Re-solving captured SDPs at 1 thread (2-core Xeon, OpenBLAS 0.3.31), median
+# assembly: the stack Z (k x r x s, r the chunk's row bound) and the
+# contraction output (stop x k), as the width k of a chunk [start, stop)
+# obeys k*r*s <= chunk and k*stop <= chunk.  A smaller chunk pads fewer rows
+# (each chunk pads its variables to its own largest c_b) but makes more
+# scipy and numpy calls.  Re-solving captured SDPs at 1 thread (2-core Xeon,
+# OpenBLAS 0.3.31) with widths bounded by k*s*s, before the row bound, median
 # ms per IPM iteration over 4 interleaved rounds with 1e5 / 2.5e5 / 1e6
-# entries: 37.8 / 40.7 / 48.0 on six ring SDPs (m=495 and 210) and
-# 246 / 244 / 256 on an m=1716 ball SDP, whose rounds spread by up to 12 %.
-# H's upper triangle came out bitwise the same at every chunk from 1e4 to 1e6
-# entries, and so did the iteration counts.
+# entries: 37.8 / 40.7 / 48.0 on six ring SDPs (m=495 and 210) and 246 / 244 /
+# 256 on an m=1716 ball SDP, whose rounds spread by up to 12 %.  H's upper
+# triangle came out bitwise the same at every chunk from 1e4 to 1e6 entries,
+# and so did the iteration counts.  The row bound took that SDP's 120-block
+# from 286 chunks and 285M padded multiply-adds per assembly to 113 and 142M.
 _SCHUR_CHUNK = 1.0e5
 # the least m at which `_factor` runs the Cholesky of H and W = R^-T A^T on
 # every OpenBLAS thread (`blas.all_blas_threads`; the `blas` module has the
-# timings).  At m=495 two threads save 0.7 of the two calls' 3.9 ms, 2 % of an
-# iteration, which the second thread can cost back: spinning idle after a
-# 2-thread Cholesky, it slowed the single-threaded work that followed by
-# about 8 %.  W^T W runs in numpy's OpenBLAS and stays on one thread: raising
-# that library too added a second spinning thread, and large-sdp's solve time
-# no longer fell.
+# timings), and `_schur` assembles H on two threads when that count exceeds
+# one.  At m=495 two threads save 0.7 of the two Cholesky calls' 3.9 ms, 2 %
+# of an iteration.  W^T W runs in numpy's OpenBLAS and stays on one thread:
+# raising that library too added a second OpenBLAS pool whose idle worker
+# spun beside the single-threaded work that follows, and large-sdp's solve
+# time no longer fell.  scipy's workers sleep right after each call, as the
+# package sets OPENBLAS_THREAD_TIMEOUT (`polyvi/__init__.py`).
 _PARALLEL_M = 1000
 
 
@@ -242,10 +254,10 @@ class _Cone:
     given by the block's entries of G: their position (rows, cols) in the
     block, variable and value.  Only variables up to the block's last one
     get an entry.  Row a of the upper-triangle contraction `contract` is
-    A_a on the positions `upper` (flat r*s + c, r <= c) that any A_a uses,
-    doubled off the diagonal, so that <A_a, Z> = contract[a] . Z.flat[upper]
-    for every symmetric Z.
-    `chunks` holds one tuple (start, stop, row_idx, a_rows, flat, prefix) per
+    A_a on the positions `upper` (flat r*s + c, r <= c, sorted) that any A_a
+    uses, doubled off the diagonal, so that <A_a, Z> = contract[a] .
+    Z.flat[upper] for every symmetric Z.
+    `chunks` holds one tuple (start, stop, row_idx, a_rows, r, prefix) per
     column range [start, stop) of k variables:
 
       - row_idx: the nonzero rows I_b of each A_b as a (k, c) index array,
@@ -253,34 +265,63 @@ class _Cone:
       - a_rows: the compressed rows A_b[I_b, :] as one sparse (k*c, s)
         matrix whose row (b - start)*c + j is row I_b[j] of A_b and whose
         padding rows are empty;
-      - flat: the (len(upper), k) index upper[u] + s*s*(b - start), which
-        takes Z_b.flat[upper], Z_b = T^-1 A_b T^-1, of all k variables from
-        their (k, s*s) stack in one gather;
-      - prefix: rows a < stop of `contract`, the only rows with a <= b for
-        the range's variables.
+      - r: one past the largest row of any upper position that a variable
+        a < stop uses, so that rows < r of Z_b = T^-1 A_b T^-1 are all that
+        the range's entries H_ab, a <= b, read;
+      - prefix: rows a < stop of `contract` on its first n_up columns,
+        upper[:n_up] being the positions of rows < r.
 
-    `flats` maps (s, k, upper) to `flat` and is shared by the IPM's cones, so
-    blocks of one size and pattern hold one index per width k (a block has at
-    most two widths).  Each prefix shares the memory of the next longer one.
+    Each range's Z_b are gathered from their (k, r*s) stack with the one
+    index upper[:n_up], a prefix of `upper`, and each prefix shares the
+    memory of the next longer one, so a cone holds no index or copy per
+    range.  With `split` inside the block's variables, no range crosses it.
     """
 
-    def __init__(self, size: int, span: slice, rows, cols, var, vals, flats: dict):
+    def __init__(self, size: int, span: slice, rows, cols, var, vals):
         self.size = size
         self.span = span
         m_used = int(var.max()) + 1 if len(var) else 0
         up = rows <= cols
         upper, pos = np.unique(rows[up] * size + cols[up], return_inverse=True)
+        self.upper = upper
         weight = np.where(rows[up] == cols[up], 1.0, 2.0)
         contract = sp.csr_matrix((weight * vals[up], (var[up], pos)), shape=(m_used, len(upper)))
-        # each distinct (variable, row) pair and its slot j among the rows of
-        # that variable; `pair_of` maps every entry to its pair
+        # the row bound of a range ending at variable b, and each variable's
+        # count c_b of nonzero rows, from its distinct (variable, row) pairs
+        self.row_bound = np.zeros(m_used, dtype=np.intp)
+        np.maximum.at(self.row_bound, var[up], rows[up] + 1)
+        np.maximum.accumulate(self.row_bound, out=self.row_bound)
         pairs, pair_of = np.unique(var * size + rows, return_inverse=True)
         pair_var, pair_row = np.divmod(pairs, size)
-        slot = np.arange(len(pairs)) - np.searchsorted(pair_var, pair_var)
-        counts = np.bincount(pair_var, minlength=m_used)
-        width = max(1, int(_SCHUR_CHUNK / max(size * size, m_used)))
+        self.counts = np.bincount(pair_var, minlength=m_used)
+        # what only `cut` reads
+        self._build = (contract, rows, cols, var, vals, pair_var, pair_row, pair_of)
+        self.chunks = []
+
+    def work(self) -> np.ndarray:
+        """Estimated multiply-adds of each variable's Z_b, r*s*c_b."""
+        return self.row_bound * self.size * self.counts
+
+    def cut(self, split: int):
+        """Build `chunks`, the widest ranges within `_SCHUR_CHUNK`, with a
+        bound at `split`, and drop the data only the build reads."""
+        size, m_used = self.size, len(self.counts)
+        contract, rows, cols, var, vals, pair_var, pair_row, pair_of = self._build
+        slot = np.arange(len(pair_var)) - np.searchsorted(pair_var, pair_var)
+        # the larger of r*s and stop for a range ending at each variable;
+        # both grow with the variable, so each range's width is the longest
+        # run from its start whose width times this stays within the chunk
+        per_width = np.maximum(self.row_bound * size, np.arange(1, m_used + 1))
+        bounds = [0]
+        while bounds[-1] < m_used:
+            start = bounds[-1]
+            end = split if start < split < m_used else m_used
+            most = max(1, int(_SCHUR_CHUNK // per_width[start]))
+            run = per_width[start:min(end, start + most)]
+            fits = np.arange(1, len(run) + 1) * run <= _SCHUR_CHUNK
+            bounds.append(start + max(1, int(np.count_nonzero(fits))))
         # the pairs are sorted by variable, and `by_var` orders the entries
-        # by variable, in their own order within one, so a chunk's pairs and
+        # by variable, in their own order within one, so a range's pairs and
         # entries are slices, not masks over the whole block
         by_var = np.argsort(var, kind="stable")
         var_sorted = var[by_var]
@@ -288,11 +329,9 @@ class _Cone:
         # longer one as a view, and copies it only when it keeps under half
         # of them, so all prefixes together hold at most twice `contract`
         data, indices = contract.data, contract.indices
-        pattern = upper.tobytes()
-        self.chunks = []
-        for start in reversed(range(0, m_used, width)):
-            stop = min(m_used, start + width)
-            k, c = stop - start, int(counts[start:stop].max())
+        chunks = []
+        for start, stop in reversed(list(zip(bounds, bounds[1:]))):
+            k, c = stop - start, int(self.counts[start:stop].max())
             if c == 0:
                 continue
             sel = slice(*np.searchsorted(pair_var, [start, stop]))
@@ -303,15 +342,16 @@ class _Cone:
                 (vals[sel], ((var[sel] - start) * c + slot[pair_of[sel]], cols[sel])),
                 shape=(k * c, size),
             )
-            key = (size, k, pattern)
-            if key not in flats:
-                flats[key] = upper[:, None] + size * size * np.arange(k)
+            r = int(self.row_bound[stop - 1])
+            n_up = int(np.searchsorted(self.upper, r * size))
             prefix = sp.csr_matrix(
-                (data, indices, contract.indptr[: stop + 1]), shape=(stop, len(upper))
+                (data, indices, contract.indptr[: stop + 1]), shape=(stop, n_up)
             )
             data, indices = prefix.data, prefix.indices
-            self.chunks.append((start, stop, row_idx, a_rows, flats[key], prefix))
-        self.chunks.reverse()
+            chunks.append((start, stop, row_idx, a_rows, r, prefix))
+        chunks.reverse()
+        self.chunks = chunks
+        del self._build
 
 
 class _ConeState:
@@ -399,15 +439,24 @@ class ReferenceIpm:
         del raw_a, raw_b
         self.G = sp.csr_matrix((val, (pos, var)), shape=(self.offsets[-1], self.m))
         self.GT = self.G.T.tocsr()
-        # gather indices by block size, width and upper-triangle pattern; the
-        # blocks of one size mostly share one pattern
-        flats = {}
         ends = np.searchsorted(blk, np.arange(len(self.sizes) + 1))
         self.cones = []
         for b, size in enumerate(self.sizes):
             span = slice(self.offsets[b], self.offsets[b + 1])
             ent = slice(ends[b], ends[b + 1])
-            self.cones.append(_Cone(size, span, rows[ent], cols[ent], var[ent], val[ent], flats))
+            self.cones.append(_Cone(size, span, rows[ent], cols[ent], var[ent], val[ent]))
+        # from _PARALLEL_M on, the columns [split, m) of H may be assembled
+        # on a helper thread (`_schur`); the split halves the estimated work,
+        # and it bounds every cone's ranges whether or not the helper runs
+        self.split = self.m
+        if self.m >= _PARALLEL_M:
+            work = np.zeros(self.m)
+            for cone in self.cones:
+                work[: len(cone.counts)] += cone.work()
+            total = np.cumsum(work)
+            self.split = int(np.clip(np.searchsorted(total, total[-1] / 2), 1, self.m - 1))
+        for cone in self.cones:
+            cone.cut(self.split)
         # the Schur buffer: row b holds column b of H (`_schur`), and potrf
         # factors H in place (`_factor`)
         self._h_rows = np.empty((self.m, self.m))
@@ -570,29 +619,64 @@ class ReferenceIpm:
         """H = G^T (W^T W)^{-1} G, i.e. H_ab = sum over blocks of <A_a, T^-1 A_b T^-1>.
 
         Only the upper triangle (a <= b) is complete; `_factor` reads no more.
-        H is assembled into the zero-filled Schur buffer by rows, row b
-        holding column b of H, and returned as the transpose of the buffer: a
-        Fortran-ordered view.  It is valid only until the next `_schur` or
-        `_factor` call, which overwrite the buffer.  Without states (the
-        starting point) H is G^T G, scattered from the sparse product.
+        H is assembled into the Schur buffer by rows, row b holding column b
+        of H, and returned as the transpose of the buffer: a Fortran-ordered
+        view.  It is valid only until the next `_schur` or `_factor` call,
+        which overwrite the buffer.  Without states (the starting point) H is
+        G^T G, scattered from the sparse product.  With a split and more
+        than one factorization thread, a helper thread assembles the rows
+        from the split on while this one assembles those before it.
         """
         h_rows = self._h_rows
-        h_rows.fill(0.0)
         if states is None:
+            h_rows.fill(0.0)
             gtg = (self.GT @ self.G).tocoo()
             h_rows[gtg.col, gtg.row] = gtg.data
             return h_rows.T
+        if self.split == self.m or max(factor_threads().values(), default=1) < 2:
+            self._assemble(states, 0, self.m)
+            return h_rows.T
+        failed = []
+
+        def helper():
+            try:
+                self._assemble(states, self.split, self.m)
+            except BaseException as exc:  # re-raised by the caller after the join
+                failed.append(exc)
+
+        thread = threading.Thread(target=helper, name="polyvi-schur")
+        thread.start()
+        try:
+            self._assemble(states, 0, self.split)
+        finally:
+            thread.join()
+        if failed:
+            raise failed[0]
+        return h_rows.T
+
+    def _assemble(self, states, lo: int, hi: int):
+        """Zero rows lo..hi-1 of the Schur buffer and assemble them, from
+        every cone's ranges within them in cone order; lo and hi are range
+        bounds of every cone (0, `split` or m)."""
+        h_rows = self._h_rows
+        h_rows[lo:hi].fill(0.0)
         for st, cone in zip(states, self.cones):
             s = cone.size
-            for start, stop, row_idx, a_rows, flat, prefix in cone.chunks:
+            for start, stop, row_idx, a_rows, r, prefix in cone.chunks:
+                if not lo <= start < hi:
+                    continue
                 k, c = row_idx.shape
-                # Z_b = T^-1 A_b T^-1 = T^-1[I_b, :]^T (A_b[I_b, :] T^-1), s*s*c
-                # multiply-adds per variable
+                # rows < r of Z_b = T^-1 A_b T^-1 = T^-1[I_b, :]^T (A_b[I_b, :]
+                # T^-1), r*s*c multiply-adds per variable.  Each work array is
+                # dropped once read, so that the two threads' arrays add up
+                # to little
                 q = (a_rows @ st.t_inv).reshape(k, c, s)
-                z = np.matmul(st.t_inv[row_idx].transpose(0, 2, 1), q)
-                zu = np.take(z.reshape(-1), flat)
+                z = np.matmul(st.t_inv[row_idx, :r].transpose(0, 2, 1), q)
+                del q
+                zu = z.reshape(k, r * s).T[cone.upper[: prefix.shape[1]]]
+                del z
                 h_rows[start:stop, :stop] += (prefix @ zu).T
-        return h_rows.T
+                del zu
 
     def _factor(self, states) -> bool:
         """Factor H + shift = R^T R in the Schur buffer: `_hchol` is R, a view
@@ -600,10 +684,11 @@ class ReferenceIpm:
         equality rows, W = R^-T A^T, and the equality complement A H^-1 A^T =
         W^T W (plus its own shift) is factored in place as `_schur_chol`.
 
-        When potrf fails, it has overwritten part of its matrix, so H or
-        W^T W is rebuilt, bitwise the same, and `_chol_with_jitter` factors a
-        shifted copy of it.  At m >= `_PARALLEL_M` the Cholesky of H and W
-        run on every OpenBLAS thread, and all else on one.
+        When potrf fails, or leaves R's diagonal non-finite, it has
+        overwritten part of its matrix, so H or W^T W is rebuilt, bitwise the
+        same, and `_chol_with_jitter` factors a shifted copy of it, raising
+        ValueError when the matrix is not finite.  At m >= `_PARALLEL_M` the
+        Cholesky of H and W run on every OpenBLAS thread, and all else on one.
         """
         # W is read only until the next factorization: drop it before H grows
         self._w = self._schur_chol = None
@@ -614,11 +699,12 @@ class ReferenceIpm:
         diag = np.arange(m)
         shift = 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
         h_mat[diag, diag] += shift
-        # H = R^T R from its upper triangle
-        _check_finite(h_mat)
+        # H = R^T R from its upper triangle.  potrf passes a NaN or an inf in
+        # H, yet leaves R's diagonal non-finite then, so m reads stand for a
+        # scan of H; the rebuilt H's own check raises the ValueError
         with threads():
             self._hchol = _potrf(h_mat, lower=False, overwrite=True)
-        if self._hchol is None:
+        if self._hchol is None or not np.isfinite(self._hchol.diagonal()).all():
             h_mat = self._schur(states)
             h_mat[diag, diag] += shift
             with threads():
@@ -647,7 +733,7 @@ class ReferenceIpm:
         """Solve: A^T uy + G^T uz = bx;  A ux = by;  G ux - W^T W uz = bz."""
         rhs_z = self._congruence(states, "t_inv", bz)
         # v = R^-T (bx + G^T rhs_z), then ux = R^-1 (v - W uy); R is finite,
-        # since _factor checked H, so the m x m scan is skipped
+        # since _factor checked its diagonal, so the m x m scan is skipped
         r_mat = self._hchol
         v = _trtrs(r_mat, bx + self.GT @ rhs_z, trans=1)
         if len(self.b):

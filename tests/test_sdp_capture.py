@@ -21,6 +21,7 @@ def _sdp(m, y):
         "exit": "optimal",
         "iterations": 9,
         "y_sha1": y,
+        "objective": 2.5,
         "best_score": 3.0e-9,
         "mu_ratio": 1.0e-10,
         "certificate_residual": None,
@@ -83,6 +84,23 @@ def test_a_changed_certificate_names_its_sdp(tmp_path):
     assert code == 1
     assert "fixture toy / toy, SDP 0 (m=15): certificate_residual 2.1e-07 != 1.7e-07" in out
     assert "1 differences over 2 SDPs" in out
+
+
+def test_each_differing_sdp_says_whether_its_answer_changed(tmp_path):
+    # last-bit drift keeps status, exit and iterations; a changed solve does not
+    def edit(record):
+        record["sdps"][0].update(y_sha1="ddd", objective=2.5000000000000098)
+        record["sdps"][1].update(iterations=11, exit="diverged", objective=2.0)
+
+    code, out = _compare(tmp_path, _changed(edit))
+    assert code == 1
+    lines = out.splitlines()
+    drift = lines.index("fixture toy / toy, SDP 0 (m=15): objective 2.5 != 2.5000000000000098")
+    assert lines[drift + 1] == "    status, exit and iterations agree; relative objective difference 3.9e-15"
+    changed = lines.index("fixture toy / toy, SDP 1 (m=70): objective 2.5 != 2.0")
+    assert lines[changed + 1] == "    exit, iterations differ; relative objective difference 2.0e-01"
+    # the summaries are not differences themselves
+    assert "5 differences over 2 SDPs" in out
 
 
 def test_a_capture_records_each_certificate_residual(tmp_path):

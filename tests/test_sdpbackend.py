@@ -1,5 +1,7 @@
 import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -405,11 +407,134 @@ def test_nt_scalings_leave_s_and_z_unchanged():
     assert np.array_equal(s, s_copy) and np.array_equal(z, z_copy)
 
 
-def _ball_search_program():
-    """The search program of a generated ball problem, n=7; its order-3
-    relaxation has m=1716 moments and 254 equality rows."""
-    problem, _ = parse_problem(generate("ball", (7,), 2, 0), "ball")
-    return _cut_program(problem, random_theta(7, 0).poly, CutSet(), [])
+def _ball_search_program(n=7):
+    """The search program of a generated ball problem; at n=7 its order-3
+    relaxation has m=1716 moments and 254 equality rows, at n=4 m=210."""
+    problem, _ = parse_problem(generate("ball", (n,), 2, 0), "ball")
+    return _cut_program(problem, random_theta(n, 0).poly, CutSet(), [])
+
+
+@pytest.mark.parametrize("chunk", [sb._SCHUR_CHUNK, 100.0])
+def test_graded_moment_block_reads_only_its_leading_rows(monkeypatch, chunk):
+    # the moment block's early variables sit in its first rows, so their
+    # ranges compute only the leading rows of each T^-1 A_b T^-1
+    monkeypatch.setattr(sb, "_SCHUR_CHUNK", chunk)
+    ipm = sb.ReferenceIpm(ms.build_relaxation(_ball_search_program(4), 3), 200)
+    moment = max(ipm.cones, key=lambda cone: cone.size)
+    assert ipm.m == 210 and moment.size == 35
+    bounds = [r for _, _, _, _, r, _ in moment.chunks]
+    assert min(bounds) < moment.size and bounds == sorted(bounds)
+    states = _random_states(ipm, np.random.default_rng(7))
+    _assert_schur_matches_dense(ipm, states, ipm._schur(states))
+
+
+def _ncp_product_search_relaxation():
+    """ncp_product_infeasible's search relaxation at order 4: m=495, one
+    70-block and eight 15-blocks."""
+    problem, _ = load_problem(os.path.join(FIXTURES, "ncp_product_infeasible.json"))
+    prog = _cut_program(problem, random_theta(problem.n, 0).poly, CutSet(), [])
+    return ms.build_relaxation(prog, 4)
+
+
+def test_cones_hold_no_gather_index_per_width():
+    # an index per chunk width took up to _SCHUR_CHUNK/2 entries per block
+    # size, 10 times the blocks' triplets on this SDP; the ranges now share
+    # one prefix of `upper`, and their sparse rows the arrays of one matrix
+    prob = _ncp_product_search_relaxation()
+    ipm = sb.ReferenceIpm(prob, 200)
+    assert ipm.m == 495
+
+    def owner(arr):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        return arr
+
+    held, triplets = {}, 0
+    for blk, cone in zip(prob.blocks, ipm.cones):
+        triplets += sum(a.nbytes for a in (blk.var_idx, blk.rows, blk.cols, blk.vals))
+        for _, _, row_idx, a_rows, _, prefix in cone.chunks:
+            for arr in (row_idx, a_rows.data, a_rows.indices, a_rows.indptr,
+                        prefix.data, prefix.indices, prefix.indptr):
+                held[id(owner(arr))] = owner(arr).nbytes
+    assert sum(held.values()) <= 4 * triplets
+
+
+def _schur_on_threads(monkeypatch, ipm, states, count):
+    """H with the factorization on `count` threads, and the set of threads
+    that assembled it."""
+    threads, assemble = set(), sb.ReferenceIpm._assemble
+
+    def recording(self, *args):
+        threads.add(threading.get_ident())
+        return assemble(self, *args)
+
+    with monkeypatch.context() as patch:
+        fake = _FakeBlas(patch, count)
+        patch.setattr(sb.ReferenceIpm, "_assemble", recording)
+        with blas.one_blas_thread():
+            h = ipm._schur(states).copy()
+        assert set(fake.counts.values()) == {count}
+    return h, threads
+
+
+@pytest.mark.parametrize("which", ["relaxation", "ball"])
+def test_two_thread_schur_is_bitwise_the_one_thread_schur(monkeypatch, which):
+    # the split is a range bound of every cone on both paths, so each row of
+    # H sums the same products in the same cone order
+    if which == "relaxation":
+        prob = schur_problems()[2]
+        monkeypatch.setattr(sb, "_PARALLEL_M", 20)
+    else:
+        prob = ms.build_relaxation(_ball_search_program(), 3)
+    ipm = sb.ReferenceIpm(prob, 200)
+    assert 0 < ipm.split < ipm.m
+    for cone in ipm.cones:
+        if len(cone.counts) > ipm.split:
+            assert ipm.split in {start for start, *_ in cone.chunks}
+    states = _random_states(ipm, np.random.default_rng(3))
+    one, one_threads = _schur_on_threads(monkeypatch, ipm, states, 1)
+    two, two_threads = _schur_on_threads(monkeypatch, ipm, states, 2)
+    assert len(one_threads) == 1 and len(two_threads) == 2
+    assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("part", ["caller", "helper"])
+def test_a_raising_chunk_reraises_and_leaves_no_thread(monkeypatch, part):
+    _FakeBlas(monkeypatch, 2)
+    monkeypatch.setattr(sb, "_PARALLEL_M", 20)
+    ipm = sb.ReferenceIpm(schur_problems()[2], 200)
+    states = _random_states(ipm, np.random.default_rng(3))
+    assert 0 < ipm.split < ipm.m
+    assemble = sb.ReferenceIpm._assemble
+
+    def broken(self, states, lo, hi):
+        if (lo == 0) == (part == "caller"):
+            raise FloatingPointError(part)
+        return assemble(self, states, lo, hi)
+
+    monkeypatch.setattr(sb.ReferenceIpm, "_assemble", broken)
+    before = threading.active_count()
+    with blas.one_blas_thread():
+        with pytest.raises(FloatingPointError, match=part):
+            ipm._schur(states)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "env, expect",
+    [({}, "4"), ({"OPENBLAS_THREAD_TIMEOUT": "9"}, "9"), ({"GOTO_THREAD_TIMEOUT": "7"}, None)],
+)
+def test_importing_polyvi_sets_the_openblas_thread_timeout(env, expect):
+    # OpenBLAS reads the timeout when it loads, which the import of polyvi
+    # precedes; a user's value of either variable stands
+    base = {k: v for k, v in os.environ.items() if not k.endswith("THREAD_TIMEOUT")}
+    script = "import os, polyvi; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**base, **env}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(expect)
 
 
 def test_factor_holds_one_schur_array():
@@ -508,6 +633,38 @@ def test_factor_rebuilds_h_when_the_in_place_cholesky_fails(monkeypatch):
     monkeypatch.setattr(sb, "dpotrf", fails_in_place_once)
     assert ipm._factor(states)
     assert failed and np.array_equal(ipm._hchol, expect)
+
+
+@pytest.mark.parametrize("where, value", [((2, 9), np.nan), ((9, 9), np.inf)])
+def test_factor_rejects_a_non_finite_schur_matrix(monkeypatch, where, value):
+    # potrf factors such an H without an error (info 0), but its diagonal
+    # comes out non-finite, and the rebuilt H's check raises
+    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
+    states = _random_states(ipm, np.random.default_rng(4))
+    schur, potrf, jitter, calls = ipm._schur, sb._potrf, sb._chol_with_jitter, []
+
+    def poisoned(states):
+        h = schur(states)
+        h[where] = value
+        return h
+
+    def recording(name, real):
+        def call(mat, *args, **kwargs):
+            calls.append((name, mat.shape))
+            fac = real(mat, *args, **kwargs)
+            calls.append(fac is not None)
+            return fac
+
+        return call
+
+    monkeypatch.setattr(ipm, "_schur", poisoned)
+    monkeypatch.setattr(sb, "_potrf", recording("potrf", potrf))
+    monkeypatch.setattr(sb, "_chol_with_jitter", recording("jitter", jitter))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ipm._factor(states)
+    # the in-place potrf returned a factor, and the rebuilt H's check raised
+    m = ipm.m
+    assert calls == [("potrf", (m, m)), True, ("jitter", (m, m))]
 
 
 def _shifted_equality_complement(ipm):

@@ -14,21 +14,25 @@ enumeration runs too long (`capital_stock --all` takes over 15 minutes).
 For each SDP that `sdpbackend.solve` returns it writes the moment count m,
 the sha1 of its data (c, the equality rows and right-hand sides, and each
 block's size and triplets), the status, the exit, the iteration count, the
-sha1 of the bytes of y, the best score, mu/mu0 at exit and the residual of
-an infeasibility certificate (null when the SDP has none), so that a changed
-certificate, which carries no y, shows too; for each command line, its exit
-code (1 for bad input, such as a fixture that fails to parse), its --json
-report without `file` and without any `time` entry (null when the command
-wrote none), and apart from the report the thread counts it recorded
-(`blas_threads`, and `factor_threads` where polyvi reports it).
+sha1 of the bytes of y, the objective, the best score, mu/mu0 at exit and
+the residual of an infeasibility certificate (null when the SDP has none),
+so that a changed certificate, which carries no y, shows too; for each
+command line, its exit code (1 for bad input, such as a fixture that fails
+to parse), its --json report without `file` and without any `time` entry
+(null when the command wrote none), and apart from the report the thread
+counts it recorded (`blas_threads`, and `factor_threads` where polyvi
+reports it).
 
-`--compare` prints every difference between two captures, then per target
-the totals of each capture (SDPs, the count of SDPs of each moment count m,
-IPM iterations and the count of each exit) and the thread counts each
-capture ran at, and exits 1 when there is a difference, 0 otherwise.  The
-thread counts are printed, not compared: a count other than 1 changes the
-last bits of the SDPs it factors.  To compare two versions of the code, copy
-this file into a checkout of each and capture both.
+`--compare` prints every difference between two captures; under the
+differences of each SDP, an indented line says whether its status, exit and
+iteration count agree and gives the relative difference of its objectives,
+so that last-bit drift reads apart from a changed answer.  Then it prints
+per target the totals of each capture (SDPs, the count of SDPs of each
+moment count m, IPM iterations and the count of each exit) and the thread
+counts each capture ran at, and exits 1 when there is a difference, 0
+otherwise.  The thread counts are printed, not compared: a count other than
+1 changes the last bits of the SDPs it factors.  To compare two versions of
+the code, copy this file into a checkout of each and capture both.
 
 The m=1716 search SDP of large-sdp seed 1 does not always give the same
 iterate in two processes of the same code: its objective came out as
@@ -108,6 +112,7 @@ def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
                 "exit": res.exit,
                 "iterations": res.iterations,
                 "y_sha1": None if y is None else y.hexdigest(),
+                "objective": res.objective,
                 "best_score": res.best_score,
                 "mu_ratio": res.mu_ratio,
                 "certificate_residual": res.residuals.get("certificate_residual"),
@@ -151,38 +156,61 @@ def capture(targets: list[tuple[str, str]], workdir: Path) -> dict:
     return out
 
 
-def compare(a: dict, b: dict) -> list[str]:
-    """One line per difference between two captures."""
-    diffs = []
+def _sdp_summary(s: dict, t: dict) -> str:
+    """Whether two records of one SDP agree in status, exit and iterations,
+    and the relative difference of their objectives."""
+    keys = ("status", "exit", "iterations")
+    differ = [k for k in keys if s.get(k) != t.get(k)]
+    line = f"{', '.join(differ)} differ" if differ else "status, exit and iterations agree"
+    x, y = s.get("objective"), t.get("objective")
+    if x is None or y is None:
+        return f"{line}; objective {x} against {y}"
+    scale = max(abs(x), abs(y))
+    return f"{line}; relative objective difference {abs(x - y) / scale if scale else 0.0:.1e}"
+
+
+def compare(a: dict, b: dict) -> tuple[list[str], int]:
+    """The lines that report the differences between two captures, and the
+    number of differences; each differing SDP adds an indented line that
+    is not one (`_sdp_summary`)."""
+    lines, count = [], 0
+
+    def differ(line: str):
+        nonlocal count
+        lines.append(line)
+        count += 1
+
     for target in sorted(set(a) | set(b)):
         if target not in a or target not in b:
-            diffs.append(f"{target}: only in {'the first' if target in a else 'the second'}")
+            differ(f"{target}: only in {'the first' if target in a else 'the second'}")
             continue
         ra, rb = a[target], b[target]
         if [r["label"] for r in ra] != [r["label"] for r in rb]:
-            diffs.append(f"{target}: command lines differ")
+            differ(f"{target}: command lines differ")
             continue
         for x, y in zip(ra, rb):
             where = f"{target} / {x['label']}"
             if x["exit_code"] != y["exit_code"]:
-                diffs.append(f"{where}: exit code {x['exit_code']} != {y['exit_code']}")
+                differ(f"{where}: exit code {x['exit_code']} != {y['exit_code']}")
             if None in (x["report"], y["report"]):
                 if x["report"] != y["report"]:
-                    diffs.append(f"{where}: only one command line wrote a report")
+                    differ(f"{where}: only one command line wrote a report")
             else:
                 keys = sorted(
                     k for k in set(x["report"]) | set(y["report"])
                     if x["report"].get(k) != y["report"].get(k)
                 )
                 if keys:
-                    diffs.append(f"{where}: report differs in {', '.join(keys)}")
+                    differ(f"{where}: report differs in {', '.join(keys)}")
             if len(x["sdps"]) != len(y["sdps"]):
-                diffs.append(f"{where}: {len(x['sdps'])} SDPs against {len(y['sdps'])}")
+                differ(f"{where}: {len(x['sdps'])} SDPs against {len(y['sdps'])}")
             for i, (s, t) in enumerate(zip(x["sdps"], y["sdps"])):
-                for key in {**s, **t}:
-                    if s.get(key) != t.get(key):
-                        diffs.append(f"{where}, SDP {i} (m={s['m']}): {key} {s.get(key)} != {t.get(key)}")
-    return diffs
+                keys = [key for key in {**s, **t} if s.get(key) != t.get(key)]
+                for key in keys:
+                    differ(f"{where}, SDP {i} (m={s['m']}): {key} {s.get(key)} != {t.get(key)}")
+                if keys:
+                    lines.append(f"    {_sdp_summary(s, t)}")
+    return lines, count
 
 
 def totals(record: dict) -> list[str]:
@@ -221,16 +249,16 @@ def main() -> int:
 
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
-        diffs = compare(a, b)
-        for line in diffs:
+        lines, count = compare(a, b)
+        for line in lines:
             print(line)
         for name, cap in zip(args.compare, (a, b)):
             print(f"totals of {name}:")
             for line in totals(cap) + thread_counts(cap):
                 print(f"  {line}")
         sdps = sum(len(r["sdps"]) for records in a.values() for r in records)
-        print(f"{len(diffs)} differences over {sdps} SDPs of {len(a)} targets")
-        return 1 if diffs else 0
+        print(f"{count} differences over {sdps} SDPs of {len(a)} targets")
+        return 1 if count else 0
 
     if args.out is None:
         ap.error("give OUT, or --compare A B")
