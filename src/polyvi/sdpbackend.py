@@ -52,7 +52,9 @@ Per iteration the method
      potrf factors in place, so an iteration holds one m x m array, as CSDP
      does (Borchers, Optim. Methods Softw. 11, 1999).  With W = R^-T A^T,
      the equality complement A H^-1 A^T is W^T W, factored in place as
-     well.  Besides H, an iteration holds two p x m arrays, the equality
+     well.  A Cholesky that fails or comes out non-finite ends the solve
+     at `scaling` (`initial_factor` before the loop), with no shifted
+     retry.  Besides H, an iteration holds two p x m arrays, the equality
      rows A (only the rank's rows of the SVD) and W, and W is dropped
      before the next assembly (`solve` releases the problem and its dense
      rows once setup has copied what it reads).  From m = `_PARALLEL_M` on,
@@ -90,10 +92,13 @@ residuals.  `SdpResult.exit` records where a solve ended:
     by orders of magnitude; on the measured relaxations no later iterate
     beat the best one.
   - `step`: the step length is at most 1e-12 or not finite.
-  - `scaling`: the NT scaling or the Schur factorization failed.
+  - `scaling`: the Cholesky factorization of a block of S or Z (for the NT
+    scaling), of H or of W^T W failed or came out non-finite (`_potrf`).
+    No factorization is retried with a shifted matrix.
   - `collapse`: tau or kappa left their cone, or mu fell below 1e-30 mu0.
   - `max_iters`: the iteration limit ran out.
-  - `inconsistent` and `initial_factor`: before the first iteration.
+  - `inconsistent` and `initial_factor`: before the first iteration, the
+    latter when H or W^T W of the starting point does not factor.
 
 After every loop exit except `optimal` and `certificate`, an iterate whose
 kappa dominates tau is tested as a certificate at the looser tolerance
@@ -114,7 +119,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
@@ -210,15 +214,6 @@ class SdpResult:
     def accuracy(self) -> float:
         """Worst of the primal, dual and gap residuals; 0 when none is recorded."""
         return max(self.residuals.get(k, 0.0) for k in ("primal", "dual", "gap"))
-
-
-def min_block_eigenvalue(problem: SdpProblem, y: np.ndarray) -> float:
-    """Smallest eigenvalue over all blocks at y."""
-    return min(float(sla.eigvalsh(b.evaluate(y)).min()) for b in problem.blocks)
-
-
-def equality_violation(problem: SdpProblem, y: np.ndarray) -> float:
-    return float(np.abs(problem.eq_rows @ y - problem.eq_rhs).max(initial=0.0))
 
 
 # entries of the largest dense work arrays per column chunk of the Schur
@@ -383,11 +378,16 @@ def _check_finite(mat: np.ndarray):
 
 def _potrf(mat: np.ndarray, lower: bool, overwrite: bool = False):
     """LAPACK's Cholesky factor of mat from its `lower` triangle, the other
-    triangle zeroed, as scipy's cholesky returns it; None when mat is not
-    positive definite.  With overwrite, a Fortran-ordered mat is factored in
-    place and holds the result; otherwise mat is left unchanged."""
+    triangle zeroed, as scipy's cholesky returns it; None when potrf meets a
+    non-positive pivot or the factor's diagonal is not finite.  potrf passes
+    a NaN or an inf in mat without an error (info 0) but leaves the diagonal
+    non-finite then, so the n reads of the diagonal stand for a scan of mat.
+    With overwrite, a Fortran-ordered mat is factored in place and holds the
+    result, or a partial factor when it fails; otherwise mat is left
+    unchanged.  A failed factorization is not retried with a shift: the
+    caller ends the solve (`scaling`)."""
     fac, info = dpotrf(mat, lower=lower, clean=1, overwrite_a=overwrite)
-    return None if info else fac
+    return None if info or not np.isfinite(fac.diagonal()).all() else fac
 
 
 def _trtrs(r_mat: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
@@ -397,31 +397,6 @@ def _trtrs(r_mat: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
-
-
-def _chol_with_jitter(mat: np.ndarray, lower: bool = True):
-    """Cholesky factor of mat (lower L, or upper R when lower=False, reading
-    only that triangle of mat), or else of mat + jitter*I for the first
-    jitter of 1e-14, 1e-12, ..., 1e-2 times max(1, max |mat_ii|) that
-    factors; None when none does.  A non-finite mat raises ValueError.  mat
-    is left unchanged, and the shifted copy keeps its memory order, so
-    potrf's own copy of it does not transpose."""
-    _check_finite(mat)
-    fac = _potrf(mat, lower)
-    if fac is not None:
-        return fac
-    n = mat.shape[0]
-    diag = mat.diagonal().copy()
-    scale = max(1.0, float(np.abs(diag).max()))
-    work = mat.copy(order="K")
-    jitter = 1e-14 * scale
-    for _ in range(7):
-        work.flat[:: n + 1] = diag + jitter
-        fac = _potrf(work, lower)
-        if fac is not None:
-            return fac
-        jitter *= 100.0
-    return None
 
 
 class ReferenceIpm:
@@ -564,8 +539,8 @@ class ReferenceIpm:
     def _nt_scalings(self, s: np.ndarray, z: np.ndarray):
         states = []
         for s_mat, z_mat in zip(self._mats(s), self._mats(z)):
-            ls = _chol_with_jitter(s_mat)
-            lz = _chol_with_jitter(z_mat)
+            ls = _potrf(s_mat, lower=True)
+            lz = _potrf(z_mat, lower=True)
             if ls is None or lz is None:
                 return None
             u_mat, sv, vt = np.linalg.svd(lz.T @ ls)
@@ -684,11 +659,11 @@ class ReferenceIpm:
         equality rows, W = R^-T A^T, and the equality complement A H^-1 A^T =
         W^T W (plus its own shift) is factored in place as `_schur_chol`.
 
-        When potrf fails, or leaves R's diagonal non-finite, it has
-        overwritten part of its matrix, so H or W^T W is rebuilt, bitwise the
-        same, and `_chol_with_jitter` factors a shifted copy of it, raising
-        ValueError when the matrix is not finite.  At m >= `_PARALLEL_M` the
-        Cholesky of H and W run on every OpenBLAS thread, and all else on one.
+        False when either Cholesky fails or comes out non-finite (`_potrf`),
+        which ends the solve at `scaling`, or at `initial_factor` before the
+        loop; neither is retried with a larger shift.  At m >= `_PARALLEL_M`
+        the Cholesky of H and W run on every OpenBLAS thread, and all else
+        on one.
         """
         # W is read only until the next factorization: drop it before H grows
         self._w = self._schur_chol = None
@@ -697,43 +672,29 @@ class ReferenceIpm:
         threads = all_blas_threads if m >= _PARALLEL_M else contextlib.nullcontext
         # static regularization; iterative refinement absorbs the bias
         diag = np.arange(m)
-        shift = 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
-        h_mat[diag, diag] += shift
-        # H = R^T R from its upper triangle.  potrf passes a NaN or an inf in
-        # H, yet leaves R's diagonal non-finite then, so m reads stand for a
-        # scan of H; the rebuilt H's own check raises the ValueError
+        h_mat[diag, diag] += 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
+        # H = R^T R from its upper triangle
         with threads():
             self._hchol = _potrf(h_mat, lower=False, overwrite=True)
-        if self._hchol is None or not np.isfinite(self._hchol.diagonal()).all():
-            h_mat = self._schur(states)
-            h_mat[diag, diag] += shift
-            with threads():
-                self._hchol = _chol_with_jitter(h_mat, lower=False)
-            if self._hchol is None:
-                return False
+        if self._hchol is None:
+            return False
         if not len(self.b):
             return True
         with threads():
             self._w = _trtrs(self._hchol, self.A.T, trans=1)
         schur = self._w.T @ self._w
         p = schur.shape[0]
-        shift = 1e-12 * max(1.0, float(np.trace(schur)) / p)
-        schur.flat[:: p + 1] += shift
-        _check_finite(schur)
+        schur.flat[:: p + 1] += 1e-12 * max(1.0, float(np.trace(schur)) / p)
         # W^T W is symmetric, so its transpose is the same matrix in Fortran
         # order, which potrf factors in place
         self._schur_chol = _potrf(schur.T, lower=True, overwrite=True)
-        if self._schur_chol is None:
-            schur = self._w.T @ self._w
-            schur.flat[:: p + 1] += shift
-            self._schur_chol = _chol_with_jitter(schur)
         return self._schur_chol is not None
 
     def _solve3(self, states, bx, by, bz):
         """Solve: A^T uy + G^T uz = bx;  A ux = by;  G ux - W^T W uz = bz."""
         rhs_z = self._congruence(states, "t_inv", bz)
         # v = R^-T (bx + G^T rhs_z), then ux = R^-1 (v - W uy); R is finite,
-        # since _factor checked its diagonal, so the m x m scan is skipped
+        # since `_potrf` checked its diagonal, so the m x m scan is skipped
         r_mat = self._hchol
         v = _trtrs(r_mat, bx + self.GT @ rhs_z, trans=1)
         if len(self.b):

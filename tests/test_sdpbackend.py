@@ -209,8 +209,9 @@ def test_optimal_iterate_quality():
     for prob, _, _ in toy_problems():
         res = sb.solve(prob)
         assert res.status == sb.OPTIMAL
-        assert sb.min_block_eigenvalue(prob, res.y) >= -1e-7
-        assert sb.equality_violation(prob, res.y) <= 1e-7
+        for blk in prob.blocks:
+            assert np.linalg.eigvalsh(blk.evaluate(res.y)).min() >= -1e-7
+        assert np.abs(prob.eq_rows @ res.y - prob.eq_rhs).max(initial=0.0) <= 1e-7
 
 
 def test_determinism():
@@ -286,30 +287,41 @@ def test_block_evaluate_matches_dense():
 
 
 @pytest.mark.parametrize("lower", [True, False])
-def test_chol_with_jitter_factors_spd_matrix_itself(lower):
+def test_potrf_factors_spd_matrix_like_scipy_and_rejects_non_finite(lower):
     b = np.random.default_rng(3).standard_normal((6, 6))
     mat = b @ b.T + np.eye(6)
     copy = mat.copy()
-    assert np.array_equal(sb._chol_with_jitter(mat, lower), sla.cholesky(mat, lower=lower))
+    assert np.array_equal(sb._potrf(mat, lower), sla.cholesky(mat, lower=lower))
     assert np.array_equal(mat, copy)
-    mat[2, 2] = np.nan
-    with pytest.raises(ValueError):
-        sb._chol_with_jitter(mat, lower)
+    # a NaN or an inf in the triangle potrf reads gives None, not an error
+    read = (4, 1) if lower else (1, 4)
+    for where, value in [((2, 2), np.nan), (read, np.nan), ((2, 2), np.inf), (read, np.inf)]:
+        bad = mat.copy()
+        bad[where] = value
+        assert sb._potrf(bad, lower) is None
+        assert sb._potrf(np.asfortranarray(bad), lower, overwrite=True) is None
 
 
 @pytest.mark.parametrize("lower", [True, False])
-def test_chol_with_jitter_shifts_singular_psd_matrix(lower):
+def test_potrf_rejects_singular_psd_matrix_without_a_shift(lower):
     mat = np.ones((4, 4))  # rank 1: the second pivot is exactly zero
     copy = mat.copy()
-    fac = sb._chol_with_jitter(mat, lower)
-    shift = (fac @ fac.T if lower else fac.T @ fac) - mat
-    jitter = shift[0, 0]
-    assert 0.0 < jitter <= 1e-2
-    assert np.abs(shift - jitter * np.eye(4)).max() <= 0.1 * jitter
+    assert sb._potrf(mat, lower) is None
     assert np.array_equal(mat, copy)
-    # the Schur matrix arrives Fortran-ordered; the shifted copy keeps that
-    # order and the factor its value
-    assert np.array_equal(sb._chol_with_jitter(np.asfortranarray(mat), lower), fac)
+    assert sb._potrf(np.asfortranarray(mat), lower, overwrite=True) is None
+
+
+@pytest.mark.parametrize("which", ["s", "z"])
+@pytest.mark.parametrize("bad", ["nan", "indefinite"])
+def test_nt_scalings_reject_a_nan_or_indefinite_block(which, bad):
+    ipm = sb.ReferenceIpm(schur_problems()[1], 200)
+    rng = np.random.default_rng(6)
+    vecs = {"s": _interior(ipm, rng), "z": _interior(ipm, rng)}
+    assert ipm._nt_scalings(vecs["s"], vecs["z"]) is not None
+    # the first block, 3 x 3: a NaN on its diagonal, or a negative one
+    assert ipm.sizes[0] == 3
+    vecs[which][4] = np.nan if bad == "nan" else -1.0
+    assert ipm._nt_scalings(vecs["s"], vecs["z"]) is None
 
 
 def schur_problems():
@@ -614,57 +626,72 @@ def test_schur_of_a_wide_block_holds_no_second_array():
     _assert_schur_matches_dense(ipm, states, h)
 
 
-def test_factor_rebuilds_h_when_the_in_place_cholesky_fails(monkeypatch):
+def _failing_schur(ipm, call):
+    """Make the `call`-th Schur matrix of ipm (1 is the starting point's)
+    indefinite, so that potrf meets a negative pivot (info > 0)."""
+    real, count = ipm._schur, [0]
+
+    def schur(states):
+        h = real(states)
+        count[0] += 1
+        if count[0] == call:
+            h[3, 3] = -1.0
+        return h
+
+    ipm._schur = schur
+
+
+def test_a_schur_matrix_that_does_not_factor_ends_the_solve_at_scaling():
+    # the H of iteration 5 does not factor: the solve ends there, without a
+    # shifted retry, and returns what the post-loop path makes of the same
+    # iterations, here the best iterate as a relaxed optimum
+    prob = schur_problems()[0]
+    ipm = sb.ReferenceIpm(prob, 200)
+    _failing_schur(ipm, 6)
+    res = ipm.run()
+    assert ipm._hchol is None
+    ref = sb.solve(prob, max_iters=5)
+    assert (res.exit, ref.exit) == ("scaling", "max_iters")
+    assert res.status == ref.status == sb.OPTIMAL and res.residuals["relaxed"]
+    assert res.iterations == ref.iterations == 5
+    assert np.array_equal(res.y, ref.y)
+    assert res.residuals == ref.residuals
+    assert (res.objective, res.best_score, res.mu_ratio) == (
+        ref.objective, ref.best_score, ref.mu_ratio
+    )
+
+
+def test_a_starting_schur_matrix_that_does_not_factor_ends_at_initial_factor():
     ipm = sb.ReferenceIpm(schur_problems()[0], 200)
-    states = _random_states(ipm, np.random.default_rng(4))
-    h = np.array(ipm._schur(states), order="F")
-    h[np.diag_indices(ipm.m)] += 1e-10 * max(1.0, float(np.trace(h)) / ipm.m)
-    expect = sb._chol_with_jitter(h, lower=False)
-    real, failed = sb.dpotrf, []
-
-    def fails_in_place_once(a, lower=0, clean=1, overwrite_a=0):
-        if overwrite_a and not failed:
-            # a failed potrf leaves a partial factor behind
-            failed.append(True)
-            a[...] = np.nan
-            return a, 1
-        return real(a, lower=lower, clean=clean, overwrite_a=overwrite_a)
-
-    monkeypatch.setattr(sb, "dpotrf", fails_in_place_once)
-    assert ipm._factor(states)
-    assert failed and np.array_equal(ipm._hchol, expect)
+    _failing_schur(ipm, 1)
+    res = ipm.run()
+    assert (res.status, res.exit, res.iterations) == (sb.NUMERICAL_FAILURE, "initial_factor", 0)
 
 
 @pytest.mark.parametrize("where, value", [((2, 9), np.nan), ((9, 9), np.inf)])
 def test_factor_rejects_a_non_finite_schur_matrix(monkeypatch, where, value):
     # potrf factors such an H without an error (info 0), but its diagonal
-    # comes out non-finite, and the rebuilt H's check raises
+    # comes out non-finite, and _factor fails after that one call instead of
+    # raising
     ipm = sb.ReferenceIpm(schur_problems()[0], 200)
     states = _random_states(ipm, np.random.default_rng(4))
-    schur, potrf, jitter, calls = ipm._schur, sb._potrf, sb._chol_with_jitter, []
+    schur, potrf, calls = ipm._schur, sb._potrf, []
 
     def poisoned(states):
         h = schur(states)
         h[where] = value
         return h
 
-    def recording(name, real):
-        def call(mat, *args, **kwargs):
-            calls.append((name, mat.shape))
-            fac = real(mat, *args, **kwargs)
-            calls.append(fac is not None)
-            return fac
-
-        return call
+    def recording(mat, *args, **kwargs):
+        fac = potrf(mat, *args, **kwargs)
+        calls.append((mat.shape, fac is not None))
+        return fac
 
     monkeypatch.setattr(ipm, "_schur", poisoned)
-    monkeypatch.setattr(sb, "_potrf", recording("potrf", potrf))
-    monkeypatch.setattr(sb, "_chol_with_jitter", recording("jitter", jitter))
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        ipm._factor(states)
-    # the in-place potrf returned a factor, and the rebuilt H's check raised
-    m = ipm.m
-    assert calls == [("potrf", (m, m)), True, ("jitter", (m, m))]
+    monkeypatch.setattr(sb, "_potrf", recording)
+    assert not ipm._factor(states)
+    assert calls == [((ipm.m, ipm.m), False)]
+    assert ipm._hchol is None and ipm._w is None
 
 
 def _shifted_equality_complement(ipm):
@@ -675,22 +702,32 @@ def _shifted_equality_complement(ipm):
     return schur
 
 
-def test_factor_rebuilds_the_equality_complement_when_its_cholesky_fails(monkeypatch):
+def test_factor_fails_when_the_equality_complement_does_not_factor(monkeypatch):
     ipm = sb.ReferenceIpm(schur_problems()[0], 200)
     states = _random_states(ipm, np.random.default_rng(4))
-    real, failed = sb.dpotrf, []
+    assert ipm._factor(states)
+    assert np.array_equal(
+        ipm._schur_chol, sla.cholesky(_shifted_equality_complement(ipm), lower=True)
+    )
+    # a pivot failure of potrf on W^T W, then a NaN in the equality rows,
+    # which reaches W^T W through W = R^-T A^T; _factor fails after one
+    # call each, whatever H did
+    real, calls = sb.dpotrf, []
 
-    def fails_in_place_once(a, lower=0, clean=1, overwrite_a=0):
-        if overwrite_a and lower and not failed:
-            failed.append(True)
-            a[...] = np.nan
+    def failing_on_the_complement(a, lower=0, clean=1, overwrite_a=0):
+        calls.append(lower)
+        if lower:
             return a, 1
         return real(a, lower=lower, clean=clean, overwrite_a=overwrite_a)
 
-    monkeypatch.setattr(sb, "dpotrf", fails_in_place_once)
-    assert ipm._factor(states)
-    expect = sb._chol_with_jitter(_shifted_equality_complement(ipm))
-    assert failed and np.array_equal(ipm._schur_chol, expect)
+    monkeypatch.setattr(sb, "dpotrf", failing_on_the_complement)
+    assert not ipm._factor(states)
+    assert calls == [0, 1] and ipm._hchol is not None and ipm._schur_chol is None
+    monkeypatch.undo()
+    ipm.A = ipm.A.copy()
+    ipm.A[2, 5] = np.nan
+    assert not ipm._factor(states)
+    assert ipm._hchol is not None and ipm._schur_chol is None
 
 
 def _capital_search_relaxation():
@@ -724,7 +761,7 @@ def test_factor_of_many_equality_rows_holds_no_spare_array():
         tracemalloc.stop()
     # one MiB for the small work arrays
     assert peak < 8 * (r * m + r * r) + 2**20
-    expect = sb._chol_with_jitter(_shifted_equality_complement(ipm))
+    expect = sla.cholesky(_shifted_equality_complement(ipm), lower=True)
     assert np.array_equal(ipm._schur_chol, expect)
 
 
