@@ -1,7 +1,7 @@
 """polyvi: polynomial variational inequalities via moment relaxations.
 
 Submodules:
-    polycore   sparse polynomials, graded bases, moment vectors
+    polycore   sparse polynomials, graded bases, Dirac moments (lift)
     sdpbackend reference semidefinite solver (dense interior point)
     momentsdp  moment relaxations, hierarchy driver, minimizer extraction
     lme        multiplier expressions and KKT set assembly
@@ -22,23 +22,13 @@ import os
 if "GOTO_THREAD_TIMEOUT" not in os.environ:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .polycore import (  # noqa: E402
-    DegreeOverflowError,
-    MomentVector,
-    Polynomial,
-    basis,
-    lift,
-    pairing,
-)
+from .polycore import Polynomial, basis, lift  # noqa: E402
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeOverflowError",
-    "MomentVector",
     "Polynomial",
     "basis",
     "lift",
-    "pairing",
     "__version__",
 ]

@@ -306,7 +306,7 @@ def verify_lme(L: LmeMatrix, cs: ConstraintSystem, tol: float = 1e-12) -> bool:
                 acc = acc + L.rows[i][j] * grads[k][j]
             acc = acc + L.rows[i][n + k] * cs.g[k]
             target = acc - (1.0 if i == k else 0.0)
-            if target.max_abs_coeff() > tol:
+            if np.abs(target.coefs).max(initial=0.0) > tol:
                 return False
     return True
 

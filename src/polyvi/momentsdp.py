@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import sdpbackend as sb
-from .polycore import MomentVector, Polynomial, basis, lift, monomial_index, violation
+from .polycore import Polynomial, basis, lift, monomial_index, violation
 
 INFEASIBLE = "infeasible"
 MINIMIZERS = "minimizers"
@@ -97,7 +97,7 @@ def _pair_sums(n: int, t: int):
 def localizing_block(q: Polynomial, k: int, n: int) -> sb.SdpBlock:
     """Localizing matrix of q at order k as a PSD block over the moments.
 
-    Entry (i, j) is the pairing of q * x^(b_i + b_j) with a moment vector;
+    Entry (i, j) is the Riesz functional L_y(q * x^(b_i + b_j)) of moments y;
     the block's triplets list it term by term.  The moment matrix is the
     localizing matrix of the constant 1.
     """
@@ -155,10 +155,10 @@ def build_relaxation(prog: PolyProgram, k: int) -> sb.SdpProblem:
 # -- finite convergence detectors ------------------------------------------
 
 
-def moment_matrix(y: MomentVector, t: int) -> np.ndarray:
-    """M_t[y].  Every basis is a prefix of the next, so M_s[y] for s <= t is
-    its leading len(basis(n, s)) block."""
-    return localizing_block(Polynomial.constant(y.n, 1.0), t, y.n).evaluate(y.values)
+def moment_matrix(y: np.ndarray, n: int, t: int) -> np.ndarray:
+    """M_t[y] of moments y in n variables.  Every basis is a prefix of the
+    next, so M_s[y] for s <= t is its leading len(basis(n, s)) block."""
+    return localizing_block(Polynomial.constant(n, 1.0), t, n).evaluate(y)
 
 
 def _numeric_rank(mat: np.ndarray, tol_rank: float) -> int:
@@ -266,7 +266,7 @@ def _extract_once(mat, n, t, r, seed, tol) -> list[np.ndarray]:
             merged.append(u)
 
     design = np.column_stack(
-        [np.outer(lv := lift(u, t).values, lv).ravel() for u in merged]
+        [np.outer(lv := lift(u, t), lv).ravel() for u in merged]
     )
     w, *_ = np.linalg.lstsq(design, mat.ravel(), rcond=None)
     recon = (design @ w).reshape(mat.shape)
@@ -301,10 +301,10 @@ def dilate_program(prog: PolyProgram, s) -> PolyProgram:
     )
 
 
-def _scale_update(s_vec: np.ndarray, y: MomentVector) -> np.ndarray:
-    # grow the dilation toward the diagonal second moments; never shrink, so
-    # well-scaled problems keep the identity and stay bit-for-bit unchanged
-    m2 = y.values[monomial_index(2 * np.eye(y.n, dtype=np.int64))]
+def _scale_update(s_vec: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # grow the dilation toward the diagonal second moments of y; never shrink,
+    # so well-scaled problems keep the identity and stay bit-for-bit unchanged
+    m2 = y[monomial_index(2 * np.eye(len(s_vec), dtype=np.int64))]
     factors = np.clip(np.sqrt(np.maximum(m2, 1.0)), 1.0, 100.0)
     return np.minimum(s_vec * factors, 1e4)
 
@@ -343,13 +343,12 @@ def minimize(
             continue
 
         bound = res.objective
-        y = MomentVector(prog.n, 2 * k, res.y)
         # an untrusted bound cannot stop the run, and the solve's accuracy
         # widens every test below
         acc = res.accuracy
         out.value = bound if out.value is None else max(out.value, bound)
         out.accuracy, out.trusted = acc, trusted
-        s_used, s_vec = s_vec, _scale_update(s_vec, y.dilated(s_vec))
+        s_used, s_vec = s_vec, _scale_update(s_vec, res.y * lift(s_vec, 2 * k))
 
         gap_eff = max(TOL_GAP, GAP_WIDENING * acc * max(1.0, abs(bound)))
         feas_eff = max(TOL_FEAS, GAP_WIDENING * acc)
@@ -369,11 +368,11 @@ def minimize(
             return HierarchyOutcome(MINIMIZERS, k, bound, good, acc, trusted) if good else None
 
         # the point check: the degree-one moments as a candidate minimizer
-        found = minimizers([y.values[1 : prog.n + 1]])
+        found = minimizers([res.y[1 : prog.n + 1]])
         if found:
             return found
 
-        mk = moment_matrix(y, k)
+        mk = moment_matrix(res.y, prog.n, k)
         for t in range(1, k + 1):
             r = flat_truncation(mk, prog.n, t, rank_eff)
             if r is None:

@@ -10,16 +10,17 @@ the order is 1, x1, x2, x1^2, x1*x2, x2^2.  With this order the basis for
 degree d is a prefix of the basis for degree d+1, which the moment code
 exploits when it truncates moment matrices.
 
-Moment vectors pair against polynomials of degree up to their truncation
-order; `lift` embeds a point x as the moment vector of the Dirac measure at
-x, and `pairing(f, lift(x, 2k)) == f(x)` whenever deg f <= 2k.
+A moment vector truncated at degree d is a plain array indexed like
+basis(n, d), so entry monomial_index(a) holds the moment of x^a, and the
+Riesz functional of y is L_y(f) = f.coefs @ y[monomial_index(f.exps)] for
+deg f <= d.  `lift` gives the moments of the Dirac measure at x, at which
+L_y(f) is f(x) up to rounding.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -30,10 +31,6 @@ Exponent = tuple[int, ...]
 # the largest total degree of a term that a problem file may give: even in
 # one variable, a relaxation of that degree needs more than 10^4 moments
 MAX_DEGREE = 10_000
-
-
-class DegreeOverflowError(ValueError):
-    """Raised when a polynomial exceeds the degree a moment vector supports."""
 
 
 def is_int(value) -> bool:
@@ -95,8 +92,8 @@ class Polynomial:
     exponent row per term (t x n int64), and `coefs`, their coefficients.
     No row repeats and no coefficient is zero; the zero polynomial has no
     rows.  `Polynomial(n, {exp: coef})` and `from_terms` build this form.
-    Supports +, -, * (poly or scalar) and ** with a nonnegative integer
-    exponent; every operation returns a new instance.
+    Supports +, -, and * (poly or scalar); every operation returns a new
+    instance.
     """
 
     __slots__ = ("n", "exps", "coefs")
@@ -198,9 +195,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not len(self.coefs)
 
-    def max_abs_coeff(self) -> float:
-        return float(np.abs(self.coefs).max(initial=0.0))
-
     # ---- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -231,18 +225,6 @@ class Polynomial:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Polynomial.constant(self.n, 1.0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def scale(self, c: float) -> "Polynomial":
         return Polynomial.from_terms(self.n, self.exps, c * self.coefs)
@@ -353,32 +335,6 @@ def _sum_in_order(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """A vector of pseudo-moments indexed by basis(n, two_k)."""
-
-    n: int
-    two_k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        b = basis(self.n, self.two_k)
-        if len(self.values) != len(b):
-            raise ValueError(
-                f"moment vector needs {len(b)} entries for n={self.n}, 2k={self.two_k}, "
-                f"got {len(self.values)}"
-            )
-
-    @property
-    def basis(self) -> np.ndarray:
-        return basis(self.n, self.two_k)
-
-    def dilated(self, s) -> "MomentVector":
-        """Moments of the pushforward x -> s*x: each entry scaled by s^alpha."""
-        weights = _monomials(np.asarray(s, dtype=float), self.basis)
-        return MomentVector(self.n, self.two_k, self.values * weights)
-
-
 def violation(x, equations: Iterable[Polynomial], inequalities: Iterable[Polynomial]) -> float:
     """How far x is from {p = 0, q >= 0}: the worst |p(x)| and the worst -q(x), or 0."""
     err = 0.0
@@ -389,19 +345,7 @@ def violation(x, equations: Iterable[Polynomial], inequalities: Iterable[Polynom
     return err
 
 
-def pairing(f: Polynomial, y: MomentVector) -> float:
-    """Riesz pairing <f, y> = sum_alpha f_alpha * y_alpha.
-
-    Requires deg f <= y.two_k; raises DegreeOverflowError otherwise.
-    """
-    if f.n != y.n:
-        raise ValueError(f"polynomial has n={f.n}, moment vector has n={y.n}")
-    if f.degree > y.two_k:
-        raise DegreeOverflowError(f"polynomial of degree {f.degree} > moment degree {y.two_k}")
-    return _sum_in_order(f.coefs * y.values[monomial_index(f.exps)])
-
-
-def lift(x: Iterable[float], two_k: int) -> MomentVector:
-    """Moment vector of the Dirac measure at x, truncated at degree two_k."""
+def lift(x: Iterable[float], d: int) -> np.ndarray:
+    """The moments x^a of the Dirac measure at x, a over basis(len(x), d)."""
     x = np.asarray(tuple(float(v) for v in x), dtype=float)
-    return MomentVector(len(x), two_k, _monomials(x, basis(len(x), two_k)))
+    return _monomials(x, basis(len(x), d))

@@ -115,7 +115,7 @@ through an alignment-dependent BLAS path.
 from __future__ import annotations
 
 import contextlib
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,16 +366,6 @@ def _sym(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _check_finite(mat: np.ndarray):
-    """The ValueError of scipy's finite check when mat holds an inf or a NaN.
-
-    A read-only scan: min and max are NaN when mat holds a NaN and infinite
-    when it holds an inf, so no boolean array of mat's size is made.
-    """
-    if not (np.isfinite(mat.min()) and np.isfinite(mat.max())):
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _potrf(mat: np.ndarray, lower: bool, overwrite: bool = False):
     """LAPACK's Cholesky factor of mat from its `lower` triangle, the other
     triangle zeroed, as scipy's cholesky returns it; None when potrf meets a
@@ -611,22 +601,10 @@ class ReferenceIpm:
         if self.split == self.m or max(factor_threads().values(), default=1) < 2:
             self._assemble(states, 0, self.m)
             return h_rows.T
-        failed = []
-
-        def helper():
-            try:
-                self._assemble(states, self.split, self.m)
-            except BaseException as exc:  # re-raised by the caller after the join
-                failed.append(exc)
-
-        thread = threading.Thread(target=helper, name="polyvi-schur")
-        thread.start()
-        try:
+        with ThreadPoolExecutor(1, thread_name_prefix="polyvi-schur") as pool:
+            upper = pool.submit(self._assemble, states, self.split, self.m)
             self._assemble(states, 0, self.split)
-        finally:
-            thread.join()
-        if failed:
-            raise failed[0]
+        upper.result()
         return h_rows.T
 
     def _assemble(self, states, lo: int, hi: int):
@@ -699,7 +677,8 @@ class ReferenceIpm:
         v = _trtrs(r_mat, bx + self.GT @ rhs_z, trans=1)
         if len(self.b):
             rhs_y = self._w.T @ v - by
-            _check_finite(rhs_y)
+            if not np.isfinite(rhs_y).all():
+                raise ValueError("array must not contain infs or NaNs")
             uy, _ = dpotrs(self._schur_chol, rhs_y, lower=1)
             v = v - self._w @ uy
         else:

@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvi.polycore import (
-    DegreeOverflowError,
-    MomentVector,
-    Polynomial,
-    basis,
-    lift,
-    monomial_index,
-    pairing,
-    violation,
-)
+from polyvi.polycore import Polynomial, basis, lift, monomial_index, violation
 
 
 def test_basis_order_n2_d3():
@@ -96,20 +87,9 @@ def test_zero_polynomial_degree_and_identity():
 
 def test_lift_entry():
     y = lift((2.0, 3.0), 4)
-    assert y.values[monomial_index((1, 2))] == pytest.approx(18.0)
-    assert y.values[monomial_index((0, 0))] == 1.0
-
-
-def test_pairing_degree_overflow():
-    y = lift((1.0, 1.0), 2)
-    f = Polynomial(2, {(3, 0): 1.0})
-    with pytest.raises(DegreeOverflowError):
-        pairing(f, y)
-
-
-def test_moment_vector_length_check():
-    with pytest.raises(ValueError):
-        MomentVector(2, 2, np.zeros(5))
+    assert y[monomial_index((1, 2))] == pytest.approx(18.0)
+    assert y[monomial_index((0, 0))] == 1.0
+    assert y.shape == (len(basis(2, 4)),)
 
 
 def test_partial_derivative():
@@ -127,9 +107,8 @@ def test_json_round_trip():
 def test_power():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
-    p = (x + y) ** 2
+    p = (x + y) * (x + y)
     assert p == Polynomial(2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0})
-    assert x**0 == Polynomial(2, {(0, 0): 1.0})
 
 
 # ---- randomized properties ----------------------------------------------
@@ -189,25 +168,9 @@ def test_pairing_of_lift_is_evaluation(data):
     f = data.draw(poly_strategy(n))
     x = data.draw(point_strategy(n))
     y = lift(x, max(2, f.degree))
-    lhs = pairing(f, y)
+    lhs = f.coefs @ y[monomial_index(f.exps)]
     rhs = f.evaluate(x)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_pairing_is_bilinear(data):
-    n = data.draw(st.integers(1, 3))
-    f = data.draw(poly_strategy(n))
-    g = data.draw(poly_strategy(n))
-    a = data.draw(st.floats(-5, 5, allow_nan=False))
-    x = data.draw(point_strategy(n))
-    two_k = max(2, f.degree, g.degree)
-    y = lift(x, two_k)
-    lhs = pairing(f.scale(a) + g, y)
-    rhs = a * pairing(f, y) + pairing(g, y)
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 @settings(max_examples=80, deadline=None)
@@ -218,7 +181,7 @@ def test_gradient_matches_central_differences(data):
     x = np.array(data.draw(point_strategy(n)))
     grad = f.gradient()
     h = 1e-5
-    scale = 1.0 + f.max_abs_coeff()
+    scale = 1.0 + np.abs(f.coefs).max(initial=0.0)
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
@@ -338,7 +301,7 @@ def test_dilated_moments_match_lift_of_scaled_point(data):
     x = np.array(data.draw(point_strategy(n)))
     s = np.array(data.draw(st.tuples(*[st.floats(0.25, 4.0) for _ in range(n)])))
     two_k = 2 * data.draw(st.integers(1, 3))
-    got = lift(x, two_k).dilated(s)
+    got = lift(x, two_k) * lift(s, two_k)
     expect = lift(s * x, two_k)
-    scale = 1.0 + float(np.abs(expect.values).max())
-    assert np.abs(got.values - expect.values).max() <= 1e-9 * scale
+    scale = 1.0 + float(np.abs(expect).max())
+    assert np.abs(got - expect).max() <= 1e-9 * scale
