@@ -356,7 +356,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
         if text is not None
     }
     opts = dataclasses.replace(opts, **chosen)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = {"command": "solve", "file": file, "mode": "all" if mode_all else "one"}
     if mode_all:
         res = solve_all(problem, opts)
@@ -387,7 +387,7 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
         ok = res.status in (SOLUTION, NO_SOLUTION)
     report["blas_threads"] = blas_threads()
     report["factor_threads"] = factor_threads()
-    report["time"] = time.time() - t0
+    report["time"] = time.perf_counter() - t0
     _emit(report, as_json, out)
     sys.exit(0 if ok else 2)
 
@@ -407,7 +407,7 @@ def cmd_verify(file, point, as_json):
         raise ProblemFileError(f"point has {len(u)} coordinates, expected {problem.n}")
     if not np.isfinite(u).all():
         raise ProblemFileError(f"point coordinates must be finite, got {point!r}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     cs = problem.cs
     feas = violation(u, [cs.g[i] for i in cs.eq_idx], [cs.g[i] for i in cs.ineq_idx])
     res = verify_candidate(problem, u, opts)
@@ -424,7 +424,7 @@ def cmd_verify(file, point, as_json):
         "via": res.via,
         "blas_threads": blas_threads(),
         "factor_threads": factor_threads(),
-        "time": time.time() - t0,
+        "time": time.perf_counter() - t0,
     }
 
     def render(rep):
@@ -504,7 +504,7 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         s = seed0 + i
         data = generate(family, dim_tuple, degree, s)
         problem, _ = parse_problem(data, source=f"instance {i}")
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             res = solve_one(problem, SolverOptions(seed=s))
             status = res.status
@@ -513,7 +513,8 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         except np.linalg.LinAlgError as exc:
             # numerical failures count against SR; programming errors propagate
             status, success = f"error: {exc}", False
-        runs.append({"seed": s, "status": status, "success": success, "time": time.time() - t0})
+        elapsed = time.perf_counter() - t0
+        runs.append({"seed": s, "status": status, "success": success, "time": elapsed})
     successes = sum(r["success"] for r in runs)
     report = {
         "command": "batch",

@@ -4,8 +4,9 @@ At a KKT point the multiplier vector is a function of the point itself
 whenever the constraint gradients admit a polynomial left inverse: stacking
 the gradients over diag(g_1..g_m) into a tall matrix G(x), any polynomial
 matrix L(x) with L(x) G(x) = I_m turns the multipliers into polynomials
-lambda_i(x) = (L(x) Fhat(x))_i with Fhat = (F, 0, ..., 0).  Only the first n
-columns of L ever touch Fhat, so lambdas are assembled from the x-part rows.
+lambda_i(x) = (L(x) Fhat(x))_i with Fhat = (F, 0, ..., 0).  L is held as
+its m rows, each a tuple of n + m polynomials; `lambdas(rows, F)` forms
+L Fhat from the first n entries of each row, the only ones Fhat touches.
 
 The catalog covers the geometries the built-in problems and generators use:
 
@@ -27,7 +28,7 @@ The catalog covers the geometries the built-in problems and generators use:
                          x_n >= 0; rational multipliers with denominator
                          2 x_n > 0 on the set, and x_n >= 0's multiplier 0
 
-Exactness of L G = I is checked symbolically by verify_lme.  Rational
+`verify_lme(rows, cs)` checks L G = I coefficient by coefficient.  Rational
 multipliers are carried as (numerator, denominator) pairs; the KKT assembly
 clears denominators without polynomial division.  A problem's multipliers
 are built once, for its field F (lme_from_spec); they serve the search
@@ -42,7 +43,7 @@ from functools import reduce
 
 import numpy as np
 
-from .polycore import Polynomial
+from .polycore import Polynomial, dot
 
 ORTHANT = "orthant"
 BALL = "ball"
@@ -50,9 +51,6 @@ RING = "ring"
 QUADRIC_LINEAR = "quadric_with_linear"
 ORTHANT_PRODUCT = "orthant_with_product"
 SOC_QUADRIC = "soc_quadric"
-
-MATRIX_KINDS = (ORTHANT, BALL, RING, QUADRIC_LINEAR, ORTHANT_PRODUCT)
-EXACT_MATRIX_KINDS = (ORTHANT, BALL, RING, QUADRIC_LINEAR)
 
 
 class UnknownKind(ValueError):
@@ -86,39 +84,12 @@ class ConstraintSystem:
 
 
 @dataclass(frozen=True)
-class LmeMatrix:
-    """Polynomial left inverse candidate: m rows of length n + m."""
-
-    rows: tuple[tuple[Polynomial, ...], ...]
-    n: int
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    def lambdas(self, F: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
-        """Multiplier expressions L(x) (F, 0, .., 0); only x-part columns act."""
-        out = []
-        for row in self.rows:
-            acc = Polynomial.zero(self.n)
-            for j, f in enumerate(F):
-                acc = acc + row[j] * f
-            out.append(acc)
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class LmeSet:
     """Resolved multipliers; denoms[i] is None for polynomial lambdas."""
 
     lambdas: tuple[Polynomial, ...]
     denoms: tuple[Polynomial | None, ...] | None = None
     rewrite: str | None = None
-
-    def denom(self, i: int) -> Polynomial | None:
-        if self.denoms is None:
-            return None
-        return self.denoms[i]
 
 
 @dataclass(frozen=True)
@@ -127,7 +98,6 @@ class KktSystem:
 
     equations: tuple[Polynomial, ...]
     inequalities: tuple[Polynomial, ...]
-    n: int
 
 
 # -- template checks ------------------------------------------------------
@@ -171,8 +141,16 @@ def _require(cond: bool, msg: str):
         raise TemplateMismatch(msg)
 
 
-def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
-    """The catalog L matrix for a recognized constraint pattern.
+Rows = tuple[tuple[Polynomial, ...], ...]
+
+
+def lambdas(rows: Rows, F: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
+    """The multiplier expressions L(x) (F, 0, .., 0), one per row of L."""
+    return tuple(dot(row, F, F[0].n) for row in rows)
+
+
+def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
+    """The m rows of the catalog L matrix for a recognized constraint pattern.
 
     Every template infers what it needs from the constraints themselves.
     """
@@ -189,7 +167,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
             + tuple(zero for _ in range(m))
             for i in range(n)
         )
-        return LmeMatrix(rows, n)
+        return rows
 
     if kind == BALL:
         _require(m == 1 and not cs.eq_idx, "ball template needs the single constraint 1 - |x|^2")
@@ -199,7 +177,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
         row = tuple(Polynomial.variable(n, j).scale(-0.5) for j in range(n)) + (
             Polynomial.constant(n, 1.0),
         )
-        return LmeMatrix((row,), n)
+        return (row,)
 
     if kind == RING:
         s = Polynomial.quadratic(n, quad=np.eye(n))
@@ -214,7 +192,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
             s.scale(0.5),
             (s + 1.0).scale(0.5),
         )
-        return LmeMatrix((row1, row2), n)
+        return (row1, row2)
 
     if kind == QUADRIC_LINEAR:
         _require(m == n + 1 and cs.eq_idx == (0,), "pattern: one quadric equality then the cone")
@@ -242,7 +220,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
             rows.append(
                 tuple(a + b for a, b in zip(xi, x1)) + tuple(a + b for a, b in zip(ti, t1))
             )
-        return LmeMatrix(tuple(rows), n)
+        return tuple(rows)
 
     if kind == ORTHANT_PRODUCT:
         _require(n == 4 and m == 5 and cs.eq_idx == (0,), "pattern: product equality then orthant")
@@ -263,7 +241,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> LmeMatrix:
                 )
                 + tuple(zero for _ in range(m))
             )
-        return LmeMatrix(tuple(rows), n)
+        return tuple(rows)
 
     raise UnknownKind(f"{kind} has no L-matrix template; its multipliers come from soc_lme")
 
@@ -285,26 +263,22 @@ def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
     _require(cs.g[1] == cone, "inequality is not x_n^2 - x_1^2 - ... - x_{n-1}^2")
     x_n = Polynomial.variable(n, n - 1)
     _require(cs.g[2] == x_n, f"third constraint is not x_{n}")
-    x_dot_f = Polynomial.zero(n)
-    for j in range(n):
-        x_dot_f = x_dot_f + Polynomial.variable(n, j) * F[j]
+    x_dot_f = dot((Polynomial.variable(n, j) for j in range(n)), F, n)
     lam0 = x_dot_f.scale(0.5)
     p1 = F[n - 1] - x_dot_f * Polynomial.quadratic(n, lin=b_mat[n - 1])
     return LmeSet((lam0, p1, Polynomial.zero(n)), (None, x_n.scale(2.0), None))
 
 
-def verify_lme(L: LmeMatrix, cs: ConstraintSystem, tol: float = 1e-12) -> bool:
+def verify_lme(rows: Rows, cs: ConstraintSystem, tol: float = 1e-12) -> bool:
     """Symbolically check L(x) G(x) = I_m coefficient by coefficient."""
     n, m = cs.n, cs.m
-    if L.m != m or L.n != n:
+    if len(rows) != m or any(len(row) != n + m for row in rows):
         return False
     grads = [g.gradient() for g in cs.g]
-    for i in range(m):
+    for i, row in enumerate(rows):
         for k in range(m):
-            acc = Polynomial.zero(n)
-            for j in range(n):
-                acc = acc + L.rows[i][j] * grads[k][j]
-            acc = acc + L.rows[i][n + k] * cs.g[k]
+            # column k of G: grad g_k, then g_k in row n + k
+            acc = dot((*row[:n], row[n + k]), (*grads[k], cs.g[k]), n)
             target = acc - (1.0 if i == k else 0.0)
             if np.abs(target.coefs).max(initial=0.0) > tol:
                 return False
@@ -337,7 +311,7 @@ def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -
         if kind == SOC_QUADRIC:
             return soc_lme(F, cs)
         rewrite = "orthant_product" if kind == ORTHANT_PRODUCT else None
-        return LmeSet(catalog_lme(kind, cs).lambdas(F), None, rewrite)
+        return LmeSet(lambdas(catalog_lme(kind, cs), F), None, rewrite)
     if "L" in data:
         rows = []
         for i, row in enumerate(_json_list(data["L"], "L", m, f"m={m} rows")):
@@ -345,10 +319,9 @@ def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -
             rows.append(
                 tuple(Polynomial.from_json(n, c, f"L[{i}][{j}]") for j, c in enumerate(cells))
             )
-        matrix = LmeMatrix(tuple(rows), n)
-        if not verify_lme(matrix, cs):
+        if not verify_lme(rows, cs):
             raise TemplateMismatch("supplied L matrix is not an exact left inverse")
-        return LmeSet(matrix.lambdas(F))
+        return LmeSet(lambdas(rows, F))
     if "lambdas" in data:
         items = _json_list(data["lambdas"], "lambdas", m, f"m={m} entries")
         lams = tuple(Polynomial.from_json(n, p, f"lambdas[{i}]") for i, p in enumerate(items))
@@ -386,6 +359,7 @@ def build_kkt_sets(
     if len(F) != n or len(lam.lambdas) != m:
         raise ValueError("arity mismatch between F, constraints and multipliers")
 
+    denoms = lam.denoms or (None,) * m
     equations: list[Polynomial] = []
 
     if lam.rewrite == "orthant_product":
@@ -400,13 +374,13 @@ def build_kkt_sets(
             active = [i for i in range(m) if not grads[i][t].is_zero]
             distinct_qs: list[Polynomial] = []
             for i in active:
-                q = lam.denom(i)
+                q = denoms[i]
                 if q is not None and all(q != prev for prev in distinct_qs):
                     distinct_qs.append(q)
             q_all = _product(distinct_qs, n)
             row = q_all * F[t]
             for i in active:
-                q = lam.denom(i)
+                q = denoms[i]
                 if q is None:
                     factor = q_all
                 else:
@@ -433,4 +407,4 @@ def build_kkt_sets(
         if not cs.g[i].is_zero:
             inequalities.append(cs.g[i])
 
-    return KktSystem(tuple(equations), tuple(inequalities), n)
+    return KktSystem(tuple(equations), tuple(inequalities))

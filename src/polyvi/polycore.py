@@ -15,6 +15,10 @@ basis(n, d), so entry monomial_index(a) holds the moment of x^a, and the
 Riesz functional of y is L_y(f) = f.coefs @ y[monomial_index(f.exps)] for
 deg f <= d.  `lift` gives the moments of the Dirac measure at x, at which
 L_y(f) is f(x) up to rounding.
+
+`dot(a, b, n)` is the sum of the products a_j * b_j, added to the zero
+polynomial one at a time in order: the multiplier expressions L F, the
+check L G = I and the cuts (v - x)^T F are all built with it.
 """
 
 from __future__ import annotations
@@ -333,6 +337,14 @@ def _monomials(x: np.ndarray, exps: np.ndarray) -> np.ndarray:
 def _sum_in_order(values: np.ndarray) -> float:
     # a left-to-right sum; np.sum and BLAS dots group terms differently
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def dot(a: Iterable[Polynomial], b: Iterable[Polynomial], n: int) -> Polynomial:
+    """sum_j a_j * b_j over the shorter of a and b, added left to right."""
+    acc = Polynomial.zero(n)
+    for p, q in zip(a, b):
+        acc = acc + p * q
+    return acc
 
 
 def violation(x, equations: Iterable[Polynomial], inequalities: Iterable[Polynomial]) -> float:

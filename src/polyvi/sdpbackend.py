@@ -651,14 +651,13 @@ class ReferenceIpm:
         # static regularization; iterative refinement absorbs the bias
         diag = np.arange(m)
         h_mat[diag, diag] += 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
-        # H = R^T R from its upper triangle
+        # H = R^T R from its upper triangle, then W, in one thread window
         with threads():
             self._hchol = _potrf(h_mat, lower=False, overwrite=True)
-        if self._hchol is None:
-            return False
-        if not len(self.b):
-            return True
-        with threads():
+            if self._hchol is None:
+                return False
+            if not len(self.b):
+                return True
             self._w = _trtrs(self._hchol, self.A.T, trans=1)
         schur = self._w.T @ self._w
         p = schur.shape[0]
@@ -717,17 +716,11 @@ class ReferenceIpm:
     def run(self) -> SdpResult:
         """Iterate to one of the exits the module docstring lists."""
         if self.inconsistent:
-            return SdpResult(
-                PRIMAL_INFEASIBLE, None, None, {"reason": "inconsistent equalities"},
-                exit="inconsistent",
-            )
+            return SdpResult(PRIMAL_INFEASIBLE, None, None, exit="inconsistent")
 
         m, p = self.m, len(self.b)
         if not self._factor(None):
-            return SdpResult(
-                NUMERICAL_FAILURE, None, None, {"reason": "initial factorization"},
-                exit="initial_factor",
-            )
+            return SdpResult(NUMERICAL_FAILURE, None, None, exit="initial_factor")
         zero = np.zeros(self.offsets[-1])
         x, _, z_hat = self._solve3(None, np.zeros(m), self.b, zero)
         s = -z_hat
@@ -877,10 +870,7 @@ class ReferenceIpm:
             best.residuals["relaxed"] = True
             best.iterations = it
             return finish(best, exit_path)
-        return finish(
-            SdpResult(NUMERICAL_FAILURE, None, None, {"best_score": float(best_score)}, it),
-            exit_path,
-        )
+        return finish(SdpResult(NUMERICAL_FAILURE, None, None, iterations=it), exit_path)
 
     def _ray_residual(self, y, z) -> float:
         """How far (y, z) is from a ray A^T y + G^T z = 0 with b . y < 0:

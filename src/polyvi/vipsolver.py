@@ -52,7 +52,7 @@ from .momentsdp import (
     PolyProgram,
     minimize,
 )
-from .polycore import Polynomial, violation
+from .polycore import Polynomial, dot, violation
 
 
 # a comparison bound >= -EPS_TOL certifies a candidate as a solution
@@ -174,13 +174,8 @@ class CutSet:
 
     def polys(self, F: tuple[Polynomial, ...]) -> list[Polynomial]:
         n = F[0].n
-        out = []
-        for v in self.points:
-            acc = Polynomial.zero(n)
-            for t in range(n):
-                acc = acc + (Polynomial.constant(n, float(v[t])) - Polynomial.variable(n, t)) * F[t]
-            out.append(acc)
-        return out
+        x = [Polynomial.variable(n, t) for t in range(n)]
+        return [dot((float(c) - x_t for c, x_t in zip(v, x)), F, n) for v in self.points]
 
 
 # -- outcome records -----------------------------------------------------------
@@ -416,7 +411,7 @@ def _check_points(
     """
     added = 0
     for u in out.points:
-        t0 = time.time()
+        t0 = time.perf_counter()
         u = polish_candidate(problem, u, max(1e-4, RANK_WIDENING * out.accuracy))
         if theta.evaluate(u) - above <= margin:
             continue
@@ -427,7 +422,7 @@ def _check_points(
                 cuts.solved.append((u, ver))
         log.append({
             "phase": "verify", "loop": loop, "status": ver.status,
-            "eps": ver.eps, "via": ver.via, "time": round(time.time() - t0, 3),
+            "eps": ver.eps, "via": ver.via, "time": round(time.perf_counter() - t0, 3),
         })
         if ver.status == SOLUTION:
             return (u, ver), added
@@ -450,11 +445,11 @@ def _solve_loop(
     whose trust it carries too.
     """
     for loop in range(opts.max_loops):
-        t0 = time.time()
+        t0 = time.perf_counter()
         cand = find_candidate(problem, theta, cuts, extra_ineqs, opts)
         log.append({
             "phase": "search", "loop": loop, "status": cand.status, "order": cand.order,
-            "value": cand.value, "cuts": len(cuts), "time": round(time.time() - t0, 3),
+            "value": cand.value, "cuts": len(cuts), "time": round(time.perf_counter() - t0, 3),
         })
         if cand.status == INFEASIBLE:
             return SolveOutcome(
@@ -519,14 +514,14 @@ def find_delta(
     accept = 1e-6 * max(1.0, abs(theta_star))
     delta = DELTA0
     for attempt in range(MAX_SHRINKS + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         band = Polynomial.constant(problem.n, theta_star + delta) - theta.poly
         prog = _cut_program(problem, theta.poly.scale(-1.0), cuts, [band])
         out = minimize(prog, opts.k_max_extra, opts.seed, floor=-(theta_star + accept))
         gamma = None if out.value is None else -float(out.value)
         log.append({
             "phase": "delta", "loop": attempt, "status": out.status, "delta": delta,
-            "gamma": gamma, "order": out.order, "time": round(time.time() - t0, 3),
+            "gamma": gamma, "order": out.order, "time": round(time.perf_counter() - t0, 3),
         })
         if out.status == BOUND_REACHED:
             return delta, True

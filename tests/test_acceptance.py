@@ -18,13 +18,7 @@ import test_sdpbackend as toy_sdps
 from polyvi import momentsdp as ms
 from polyvi import sdpbackend as sb
 from polyvi.cli import generate, load_problem, parse_problem
-from polyvi.lme import (
-    EXACT_MATRIX_KINDS,
-    MATRIX_KINDS,
-    ConstraintSystem,
-    catalog_lme,
-    verify_lme,
-)
+from polyvi.lme import ConstraintSystem, catalog_lme, verify_lme
 from polyvi.polycore import Polynomial, basis, lift, monomial_index, violation
 from polyvi.vipsolver import (
     SolverOptions,
@@ -389,12 +383,9 @@ def test_props_catalog_left_inverses_exact():
         "ring": ring_cs(3),
         "quadric_with_linear": quadric_linear_cs(3),
     }
-    assert set(samples) == set(EXACT_MATRIX_KINDS)
     for kind, cs in samples.items():
         mat = catalog_lme(kind, cs)
         assert verify_lme(mat, cs, tol=0.0)
-    # the carrier template is deliberately not a left inverse
-    assert set(MATRIX_KINDS) - set(EXACT_MATRIX_KINDS) == {"orthant_with_product"}
 
 
 def test_props_degree_bound_matches_brute_force():

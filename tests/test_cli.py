@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polyvi import blas, cli
+from polyvi import blas, cli, vipsolver
 from polyvi.polycore import Polynomial
 from polyvi.vipsolver import SolveOutcome
 
@@ -186,6 +186,22 @@ def test_solve_command_finds_projection(tiny_file, tmp_path):
     point = np.array(report["solutions"][0]["point"])
     assert np.max(np.abs(point - np.array([0.6, 0.8]))) <= 1e-4
     assert abs(report["solutions"][0]["eps"]) <= 1e-6
+
+
+def test_times_ignore_a_step_of_the_wall_clock(monkeypatch, tiny_file):
+    # the wall clock steps back one hour as the first relaxation starts
+    offset = [0.0]
+    monkeypatch.setattr(time, "time", lambda real=time.time: real() - offset[0])
+
+    def step_then_minimize(*args, real=vipsolver.minimize, **kwargs):
+        offset[0] = 3600.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vipsolver, "minimize", step_then_minimize)
+    report = json.loads(invoke("solve", tiny_file, "--json").output)
+    assert report["status"] == "solution" and report["time"] >= 0
+    times = [entry["time"] for entry in report["log"] if "time" in entry]
+    assert times and min(times) >= 0
 
 
 def test_solve_all_flag(tiny_file):

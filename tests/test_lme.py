@@ -17,6 +17,7 @@ from polyvi.lme import (
     UnknownKind,
     build_kkt_sets,
     catalog_lme,
+    lambdas,
     normalize_kind,
     lme_from_spec,
     soc_lme,
@@ -132,6 +133,18 @@ def test_orthant_product_carrier_not_exact():
     assert verify_lme(mat, cs) is False
 
 
+def test_verify_rejects_a_matrix_of_another_shape():
+    n = 2
+    cs = ball_cs(n)
+    rows = catalog_lme(BALL, cs)
+    assert verify_lme(rows, cs)
+    # m rows of n + m entries each, and nothing else
+    assert verify_lme(rows + rows, cs) is False
+    assert verify_lme((), cs) is False
+    assert verify_lme((rows[0][:-1],), cs) is False
+    assert verify_lme((rows[0] + (const(n, 0.0),),), cs) is False
+
+
 def test_orthant_product_lambda_formulas():
     # carrier rows encode lambda_0 = -x.F/8 and lambda_i = F_i - x.F/8
     cs = orthant_product_cs()
@@ -142,7 +155,7 @@ def test_orthant_product_lambda_formulas():
         Polynomial(n, {(1, 0, 0, 0): float(rng.integers(-3, 4)), (0, 0, 1, 1): 1.0})
         for _ in range(n)
     )
-    lams = mat.lambdas(F)
+    lams = lambdas(mat, F)
     x = rng.standard_normal(n)
     fx = np.array([f.evaluate(x) for f in F])
     xdotf = float(x @ fx)
@@ -178,7 +191,7 @@ def test_projection_multiplier_is_exact():
     cs = ball_cs(n)
     F = (var(n, 0) - 3.0, var(n, 1))
     mat = catalog_lme(BALL, cs)
-    lams = mat.lambdas(F)
+    lams = lambdas(mat, F)
     assert lams[0].evaluate((1.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
     sys = build_kkt_sets(F, cs, catalog_set(mat, F))
     assert violation((1.0, 0.0), sys.equations, sys.inequalities) <= 1e-14
@@ -189,7 +202,7 @@ def test_projection_multiplier_is_exact():
 def catalog_set(mat, F):
     from polyvi.lme import LmeSet
 
-    return LmeSet(mat.lambdas(F))
+    return LmeSet(lambdas(mat, F))
 
 
 def quartic_ncp_field():
@@ -243,7 +256,7 @@ def test_ring_kkt_consistency():
         for i in range(n)
     )
     mat = catalog_lme(RING, cs)
-    lams = mat.lambdas(F)
+    lams = lambdas(mat, F)
     sys = build_kkt_sets(F, cs, catalog_set(mat, F))
     grads = [g.gradient() for g in cs.g]
     for _ in range(20):
@@ -317,7 +330,7 @@ def test_orthant_product_rewrite_rows():
         for _ in range(n)
     )
     mat = catalog_lme(ORTHANT_PRODUCT, cs)
-    lams = mat.lambdas(F)
+    lams = lambdas(mat, F)
     from polyvi.lme import LmeSet
 
     sys = build_kkt_sets(F, cs, LmeSet(lams, None, "orthant_product"))
@@ -337,7 +350,7 @@ def test_quadric_linear_multipliers_match_closed_form():
         for i in range(n)
     )
     mat = catalog_lme(QUADRIC_LINEAR, cs)
-    lams = mat.lambdas(F)
+    lams = lambdas(mat, F)
     for _ in range(10):
         x = rng.standard_normal(n)
         fx = np.array([f.evaluate(x) for f in F])
@@ -399,7 +412,7 @@ def test_recipe_matrix_rejects_inexact():
 def test_recipe_matrix_accepts_catalog_rows():
     cs = ball_cs(2)
     mat = catalog_lme(BALL, cs)
-    rows = [[p.to_json() for p in row] for row in mat.rows]
+    rows = [[p.to_json() for p in row] for row in mat]
     F = (var(2, 0) - 3.0, var(2, 1))
     lam = lme_from_spec({"L": rows}, F, cs)
     assert lam.lambdas[0].evaluate((1.0, 0.0)) == pytest.approx(1.0, abs=1e-14)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyvi.polycore import Polynomial, basis, lift, monomial_index, violation
+from polyvi.polycore import Polynomial, basis, dot, lift, monomial_index, violation
 
 
 def test_basis_order_n2_d3():
@@ -215,6 +215,26 @@ def test_product_matches_the_term_loop(data):
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0.0) + c1 * c2
     assert f * g == Polynomial(n, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dot_matches_the_running_sum(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, 4))
+    a = [data.draw(poly_strategy(n, 2)) for _ in range(k)]
+    # b may run longer: the sum stops with the shorter list
+    b = [data.draw(poly_strategy(n, 2)) for _ in range(k + data.draw(st.integers(0, 2)))]
+    acc = Polynomial.zero(n)
+    for p, q in zip(a, b):
+        acc = acc + p * q
+    got = dot(a, b, n)
+    assert np.array_equal(got.exps, acc.exps) and np.array_equal(got.coefs, acc.coefs)
+
+
+def test_dot_of_nothing_is_zero():
+    got = dot((), (), 3)
+    assert got.is_zero and got.n == 3 and got == Polynomial.zero(3)
 
 
 @settings(max_examples=80, deadline=None)

@@ -821,9 +821,9 @@ def test_large_factorizations_run_on_the_counts_from_before_the_pin(monkeypatch)
     assert factors and len(factors) == len(products) == res.iterations
     for name, shape, counts in calls:
         assert counts == ({2} if (name, shape) in {f[:2] for f in factors + products} else {1})
-    # two raises and two returns to one thread per _factor, after the pin
+    # one raise and one return to one thread per _factor, after the pin
     assert fake.sets[:2] == [("liba.so", 1), ("libb.so", 1)]
-    per_factor = [("liba.so", 2), ("libb.so", 2), ("liba.so", 1), ("libb.so", 1)] * 2
+    per_factor = [("liba.so", 2), ("libb.so", 2), ("liba.so", 1), ("libb.so", 1)]
     assert fake.sets[2:-2] == per_factor * res.iterations
 
 
