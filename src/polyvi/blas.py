@@ -1,4 +1,4 @@
-"""OpenBLAS thread counts: one thread for a command, all of them for large factorizations.
+"""OpenBLAS thread counts: one thread for a solve, all of them for large factorizations.
 
 An IPM iteration makes many small LAPACK calls (per-block Cholesky, SVD and
 eigvalsh with s <= 210, the Schur chunks' products), and on those a second
@@ -16,15 +16,16 @@ thread count included):
     1716  254     90         56
     3003  430    378        239
 
-So the command line enters `one_blas_thread` around every command: it puts
-each loaded OpenBLAS on one thread and keeps the count it had, and
-`sdpbackend` hands those counts back through `all_blas_threads` around the
-two calls when m >= `sdpbackend._PARALLEL_M`.  With OPENBLAS_NUM_THREADS,
+So `sdpbackend.solve` sets the rule for its setup and iterations, for the
+command line and a library caller alike: it enters `one_blas_thread`, which
+puts each loaded OpenBLAS on one thread and yields the counts it had, and
+`sdpbackend` hands those back through `all_blas_threads` around the two
+calls when m >= `sdpbackend._PARALLEL_M`.  With OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS or OMP_NUM_THREADS set to a non-empty value the user's
-setting stands and no count is changed anywhere; a library caller that never
-enters `one_blas_thread` keeps its counts too.
+setting stands and no count is changed.  The counts belong to the process,
+so two solves on two Python threads of one process interleave their pins.
 
-When those counts (`factor_threads`) exceed one, `sdpbackend` also assembles
+When the two calls run on more than one thread, `sdpbackend` also assembles
 H of such an SDP on two Python threads, each running single-threaded
 OpenBLAS calls; with a count of one, set by the user or the machine, it
 assembles on one.  After a parallel call, an OpenBLAS worker spins for its
@@ -56,18 +57,12 @@ _THREAD_SYMBOLS = (
     "openblas_{}_num_threads",
 )
 
-# (file name, set, count before the pin) of each library the innermost active
-# `one_blas_thread` put on one thread; empty outside it.  Module state, as the
-# thread counts it mirrors belong to the whole process.
-_pinned: tuple = ()
-
-
 @functools.cache
 def _openblas_libraries() -> tuple:
     """(file name, get, set) of the thread count of each loaded OpenBLAS.
 
     Looked up once per process, after numpy and scipy have loaded their
-    libraries (the command line's imports have).
+    libraries (`sdpbackend`'s imports have).
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -96,41 +91,27 @@ def blas_threads() -> dict:
     return {name: get() for name, get, _ in _openblas_libraries()}
 
 
-def factor_threads() -> dict:
-    """The counts that `all_blas_threads` runs at, keyed by library file name:
-    those before the pin inside `one_blas_thread`, else the current ones."""
-    if _pinned:
-        return {name: count for name, _, count in _pinned}
-    return blas_threads()
-
-
 @contextlib.contextmanager
 def one_blas_thread():
     """Put every loaded OpenBLAS on one thread, and restore its count on exit.
-
-    With a thread variable set, nothing is changed.
-    """
-    global _pinned
-    outer = _pinned
+    Yields (file name, set, count before) per library it pinned: none when a
+    thread variable is set."""
     user_set = any(os.environ.get(v) for v in _THREAD_VARIABLES)
     libs = () if user_set else _openblas_libraries()
     pinned = tuple((name, put, get()) for name, get, put in libs)
     for _, put, _ in pinned:
         put(1)
-    _pinned = pinned
     try:
-        yield
+        yield pinned
     finally:
-        _pinned = outer
         for _, put, count in pinned:
             put(count)
 
 
 @contextlib.contextmanager
-def all_blas_threads():
-    """Inside `one_blas_thread`, run each library at its count before the pin,
-    and put it back on one thread on exit; elsewhere, change nothing."""
-    pinned = _pinned
+def all_blas_threads(pinned: tuple):
+    """Run each library of `pinned`, as `one_blas_thread` yields it, at its
+    count before the pin, and put it back on one thread on exit."""
     for _, put, count in pinned:
         put(count)
     try:

@@ -16,10 +16,10 @@ Each option is an integer: seed >= 0, max_loops >= 1, k_max_extra >= 0, in
 the file, on the command line and in POLYVI_SEED alike.  A seed comes from
 --seed, else the file's options.seed, else POLYVI_SEED, else 0.
 
-Exit codes: 0 solved / certified / accepted, 2 inconclusive or rejected,
-1 bad input (one `error:` line): a value in a problem file, a flag,
-POLYVI_SEED, --point or --dims, or a file `bound` cannot count.  A usage
-error that click reports itself (a missing or unknown argument) exits 2.
+Exit codes: 0 solved / certified / accepted, 2 inconclusive or rejected, 1
+bad input (one `error:` line): a value in a problem file, a flag, POLYVI_SEED,
+--point, --dims, an unwritable --out (refused before any work), or a file
+`bound` cannot count.  A usage error that click reports itself exits 2.
 """
 
 import dataclasses
@@ -31,7 +31,7 @@ import time
 import click
 import numpy as np
 
-from .blas import blas_threads, factor_threads, one_blas_thread
+from .blas import blas_threads
 from .lme import ConstraintSystem, TemplateMismatch
 from .momentsdp import TOL_FEAS
 from .polycore import Polynomial, basis, is_int, violation
@@ -316,6 +316,14 @@ def _emit(report: dict, as_json: bool, out: str | None, render=_render_solutions
         click.echo(text)
 
 
+def _out_path(ctx, param, out: str | None) -> str | None:
+    """--out, refused when no file can be written there."""
+    target = out if out is None or os.path.exists(out) else os.path.dirname(out) or "."
+    if out is not None and (os.path.isdir(out) or not os.access(target, os.W_OK)):
+        raise ProblemFileError(f"{out}: cannot write a file there")
+    return out
+
+
 def _parse_dims(dims: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in dims.split(","))
@@ -329,9 +337,6 @@ def _parse_dims(dims: str) -> tuple[int, ...]:
 @click.group()
 def main():
     """Polynomial variational inequality solver."""
-    # one BLAS thread for the many small calls of the IPM, and the counts
-    # from before for its large factorizations (the `blas` module says why)
-    click.get_current_context().with_resource(one_blas_thread())
 
 
 @main.command("solve")
@@ -341,7 +346,7 @@ def main():
 @click.option("--max-loops", default=None)
 @click.option("--max-order-extra", default=None, help="Relaxation orders past d0.")
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_out_path)
 def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     """Solve the problem in FILE; exit 0 solved/certified, 2 inconclusive."""
     problem, opts = load_problem(file)
@@ -386,7 +391,6 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
         )
         ok = res.status in (SOLUTION, NO_SOLUTION)
     report["blas_threads"] = blas_threads()
-    report["factor_threads"] = factor_threads()
     report["time"] = time.perf_counter() - t0
     _emit(report, as_json, out)
     sys.exit(0 if ok else 2)
@@ -423,7 +427,6 @@ def cmd_verify(file, point, as_json):
         "verdict": "accepted" if accepted else "rejected",
         "via": res.via,
         "blas_threads": blas_threads(),
-        "factor_threads": factor_threads(),
         "time": time.perf_counter() - t0,
     }
 
@@ -457,7 +460,6 @@ def cmd_bound(file, as_json):
         "subsets": [{"active": list(r["active"]), "bound": r["bound"]} for r in rows],
         "total": total,
         "blas_threads": blas_threads(),
-        "factor_threads": factor_threads(),
     }
 
     def render(rep):
@@ -476,7 +478,7 @@ def cmd_bound(file, as_json):
 @click.option("--dims", required=True, help="N, or N1,N2 for the capital family.")
 @click.option("--degree", default="2", help="Field degree (ball family).")
 @click.option("--seed", default=None)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=click.Path(), default=None, callback=_out_path)
 def cmd_gen_random(family, dims, degree, seed, out):
     """Generate a random problem file from a named family."""
     dim_tuple = _parse_dims(dims)
@@ -528,7 +530,6 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
         "mean_time": (sum(r["time"] for r in runs) / count) if count else None,
         "runs": runs,
         "blas_threads": blas_threads(),
-        "factor_threads": factor_threads(),
     }
 
     def render(rep):

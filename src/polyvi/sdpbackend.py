@@ -65,8 +65,7 @@ Per iteration the method
      Kojima, Parallel Comput. 29, 2003).  The split bounds every block's
      chunks on both paths, so each column sums the same products in the
      same order and H is bitwise the same on one thread or two.  W^T W and
-     the per-block work stay on the one thread the command line sets
-     (`blas`),
+     the per-block work stay on the one thread `solve` sets (`blas`),
   3. takes an affine scaling step to pick the centering weight sigma, then a
      combined corrected step damped to 99% of the distance to the boundary.
 
@@ -114,7 +113,6 @@ through an alignment-dependent BLAS path.
 
 from __future__ import annotations
 
-import contextlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -122,7 +120,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .blas import all_blas_threads, factor_threads
+from .blas import all_blas_threads, blas_threads, one_blas_thread
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -392,7 +390,7 @@ def _trtrs(r_mat: np.ndarray, rhs: np.ndarray, trans: int) -> np.ndarray:
 class ReferenceIpm:
     """State for one solve; not reusable across problems."""
 
-    def __init__(self, problem: SdpProblem, max_iters: int):
+    def __init__(self, problem: SdpProblem, max_iters: int, pinned: tuple = ()):
         self.max_iters = max_iters
         self.m = problem.num_vars
         self.c_orig = problem.c.copy()
@@ -410,11 +408,15 @@ class ReferenceIpm:
             span = slice(self.offsets[b], self.offsets[b + 1])
             ent = slice(ends[b], ends[b + 1])
             self.cones.append(_Cone(size, span, rows[ent], cols[ent], var[ent], val[ent]))
-        # from _PARALLEL_M on, the columns [split, m) of H may be assembled
-        # on a helper thread (`_schur`); the split halves the estimated work,
-        # and it bounds every cone's ranges whether or not the helper runs
-        self.split = self.m
+        # from _PARALLEL_M on, `_factor` raises the libraries `pinned` (as
+        # `blas.one_blas_thread` yields them) for H and W, and a helper thread
+        # assembles the columns [split, m) of H (`_schur`) when their counts,
+        # or without a pin the current ones, exceed one; the split halves the
+        # estimated work, and it bounds every cone's ranges either way
+        self.split, self._factor_pin, self._helper = self.m, (), False
         if self.m >= _PARALLEL_M:
+            counts = [c for *_, c in pinned] if pinned else blas_threads().values()
+            self._factor_pin, self._helper = pinned, max(counts, default=1) > 1
             work = np.zeros(self.m)
             for cone in self.cones:
                 work[: len(cone.counts)] += cone.work()
@@ -588,9 +590,9 @@ class ReferenceIpm:
         of H, and returned as the transpose of the buffer: a Fortran-ordered
         view.  It is valid only until the next `_schur` or `_factor` call,
         which overwrite the buffer.  Without states (the starting point) H is
-        G^T G, scattered from the sparse product.  With a split and more
-        than one factorization thread, a helper thread assembles the rows
-        from the split on while this one assembles those before it.
+        G^T G, scattered from the sparse product.  With `_helper` set, a
+        helper thread assembles the rows from the split on while this one
+        assembles those before it.
         """
         h_rows = self._h_rows
         if states is None:
@@ -598,7 +600,7 @@ class ReferenceIpm:
             gtg = (self.GT @ self.G).tocoo()
             h_rows[gtg.col, gtg.row] = gtg.data
             return h_rows.T
-        if self.split == self.m or max(factor_threads().values(), default=1) < 2:
+        if not self._helper:
             self._assemble(states, 0, self.m)
             return h_rows.T
         with ThreadPoolExecutor(1, thread_name_prefix="polyvi-schur") as pool:
@@ -647,12 +649,11 @@ class ReferenceIpm:
         self._w = self._schur_chol = None
         h_mat = self._schur(states)
         m = self.m
-        threads = all_blas_threads if m >= _PARALLEL_M else contextlib.nullcontext
         # static regularization; iterative refinement absorbs the bias
         diag = np.arange(m)
         h_mat[diag, diag] += 1e-10 * max(1.0, float(np.trace(h_mat)) / m)
         # H = R^T R from its upper triangle, then W, in one thread window
-        with threads():
+        with all_blas_threads(self._factor_pin):
             self._hchol = _potrf(h_mat, lower=False, overwrite=True)
             if self._hchol is None:
                 return False
@@ -889,8 +890,10 @@ def solve(problem: SdpProblem, max_iters: int = 200) -> SdpResult:
     `solve(build_relaxation(...))`, keeps no reference of its own on CPython
     3.11 and later, so its dense equality rows and block triplets are freed
     before the first Schur assembly rather than held through every one.
+    Setup and iterations run under the thread rule of the `blas` module.
     """
-    ipm = ReferenceIpm(problem, max_iters)
-    del problem
-    return ipm.run()
+    with one_blas_thread() as pinned:
+        ipm = ReferenceIpm(problem, max_iters, pinned)
+        del problem
+        return ipm.run()
 

@@ -1,17 +1,6 @@
 import pytest
 
-from polyvi import cli
 from polyvi import sdpbackend as sb
-
-
-@pytest.fixture(scope="session", autouse=True)
-def one_blas_thread():
-    """Run the suite on one BLAS thread, as every polyvi command does.
-
-    A thread variable set in the environment wins here as it does there.
-    """
-    with cli.one_blas_thread():
-        yield
 
 
 @pytest.fixture()

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from polyvi import blas, cli, vipsolver
+from polyvi import sdpbackend as sb
 from polyvi.polycore import Polynomial
 from polyvi.vipsolver import SolveOutcome
 
@@ -570,6 +571,20 @@ def test_bad_input_raises_problem_file_error_in_process(tmp_path, argv):
     assert info.value.exit_code == 1
 
 
+@pytest.mark.parametrize("command", [("solve", "{file}"), ("gen-random", "ball", "--dims", "2")])
+@pytest.mark.parametrize("out", ["{dir}/missing/x.json", "{dir}"], ids=["missing-dir", "dir"])
+def test_unwritable_out_exits_1_before_any_work(monkeypatch, tmp_path, tiny_file, command, out):
+    def no_work(*args):
+        raise AssertionError("work done before --out was checked")
+
+    monkeypatch.setattr(cli, "solve_one", no_work)
+    monkeypatch.setattr(cli, "generate", no_work)
+    out = out.format(dir=tmp_path)
+    result = invoke(*(a.format(file=tiny_file) for a in command), "--out", out)
+    assert result.exit_code == 1
+    assert result.output == f"error: {out}: cannot write a file there\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -667,45 +682,48 @@ def two_blas_threads(monkeypatch):
         put(count)
 
 
-def _spy_on_solve_one(monkeypatch):
+def _spy_on_sdp_solves(monkeypatch, fail=False):
+    """The thread counts each sb.solve of a command iterates at; with fail,
+    the first solve raises there."""
     seen = []
-    solve_one = cli.solve_one
+    run = sb.ReferenceIpm.run
 
-    def spy(problem, opts):
+    def spy(self):
         seen.append(cli.blas_threads())
-        return solve_one(problem, opts)
+        if fail:
+            raise IndexError("index 7 is out of bounds")
+        return run(self)
 
-    monkeypatch.setattr(cli, "solve_one", spy)
+    monkeypatch.setattr(sb.ReferenceIpm, "run", spy)
     return seen
 
 
 def test_commands_run_on_one_blas_thread(monkeypatch, two_blas_threads, tiny_file):
-    seen = _spy_on_solve_one(monkeypatch)
+    # every sb.solve pins, and the command leaves the counts as they were
+    seen = _spy_on_sdp_solves(monkeypatch)
     before = cli.blas_threads()
     assert set(before.values()) == {2}
     assert invoke("solve", tiny_file).exit_code == 0
-    assert seen == [{name: 1 for name in before}]
+    assert seen and all(counts == {name: 1 for name in before} for counts in seen)
     assert cli.blas_threads() == before
 
 
 @pytest.mark.parametrize("var", blas._THREAD_VARIABLES)
 def test_thread_variable_leaves_counts_alone(monkeypatch, two_blas_threads, tiny_file, var):
     monkeypatch.setenv(var, "2")
-    seen = _spy_on_solve_one(monkeypatch)
+    seen = _spy_on_sdp_solves(monkeypatch)
     before = cli.blas_threads()
     assert invoke("solve", tiny_file).exit_code == 0
-    assert seen == [before]
+    assert seen and all(counts == before for counts in seen)
     assert cli.blas_threads() == before
 
 
 def test_counts_restored_when_command_raises(monkeypatch, two_blas_threads):
-    def broken(problem, opts):
-        raise IndexError("index 7 is out of bounds")
-
-    monkeypatch.setattr(cli, "solve_one", broken)
+    seen = _spy_on_sdp_solves(monkeypatch, fail=True)
     before = cli.blas_threads()
     with pytest.raises(IndexError):
         invoke("batch", "ball", "--dims", "1", "--count", "1", "--seed", "0")
+    assert seen == [{name: 1 for name in before}]
     assert cli.blas_threads() == before
 
 
@@ -719,25 +737,10 @@ _REPORTING_COMMANDS = [
 
 @pytest.mark.parametrize("argv", _REPORTING_COMMANDS)
 def test_json_report_records_blas_threads(two_blas_threads, tiny_file, argv):
+    # the counts between solves, which the large factorizations run at
     result = invoke(*(arg.format(file=tiny_file) for arg in argv))
     report = json.loads(result.output)
-    assert report["blas_threads"] == {name: 1 for name in cli.blas_threads()}
-
-
-@pytest.mark.parametrize("argv", _REPORTING_COMMANDS)
-def test_json_report_records_factor_threads(two_blas_threads, tiny_file, argv):
-    # the large factorizations run at the counts from before the pin
-    result = invoke(*(arg.format(file=tiny_file) for arg in argv))
-    report = json.loads(result.output)
-    assert report["factor_threads"] == {name: 2 for name in cli.blas_threads()}
-
-
-def test_factor_threads_with_a_thread_variable_are_the_counts_in_use(
-    monkeypatch, two_blas_threads, tiny_file
-):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    report = json.loads(invoke("solve", tiny_file, "--json").output)
-    assert report["factor_threads"] == report["blas_threads"] == cli.blas_threads()
+    assert report["blas_threads"] == {name: 2 for name in cli.blas_threads()}
 
 
 def test_perfbench_selftest():

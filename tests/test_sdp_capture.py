@@ -140,8 +140,8 @@ def test_a_key_only_in_the_second_capture_is_a_difference(tmp_path):
 
 def test_thread_counts_are_printed_not_compared(tmp_path):
     code, out = _compare(
-        tmp_path, _changed(lambda r: r.update(threads={"factor_threads": {"lib.so": 2}}))
+        tmp_path, _changed(lambda r: r.update(threads={"blas_threads": {"lib.so": 2}}))
     )
     assert code == 0
     assert "no thread counts recorded" in out
-    assert 'factor_threads {"lib.so": 2}' in out
+    assert 'blas_threads {"lib.so": 2}' in out

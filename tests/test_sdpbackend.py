@@ -471,9 +471,9 @@ def test_cones_hold_no_gather_index_per_width():
     assert sum(held.values()) <= 4 * triplets
 
 
-def _schur_on_threads(monkeypatch, ipm, states, count):
-    """H with the factorization on `count` threads, and the set of threads
-    that assembled it."""
+def _schur_on_threads(monkeypatch, prob, states, count):
+    """H of an IPM set up under the pin of libraries on `count` threads, and
+    the set of threads that assembled it."""
     threads, assemble = set(), sb.ReferenceIpm._assemble
 
     def recording(self, *args):
@@ -483,8 +483,8 @@ def _schur_on_threads(monkeypatch, ipm, states, count):
     with monkeypatch.context() as patch:
         fake = _FakeBlas(patch, count)
         patch.setattr(sb.ReferenceIpm, "_assemble", recording)
-        with blas.one_blas_thread():
-            h = ipm._schur(states).copy()
+        with blas.one_blas_thread() as pinned:
+            h = sb.ReferenceIpm(prob, 200, pinned)._schur(states).copy()
         assert set(fake.counts.values()) == {count}
     return h, threads
 
@@ -504,8 +504,8 @@ def test_two_thread_schur_is_bitwise_the_one_thread_schur(monkeypatch, which):
         if len(cone.counts) > ipm.split:
             assert ipm.split in {start for start, *_ in cone.chunks}
     states = _random_states(ipm, np.random.default_rng(3))
-    one, one_threads = _schur_on_threads(monkeypatch, ipm, states, 1)
-    two, two_threads = _schur_on_threads(monkeypatch, ipm, states, 2)
+    one, one_threads = _schur_on_threads(monkeypatch, prob, states, 1)
+    two, two_threads = _schur_on_threads(monkeypatch, prob, states, 2)
     assert len(one_threads) == 1 and len(two_threads) == 2
     assert np.array_equal(one, two)
 
@@ -514,9 +514,10 @@ def test_two_thread_schur_is_bitwise_the_one_thread_schur(monkeypatch, which):
 def test_a_raising_chunk_reraises_and_leaves_no_thread(monkeypatch, part):
     _FakeBlas(monkeypatch, 2)
     monkeypatch.setattr(sb, "_PARALLEL_M", 20)
-    ipm = sb.ReferenceIpm(schur_problems()[2], 200)
+    with blas.one_blas_thread() as pinned:
+        ipm = sb.ReferenceIpm(schur_problems()[2], 200, pinned)
     states = _random_states(ipm, np.random.default_rng(3))
-    assert 0 < ipm.split < ipm.m
+    assert 0 < ipm.split < ipm.m and ipm._helper
     assemble = sb.ReferenceIpm._assemble
 
     def broken(self, states, lo, hi):
@@ -579,9 +580,9 @@ def test_solve_holds_no_stale_equality_data(monkeypatch):
     refs, dead_at_run = [], []
     init, run = sb.ReferenceIpm.__init__, sb.ReferenceIpm.run
 
-    def recording_init(self, problem, max_iters):
+    def recording_init(self, problem, *args):
         refs.append(weakref.ref(problem))
-        init(self, problem, max_iters)
+        init(self, problem, *args)
 
     def checking_run(self):
         dead_at_run.append(refs[0]() is None)
@@ -808,10 +809,7 @@ def test_large_factorizations_run_on_the_counts_from_before_the_pin(monkeypatch)
     prob = schur_problems()[0]
     monkeypatch.setattr(sb, "_PARALLEL_M", 15)
     calls = _spy_on_lapack(monkeypatch, fake)
-    with blas.one_blas_thread():
-        assert blas.factor_threads() == {"liba.so": 2, "libb.so": 2}
-        res = sb.solve(prob)
-        assert set(fake.counts.values()) == {1}
+    res = sb.solve(prob)
     assert res.status == sb.OPTIMAL and set(fake.counts.values()) == {2}
     m = 15
     factors = [c for c in calls if c[:2] == ("_potrf", (m, m))]
@@ -821,48 +819,72 @@ def test_large_factorizations_run_on_the_counts_from_before_the_pin(monkeypatch)
     assert factors and len(factors) == len(products) == res.iterations
     for name, shape, counts in calls:
         assert counts == ({2} if (name, shape) in {f[:2] for f in factors + products} else {1})
-    # one raise and one return to one thread per _factor, after the pin
-    assert fake.sets[:2] == [("liba.so", 1), ("libb.so", 1)]
-    per_factor = [("liba.so", 2), ("libb.so", 2), ("liba.so", 1), ("libb.so", 1)]
-    assert fake.sets[2:-2] == per_factor * res.iterations
+    # the solve's pin, one raise and one return to one thread per _factor,
+    # and the restore
+    pin, restore = [("liba.so", 1), ("libb.so", 1)], [("liba.so", 2), ("libb.so", 2)]
+    assert fake.sets == pin + (restore + pin) * res.iterations + restore
 
 
 def test_small_factorizations_change_no_count(monkeypatch):
     fake = _FakeBlas(monkeypatch, 2)
-    with blas.one_blas_thread():
-        assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
-    # the pin and its restore
+    assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
+    # the solve's pin and its restore
     assert fake.sets == [("liba.so", 1), ("libb.so", 1), ("liba.so", 2), ("libb.so", 2)]
 
 
 def test_thread_variable_or_no_pin_means_no_count_changes(monkeypatch):
     fake = _FakeBlas(monkeypatch, 2)
     monkeypatch.setattr(sb, "_PARALLEL_M", 1)
-    # a library caller that never pins
-    monkeypatch.setattr(blas, "_pinned", ())
-    assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
+    # an IPM set up without a pin assembles at the counts in use
+    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
+    assert ipm._helper and ipm.run().status == sb.OPTIMAL
+    # with a thread variable set, the solve's pin pins nothing
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    with blas.one_blas_thread():
-        assert blas.factor_threads() == {"liba.so": 2, "libb.so": 2}
-        assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
+    with blas.one_blas_thread() as pinned:
+        assert pinned == ()
+    assert sb.solve(schur_problems()[0]).status == sb.OPTIMAL
     assert fake.sets == []
 
 
 def test_counts_return_to_one_when_the_factorization_raises(monkeypatch):
     fake = _FakeBlas(monkeypatch, 2)
     monkeypatch.setattr(sb, "_PARALLEL_M", 1)
-    ipm = sb.ReferenceIpm(schur_problems()[0], 200)
-    states = _random_states(ipm, np.random.default_rng(4))
 
     def broken(mat, lower, overwrite=False):
         assert set(fake.counts.values()) == {2}
         raise MemoryError
 
-    monkeypatch.setattr(sb, "_potrf", broken)
-    with blas.one_blas_thread():
+    with blas.one_blas_thread() as pinned:
+        ipm = sb.ReferenceIpm(schur_problems()[0], 200, pinned)
+        states = _random_states(ipm, np.random.default_rng(4))
+        monkeypatch.setattr(sb, "_potrf", broken)
         with pytest.raises(MemoryError):
             ipm._factor(states)
         assert set(fake.counts.values()) == {1}
+    assert set(fake.counts.values()) == {2}
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_a_library_solve_runs_its_ipm_on_one_thread(monkeypatch, raises):
+    # solve_one called without the command line, as a library caller does:
+    # every solve pins its iterations, and the counts are back afterwards
+    fake = _FakeBlas(monkeypatch, 2)
+    seen, scalings = [], sb.ReferenceIpm._nt_scalings
+
+    def recording(self, *args):
+        seen.append(set(fake.counts.values()))
+        if raises and len(seen) == 3:
+            raise FloatingPointError("in the IPM")
+        return scalings(self, *args)
+
+    monkeypatch.setattr(sb.ReferenceIpm, "_nt_scalings", recording)
+    problem, opts = parse_problem(generate("ball", (2,), 2, 0), "ball")
+    if raises:
+        with pytest.raises(FloatingPointError):
+            solve_one(problem, opts)
+    else:
+        solve_one(problem, opts)
+    assert len(seen) >= 3 and all(counts == {1} for counts in seen)
     assert set(fake.counts.values()) == {2}
 
 

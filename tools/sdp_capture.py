@@ -4,9 +4,9 @@
     python3 tools/sdp_capture.py --compare A.json B.json
 
 A capture runs polyvi from the `src` tree next to this file, in this process,
-through `cli.main`, so under the command line's own thread rule: one OpenBLAS
-thread, and the process's counts for the Cholesky of H and W of each SDP
-with m >= `sdpbackend._PARALLEL_M` (the `polyvi.blas` module).  The command
+through `cli.main`, so under the thread rule of `sdpbackend.solve`: one
+OpenBLAS thread in each SDP, and the process's counts for the Cholesky of H
+and W of one with m >= `sdpbackend._PARALLEL_M` (`polyvi.blas`).  The command
 lines are those of the four benchmark workloads (`perfbench/workloads.py`); each
 `--fixture NAME` adds `solve --all` on `fixtures/NAME.json`, and each
 `--solve NAME` adds `solve` without `--all` on it, for a fixture whose
@@ -20,8 +20,7 @@ so that a changed certificate, which carries no y, shows too; for each
 command line, its exit code (1 for bad input, such as a fixture that fails
 to parse), its --json report without `file` and without any `time` entry
 (null when the command wrote none), and apart from the report the thread
-counts it recorded (`blas_threads`, and `factor_threads` where polyvi
-reports it).
+counts it recorded (`blas_threads`, the counts between SDP solves).
 
 `--compare` prints every difference between two captures; under the
 differences of each SDP, an indented line says whether its status, exit and
@@ -64,7 +63,7 @@ from polyvi import cli, sdpbackend  # noqa: E402
 
 
 # the report entries that record thread counts, kept apart from the report
-THREAD_KEYS = ("blas_threads", "factor_threads")
+THREAD_KEYS = ("blas_threads",)
 
 
 def run_cli(argv: list[str]) -> int:
