@@ -12,14 +12,16 @@ Problem file schema (JSON):
       "options": {"seed": 3, "max_loops": 10, "k_max_extra": 4}   # optional
     }
 
-Each option is an integer: seed >= 0, max_loops >= 1, k_max_extra >= 0, in
-the file, on the command line and in POLYVI_SEED alike.  A seed comes from
---seed, else the file's options.seed, else POLYVI_SEED, else 0.
+The lme kind is one of the six catalog names of `lme`.  Each option is an
+integer: seed >= 0, max_loops >= 1, k_max_extra >= 0, in the file and on the
+command line alike.  A seed comes from --seed, else the file's options.seed,
+else 0.
 
 Exit codes: 0 solved / certified / accepted, 2 inconclusive or rejected, 1
-bad input (one `error:` line): a value in a problem file, a flag, POLYVI_SEED,
---point, --dims, an unwritable --out (refused before any work), or a file
-`bound` cannot count.  A usage error that click reports itself exits 2.
+bad input (one `error:` line): a value in a problem file, a flag, --point,
+--dims, an unwritable --out, or a file `bound` cannot count.  Flags and --out
+are checked as click parses them, before the problem file is read or any work
+is done.  A usage error that click reports itself exits 2.
 """
 
 import dataclasses
@@ -50,7 +52,7 @@ from .vipsolver import (
 
 
 class ProblemFileError(click.ClickException):
-    """Bad input (a file, flag, POLYVI_SEED or point): `error: <message>`, exit 1."""
+    """Bad input (a file, flag or point): `error: <message>`, exit 1."""
 
     def show(self, file=None):
         click.echo(f"error: {self.message}", file=file, err=True)
@@ -58,8 +60,6 @@ class ProblemFileError(click.ClickException):
 
 # the least value of each field of SolverOptions, all of them integers
 _OPTION_MIN = {"seed": 0, "max_loops": 1, "k_max_extra": 0}
-# ... and of every integer flag
-_FLAG_MIN = {**_OPTION_MIN, "count": 0, "degree": 0}
 
 
 def _poly_from_json(n, data, where):
@@ -69,33 +69,30 @@ def _poly_from_json(n, data, where):
         raise ProblemFileError(str(exc))
 
 
-def _check_option(label: str, name: str, value) -> int:
-    """value when it is an integer (not a bool) of at least _FLAG_MIN[name]."""
+def _check_int(label: str, value, least: int) -> int:
+    """value when it is an integer (not a bool) of at least `least`."""
     if not is_int(value):
         raise ProblemFileError(f"{label} must be an integer, got {value!r}")
-    if value < _FLAG_MIN[name]:
-        raise ProblemFileError(f"{label} must be >= {_FLAG_MIN[name]}, got {value}")
+    if value < least:
+        raise ProblemFileError(f"{label} must be >= {least}, got {value}")
     return value
 
 
-def _int_flag(label: str, name: str, text: str) -> int:
-    """The integer a flag or variable spells out, checked like every option."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ProblemFileError(f"{label} must be an integer, got {text!r}")
-    return _check_option(label, name, value)
+class AtLeast(click.ParamType):
+    """An integer flag of at least `least`, checked like a file's options."""
 
+    name = "integer"
 
-def _seed_option(text: str | None) -> int:
-    """text (a --seed flag), else POLYVI_SEED, else 0; checked like every option."""
-    label = "--seed"
-    if text is None:
-        text = os.environ.get("POLYVI_SEED")
-        if not text:
-            return 0
-        label = "POLYVI_SEED"
-    return _int_flag(label, "seed", text)
+    def __init__(self, least: int):
+        self.least = least
+
+    def convert(self, value, param, ctx) -> int:
+        label = param.opts[0]
+        try:
+            number = int(value)
+        except ValueError:
+            raise ProblemFileError(f"{label} must be an integer, got {value!r}")
+        return _check_int(label, number, self.least)
 
 
 def parse_problem(data: dict, source: str = "<data>"):
@@ -137,11 +134,9 @@ def parse_problem(data: dict, source: str = "<data>"):
     if unknown:
         raise ProblemFileError(f"{source}: unknown options {sorted(unknown)}")
     opts = {
-        name: _check_option(f"{source}: options.{name}", name, value)
+        name: _check_int(f"{source}: options.{name}", value, _OPTION_MIN[name])
         for name, value in opts_data.items()
     }
-    if "seed" not in opts:
-        opts["seed"] = _seed_option(None)
     return problem, SolverOptions(**opts)
 
 
@@ -318,8 +313,10 @@ def _emit(report: dict, as_json: bool, out: str | None, render=_render_solutions
 
 def _out_path(ctx, param, out: str | None) -> str | None:
     """--out, refused when no file can be written there."""
-    target = out if out is None or os.path.exists(out) else os.path.dirname(out) or "."
-    if out is not None and (os.path.isdir(out) or not os.access(target, os.W_OK)):
+    if out is None:
+        return None
+    target = out if os.path.exists(out) else os.path.dirname(out) or "."
+    if not out or os.path.isdir(out) or not os.access(target, os.W_OK):
         raise ProblemFileError(f"{out}: cannot write a file there")
     return out
 
@@ -342,25 +339,16 @@ def main():
 @main.command("solve")
 @click.argument("file", type=click.Path())
 @click.option("--all", "mode_all", is_flag=True, help="Enumerate the full solution set.")
-@click.option("--seed", default=None, help="Objective seed (POLYVI_SEED fallback).")
-@click.option("--max-loops", default=None)
-@click.option("--max-order-extra", default=None, help="Relaxation orders past d0.")
+@click.option("--seed", type=AtLeast(0), help="Objective seed (else the file's, else 0).")
+@click.option("--max-loops", type=AtLeast(1))
+@click.option("--max-order-extra", type=AtLeast(0), help="Relaxation orders past d0.")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--out", type=click.Path(), default=None, callback=_out_path)
 def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     """Solve the problem in FILE; exit 0 solved/certified, 2 inconclusive."""
     problem, opts = load_problem(file)
-    flags = (
-        ("--seed", "seed", seed),
-        ("--max-loops", "max_loops", max_loops),
-        ("--max-order-extra", "k_max_extra", max_order_extra),
-    )
-    chosen = {
-        name: _int_flag(label, name, text)
-        for label, name, text in flags
-        if text is not None
-    }
-    opts = dataclasses.replace(opts, **chosen)
+    flags = {"seed": seed, "max_loops": max_loops, "k_max_extra": max_order_extra}
+    opts = dataclasses.replace(opts, **{k: v for k, v in flags.items() if v is not None})
     t0 = time.perf_counter()
     report = {"command": "solve", "file": file, "mode": "all" if mode_all else "one"}
     if mode_all:
@@ -476,14 +464,13 @@ def cmd_bound(file, as_json):
 @main.command("gen-random")
 @click.argument("family", type=click.Choice(FAMILIES))
 @click.option("--dims", required=True, help="N, or N1,N2 for the capital family.")
-@click.option("--degree", default="2", help="Field degree (ball family).")
-@click.option("--seed", default=None)
+@click.option("--degree", type=AtLeast(0), default=2, help="Field degree (ball family).")
+@click.option("--seed", type=AtLeast(0), default=0)
 @click.option("--out", type=click.Path(), default=None, callback=_out_path)
 def cmd_gen_random(family, dims, degree, seed, out):
     """Generate a random problem file from a named family."""
     dim_tuple = _parse_dims(dims)
-    degree = _int_flag("--degree", "degree", degree)
-    data = generate(family, dim_tuple, degree, _seed_option(seed))
+    data = generate(family, dim_tuple, degree, seed)
     parse_problem(data, source=f"generated {family}")  # self check
     _emit(data, True, out)
 
@@ -491,19 +478,16 @@ def cmd_gen_random(family, dims, degree, seed, out):
 @main.command("batch")
 @click.argument("family", type=click.Choice(FAMILIES))
 @click.option("--dims", required=True)
-@click.option("--count", default="10")
-@click.option("--degree", default="2")
-@click.option("--seed", default=None)
+@click.option("--count", type=AtLeast(0), default=10)
+@click.option("--degree", type=AtLeast(0), default=2)
+@click.option("--seed", type=AtLeast(0), default=0)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_batch(family, dims, count, degree, seed, as_json):
     """Solve COUNT random instances; report the success rate and mean time."""
     dim_tuple = _parse_dims(dims)
-    count = _int_flag("--count", "count", count)
-    degree = _int_flag("--degree", "degree", degree)
-    seed0 = _seed_option(seed)
     runs = []
     for i in range(count):
-        s = seed0 + i
+        s = seed + i
         data = generate(family, dim_tuple, degree, s)
         problem, _ = parse_problem(data, source=f"instance {i}")
         t0 = time.perf_counter()

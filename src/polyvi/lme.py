@@ -51,6 +51,10 @@ RING = "ring"
 QUADRIC_LINEAR = "quadric_with_linear"
 ORTHANT_PRODUCT = "orthant_with_product"
 SOC_QUADRIC = "soc_quadric"
+# the names a problem file's {"kind": ...} may give, spelled exactly so
+KINDS = (ORTHANT, BALL, RING, QUADRIC_LINEAR, ORTHANT_PRODUCT, SOC_QUADRIC)
+# the keys of the forms of a problem file's lme object
+_LME_FORMS = ({"kind"}, {"L"}, {"lambdas"}, {"lambdas", "denoms"})
 
 
 class UnknownKind(ValueError):
@@ -118,24 +122,6 @@ def _quadratic_form_matrix(p: Polynomial) -> np.ndarray:
 # -- catalog ----------------------------------------------------------------
 
 
-def normalize_kind(kind: str) -> str:
-    key = "".join(ch for ch in kind.lower() if ch.isalnum())
-    table = {
-        "orthant": ORTHANT,
-        "ball": BALL,
-        "ring": RING,
-        "quadricwithlinear": QUADRIC_LINEAR,
-        "quadriclinear": QUADRIC_LINEAR,
-        "orthantwithproduct": ORTHANT_PRODUCT,
-        "orthantproduct": ORTHANT_PRODUCT,
-        "socquadric": SOC_QUADRIC,
-        "soc": SOC_QUADRIC,
-    }
-    if key not in table:
-        raise UnknownKind(f"no multiplier template named {kind!r}")
-    return table[key]
-
-
 def _require(cond: bool, msg: str):
     if not cond:
         raise TemplateMismatch(msg)
@@ -154,7 +140,6 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
 
     Every template infers what it needs from the constraints themselves.
     """
-    kind = normalize_kind(kind)
     n, m = cs.n, cs.m
     zero = Polynomial.zero(n)
 
@@ -243,7 +228,7 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
             )
         return tuple(rows)
 
-    raise UnknownKind(f"{kind} has no L-matrix template; its multipliers come from soc_lme")
+    raise UnknownKind(f"no L-matrix template named {kind!r}; soc_quadric's comes from soc_lme")
 
 
 def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
@@ -298,16 +283,24 @@ def _json_list(value, where: str, length: int, what: str) -> list:
 
 
 def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
-    """The multipliers of a problem-file `lme` object: {kind}, {L}, or {lambdas, denoms}.
+    """The multipliers of a problem-file `lme` object: {kind}, {L}, {lambdas}
+    or {lambdas, denoms}.
 
-    A kind that is not a string, a list of another length or a bad term
-    raises a ValueError that names its place, such as `L[0][1], term 0`.
+    Other keys, a kind that is not one of KINDS, a list of another length or
+    a bad term raise a ValueError that names its place, such as
+    `L[0][1], term 0`.
     """
     n, m = cs.n, cs.m
+    if set(data) not in _LME_FORMS:
+        raise ValueError(
+            f"keys must be {{kind}}, {{L}}, {{lambdas}} or {{lambdas, denoms}}, got {sorted(data)}"
+        )
     if "kind" in data:
-        if not isinstance(data["kind"], str):
-            raise ValueError(f"kind must be a string, got {data['kind']!r}")
-        kind = normalize_kind(data["kind"])
+        kind = data["kind"]
+        if not isinstance(kind, str):
+            raise ValueError(f"kind must be a string, got {kind!r}")
+        if kind not in KINDS:
+            raise UnknownKind(f"no multiplier template {kind!r}; choose from {', '.join(KINDS)}")
         if kind == SOC_QUADRIC:
             return soc_lme(F, cs)
         rewrite = "orthant_product" if kind == ORTHANT_PRODUCT else None
@@ -322,18 +315,16 @@ def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -
         if not verify_lme(rows, cs):
             raise TemplateMismatch("supplied L matrix is not an exact left inverse")
         return LmeSet(lambdas(rows, F))
-    if "lambdas" in data:
-        items = _json_list(data["lambdas"], "lambdas", m, f"m={m} entries")
-        lams = tuple(Polynomial.from_json(n, p, f"lambdas[{i}]") for i, p in enumerate(items))
-        denoms = None
-        if data.get("denoms") is not None:
-            items = _json_list(data["denoms"], "denoms", m, f"m={m} entries")
-            denoms = tuple(
-                None if p is None else Polynomial.from_json(n, p, f"denoms[{i}]")
-                for i, p in enumerate(items)
-            )
-        return LmeSet(lams, denoms)
-    raise ValueError("lme object needs one of: kind, L, lambdas")
+    items = _json_list(data["lambdas"], "lambdas", m, f"m={m} entries")
+    lams = tuple(Polynomial.from_json(n, p, f"lambdas[{i}]") for i, p in enumerate(items))
+    denoms = None
+    if data.get("denoms") is not None:
+        items = _json_list(data["denoms"], "denoms", m, f"m={m} entries")
+        denoms = tuple(
+            None if p is None else Polynomial.from_json(n, p, f"denoms[{i}]")
+            for i, p in enumerate(items)
+        )
+    return LmeSet(lams, denoms)
 
 
 # -- KKT variety assembly ------------------------------------------------------

@@ -83,6 +83,10 @@ def test_parse_rejects_malformed():
 T0 = "F[0], term 0: "
 # one well-formed lambda for the m=1 projection problem
 LAM = [[{"coef": 1.0, "exp": [1, 0]}]]
+# the end of the message about a kind that is not one of the six names
+KINDS = "choose from orthant, ball, ring, quadric_with_linear, orthant_with_product, soc_quadric"
+# the start of the message about an lme object whose keys name no one form
+FORMS = "lme: keys must be {kind}, {L}, {lambdas} or {lambdas, denoms}, got "
 
 
 @pytest.mark.parametrize(
@@ -135,6 +139,19 @@ LAM = [[{"coef": 1.0, "exp": [1, 0]}]]
         ),
         (None, "lme", {"lambdas": LAM, "denoms": []}, "lme: denoms must have m=1 entries, got 0"),
         (None, "lme", {"lambdas": LAM, "denoms": [5]}, "lme: denoms[0]: expected a list of terms"),
+        (None, "lme", {"kind": "Orthant"}, f"lme: no multiplier template 'Orthant'; {KINDS}"),
+        (None, "lme", {"kind": "soc"}, f"lme: no multiplier template 'soc'; {KINDS}"),
+        (
+            None,
+            "lme",
+            {"kind": "quadric-linear"},
+            f"lme: no multiplier template 'quadric-linear'; {KINDS}",
+        ),
+        (None, "lme", {"kind": "ball", "L": "junk"}, FORMS + "['L', 'kind']"),
+        (None, "lme", {"kind": "ball", "denoms": [None]}, FORMS + "['denoms', 'kind']"),
+        (None, "lme", {"kind": "ball", "lamdbas": 1}, FORMS + "['kind', 'lamdbas']"),
+        (None, "lme", {"L": [], "lambdas": LAM}, FORMS + "['L', 'lambdas']"),
+        (None, "lme", {}, FORMS + "[]"),
     ],
 )
 def test_malformed_problem_file_exits_1(tmp_path, poly, key, value, message):
@@ -270,24 +287,23 @@ def test_solve_invalid_json_exits_1(tmp_path):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize(
-    "file_seed,flags,env_seed,expected",
-    [
-        (0, (), "5", 0),
-        (3, (), "5", 3),
-        (None, (), "5", 5),
-        (3, ("--seed", "2"), "5", 2),
-        (None, (), None, 0),
-    ],
-)
-def test_solve_seed_precedence(monkeypatch, tmp_path, file_seed, flags, env_seed, expected):
-    # --seed, then the file's options.seed, then POLYVI_SEED, then 0
+# (the file's options.seed, the solve flags, the seed solve_one gets)
+SEED_CASES = [
+    (0, (), 0),
+    (3, (), 3),
+    (3, ("--seed", "2"), 2),
+    (None, ("--seed", "2"), 2),
+    (None, (), 0),
+]
+
+
+def _seed_solve_sees(monkeypatch, tmp_path, file_seed, flags, env=None):
+    """The seed that `solve` hands to solve_one."""
     data = projection_dict()
     if file_seed is not None:
         data["options"] = {"seed": file_seed}
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
-    monkeypatch.delenv("POLYVI_SEED", raising=False)
     seen = []
 
     def record(problem, opts):
@@ -295,25 +311,26 @@ def test_solve_seed_precedence(monkeypatch, tmp_path, file_seed, flags, env_seed
         return SolveOutcome("inconclusive")
 
     monkeypatch.setattr(cli, "solve_one", record)
-    env = {"POLYVI_SEED": env_seed} if env_seed is not None else None
     assert invoke("solve", str(path), *flags, env=env).exit_code == 2
-    assert seen == [expected]
+    return seen
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("solve", "{file}"),
-        ("verify", "{file}", "--point", "0.6,0.8"),
-        ("bound", "{file}"),
-        ("gen-random", "ball", "--dims", "2"),
-        ("batch", "ball", "--dims", "2", "--count", "1"),
-    ],
-)
-def test_non_integer_env_seed_exits_1(tiny_file, argv):
-    result = invoke(*(a.format(file=tiny_file) for a in argv), env={"POLYVI_SEED": "x"})
-    assert result.exit_code == 1
-    assert "POLYVI_SEED must be an integer, got 'x'" in result.output
+@pytest.mark.parametrize("file_seed,flags,expected", SEED_CASES)
+def test_solve_seed_precedence(monkeypatch, tmp_path, file_seed, flags, expected):
+    # --seed, then the file's options.seed, then 0
+    assert _seed_solve_sees(monkeypatch, tmp_path, file_seed, flags) == [expected]
+
+
+@pytest.mark.parametrize("value", ["7", "x"])
+def test_polyvi_seed_variable_is_not_read(monkeypatch, tmp_path, tiny_file, value):
+    # the seed has two sources, --seed and the file; the environment is not one
+    env = {"POLYVI_SEED": value}
+    for file_seed, flags, expected in SEED_CASES:
+        assert _seed_solve_sees(monkeypatch, tmp_path, file_seed, flags, env) == [expected]
+    assert invoke("bound", tiny_file, env=env).exit_code == 0
+    plain = invoke("gen-random", "ball", "--dims", "2")
+    with_env = invoke("gen-random", "ball", "--dims", "2", env=env)
+    assert with_env.exit_code == 0 and with_env.output == plain.output
 
 
 @pytest.mark.parametrize(
@@ -360,33 +377,13 @@ def test_bad_file_option_exits_1(tmp_path, options, message):
         (("batch", "ball", "--dims", "2", "--count", "-1"), "--count must be >= 0, got -1"),
         (("batch", "ball", "--dims", "2", "--degree", "-1"), "--degree must be >= 0, got -1"),
         (("gen-random", "ball", "--dims", "2", "--degree", "-1"), "--degree must be >= 0, got -1"),
+        # a flag is checked before the file is read
+        (("solve", "{file}.missing", "--seed", "x"), "--seed must be an integer, got 'x'"),
+        (("solve", "{file}.missing", "--max-loops", "0"), "--max-loops must be >= 1, got 0"),
     ],
 )
 def test_bad_option_flag_exits_1(tiny_file, argv, message):
     result = invoke(*(a.format(file=tiny_file) for a in argv))
-    assert result.exit_code == 1
-    assert result.output.startswith("error: ")
-    assert message in result.output
-
-
-@pytest.mark.parametrize(
-    "env_seed,message",
-    [
-        ("-2", "POLYVI_SEED must be >= 0, got -2"),
-        ("1.5", "POLYVI_SEED must be an integer, got '1.5'"),
-        ("true", "POLYVI_SEED must be an integer, got 'true'"),
-    ],
-)
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("solve", "{file}"),
-        ("gen-random", "ball", "--dims", "2"),
-        ("batch", "ball", "--dims", "2", "--count", "1"),
-    ],
-)
-def test_bad_env_seed_exits_1(tiny_file, argv, env_seed, message):
-    result = invoke(*(a.format(file=tiny_file) for a in argv), env={"POLYVI_SEED": env_seed})
     assert result.exit_code == 1
     assert result.output.startswith("error: ")
     assert message in result.output
@@ -508,13 +505,6 @@ def test_gen_random_is_deterministic(tmp_path):
     assert f1.read_bytes() != f2.read_bytes()
 
 
-def test_gen_random_env_seed(tmp_path):
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    invoke("gen-random", "ball", "--dims", "2", "--seed", "7", "--out", str(f1))
-    invoke("gen-random", "ball", "--dims", "2", "--out", str(f2), env={"POLYVI_SEED": "7"})
-    assert f1.read_bytes() == f2.read_bytes()
-
-
 @pytest.mark.parametrize(
     "family,dims,n",
     [("eig-linear", "3", 3), ("eig-soc", "3", 3), ("capital", "3,2", 5)],
@@ -572,7 +562,9 @@ def test_bad_input_raises_problem_file_error_in_process(tmp_path, argv):
 
 
 @pytest.mark.parametrize("command", [("solve", "{file}"), ("gen-random", "ball", "--dims", "2")])
-@pytest.mark.parametrize("out", ["{dir}/missing/x.json", "{dir}"], ids=["missing-dir", "dir"])
+@pytest.mark.parametrize(
+    "out", ["{dir}/missing/x.json", "{dir}", ""], ids=["missing-dir", "dir", "empty"]
+)
 def test_unwritable_out_exits_1_before_any_work(monkeypatch, tmp_path, tiny_file, command, out):
     def no_work(*args):
         raise AssertionError("work done before --out was checked")

@@ -18,7 +18,6 @@ from polyvi.lme import (
     build_kkt_sets,
     catalog_lme,
     lambdas,
-    normalize_kind,
     lme_from_spec,
     soc_lme,
     verify_lme,
@@ -167,8 +166,8 @@ def test_orthant_product_lambda_formulas():
 def test_unknown_kind_raises():
     with pytest.raises(UnknownKind):
         catalog_lme("moebius", orthant_cs(2))
-    with pytest.raises(UnknownKind):
-        normalize_kind("simplex")
+    with pytest.raises(UnknownKind, match="choose from orthant, ball, ring"):
+        lme_from_spec({"kind": "simplex"}, (var(2, 0), var(2, 1)), orthant_cs(2))
 
 
 def test_template_mismatch_raises():
@@ -370,7 +369,7 @@ def test_quadric_linear_multipliers_match_closed_form():
 def test_recipe_kind_roundtrip():
     cs = orthant_cs(3)
     F = tuple(var(3, i) - 1.0 for i in range(3))
-    lam = lme_from_spec({"kind": "Orthant"}, F, cs)
+    lam = lme_from_spec({"kind": "orthant"}, F, cs)
     assert lam.lambdas[1] == F[1]
     assert lam.denoms is None and lam.rewrite is None
 
@@ -389,10 +388,10 @@ def test_soc_kind_needs_the_upper_nappe():
     cs = soc_cs(B_QUAD)
     both = ConstraintSystem(cs.g[:2], (0,), (1,), 4)
     with pytest.raises(TemplateMismatch, match="x_n >= 0"):
-        lme_from_spec({"kind": "soc"}, tuple(var(4, i) for i in range(4)), both)
+        lme_from_spec({"kind": "soc_quadric"}, tuple(var(4, i) for i in range(4)), both)
     flipped = ConstraintSystem(cs.g[:2] + (const(4, 0.0) - var(4, 3),), (0,), (1, 2), 4)
     with pytest.raises(TemplateMismatch, match="third constraint is not x_4"):
-        lme_from_spec({"kind": "soc"}, tuple(var(4, i) for i in range(4)), flipped)
+        lme_from_spec({"kind": "soc_quadric"}, tuple(var(4, i) for i in range(4)), flipped)
 
 
 def test_recipe_explicit_lambdas():
