@@ -12,10 +12,11 @@ Problem file schema (JSON):
       "options": {"seed": 3, "max_loops": 10, "k_max_extra": 4}   # optional
     }
 
-The lme kind is one of the six catalog names of `lme`.  Each option is an
-integer: seed >= 0, max_loops >= 1, k_max_extra >= 0, in the file and on the
-command line alike.  A seed comes from --seed, else the file's options.seed,
-else 0.
+Any other top-level key is an error, and `name` is a string when given.  The
+lme kind is one of the six catalog names of `lme`; a denominator is never a
+constant <= 0.  Each option is an integer: seed >= 0, max_loops >= 1,
+k_max_extra >= 0, in the file and on the command line alike.  A seed comes
+from --seed, else the file's options.seed, else 0.
 
 Exit codes: 0 solved / certified / accepted, 2 inconclusive or rejected, 1
 bad input (one `error:` line): a value in a problem file, a flag, --point,
@@ -34,7 +35,15 @@ import click
 import numpy as np
 
 from .blas import blas_threads
-from .lme import ConstraintSystem, TemplateMismatch
+from .lme import (
+    BALL,
+    ORTHANT,
+    QUADRIC_LINEAR,
+    SOC_QUADRIC,
+    ConstraintSystem,
+    TemplateMismatch,
+    template,
+)
 from .momentsdp import TOL_FEAS
 from .polycore import Polynomial, basis, is_int, violation
 from .vipsolver import (
@@ -60,6 +69,8 @@ class ProblemFileError(click.ClickException):
 
 # the least value of each field of SolverOptions, all of them integers
 _OPTION_MIN = {"seed": 0, "max_loops": 1, "k_max_extra": 0}
+# the keys of a problem file's top-level object
+_TOP_KEYS = {"name", "n", "F", "constraints", "lme", "options"}
 
 
 def _poly_from_json(n, data, where):
@@ -99,9 +110,14 @@ def parse_problem(data: dict, source: str = "<data>"):
     """Build (VipProblem, SolverOptions) from a problem-file dict."""
     if not isinstance(data, dict):
         raise ProblemFileError(f"{source}: top level must be an object")
+    unknown = set(data) - _TOP_KEYS
+    if unknown:
+        raise ProblemFileError(f"{source}: unknown keys {sorted(unknown)}")
     for key in ("n", "F", "constraints", "lme"):
         if key not in data:
             raise ProblemFileError(f"{source}: missing required key '{key}'")
+    if not isinstance(data.get("name", ""), str):
+        raise ProblemFileError(f"{source}: name must be a string, got {data['name']!r}")
     n = data["n"]
     if not is_int(n) or n < 1:
         raise ProblemFileError(f"{source}: n must be a positive integer, got {n!r}")
@@ -124,7 +140,7 @@ def parse_problem(data: dict, source: str = "<data>"):
         (eq_idx if item["kind"] == "eq" else ineq_idx).append(i)
     cs = ConstraintSystem(tuple(g), tuple(eq_idx), tuple(ineq_idx), n)
     try:
-        problem = build_problem(F, cs, data["lme"], name=str(data.get("name", "")))
+        problem = build_problem(F, cs, data["lme"])
     except (TemplateMismatch, ValueError, TypeError) as exc:
         raise ProblemFileError(f"{source}: lme: {exc}")
     opts_data = data.get("options", {})
@@ -154,70 +170,21 @@ def load_problem(path: str):
 # -- random families ----------------------------------------------------------
 
 
-def gen_ball(n: int, d: int, seed: int) -> dict:
-    """F = A [x]_d with standard normal A; X the unit ball."""
-    rng = np.random.default_rng(seed)
-    monos = basis(n, d)
-    F = [Polynomial.from_terms(n, monos, row) for row in rng.standard_normal((n, len(monos)))]
-    ball = Polynomial.quadratic(n, 1.0, quad=-np.eye(n))
-    return {
-        "name": f"ball-n{n}-d{d}-seed{seed}",
-        "n": n,
-        "F": [f.to_json() for f in F],
-        "constraints": [{"poly": ball.to_json(), "kind": "ineq"}],
-        "lme": {"kind": "ball"},
-    }
+# each family's catalog kind, number of dims and least dim
+FAMILIES = {
+    "ball": (BALL, 1, 1),
+    "eig-linear": (QUADRIC_LINEAR, 1, 2),
+    "eig-soc": (SOC_QUADRIC, 1, 2),
+    "capital": (ORTHANT, 2, 1),
+}
 
 
-def _eig_data(n: int, seed: int):
-    """The field F = A x as JSON and the quadric x^T B x - 1 as a constraint."""
-    rng = np.random.default_rng(seed)
-    a_mat = rng.standard_normal((n, n))
-    b_hat = rng.standard_normal((n, n))
-    field = [Polynomial.quadratic(n, lin=row).to_json() for row in a_mat]
-    quadric = Polynomial.quadratic(n, -1.0, quad=b_hat.T @ b_hat)
-    return field, {"poly": quadric.to_json(), "kind": "eq"}
-
-
-def gen_eig_linear(n: int, seed: int) -> dict:
-    """F = A x over {x^T B x = 1} cut with the x_1-dominant linear cone."""
-    field, quadric = _eig_data(n, seed)
-    lead = Polynomial.quadratic(n, lin=np.r_[1.0, -np.ones(n - 1)])
-    cons = [quadric, {"poly": lead.to_json(), "kind": "ineq"}]
-    for t in range(1, n):
-        cons.append(
-            {"poly": Polynomial.variable(n, t).to_json(), "kind": "ineq"}
-        )
-    return {
-        "name": f"eig-linear-n{n}-seed{seed}",
-        "n": n,
-        "F": field,
-        "constraints": cons,
-        "lme": {"kind": "quadric_with_linear"},
-    }
-
-
-def gen_eig_soc(n: int, seed: int) -> dict:
-    """F = A x over {x^T B x = 1} inside the second-order cone x_n >= |x_bar|."""
-    field, quadric = _eig_data(n, seed)
-    cone = Polynomial.quadratic(n, quad=np.diag(np.r_[-np.ones(n - 1), 1.0]))
-    upper = Polynomial.variable(n, n - 1)
-    return {
-        "name": f"eig-soc-n{n}-seed{seed}",
-        "n": n,
-        "F": field,
-        "constraints": [quadric] + [{"poly": p.to_json(), "kind": "ineq"} for p in (cone, upper)],
-        "lme": {"kind": "soc_quadric"},
-    }
-
-
-def gen_capital(n1: int, n2: int, seed: int) -> dict:
-    """Stationary activity/stock field over the nonnegative orthant.
+def _capital_field(n1: int, n2: int, rng) -> list[Polynomial]:
+    """Stationary activity/stock field, to be taken over the nonnegative orthant.
 
     f(x) = [x]_1^T C^T C [x]_1 with C one row/column wider than n1 so the
     affine part of the loss is generated too.
     """
-    rng = np.random.default_rng(seed)
     rho = 0.8
     n = n1 + n2
     a_mat = rng.standard_normal((n2, n1))
@@ -233,38 +200,51 @@ def gen_capital(n1: int, n2: int, seed: int) -> dict:
     lin[:n1, :n1] = 2.0 * q[1:, 1:]
     lin[:n1, n1:] = a_mat.T - rho * b_mat.T
     lin[n1:, :n1] = b_mat - a_mat
-    return {
-        "name": f"capital-n{n1}x{n2}-seed{seed}",
-        "n": n,
-        "F": [Polynomial.quadratic(n, c, row).to_json() for c, row in zip(const, lin)],
-        "constraints": [
-            {"poly": Polynomial.variable(n, t).to_json(), "kind": "ineq"} for t in range(n)
-        ],
-        "lme": {"kind": "orthant"},
-    }
-
-
-FAMILIES = ("ball", "eig-linear", "eig-soc", "capital")
+    return [Polynomial.quadratic(n, c, row) for c, row in zip(const, lin)]
 
 
 def generate(family: str, dims: tuple[int, ...], degree: int, seed: int) -> dict:
-    if family == "ball":
-        if len(dims) != 1 or dims[0] < 1:
-            raise ProblemFileError("ball family needs dims N with N >= 1")
-        return gen_ball(dims[0], degree, seed)
-    if family == "eig-linear":
-        if len(dims) != 1 or dims[0] < 2:
-            raise ProblemFileError("eig-linear family needs dims N with N >= 2")
-        return gen_eig_linear(dims[0], seed)
-    if family == "eig-soc":
-        if len(dims) != 1 or dims[0] < 2:
-            raise ProblemFileError("eig-soc family needs dims N with N >= 2")
-        return gen_eig_soc(dims[0], seed)
-    if family == "capital":
-        if len(dims) != 2 or min(dims) < 1:
-            raise ProblemFileError("capital family needs dims N1,N2")
-        return gen_capital(dims[0], dims[1], seed)
-    raise ProblemFileError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    """A random problem of `family`: a field drawn from `seed` over the
+    constraints of the family's catalog kind.
+
+    ball: F = A [x]_d with standard normal A over the unit ball.  eig-linear
+    and eig-soc: F = A x over {x^T B x = 1} cut with the x_1-dominant linear
+    cone or inside the second-order cone x_n >= |x_bar|.  capital: the
+    activity/stock field over the orthant, dims N1,N2.
+    """
+    if family not in FAMILIES:
+        raise ProblemFileError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    kind, count, least = FAMILIES[family]
+    if len(dims) != count or min(dims) < least:
+        shape = "N" if count == 1 else "N1,N2"
+        raise ProblemFileError(f"{family} family needs dims {shape}, each >= {least}")
+    n, b_mat = sum(dims), None
+    rng = np.random.default_rng(seed)
+    if kind == BALL:
+        monos = basis(n, degree)
+        field = [
+            Polynomial.from_terms(n, monos, row)
+            for row in rng.standard_normal((n, len(monos)))
+        ]
+    elif kind == ORTHANT:
+        field = _capital_field(*dims, rng)
+    else:
+        a_mat = rng.standard_normal((n, n))
+        b_hat = rng.standard_normal((n, n))
+        field = [Polynomial.quadratic(n, lin=row) for row in a_mat]
+        b_mat = b_hat.T @ b_hat
+    cs = template(kind, n, b_mat)
+    label = "x".join(str(d) for d in dims) + (f"-d{degree}" if kind == BALL else "")
+    return {
+        "name": f"{family}-n{label}-seed{seed}",
+        "n": n,
+        "F": [f.to_json() for f in field],
+        "constraints": [
+            {"poly": g.to_json(), "kind": "eq" if i in cs.eq_idx else "ineq"}
+            for i, g in enumerate(cs.g)
+        ],
+        "lme": {"kind": kind},
+    }
 
 
 # -- reports -------------------------------------------------------------------
@@ -462,7 +442,7 @@ def cmd_bound(file, as_json):
 
 
 @main.command("gen-random")
-@click.argument("family", type=click.Choice(FAMILIES))
+@click.argument("family", type=click.Choice(tuple(FAMILIES)))
 @click.option("--dims", required=True, help="N, or N1,N2 for the capital family.")
 @click.option("--degree", type=AtLeast(0), default=2, help="Field degree (ball family).")
 @click.option("--seed", type=AtLeast(0), default=0)
@@ -476,7 +456,7 @@ def cmd_gen_random(family, dims, degree, seed, out):
 
 
 @main.command("batch")
-@click.argument("family", type=click.Choice(FAMILIES))
+@click.argument("family", type=click.Choice(tuple(FAMILIES)))
 @click.option("--dims", required=True)
 @click.option("--count", type=AtLeast(0), default=10)
 @click.option("--degree", type=AtLeast(0), default=2)

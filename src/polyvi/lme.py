@@ -8,7 +8,12 @@ lambda_i(x) = (L(x) Fhat(x))_i with Fhat = (F, 0, ..., 0).  L is held as
 its m rows, each a tuple of n + m polynomials; `lambdas(rows, F)` forms
 L Fhat from the first n entries of each row, the only ones Fhat touches.
 
-The catalog covers the geometries the built-in problems and generators use:
+The catalog covers the geometries the built-in problems and generators use.
+`template(kind, n, B)` spells the constraints of each, in this order, and is
+the only place they are built: `catalog_lme` and `soc_lme` accept a system
+only when it equals its template constraint by constraint (B read from the
+first constraint of the quadric kinds), and the generators of `cli` write
+the template's constraints.
 
     orthant              x >= 0 componentwise
     ball                 1 - |x|^2 >= 0
@@ -104,27 +109,61 @@ class KktSystem:
     inequalities: tuple[Polynomial, ...]
 
 
-# -- template checks ------------------------------------------------------
-
-
-def _quadratic_form_matrix(p: Polynomial) -> np.ndarray:
-    """Extract B from x^T B x - 1; raises TemplateMismatch on any other shape."""
-    degs = p.exps.sum(axis=1)
-    odd = degs[(degs != 0) & (degs != 2)]
-    if len(odd):
-        raise TemplateMismatch(f"quadric has a degree-{odd[0]} term")
-    const, _, b_mat = p.quadratic_parts()
-    if const != -1.0:
-        raise TemplateMismatch("quadric must have constant term -1")
-    return b_mat
-
-
 # -- catalog ----------------------------------------------------------------
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise TemplateMismatch(msg)
+def template(kind: str, n: int, b_mat=None) -> ConstraintSystem:
+    """The constraints of catalog geometry `kind` in n variables, the one
+    place each is spelled; the quadric kinds begin with x^T b_mat x - 1 = 0."""
+    if kind not in KINDS:
+        raise UnknownKind(f"no multiplier template {kind!r}; choose from {', '.join(KINDS)}")
+    if kind == BALL:
+        return ConstraintSystem((Polynomial.quadratic(n, 1.0, quad=-np.eye(n)),), (), (0,), n)
+    if kind == RING:
+        s = Polynomial.quadratic(n, quad=np.eye(n))
+        return ConstraintSystem((s - 1.0, 2.0 - s), (), (0, 1), n)
+    x = tuple(Polynomial.variable(n, j) for j in range(n))
+    if kind == ORTHANT:
+        return ConstraintSystem(x, (), tuple(range(n)), n)
+    if kind == ORTHANT_PRODUCT:
+        if n != 4:
+            raise TemplateMismatch(f"{kind} template needs n = 4, got n = {n}")
+        prod_poly = Polynomial.constant(n, 2.0) - Polynomial(n, {(1, 1, 1, 1): 1.0})
+        return ConstraintSystem((prod_poly, *x), (0,), (1, 2, 3, 4), n)
+    quadric = Polynomial.quadratic(n, -1.0, quad=b_mat)
+    if kind == QUADRIC_LINEAR:
+        lead = Polynomial.quadratic(n, lin=np.r_[1.0, -np.ones(n - 1)])
+        return ConstraintSystem((quadric, lead, *x[1:]), (0,), tuple(range(1, n + 1)), n)
+    cone = Polynomial.quadratic(n, quad=np.diag(np.r_[-np.ones(n - 1), 1.0]))
+    return ConstraintSystem((quadric, cone, x[n - 1]), (0,), (1, 2), n)
+
+
+def _quadratic_form_matrix(p: Polynomial) -> np.ndarray:
+    """The symmetric B of the degree-2 terms of p."""
+    two = p.exps.sum(axis=1) == 2
+    return Polynomial.from_terms(p.n, p.exps[two], p.coefs[two]).quadratic_parts()[2]
+
+
+def _match(kind: str, cs: ConstraintSystem) -> np.ndarray | None:
+    """B when cs is template(kind, n, B), B read from its first constraint
+    for the quadric kinds (None for the others); else TemplateMismatch
+    naming the first difference."""
+    b_mat = None
+    if kind in (QUADRIC_LINEAR, SOC_QUADRIC):
+        b_mat = _quadratic_form_matrix(cs.g[0]) if cs.m else np.zeros((cs.n, cs.n))
+    want = template(kind, cs.n, b_mat)
+    if (cs.m, cs.eq_idx) != (want.m, want.eq_idx):
+        listed = ", ".join(
+            f"{g!r} {'=' if i in want.eq_idx else '>='} 0" for i, g in enumerate(want.g)
+        )
+        raise TemplateMismatch(
+            f"{kind} template needs the {want.m} constraints {listed}; got {cs.m} "
+            f"with equalities {list(cs.eq_idx)}"
+        )
+    for i, (got, expected) in enumerate(zip(cs.g, want.g)):
+        if got != expected:
+            raise TemplateMismatch(f"constraint {i} is not {expected!r}")
+    return b_mat
 
 
 Rows = tuple[tuple[Polynomial, ...], ...]
@@ -136,29 +175,21 @@ def lambdas(rows: Rows, F: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
 
 
 def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
-    """The m rows of the catalog L matrix for a recognized constraint pattern.
-
-    Every template infers what it needs from the constraints themselves.
-    """
+    """The m rows of the catalog L matrix when cs is template(kind, n, B)."""
+    if kind == SOC_QUADRIC:
+        raise UnknownKind("soc_quadric has no L matrix; its multipliers come from soc_lme")
+    b_mat = _match(kind, cs)
     n, m = cs.n, cs.m
     zero = Polynomial.zero(n)
 
     if kind == ORTHANT:
-        _require(m == n and not cs.eq_idx, "orthant template needs g = (x_1, ..., x_n)")
-        for i in range(n):
-            _require(cs.g[i] == Polynomial.variable(n, i), f"constraint {i} is not x_{i + 1}")
-        rows = tuple(
+        return tuple(
             tuple(Polynomial.constant(n, float(j == i)) for j in range(n))
             + tuple(zero for _ in range(m))
             for i in range(n)
         )
-        return rows
 
     if kind == BALL:
-        _require(m == 1 and not cs.eq_idx, "ball template needs the single constraint 1 - |x|^2")
-        _require(
-            cs.g[0] == Polynomial.quadratic(n, 1.0, quad=-np.eye(n)), "constraint is not 1 - |x|^2"
-        )
         row = tuple(Polynomial.variable(n, j).scale(-0.5) for j in range(n)) + (
             Polynomial.constant(n, 1.0),
         )
@@ -166,9 +197,6 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
 
     if kind == RING:
         s = Polynomial.quadratic(n, quad=np.eye(n))
-        _require(m == 2 and not cs.eq_idx, "ring template needs two inequalities")
-        _require(cs.g[0] == s - 1.0, "first ring constraint is not |x|^2 - 1")
-        _require(cs.g[1] == 2.0 - s, "second ring constraint is not 2 - |x|^2")
         two_minus = Polynomial.constant(n, 2.0) - s
         one_minus = Polynomial.constant(n, 1.0) - s
         x = [Polynomial.variable(n, j) for j in range(n)]
@@ -180,12 +208,6 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
         return (row1, row2)
 
     if kind == QUADRIC_LINEAR:
-        _require(m == n + 1 and cs.eq_idx == (0,), "pattern: one quadric equality then the cone")
-        b_mat = _quadratic_form_matrix(cs.g[0])
-        lin = Polynomial.quadratic(n, lin=np.r_[1.0, -np.ones(n - 1)])
-        _require(cs.g[1] == lin, "second constraint is not x_1 - x_2 - ... - x_n")
-        for i in range(2, n + 1):
-            _require(cs.g[i] == Polynomial.variable(n, i - 1), f"constraint {i} is not x_{i}")
         bx = [Polynomial.quadratic(n, lin=row) for row in b_mat]
         x = [Polynomial.variable(n, j) for j in range(n)]
 
@@ -207,28 +229,21 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
             )
         return tuple(rows)
 
-    if kind == ORTHANT_PRODUCT:
-        _require(n == 4 and m == 5 and cs.eq_idx == (0,), "pattern: product equality then orthant")
-        prod_poly = Polynomial.constant(n, 2.0) - Polynomial(n, {(1, 1, 1, 1): 1.0})
-        _require(cs.g[0] == prod_poly, "equality is not 2 - x1 x2 x3 x4")
-        for i in range(1, 5):
-            _require(cs.g[i] == Polynomial.variable(n, i - 1), f"constraint {i} is not x_{i}")
-        # closed-form carrier, not a left inverse (see the module docstring)
-        row0 = tuple(Polynomial.variable(n, j).scale(-0.125) for j in range(n)) + tuple(
-            zero for _ in range(m)
-        )
-        rows = [row0]
-        for i in range(n):
-            rows.append(
-                tuple(
-                    Polynomial.constant(n, float(j == i)) - Polynomial.variable(n, j).scale(0.125)
-                    for j in range(n)
-                )
-                + tuple(zero for _ in range(m))
+    # ORTHANT_PRODUCT: the closed-form carrier, not a left inverse (see the
+    # module docstring)
+    row0 = tuple(Polynomial.variable(n, j).scale(-0.125) for j in range(n)) + tuple(
+        zero for _ in range(m)
+    )
+    rows = [row0]
+    for i in range(n):
+        rows.append(
+            tuple(
+                Polynomial.constant(n, float(j == i)) - Polynomial.variable(n, j).scale(0.125)
+                for j in range(n)
             )
-        return tuple(rows)
-
-    raise UnknownKind(f"no L-matrix template named {kind!r}; soc_quadric's comes from soc_lme")
+            + tuple(zero for _ in range(m))
+        )
+    return tuple(rows)
 
 
 def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
@@ -239,15 +254,8 @@ def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
     positive and the multiplier of x_n >= 0 is the zero polynomial.
     """
     n = cs.n
-    _require(
-        cs.m == 3 and cs.eq_idx == (0,),
-        "pattern: quadric equality, the cone inequality, then x_n >= 0",
-    )
-    b_mat = _quadratic_form_matrix(cs.g[0])
-    cone = Polynomial.quadratic(n, quad=np.diag(np.r_[-np.ones(n - 1), 1.0]))
-    _require(cs.g[1] == cone, "inequality is not x_n^2 - x_1^2 - ... - x_{n-1}^2")
+    b_mat = _match(SOC_QUADRIC, cs)
     x_n = Polynomial.variable(n, n - 1)
-    _require(cs.g[2] == x_n, f"third constraint is not x_{n}")
     x_dot_f = dot((Polynomial.variable(n, j) for j in range(n)), F, n)
     lam0 = x_dot_f.scale(0.5)
     p1 = F[n - 1] - x_dot_f * Polynomial.quadratic(n, lin=b_mat[n - 1])
@@ -286,9 +294,9 @@ def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -
     """The multipliers of a problem-file `lme` object: {kind}, {L}, {lambdas}
     or {lambdas, denoms}.
 
-    Other keys, a kind that is not one of KINDS, a list of another length or
-    a bad term raise a ValueError that names its place, such as
-    `L[0][1], term 0`.
+    Other keys, a kind that is not one of KINDS, a list of another length, a
+    bad term or a denominator that is a constant <= 0 raise a ValueError
+    that names its place, such as `L[0][1], term 0`.
     """
     n, m = cs.n, cs.m
     if set(data) not in _LME_FORMS:
@@ -299,8 +307,6 @@ def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -
         kind = data["kind"]
         if not isinstance(kind, str):
             raise ValueError(f"kind must be a string, got {kind!r}")
-        if kind not in KINDS:
-            raise UnknownKind(f"no multiplier template {kind!r}; choose from {', '.join(KINDS)}")
         if kind == SOC_QUADRIC:
             return soc_lme(F, cs)
         rewrite = "orthant_product" if kind == ORTHANT_PRODUCT else None
@@ -324,6 +330,10 @@ def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -
             None if p is None else Polynomial.from_json(n, p, f"denoms[{i}]")
             for i, p in enumerate(items)
         )
+        for i, q in enumerate(denoms):
+            # the KKT assembly clears denominators, so each must be positive on X
+            if q is not None and q.degree == 0 and not q.coefs.sum() > 0:
+                raise ValueError(f"denoms[{i}] must be positive on X, got the constant {q!r}")
     return LmeSet(lams, denoms)
 
 

@@ -82,7 +82,6 @@ class VipProblem:
     F: tuple[Polynomial, ...]
     cs: ConstraintSystem
     lam: LmeSet
-    name: str = ""
 
     @property
     def n(self) -> int:
@@ -103,7 +102,7 @@ class VipProblem:
         return np.array([[p.evaluate(x) for p in row] for row in self._field_jac])
 
 
-def build_problem(F, cs: ConstraintSystem, lme: dict | str, name: str = "") -> VipProblem:
+def build_problem(F, cs: ConstraintSystem, lme: dict | str) -> VipProblem:
     """Assemble a problem; lme is a problem file's spec dict or a catalog kind name."""
     if isinstance(lme, str):
         lme = {"kind": lme}
@@ -113,7 +112,7 @@ def build_problem(F, cs: ConstraintSystem, lme: dict | str, name: str = "") -> V
     # the multipliers read F by position
     if len(F) != cs.n:
         raise ValueError("field arity does not match the constraint system")
-    return VipProblem(F, cs, lme_from_spec(lme, F, cs), name)
+    return VipProblem(F, cs, lme_from_spec(lme, F, cs))
 
 
 # -- generic objective ---------------------------------------------------------

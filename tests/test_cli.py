@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from polyvi import blas, cli, vipsolver
 from polyvi import sdpbackend as sb
+from polyvi.lme import template
 from polyvi.polycore import Polynomial
 from polyvi.vipsolver import SolveOutcome
 
@@ -87,6 +88,8 @@ LAM = [[{"coef": 1.0, "exp": [1, 0]}]]
 KINDS = "choose from orthant, ball, ring, quadric_with_linear, orthant_with_product, soc_quadric"
 # the start of the message about an lme object whose keys name no one form
 FORMS = "lme: keys must be {kind}, {L}, {lambdas} or {lambdas, denoms}, got "
+# the start of the message about a denominator that is a constant <= 0
+DENOM = "lme: denoms[0] must be positive on X, got the constant "
 
 
 @pytest.mark.parametrize(
@@ -152,6 +155,12 @@ FORMS = "lme: keys must be {kind}, {L}, {lambdas} or {lambdas, denoms}, got "
         (None, "lme", {"kind": "ball", "lamdbas": 1}, FORMS + "['kind', 'lamdbas']"),
         (None, "lme", {"L": [], "lambdas": LAM}, FORMS + "['L', 'lambdas']"),
         (None, "lme", {}, FORMS + "[]"),
+        (None, "lme", {"lambdas": LAM, "denoms": [[]]}, DENOM + "0"),
+        (None, "lme", {"lambdas": LAM, "denoms": [[{"coef": 0.0, "exp": [0, 0]}]]}, DENOM + "0"),
+        (None, "lme", {"lambdas": LAM, "denoms": [[{"coef": -2.0, "exp": [0, 0]}]]}, DENOM + "-2"),
+        (None, "option", {"seed": "x"}, "unknown keys ['option']"),
+        (None, "constraint", 5, "unknown keys ['constraint']"),
+        (None, "name", ["tiny"], "name must be a string, got ['tiny']"),
     ],
 )
 def test_malformed_problem_file_exits_1(tmp_path, poly, key, value, message):
@@ -188,6 +197,7 @@ def test_huge_exponent_fails_fast(tmp_path):
         {"lambdas": LAM},
         {"lambdas": LAM, "denoms": None},
         {"lambdas": LAM, "denoms": [None]},
+        {"lambdas": LAM, "denoms": [[{"coef": 2.0, "exp": [0, 0]}]]},
     ],
 )
 def test_well_formed_lme_parses(lme):
@@ -535,6 +545,26 @@ def test_gen_random_output_is_pinned(family, dims, digest):
     result = invoke("gen-random", family, "--dims", dims, "--seed", "1")
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,dims", [("ball", (3,)), ("eig-linear", (3,)),
+                                         ("eig-soc", (4,)), ("capital", (2, 3))])
+def test_generated_constraints_are_the_catalog_template(family, dims):
+    kind, _, _ = cli.FAMILIES[family]
+    n, seed = sum(dims), 5
+    b_mat = None
+    if family.startswith("eig"):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((n, n))  # the field's A is drawn first
+        b_hat = rng.standard_normal((n, n))
+        b_mat = b_hat.T @ b_hat
+    want = template(kind, n, b_mat)
+    data = cli.generate(family, dims, 2, seed)
+    assert data["lme"] == {"kind": kind}
+    assert [c["poly"] for c in data["constraints"]] == [g.to_json() for g in want.g]
+    assert [c["kind"] == "eq" for c in data["constraints"]] == [
+        i in want.eq_idx for i in range(want.m)
+    ]
 
 
 def test_gen_random_bad_dims(tmp_path):

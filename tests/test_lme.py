@@ -20,6 +20,7 @@ from polyvi.lme import (
     lambdas,
     lme_from_spec,
     soc_lme,
+    template,
     verify_lme,
 )
 from polyvi.polycore import Polynomial, violation
@@ -179,6 +180,28 @@ def test_template_mismatch_raises():
         catalog_lme(BALL, bad)
     with pytest.raises(TemplateMismatch):
         catalog_lme(ORTHANT, ball_cs(3))
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [(k, n) for k in (ORTHANT, BALL, RING, QUADRIC_LINEAR, SOC_QUADRIC) for n in range(2, 6)]
+    + [(ORTHANT_PRODUCT, 4)],
+)
+def test_each_template_passes_its_own_check_and_no_edit_of_it(kind, n):
+    b_hat = np.random.default_rng(n).standard_normal((n, n))
+    cs = template(kind, n, b_hat.T @ b_hat)
+    F = tuple(var(n, i) for i in range(n))
+    assert len(lme_from_spec({"kind": kind}, F, cs).lambdas) == cs.m
+    for i in range(cs.m):
+        g = cs.g[:i] + (cs.g[i] + 1.0,) + cs.g[i + 1:]
+        edited = ConstraintSystem(g, cs.eq_idx, cs.ineq_idx, n)
+        with pytest.raises(TemplateMismatch, match=f"^constraint {i} is not "):
+            lme_from_spec({"kind": kind}, F, edited)
+
+
+def test_orthant_product_template_needs_four_variables():
+    with pytest.raises(TemplateMismatch, match="needs n = 4, got n = 3"):
+        template(ORTHANT_PRODUCT, 3)
 
 
 # -- multipliers and KKT systems ----------------------------------------------
@@ -387,10 +410,10 @@ def test_soc_kind_needs_the_upper_nappe():
     # both nappes of the cone: the denominator 2 x_n would change sign on K
     cs = soc_cs(B_QUAD)
     both = ConstraintSystem(cs.g[:2], (0,), (1,), 4)
-    with pytest.raises(TemplateMismatch, match="x_n >= 0"):
+    with pytest.raises(TemplateMismatch, match=r"needs the 3 constraints .*, \+1\*x4 >= 0; got 2"):
         lme_from_spec({"kind": "soc_quadric"}, tuple(var(4, i) for i in range(4)), both)
     flipped = ConstraintSystem(cs.g[:2] + (const(4, 0.0) - var(4, 3),), (0,), (1, 2), 4)
-    with pytest.raises(TemplateMismatch, match="third constraint is not x_4"):
+    with pytest.raises(TemplateMismatch, match=r"^constraint 2 is not \+1\*x4$"):
         lme_from_spec({"kind": "soc_quadric"}, tuple(var(4, i) for i in range(4)), flipped)
 
 

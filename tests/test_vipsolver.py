@@ -41,14 +41,14 @@ def ball_projection_problem(a):
         e[i] = 2
         g = g - Polynomial(n, {tuple(e): 1.0})
     cs = ConstraintSystem((g,), (), (0,), n)
-    return vs.build_problem(F, cs, "ball", name="projection")
+    return vs.build_problem(F, cs, "ball")
 
 
 def cubic_ncp_problem():
     # F(x) = (x - 1)(x - 2) on x >= 0: solutions {0, 1, 2}
     F = (Polynomial(1, {(2,): 1.0, (1,): -3.0, (0,): 2.0}),)
     cs = ConstraintSystem((_var(1, 0),), (), (0,), 1)
-    return vs.build_problem(F, cs, "orthant", name="cubic-ncp")
+    return vs.build_problem(F, cs, "orthant")
 
 
 def test_random_theta_reproducible_and_pd():
@@ -188,7 +188,7 @@ def test_empty_solution_set_certified():
     g_lo = Polynomial(n, {(2,): 1.0, (0,): -1.0})
     g_hi = Polynomial(n, {(0,): 2.0, (2,): -1.0})
     cs = ConstraintSystem((g_lo, g_hi), (), (0, 1), n)
-    prob = vs.build_problem(F, cs, "ring", name="ring-empty")
+    prob = vs.build_problem(F, cs, "ring")
     res = vs.solve_all(prob)
     assert res.status == vs.NO_SOLUTION
     assert res.complete
