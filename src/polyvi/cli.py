@@ -41,7 +41,6 @@ from .lme import (
     QUADRIC_LINEAR,
     SOC_QUADRIC,
     ConstraintSystem,
-    TemplateMismatch,
     template,
 )
 from .momentsdp import TOL_FEAS
@@ -141,7 +140,7 @@ def parse_problem(data: dict, source: str = "<data>"):
     cs = ConstraintSystem(tuple(g), tuple(eq_idx), tuple(ineq_idx), n)
     try:
         problem = build_problem(F, cs, data["lme"])
-    except (TemplateMismatch, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ProblemFileError(f"{source}: lme: {exc}")
     opts_data = data.get("options", {})
     if not isinstance(opts_data, dict):

@@ -33,9 +33,14 @@ the template's constraints.
                          x_n >= 0; rational multipliers with denominator
                          2 x_n > 0 on the set, and x_n >= 0's multiplier 0
 
-`verify_lme(rows, cs)` checks L G = I coefficient by coefficient.  Rational
-multipliers are carried as (numerator, denominator) pairs; the KKT assembly
-clears denominators without polynomial division.  A problem's multipliers
+`catalog_lme` takes every kind's rows from pieces it builds once per call,
+and only for a kind that reads them: the variables x, the unit rows e_i and
+the zero tail.  `verify_lme(rows, cs)` checks L G = I coefficient by
+coefficient.  Rational multipliers are carried as (numerator, denominator)
+pairs; the KKT assembly (`build_kkt_sets`) clears denominators without
+polynomial division, by one rule: stationarity row t is multiplied by the
+product of the distinct denominators of the constraints active in it.  It
+drops zero polynomials once, at the end.  A problem's multipliers
 are built once, for its field F (lme_from_spec); they serve the search
 relaxations only, since candidate verification relaxes the comparison
 problem over X directly.
@@ -180,26 +185,26 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
         raise UnknownKind("soc_quadric has no L matrix; its multipliers come from soc_lme")
     b_mat = _match(kind, cs)
     n, m = cs.n, cs.m
-    zero = Polynomial.zero(n)
+    # the shared pieces, each built once and only for a kind that reads it:
+    # the zero tail, the variables x and the unit rows e_i (the constants
+    # float(j == i))
+    zero, one = Polynomial.zero(n), Polynomial.constant(n, 1.0)
+    tail = (zero,) * m
+    x = [] if kind == ORTHANT else [Polynomial.variable(n, j) for j in range(n)]
+    e = [] if kind in (BALL, RING) else [
+        tuple(one if j == i else zero for j in range(n)) for i in range(n)
+    ]
 
     if kind == ORTHANT:
-        return tuple(
-            tuple(Polynomial.constant(n, float(j == i)) for j in range(n))
-            + tuple(zero for _ in range(m))
-            for i in range(n)
-        )
+        return tuple(e_i + tail for e_i in e)
 
     if kind == BALL:
-        row = tuple(Polynomial.variable(n, j).scale(-0.5) for j in range(n)) + (
-            Polynomial.constant(n, 1.0),
-        )
-        return (row,)
+        return (tuple(xj.scale(-0.5) for xj in x) + (one,),)
 
     if kind == RING:
         s = Polynomial.quadratic(n, quad=np.eye(n))
         two_minus = Polynomial.constant(n, 2.0) - s
-        one_minus = Polynomial.constant(n, 1.0) - s
-        x = [Polynomial.variable(n, j) for j in range(n)]
+        one_minus = one - s
         row1 = tuple((two_minus * xj).scale(0.5) for xj in x) + (s - 1.0, s)
         row2 = tuple((one_minus * xj).scale(0.25) for xj in x) + (
             s.scale(0.5),
@@ -209,41 +214,22 @@ def catalog_lme(kind: str, cs: ConstraintSystem) -> Rows:
 
     if kind == QUADRIC_LINEAR:
         bx = [Polynomial.quadratic(n, lin=row) for row in b_mat]
-        x = [Polynomial.variable(n, j) for j in range(n)]
-
-        row0 = tuple(xj.scale(0.5) for xj in x) + (
-            Polynomial.constant(n, -1.0),
-        ) + tuple(Polynomial.constant(n, -0.5) for _ in range(n))
-
-        def own_row(i: int):
-            x_part = tuple(Polynomial.constant(n, float(j == i)) - bx[i] * x[j] for j in range(n))
-            tail = (bx[i].scale(2.0),) + tuple(bx[i] for _ in range(n))
-            return x_part, tail
-
-        x1, t1 = own_row(0)
-        rows = [row0, x1 + t1]
-        for i in range(1, n):
-            xi, ti = own_row(i)
-            rows.append(
-                tuple(a + b for a, b in zip(xi, x1)) + tuple(a + b for a, b in zip(ti, t1))
-            )
-        return tuple(rows)
+        row0 = tuple(xj.scale(0.5) for xj in x) + (Polynomial.constant(n, -1.0),)
+        row0 += (Polynomial.constant(n, -0.5),) * n
+        own = [
+            tuple(u - b * xj for u, xj in zip(e_i, x)) + (b.scale(2.0),) + (b,) * n
+            for e_i, b in zip(e, bx)
+        ]
+        return (row0, own[0]) + tuple(
+            tuple(a + b for a, b in zip(own[i], own[0])) for i in range(1, n)
+        )
 
     # ORTHANT_PRODUCT: the closed-form carrier, not a left inverse (see the
     # module docstring)
-    row0 = tuple(Polynomial.variable(n, j).scale(-0.125) for j in range(n)) + tuple(
-        zero for _ in range(m)
+    eighth = [xj.scale(0.125) for xj in x]
+    return (tuple(xj.scale(-0.125) for xj in x) + tail,) + tuple(
+        tuple(u - v for u, v in zip(e_i, eighth)) + tail for e_i in e
     )
-    rows = [row0]
-    for i in range(n):
-        rows.append(
-            tuple(
-                Polynomial.constant(n, float(j == i)) - Polynomial.variable(n, j).scale(0.125)
-                for j in range(n)
-            )
-            + tuple(zero for _ in range(m))
-        )
-    return tuple(rows)
 
 
 def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
@@ -351,61 +337,44 @@ def build_kkt_sets(
 ) -> KktSystem:
     """Assemble E and I: stationarity, complementarity, and sign conditions.
 
-    Rational multipliers are cleared: stationarity row t is multiplied by
-    the product of the distinct non-unit denominators appearing in it, and
-    complementarity uses the numerator (the denominators are positive on the
-    feasible set by the template's contract).
+    Rational multipliers are cleared.  With qs the distinct denominators of
+    the constraints active in stationarity row t, the row is
+    prod(qs) F_t - sum_i lambda_i prod(qs without denoms[i]) d_t g_i, so a
+    polynomial multiplier (denominator None) keeps all of qs.  Complementarity
+    uses the numerator (the denominators are positive on the feasible set by
+    the template's contract).  Zero polynomials are dropped once, at the end.
     """
     n, m = cs.n, cs.m
     if len(F) != n or len(lam.lambdas) != m:
         raise ValueError("arity mismatch between F, constraints and multipliers")
 
-    denoms = lam.denoms or (None,) * m
-    equations: list[Polynomial] = []
-
     if lam.rewrite == "orthant_product":
         lam_eq = lam.lambdas[cs.eq_idx[0]]
-        for t in range(n):
-            row = lam_eq * (Polynomial.constant(n, 2.0) - Polynomial.variable(n, t))
-            if not row.is_zero:
-                equations.append(row)
+        stationarity = [
+            lam_eq * (Polynomial.constant(n, 2.0) - Polynomial.variable(n, t)) for t in range(n)
+        ]
     else:
+        denoms = lam.denoms or (None,) * m
         grads = [g.gradient() for g in cs.g]
+        stationarity = []
         for t in range(n):
             active = [i for i in range(m) if not grads[i][t].is_zero]
-            distinct_qs: list[Polynomial] = []
+            qs: list[Polynomial] = []
             for i in active:
-                q = denoms[i]
-                if q is not None and all(q != prev for prev in distinct_qs):
-                    distinct_qs.append(q)
-            q_all = _product(distinct_qs, n)
-            row = q_all * F[t]
+                if denoms[i] is not None and all(denoms[i] != q for q in qs):
+                    qs.append(denoms[i])
+            row = _product(qs, n) * F[t]
             for i in active:
-                q = denoms[i]
-                if q is None:
-                    factor = q_all
-                else:
-                    rest = list(distinct_qs)
-                    rest.remove(next(p for p in rest if p == q))
-                    factor = _product(rest, n)
-                row = row - lam.lambdas[i] * factor * grads[i][t]
-            if not row.is_zero:
-                equations.append(row)
+                # by value: equal denominators from separate entries are
+                # distinct objects, and each clears its own factor of qs
+                rest = [q for q in qs if q != denoms[i]]
+                row = row - lam.lambdas[i] * _product(rest, n) * grads[i][t]
+            stationarity.append(row)
 
-    for i in cs.ineq_idx:
-        comp = lam.lambdas[i] * cs.g[i]
-        if not comp.is_zero:
-            equations.append(comp)
-    for i in cs.eq_idx:
-        if not cs.g[i].is_zero:
-            equations.append(cs.g[i])
-
-    inequalities: list[Polynomial] = []
-    for i in cs.ineq_idx:
-        if not lam.lambdas[i].is_zero:
-            inequalities.append(lam.lambdas[i])
-    for i in cs.ineq_idx:
-        if not cs.g[i].is_zero:
-            inequalities.append(cs.g[i])
-
-    return KktSystem(tuple(equations), tuple(inequalities))
+    equations = (
+        *stationarity,
+        *(lam.lambdas[i] * cs.g[i] for i in cs.ineq_idx),
+        *(cs.g[i] for i in cs.eq_idx),
+    )
+    inequalities = (*(lam.lambdas[i] for i in cs.ineq_idx), *(cs.g[i] for i in cs.ineq_idx))
+    return KktSystem(*(tuple(p for p in ps if not p.is_zero) for ps in (equations, inequalities)))

@@ -26,11 +26,9 @@ rank and for the atom reconstruction residual.  A relaxation solved only
 to accuracy a (the worst of the backend's primal, dual and gap residuals)
 cannot support tighter tests, so each test takes the larger of its base and
 a widened accuracy: GAP_WIDENING * a for the gap (scaled by the bound's
-size) and for feasibility, RANK_WIDENING * a for rank and extraction.  The
-vipsolver module widens two more tests by RANK_WIDENING * a: the active-set
-tolerance of its point polish (base 1e-4), for every extracted point, and
-the accept test of its gap width (base 1e-6; base and widening both scaled
-by max(1, |theta(x*)|)), which also decides which band maximizers to check.
+size) and for feasibility, RANK_WIDENING * a for rank and extraction.  A
+caller widens its own tests by the accuracy of the outcome it reads, with
+`HierarchyOutcome.widened`.
 """
 
 from __future__ import annotations
@@ -289,6 +287,17 @@ class HierarchyOutcome:
     # tolerances accordingly when the backend ran in relaxed mode
     accuracy: float = 0.0
     trusted: bool = True
+
+    def widened(self, base: float, scale: float = 1.0) -> float:
+        """A test's tolerance `base`, widened to RANK_WIDENING * accuracy * scale.
+
+        The vipsolver module widens two tests with it: the active-set
+        tolerance of its point polish (base 1e-4), for every extracted point,
+        and the accept test of its gap width (base 1e-6; base and widening
+        both scaled by max(1, |theta(x*)|)), which also decides which band
+        maximizers to check.
+        """
+        return max(base, RANK_WIDENING * self.accuracy * scale)
 
 
 def dilate_program(prog: PolyProgram, s) -> PolyProgram:

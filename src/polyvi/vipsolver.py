@@ -46,7 +46,6 @@ from .momentsdp import (
     INCONCLUSIVE,
     INFEASIBLE,
     MINIMIZERS,
-    RANK_WIDENING,
     TOL_FEAS,
     HierarchyOutcome,
     PolyProgram,
@@ -107,7 +106,7 @@ def build_problem(F, cs: ConstraintSystem, lme: dict | str) -> VipProblem:
     if isinstance(lme, str):
         lme = {"kind": lme}
     elif not isinstance(lme, dict):
-        raise TypeError(f"cannot interpret lme={lme!r}")
+        raise ValueError(f"cannot interpret lme={lme!r}")
     F = tuple(F)
     # the multipliers read F by position
     if len(F) != cs.n:
@@ -373,7 +372,7 @@ def verify_candidate(problem: VipProblem, u, opts: SolverOptions | None = None) 
     if out.status == MINIMIZERS and out.value < -EPS_TOL:
         # minimizers of the linear comparison objective satisfy the same
         # KKT system with the field frozen at fu
-        tol_active = max(1e-4, RANK_WIDENING * out.accuracy)
+        tol_active = out.widened(1e-4)
         polished = [
             _kkt_polish(lambda x: fu, lambda x: np.zeros((n, n)), cs, p, tol_active)
             for p in out.points
@@ -411,7 +410,7 @@ def _check_points(
     added = 0
     for u in out.points:
         t0 = time.perf_counter()
-        u = polish_candidate(problem, u, max(1e-4, RANK_WIDENING * out.accuracy))
+        u = polish_candidate(problem, u, out.widened(1e-4))
         if theta.evaluate(u) - above <= margin:
             continue
         ver = cuts.verdict(u)
@@ -529,7 +528,7 @@ def find_delta(
             # is a subset of this one: the gap stays uncertified
             return delta, False
         # a relaxed solve cannot pin gamma tighter than its own accuracy
-        accept_eff = max(accept, RANK_WIDENING * out.accuracy * max(1.0, abs(theta_star)))
+        accept_eff = out.widened(accept, max(1.0, abs(theta_star)))
         if out.status in (MINIMIZERS, INCONCLUSIVE) and gamma is not None:
             if gamma - theta_star <= accept_eff:
                 return delta, True

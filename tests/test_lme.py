@@ -1,10 +1,14 @@
 """Multiplier templates: exact left-inverse checks and KKT assembly."""
 
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from polyvi.cli import load_problem
 from polyvi.lme import (
     BALL,
     ORTHANT,
@@ -386,6 +390,28 @@ def test_quadric_linear_multipliers_match_closed_form():
             assert lams[i].evaluate(x) == pytest.approx(want, rel=1e-11, abs=1e-10)
 
 
+def test_equal_denominators_from_separate_entries_are_cleared_once():
+    # the ring's multipliers written as (q lambda_i) / q, q = 1 + x1^2 given as
+    # two separate JSON entries, so the two denominators are equal but are not
+    # one object; both constraints are active in every stationarity row, and
+    # q clears once: row t is q F_t - sum_i (q lambda_i) d_t g_i
+    n = 2
+    cs = ring_cs(n)
+    F = (var(n, 0) - 3.0, var(n, 0) + var(n, 1))
+    q = const(n, 1.0) + var(n, 0) * var(n, 0)
+    nums = tuple(q * lam for lam in lambdas(catalog_lme(RING, cs), F))
+    spec = json.loads(json.dumps(
+        {"lambdas": [p.to_json() for p in nums], "denoms": [q.to_json(), q.to_json()]}
+    ))
+    lam = lme_from_spec(spec, F, cs)
+    assert lam.denoms[0] == lam.denoms[1] and lam.denoms[0] is not lam.denoms[1]
+    sys = build_kkt_sets(F, cs, lam)
+    grads = [g.gradient() for g in cs.g]
+    rows = tuple(q * F[t] - nums[0] * grads[0][t] - nums[1] * grads[1][t] for t in range(n))
+    assert sys.equations == rows + (nums[0] * cs.g[0], nums[1] * cs.g[1])
+    assert sys.inequalities == nums + cs.g
+
+
 # -- recipes: the multipliers a problem file's lme object names ---------------
 
 
@@ -438,3 +464,73 @@ def test_recipe_matrix_accepts_catalog_rows():
     F = (var(2, 0) - 3.0, var(2, 1))
     lam = lme_from_spec({"L": rows}, F, cs)
     assert lam.lambdas[0].evaluate((1.0, 0.0)) == pytest.approx(1.0, abs=1e-14)
+
+
+# -- pinned output --------------------------------------------------------------
+#
+# The KKT system of every fixture and the catalog's L rows, byte for byte.
+# Replacing the orthant_with_product carrier by its exact left inverse
+# (ROADMAP item 15) must change exactly the ncp_product_infeasible and
+# orthant_with_product digests, and nothing else here.
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+def _digest(*groups) -> str:
+    """sha256 over each group's length and, for each of its polynomials, the
+    term count and the bytes of the exponents and coefficients."""
+    h = hashlib.sha256()
+    for group in groups:
+        h.update(np.int64(len(group)).tobytes())
+        for p in group:
+            h.update(np.int64(len(p.coefs)).tobytes())
+            h.update(p.exps.tobytes())
+            h.update(p.coefs.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("capital_stock", "a173ed7c5e60a11a5fbecdab147174d26597e331bdc0ab71520e1e06a8cfccea"),
+        ("eig_linear_cone", "bc556fbd3ffcfd2e5acc88b85e5f9be681607325924e6a3bd61395a35cca3a29"),
+        ("eig_soc", "7d0433579bcf057e441132775915fde52908e428843b9285b71c14a95c658626"),
+        ("gnep_shared_ball", "a95c7af2c1427125871ddcb64a43afea51d56ef0890978d55140233cda1d9443"),
+        (
+            "ncp_product_infeasible",
+            "34f9d84f74b1b519cdd883fd8d7e0024b679199adf0df46b84294789484aedf1",
+        ),
+        ("ncp_quartic", "ac5ddf35e0c6267b55675db7db56bffab30969db7da3f66632de4d0e8cba19ee"),
+        ("ring_empty", "e6a6898c0bdb8a8202358877dd6b8ec55f242cf98dcd9929b1835e72dcd91373"),
+        (
+            "ring_four_solutions",
+            "ca19564c1748d0d2395299591d8eeba33cae18468bc644fe03b622a489dfdc80",
+        ),
+    ],
+)
+def test_fixture_kkt_system_is_pinned(name, digest):
+    problem, _ = load_problem(os.path.join(FIXTURES, f"{name}.json"))
+    assert _digest(problem.kkt.equations, problem.kkt.inequalities) == digest
+
+
+@pytest.mark.parametrize(
+    "kind,dims,digest",
+    [
+        (ORTHANT, range(2, 6), "bacf859477024c521c5aabf553ab5b9f4e84345711a3681a5dc9f73f9aca4b27"),
+        (BALL, range(2, 6), "1e4faea0c2399f8663839034720f76d8f2cbc82725c0003d866c9ce903171cfe"),
+        (RING, range(2, 6), "a7f3343965a8672869b73cbf3e7d01a0d29c02228527ef9b97ea2a70c77a3796"),
+        (
+            QUADRIC_LINEAR,
+            range(2, 6),
+            "9b291cbf0f6e1e8e9256955535ece4c6f0fa3ef72c77f3b2bc7b8bba55eaa352",
+        ),
+        (ORTHANT_PRODUCT, (4,), "53f5d77b3796d01dd14265c0cbec446b1f3bb73ff859bdf818cf407e16c77b40"),
+    ],
+)
+def test_catalog_rows_are_pinned(kind, dims, digest):
+    rows = []
+    for n in dims:
+        # B = b + b^T needs no BLAS, so its bits do not depend on the library
+        b = np.random.default_rng(n).standard_normal((n, n))
+        rows += catalog_lme(kind, template(kind, n, b + b.T))
+    assert _digest(*rows) == digest
