@@ -8,15 +8,14 @@ Problem file schema (JSON):
       "F": [ [{"coef": 3.0, "exp": [2,0,0,0]}, ...], ... ],       # n entries
       "constraints": [ {"poly": [...], "kind": "eq"|"ineq"}, ... ],
       "lme": {"kind": "orthant"}                                   # or {"L": ...}
-                                                                   # or {"lambdas": ..., "denoms": ...}
       "options": {"seed": 3, "max_loops": 10, "k_max_extra": 4}   # optional
     }
 
 Any other top-level key is an error, and `name` is a string when given.  The
-lme kind is one of the six catalog names of `lme`; a denominator is never a
-constant <= 0.  Each option is an integer: seed >= 0, max_loops >= 1,
-k_max_extra >= 0, in the file and on the command line alike.  A seed comes
-from --seed, else the file's options.seed, else 0.
+lme kind is one of the six catalog names of `lme`.  Each option is an
+integer: seed >= 0, max_loops >= 1, k_max_extra >= 0, in the file and on
+the command line alike.  A seed comes from --seed, else the file's
+options.seed, else 0.
 
 Exit codes: 0 solved / certified / accepted, 2 inconclusive or rejected, 1
 bad input (one `error:` line): a value in a problem file, a flag, --point,

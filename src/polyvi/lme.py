@@ -36,20 +36,18 @@ the template's constraints.
 `catalog_lme` takes every kind's rows from pieces it builds once per call,
 and only for a kind that reads them: the variables x, the unit rows e_i and
 the zero tail.  `verify_lme(rows, cs)` checks L G = I coefficient by
-coefficient.  Rational multipliers are carried as (numerator, denominator)
-pairs; the KKT assembly (`build_kkt_sets`) clears denominators without
-polynomial division, by one rule: stationarity row t is multiplied by the
-product of the distinct denominators of the constraints active in it.  It
-drops zero polynomials once, at the end.  A problem's multipliers
-are built once, for its field F (lme_from_spec); they serve the search
-relaxations only, since candidate verification relaxes the comparison
-problem over X directly.
+coefficient.  Multipliers are numerators over one shared denominator, which
+only `soc_lme` makes (2 x_n, positive on its set); the KKT assembly
+(`build_kkt_sets`) clears it without polynomial division by multiplying
+every stationarity row by it, and drops zero polynomials once, at the end.
+A problem's multipliers are built once, for its field F (lme_from_spec);
+they serve the search relaxations only, since candidate verification
+relaxes the comparison problem over X directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -64,7 +62,9 @@ SOC_QUADRIC = "soc_quadric"
 # the names a problem file's {"kind": ...} may give, spelled exactly so
 KINDS = (ORTHANT, BALL, RING, QUADRIC_LINEAR, ORTHANT_PRODUCT, SOC_QUADRIC)
 # the keys of the forms of a problem file's lme object
-_LME_FORMS = ({"kind"}, {"L"}, {"lambdas"}, {"lambdas", "denoms"})
+_LME_FORMS = ({"kind"}, {"L"})
+# the largest coefficient of L G - I that verify_lme takes for zero
+VERIFY_TOL = 1e-12
 
 
 class UnknownKind(ValueError):
@@ -99,10 +99,11 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class LmeSet:
-    """Resolved multipliers; denoms[i] is None for polynomial lambdas."""
+    """Resolved multipliers lambda_i = lambdas[i] / denom; a denom of None
+    stands for 1."""
 
     lambdas: tuple[Polynomial, ...]
-    denoms: tuple[Polynomial | None, ...] | None = None
+    denom: Polynomial | None = None
     rewrite: str | None = None
 
 
@@ -236,20 +237,22 @@ def soc_lme(F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
     """Rational multipliers for the quadric + second-order-cone pattern.
 
     The cone is one nappe, x_n >= |x_bar|, so x_n >= 0 is the third
-    constraint.  On the set x != 0, hence x_n > 0: the denominator 2 x_n is
-    positive and the multiplier of x_n >= 0 is the zero polynomial.
+    constraint.  On the set x != 0, hence x_n > 0: the denominator q = 2 x_n
+    is positive and the multiplier of x_n >= 0 is the zero polynomial.  Every
+    multiplier is a numerator over q, so lambda_0 = x.F / 2 is (x.F / 2) q.
     """
     n = cs.n
     b_mat = _match(SOC_QUADRIC, cs)
     x_n = Polynomial.variable(n, n - 1)
     x_dot_f = dot((Polynomial.variable(n, j) for j in range(n)), F, n)
-    lam0 = x_dot_f.scale(0.5)
+    q = x_n.scale(2.0)
     p1 = F[n - 1] - x_dot_f * Polynomial.quadratic(n, lin=b_mat[n - 1])
-    return LmeSet((lam0, p1, Polynomial.zero(n)), (None, x_n.scale(2.0), None))
+    return LmeSet((x_dot_f.scale(0.5) * q, p1, Polynomial.zero(n)), q)
 
 
-def verify_lme(rows: Rows, cs: ConstraintSystem, tol: float = 1e-12) -> bool:
-    """Symbolically check L(x) G(x) = I_m coefficient by coefficient."""
+def verify_lme(rows: Rows, cs: ConstraintSystem) -> bool:
+    """Symbolically check L(x) G(x) = I_m coefficient by coefficient, up to
+    VERIFY_TOL."""
     n, m = cs.n, cs.m
     if len(rows) != m or any(len(row) != n + m for row in rows):
         return False
@@ -259,7 +262,7 @@ def verify_lme(rows: Rows, cs: ConstraintSystem, tol: float = 1e-12) -> bool:
             # column k of G: grad g_k, then g_k in row n + k
             acc = dot((*row[:n], row[n + k]), (*grads[k], cs.g[k]), n)
             target = acc - (1.0 if i == k else 0.0)
-            if np.abs(target.coefs).max(initial=0.0) > tol:
+            if np.abs(target.coefs).max(initial=0.0) > VERIFY_TOL:
                 return False
     return True
 
@@ -277,18 +280,17 @@ def _json_list(value, where: str, length: int, what: str) -> list:
 
 
 def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -> LmeSet:
-    """The multipliers of a problem-file `lme` object: {kind}, {L}, {lambdas}
-    or {lambdas, denoms}.
+    """The multipliers of a problem-file `lme` object: {kind}, a catalog
+    geometry that cs must match, or {L}, a matrix that must pass verify_lme.
+    Only the soc_quadric kind gives the multipliers a denominator.
 
-    Other keys, a kind that is not one of KINDS, a list of another length, a
-    bad term or a denominator that is a constant <= 0 raise a ValueError
-    that names its place, such as `L[0][1], term 0`.
+    Other keys, a kind that is not one of KINDS, a list of another length or
+    a bad term raise a ValueError that names its place, such as
+    `L[0][1], term 0`.
     """
     n, m = cs.n, cs.m
     if set(data) not in _LME_FORMS:
-        raise ValueError(
-            f"keys must be {{kind}}, {{L}}, {{lambdas}} or {{lambdas, denoms}}, got {sorted(data)}"
-        )
+        raise ValueError(f"keys must be {{kind}} or {{L}}, got {sorted(data)}")
     if "kind" in data:
         kind = data["kind"]
         if not isinstance(kind, str):
@@ -297,37 +299,18 @@ def lme_from_spec(data: dict, F: tuple[Polynomial, ...], cs: ConstraintSystem) -
             return soc_lme(F, cs)
         rewrite = "orthant_product" if kind == ORTHANT_PRODUCT else None
         return LmeSet(lambdas(catalog_lme(kind, cs), F), None, rewrite)
-    if "L" in data:
-        rows = []
-        for i, row in enumerate(_json_list(data["L"], "L", m, f"m={m} rows")):
-            cells = _json_list(row, f"L[{i}]", n + m, f"n+m={n + m} cells")
-            rows.append(
-                tuple(Polynomial.from_json(n, c, f"L[{i}][{j}]") for j, c in enumerate(cells))
-            )
-        if not verify_lme(rows, cs):
-            raise TemplateMismatch("supplied L matrix is not an exact left inverse")
-        return LmeSet(lambdas(rows, F))
-    items = _json_list(data["lambdas"], "lambdas", m, f"m={m} entries")
-    lams = tuple(Polynomial.from_json(n, p, f"lambdas[{i}]") for i, p in enumerate(items))
-    denoms = None
-    if data.get("denoms") is not None:
-        items = _json_list(data["denoms"], "denoms", m, f"m={m} entries")
-        denoms = tuple(
-            None if p is None else Polynomial.from_json(n, p, f"denoms[{i}]")
-            for i, p in enumerate(items)
+    rows = []
+    for i, row in enumerate(_json_list(data["L"], "L", m, f"m={m} rows")):
+        cells = _json_list(row, f"L[{i}]", n + m, f"n+m={n + m} cells")
+        rows.append(
+            tuple(Polynomial.from_json(n, c, f"L[{i}][{j}]") for j, c in enumerate(cells))
         )
-        for i, q in enumerate(denoms):
-            # the KKT assembly clears denominators, so each must be positive on X
-            if q is not None and q.degree == 0 and not q.coefs.sum() > 0:
-                raise ValueError(f"denoms[{i}] must be positive on X, got the constant {q!r}")
-    return LmeSet(lams, denoms)
+    if not verify_lme(rows, cs):
+        raise TemplateMismatch("supplied L matrix is not an exact left inverse")
+    return LmeSet(lambdas(rows, F))
 
 
 # -- KKT variety assembly ------------------------------------------------------
-
-
-def _product(polys: list[Polynomial], n: int) -> Polynomial:
-    return reduce(lambda a, b: a * b, polys, Polynomial.constant(n, 1.0))
 
 
 def build_kkt_sets(
@@ -337,11 +320,10 @@ def build_kkt_sets(
 ) -> KktSystem:
     """Assemble E and I: stationarity, complementarity, and sign conditions.
 
-    Rational multipliers are cleared.  With qs the distinct denominators of
-    the constraints active in stationarity row t, the row is
-    prod(qs) F_t - sum_i lambda_i prod(qs without denoms[i]) d_t g_i, so a
-    polynomial multiplier (denominator None) keeps all of qs.  Complementarity
-    uses the numerator (the denominators are positive on the feasible set by
+    The denominator is cleared: stationarity row t is
+    denom F_t - sum_i lambdas[i] d_t g_i over the i with d_t g_i != 0, and
+    F_t - ... when denom is None.  Complementarity and the sign conditions
+    use the numerators (the denominator is positive on the feasible set by
     the template's contract).  Zero polynomials are dropped once, at the end.
     """
     n, m = cs.n, cs.m
@@ -354,21 +336,13 @@ def build_kkt_sets(
             lam_eq * (Polynomial.constant(n, 2.0) - Polynomial.variable(n, t)) for t in range(n)
         ]
     else:
-        denoms = lam.denoms or (None,) * m
         grads = [g.gradient() for g in cs.g]
         stationarity = []
         for t in range(n):
-            active = [i for i in range(m) if not grads[i][t].is_zero]
-            qs: list[Polynomial] = []
-            for i in active:
-                if denoms[i] is not None and all(denoms[i] != q for q in qs):
-                    qs.append(denoms[i])
-            row = _product(qs, n) * F[t]
-            for i in active:
-                # by value: equal denominators from separate entries are
-                # distinct objects, and each clears its own factor of qs
-                rest = [q for q in qs if q != denoms[i]]
-                row = row - lam.lambdas[i] * _product(rest, n) * grads[i][t]
+            row = F[t] if lam.denom is None else lam.denom * F[t]
+            for i in range(m):
+                if not grads[i][t].is_zero:
+                    row = row - lam.lambdas[i] * grads[i][t]
             stationarity.append(row)
 
     equations = (

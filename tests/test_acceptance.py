@@ -341,7 +341,7 @@ def test_props_atom_extraction_round_trip():
             assert min(np.max(np.abs(g - a)) for g in got) <= 1e-6
 
 
-def test_props_catalog_left_inverses_exact():
+def test_props_catalog_left_inverses_exact(monkeypatch):
     def orthant_cs(n):
         g = tuple(Polynomial.variable(n, i) for i in range(n))
         return ConstraintSystem(g, (), tuple(range(n)), n)
@@ -383,9 +383,11 @@ def test_props_catalog_left_inverses_exact():
         "ring": ring_cs(3),
         "quadric_with_linear": quadric_linear_cs(3),
     }
+    # exact: L G - I has no nonzero coefficient at all
+    monkeypatch.setattr("polyvi.lme.VERIFY_TOL", 0.0)
     for kind, cs in samples.items():
         mat = catalog_lme(kind, cs)
-        assert verify_lme(mat, cs, tol=0.0)
+        assert verify_lme(mat, cs)
 
 
 def test_props_degree_bound_matches_brute_force():

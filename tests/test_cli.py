@@ -82,14 +82,12 @@ def test_parse_rejects_malformed():
 
 # where the messages about the first term of F[0] begin
 T0 = "F[0], term 0: "
-# one well-formed lambda for the m=1 projection problem
+# a list of m=1 multipliers for the projection problem, a form lme refuses
 LAM = [[{"coef": 1.0, "exp": [1, 0]}]]
 # the end of the message about a kind that is not one of the six names
 KINDS = "choose from orthant, ball, ring, quadric_with_linear, orthant_with_product, soc_quadric"
 # the start of the message about an lme object whose keys name no one form
-FORMS = "lme: keys must be {kind}, {L}, {lambdas} or {lambdas, denoms}, got "
-# the start of the message about a denominator that is a constant <= 0
-DENOM = "lme: denoms[0] must be positive on X, got the constant "
+FORMS = "lme: keys must be {kind} or {L}, got "
 
 
 @pytest.mark.parametrize(
@@ -127,21 +125,28 @@ DENOM = "lme: denoms[0] must be positive on X, got the constant "
             {"L": [[[], [{"coef": 1.0, "exp": [0.5, 0]}], []]]},
             "lme: L[0][1], term 0: exponents must be integers >= 0, got [0.5, 0]",
         ),
-        (None, "lme", {"lambdas": []}, "lme: lambdas must have m=1 entries, got 0"),
+        (None, "lme", {"L": [5]}, "lme: L[0] must be a list, got 5"),
         (
             None,
             "lme",
-            {"lambdas": [[{"coef": float("nan"), "exp": [1, 0]}]]},
-            "lme: lambdas[0], term 0: coefficient must be a finite number, got nan",
+            {"L": [[[{"coef": float("nan"), "exp": [1, 0]}], [], []]]},
+            "lme: L[0][0], term 0: coefficient must be a finite number, got nan",
+        ),
+        (None, "lme", {"L": [[[], [], 5]]}, "lme: L[0][2]: expected a list of terms"),
+        # the constant multiplier 1, which is no multiplier of the disk
+        (
+            None,
+            "lme",
+            {"L": [[[], [], [{"coef": 1.0, "exp": [0, 0]}]]]},
+            "lme: supplied L matrix is not an exact left inverse",
         ),
         (
             None,
             "lme",
-            {"lambdas": [[{"coef": 1.0, "exp": [1.5, 0]}]]},
-            "lme: lambdas[0], term 0: exponents must be integers >= 0, got [1.5, 0]",
+            {"kind": "orthant"},
+            "lme: orthant template needs the 2 constraints +1*x1 >= 0, +1*x2 >= 0; "
+            "got 1 with equalities []",
         ),
-        (None, "lme", {"lambdas": LAM, "denoms": []}, "lme: denoms must have m=1 entries, got 0"),
-        (None, "lme", {"lambdas": LAM, "denoms": [5]}, "lme: denoms[0]: expected a list of terms"),
         (None, "lme", {"kind": "Orthant"}, f"lme: no multiplier template 'Orthant'; {KINDS}"),
         (None, "lme", {"kind": "soc"}, f"lme: no multiplier template 'soc'; {KINDS}"),
         (
@@ -155,9 +160,9 @@ DENOM = "lme: denoms[0] must be positive on X, got the constant "
         (None, "lme", {"kind": "ball", "lamdbas": 1}, FORMS + "['kind', 'lamdbas']"),
         (None, "lme", {"L": [], "lambdas": LAM}, FORMS + "['L', 'lambdas']"),
         (None, "lme", {}, FORMS + "[]"),
-        (None, "lme", {"lambdas": LAM, "denoms": [[]]}, DENOM + "0"),
-        (None, "lme", {"lambdas": LAM, "denoms": [[{"coef": 0.0, "exp": [0, 0]}]]}, DENOM + "0"),
-        (None, "lme", {"lambdas": LAM, "denoms": [[{"coef": -2.0, "exp": [0, 0]}]]}, DENOM + "-2"),
+        (None, "lme", {"lambdas": LAM}, FORMS + "['lambdas']"),
+        (None, "lme", {"lambdas": LAM, "denoms": LAM}, FORMS + "['denoms', 'lambdas']"),
+        (None, "lme", {"L": [], "denoms": LAM}, FORMS + "['L', 'denoms']"),
         (None, "option", {"seed": "x"}, "unknown keys ['option']"),
         (None, "constraint", 5, "unknown keys ['constraint']"),
         (None, "name", ["tiny"], "name must be a string, got ['tiny']"),
@@ -194,15 +199,44 @@ def test_huge_exponent_fails_fast(tmp_path):
     "lme",
     [
         "ball",
-        {"lambdas": LAM},
-        {"lambdas": LAM, "denoms": None},
-        {"lambdas": LAM, "denoms": [None]},
-        {"lambdas": LAM, "denoms": [[{"coef": 2.0, "exp": [0, 0]}]]},
+        {"kind": "ball"},
+        # the disk's row (-x1/2, -x2/2, 1)
+        {"L": [[
+            [{"coef": -0.5, "exp": [1, 0]}],
+            [{"coef": -0.5, "exp": [0, 1]}],
+            [{"coef": 1.0, "exp": [0, 0]}],
+        ]]},
+        # another exact left inverse, (-x1/2 + x2, -x2/2 - x1, 1), not the catalog's
+        {"L": [[
+            [{"coef": -0.5, "exp": [1, 0]}, {"coef": 1.0, "exp": [0, 1]}],
+            [{"coef": -0.5, "exp": [0, 1]}, {"coef": -1.0, "exp": [1, 0]}],
+            [{"coef": 1.0, "exp": [0, 0]}],
+        ]]},
     ],
 )
 def test_well_formed_lme_parses(lme):
     problem, _ = cli.parse_problem({**projection_dict(), "lme": lme})
     assert len(problem.lam.lambdas) == 1
+
+
+@pytest.mark.parametrize(
+    "lme",
+    [
+        # the constant multiplier 1
+        {"lambdas": [[{"coef": 1.0, "exp": [0, 0]}]]},
+        # x1 / x1, whose denominator changes sign on the disk
+        {"lambdas": [[{"coef": 1.0, "exp": [1, 0]}]], "denoms": [[{"coef": 1.0, "exp": [1, 0]}]]},
+    ],
+    ids=["constant", "sign-changing-denominator"],
+)
+def test_unchecked_multipliers_are_refused(tmp_path, lme):
+    # neither is a multiplier of the disk; taken on trust, each makes the
+    # search certify no_solution although (0.6, 0.8) solves
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**projection_dict(), "lme": lme}))
+    result = invoke("solve", "--all", str(path))
+    assert result.exit_code == 1
+    assert result.output == f"error: {path}: {FORMS}{sorted(lme)}\n"
 
 
 def test_solve_command_finds_projection(tiny_file, tmp_path):
@@ -455,7 +489,8 @@ def _terms(*exps, coef=1.0):
     return [{"coef": coef, "exp": list(e)} for e in exps]
 
 
-# n=1 with x = 0 and x^2 = 1 as equalities: more equalities than variables
+# n=1 with x = 0 and x^2 = 1 as equalities: more equalities than variables;
+# its L has the rows (1 - x^2, x, 2x) and (x/2, -1/2, -1)
 TWO_EQUALITIES = {
     "n": 1,
     "F": [_terms((1,))],
@@ -463,13 +498,17 @@ TWO_EQUALITIES = {
         {"poly": _terms((1,)), "kind": "eq"},
         {"poly": _terms((2,)) + _terms((0,), coef=-1.0), "kind": "eq"},
     ],
-    "lme": {"lambdas": [[], []]},
+    "lme": {"L": [
+        [_terms((0,)) + _terms((2,), coef=-1.0), _terms((1,)), _terms((1,), coef=2.0)],
+        [_terms((1,), coef=0.5), _terms((0,), coef=-0.5), _terms((0,), coef=-1.0)],
+    ]},
 }
-# the projection problem with the constant 1 >= 0 as its one constraint
+# the projection problem with the constant 1 >= 0 as its one constraint,
+# whose L is the row (0, 0, 1)
 CONSTANT_CONSTRAINT = {
     **projection_dict(),
     "constraints": [{"poly": _terms((0, 0)), "kind": "ineq"}],
-    "lme": {"lambdas": [_terms((0, 0))]},
+    "lme": {"L": [[[], [], _terms((0, 0))]]},
 }
 
 
@@ -491,10 +530,13 @@ def test_bound_refuses_what_it_cannot_count(tmp_path, data, message):
 
 
 def test_bound_ignores_an_inequality_no_active_set_holds(tmp_path):
-    # n=1 with one equality: the constant inequality is never active
-    data = {**TWO_EQUALITIES, "constraints": [
-        TWO_EQUALITIES["constraints"][0], {"poly": _terms((0,)), "kind": "ineq"}
-    ]}
+    # n=1 with one equality: the constant inequality is never active; L has
+    # the rows (1, 0, 0) and (0, 0, 1)
+    data = {
+        **TWO_EQUALITIES,
+        "constraints": [TWO_EQUALITIES["constraints"][0], {"poly": _terms((0,)), "kind": "ineq"}],
+        "lme": {"L": [[_terms((0,)), [], []], [[], [], _terms((0,))]]},
+    }
     path = tmp_path / "p.json"
     path.write_text(json.dumps(data))
     result = invoke("bound", str(path), "--json")

@@ -1,7 +1,6 @@
 """Multiplier templates: exact left-inverse checks and KKT assembly."""
 
 import hashlib
-import json
 import math
 import os
 
@@ -317,8 +316,7 @@ def test_soc_rational_clearing():
         for i in range(n)
     )
     lam = soc_lme(F, cs)
-    assert lam.denoms[0] is None
-    assert lam.denoms[1] == Polynomial(n, {(0, 0, 0, 1): 2.0})
+    assert lam.denom == Polynomial(n, {(0, 0, 0, 1): 2.0})
     sys = build_kkt_sets(F, cs, lam)
     # the x4 stationarity row vanishes identically (the multiplier is defined
     # by solving it), leaving 3 cleared rows + complementarity + the equality
@@ -328,7 +326,7 @@ def test_soc_rational_clearing():
     for _ in range(20):
         x = rng.standard_normal(n)
         q1 = 2.0 * x[3]
-        lam0 = lam.lambdas[0].evaluate(x)
+        lam0 = lam.lambdas[0].evaluate(x) / q1
         p1 = lam.lambdas[1].evaluate(x)
         for t in range(n - 1):
             resid = (
@@ -390,28 +388,6 @@ def test_quadric_linear_multipliers_match_closed_form():
             assert lams[i].evaluate(x) == pytest.approx(want, rel=1e-11, abs=1e-10)
 
 
-def test_equal_denominators_from_separate_entries_are_cleared_once():
-    # the ring's multipliers written as (q lambda_i) / q, q = 1 + x1^2 given as
-    # two separate JSON entries, so the two denominators are equal but are not
-    # one object; both constraints are active in every stationarity row, and
-    # q clears once: row t is q F_t - sum_i (q lambda_i) d_t g_i
-    n = 2
-    cs = ring_cs(n)
-    F = (var(n, 0) - 3.0, var(n, 0) + var(n, 1))
-    q = const(n, 1.0) + var(n, 0) * var(n, 0)
-    nums = tuple(q * lam for lam in lambdas(catalog_lme(RING, cs), F))
-    spec = json.loads(json.dumps(
-        {"lambdas": [p.to_json() for p in nums], "denoms": [q.to_json(), q.to_json()]}
-    ))
-    lam = lme_from_spec(spec, F, cs)
-    assert lam.denoms[0] == lam.denoms[1] and lam.denoms[0] is not lam.denoms[1]
-    sys = build_kkt_sets(F, cs, lam)
-    grads = [g.gradient() for g in cs.g]
-    rows = tuple(q * F[t] - nums[0] * grads[0][t] - nums[1] * grads[1][t] for t in range(n))
-    assert sys.equations == rows + (nums[0] * cs.g[0], nums[1] * cs.g[1])
-    assert sys.inequalities == nums + cs.g
-
-
 # -- recipes: the multipliers a problem file's lme object names ---------------
 
 
@@ -420,16 +396,16 @@ def test_recipe_kind_roundtrip():
     F = tuple(var(3, i) - 1.0 for i in range(3))
     lam = lme_from_spec({"kind": "orthant"}, F, cs)
     assert lam.lambdas[1] == F[1]
-    assert lam.denoms is None and lam.rewrite is None
+    assert lam.denom is None and lam.rewrite is None
 
 
 def test_recipe_soc_kind():
     cs = soc_cs(B_QUAD)
     F = tuple(var(4, i) for i in range(4))
     lam = lme_from_spec({"kind": "soc_quadric"}, F, cs)
-    assert lam.denoms[1] is not None
+    assert lam.denom == Polynomial(4, {(0, 0, 0, 1): 2.0})
     # x_4 > 0 on the set, so the multiplier of x_4 >= 0 is zero
-    assert lam.lambdas[2].is_zero and lam.denoms[2] is None
+    assert lam.lambdas[2].is_zero
 
 
 def test_soc_kind_needs_the_upper_nappe():
@@ -441,13 +417,6 @@ def test_soc_kind_needs_the_upper_nappe():
     flipped = ConstraintSystem(cs.g[:2] + (const(4, 0.0) - var(4, 3),), (0,), (1, 2), 4)
     with pytest.raises(TemplateMismatch, match=r"^constraint 2 is not \+1\*x4$"):
         lme_from_spec({"kind": "soc_quadric"}, tuple(var(4, i) for i in range(4)), flipped)
-
-
-def test_recipe_explicit_lambdas():
-    cs = ball_cs(2)
-    lam_json = [{"coef": -0.5, "exp": [2, 0]}, {"coef": -0.5, "exp": [0, 2]}]
-    lam = lme_from_spec({"lambdas": [lam_json]}, tuple(var(2, i) for i in range(2)), cs)
-    assert lam.lambdas[0].evaluate((1.0, 1.0)) == pytest.approx(-1.0)
 
 
 def test_recipe_matrix_rejects_inexact():

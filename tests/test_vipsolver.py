@@ -490,7 +490,11 @@ def test_verify_refuses_a_solution_on_a_gapped_set():
     x = _var(1, 0)
     g = -((x - 1.0) * (x - 2.0) * (x + 20.0))
     cs = ConstraintSystem((g,), (), (0,), 1)
-    prob = vs.build_problem((_const(1, 1.0),), cs, {"lambdas": [[{"coef": 1.0, "exp": [0]}]]})
+    # L is the Bezout row (l1, l2) with l1 g' + l2 g = 1
+    l1 = [(-463 / 106722, 2), (-1424 / 17787, 1), (14089 / 106722, 0)]
+    l2 = [(463 / 35574, 1), (17761 / 106722, 0)]
+    rows = [[[{"coef": c, "exp": [e]} for c, e in cell] for cell in (l1, l2)]]
+    prob = vs.build_problem((_const(1, 1.0),), cs, {"L": rows})
     ver = vs.verify_candidate(prob, np.array([1.0]))
     assert ver.status != vs.SOLUTION
     assert ver.via in ("", "points")
