@@ -261,14 +261,15 @@ def _certificate_kind(res) -> str | None:
 
 
 def _render_solutions(report: dict) -> str:
-    lines = [f"status      {report['status']}"]
-    if "complete" in report:
-        lines.append(f"complete    {'yes' if report['complete'] else 'no'}")
-    if report.get("certificate_order") is not None:
+    lines = [
+        f"status      {report['status']}",
+        f"complete    {'yes' if report['complete'] else 'no'}",
+    ]
+    if report["certificate_order"] is not None:
         lines.append(f"cert order  {report['certificate_order']}")
         lines.append(f"certificate {report['certificate']}")
     lines.append(f"time        {report['time']:.2f}s")
-    sols = report.get("solutions", [])
+    sols = report["solutions"]
     if sols:
         lines.append("")
         lines.append(f"{'#':>2}  {'eps':>10}  {'objective':>12}  point")
@@ -328,38 +329,26 @@ def cmd_solve(file, mode_all, seed, max_loops, max_order_extra, as_json, out):
     flags = {"seed": seed, "max_loops": max_loops, "k_max_extra": max_order_extra}
     opts = dataclasses.replace(opts, **{k: v for k, v in flags.items() if v is not None})
     t0 = time.perf_counter()
-    report = {"command": "solve", "file": file, "mode": "all" if mode_all else "one"}
-    if mode_all:
-        res = solve_all(problem, opts)
-        report.update(
-            status=res.status,
-            complete=res.complete,
-            certificate_order=res.order,
-            certificate=_certificate_kind(res),
-            solutions=[
-                {"point": p, "eps": e, "objective": o}
-                for p, e, o in zip(res.solutions, res.eps, res.objectives)
-            ],
-            log=res.log,
-        )
-        ok = res.status in (SOLUTIONS, NO_SOLUTION)
-    else:
-        res = solve_one(problem, opts)
-        report.update(
-            status=res.status,
-            certificate_order=res.order,
-            certificate=_certificate_kind(res),
-            loops=res.loops,
-            solutions=[]
-            if res.point is None
-            else [{"point": res.point, "eps": res.eps, "objective": res.objective}],
-            log=res.log,
-        )
-        ok = res.status in (SOLUTION, NO_SOLUTION)
-    report["blas_threads"] = blas_threads()
-    report["time"] = time.perf_counter() - t0
+    res = (solve_all if mode_all else solve_one)(problem, opts)
+    report = {
+        "command": "solve",
+        "file": file,
+        "mode": "all" if mode_all else "one",
+        "status": res.status,
+        "complete": res.complete,
+        "certificate_order": res.order,
+        "certificate": _certificate_kind(res),
+        "loops": res.loops,
+        "solutions": [
+            {"point": p, "eps": e, "objective": o}
+            for p, e, o in zip(res.solutions, res.eps, res.objectives)
+        ],
+        "log": res.log,
+        "blas_threads": blas_threads(),
+        "time": time.perf_counter() - t0,
+    }
     _emit(report, as_json, out)
-    sys.exit(0 if ok else 2)
+    sys.exit(0 if res.status in (SOLUTION, SOLUTIONS, NO_SOLUTION) else 2)
 
 
 @main.command("verify")
@@ -473,7 +462,7 @@ def cmd_batch(family, dims, count, degree, seed, as_json):
             res = solve_one(problem, SolverOptions(seed=s))
             status = res.status
             # a certified empty solution set counts as a success too
-            success = status == NO_SOLUTION or (status == SOLUTION and abs(res.eps) <= EPS_TOL)
+            success = status == NO_SOLUTION or (status == SOLUTION and abs(res.eps[0]) <= EPS_TOL)
         except np.linalg.LinAlgError as exc:
             # numerical failures count against SR; programming errors propagate
             status, success = f"error: {exc}", False

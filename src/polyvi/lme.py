@@ -39,7 +39,8 @@ the zero tail.  `verify_lme(rows, cs)` checks L G = I coefficient by
 coefficient.  Multipliers are numerators over one shared denominator, which
 only `soc_lme` makes (2 x_n, positive on its set); the KKT assembly
 (`build_kkt_sets`) clears it without polynomial division by multiplying
-every stationarity row by it, and drops zero polynomials once, at the end.
+every stationarity row by it, and drops zero polynomials, with stationarity
+rows that are only rounding noise, once, at the end.
 A problem's multipliers are built once, for its field F (lme_from_spec);
 they serve the search relaxations only, since candidate verification
 relaxes the comparison problem over X directly.
@@ -65,6 +66,9 @@ KINDS = (ORTHANT, BALL, RING, QUADRIC_LINEAR, ORTHANT_PRODUCT, SOC_QUADRIC)
 _LME_FORMS = ({"kind"}, {"L"})
 # the largest coefficient of L G - I that verify_lme takes for zero
 VERIFY_TOL = 1e-12
+# a stationarity row whose largest coefficient is at most this times the
+# largest of the terms it is the difference of counts as zero
+CANCEL_TOL = 1e-12
 
 
 class UnknownKind(ValueError):
@@ -324,7 +328,10 @@ def build_kkt_sets(
     denom F_t - sum_i lambdas[i] d_t g_i over the i with d_t g_i != 0, and
     F_t - ... when denom is None.  Complementarity and the sign conditions
     use the numerators (the denominator is positive on the feasible set by
-    the template's contract).  Zero polynomials are dropped once, at the end.
+    the template's contract).  A stationarity row whose largest coefficient
+    is at most CANCEL_TOL times the largest coefficient of denom F_t and of
+    the terms subtracted from it is rounding noise and counts as zero.  Zero
+    polynomials are dropped once, at the end.
     """
     n, m = cs.n, cs.m
     if len(F) != n or len(lam.lambdas) != m:
@@ -340,9 +347,16 @@ def build_kkt_sets(
         stationarity = []
         for t in range(n):
             row = F[t] if lam.denom is None else lam.denom * F[t]
+            scale = np.abs(row.coefs).max(initial=0.0)
             for i in range(m):
                 if not grads[i][t].is_zero:
-                    row = row - lam.lambdas[i] * grads[i][t]
+                    term = lam.lambdas[i] * grads[i][t]
+                    scale = max(scale, np.abs(term.coefs).max(initial=0.0))
+                    row = row - term
+            # a row that cancels exactly in exact arithmetic leaves rounding
+            # noise, which equilibration would scale up into a spurious row
+            if np.abs(row.coefs).max(initial=0.0) <= CANCEL_TOL * scale:
+                row = Polynomial.zero(n)
             stationarity.append(row)
 
     equations = (

@@ -195,27 +195,20 @@ class VerifyResult:
 
 
 @dataclass
-class SolveOutcome:
-    status: str
-    point: np.ndarray | None = None
-    eps: float | None = None
-    objective: float | None = None
-    loops: int = 0
-    order: int | None = None
-    # False when the certificate of `order` holds only at the relaxed tolerance
-    trusted: bool = True
-    log: list = field(default_factory=list)
+class SolveResult:
+    """The solutions a run found, each with its eps and objective, whether
+    they are the whole solution set, and the search loops it took."""
 
-
-@dataclass
-class EnumerationResult:
-    status: str  # SOLUTIONS | NO_SOLUTION | INCONCLUSIVE_RUN
+    status: str  # SOLUTION | SOLUTIONS | NO_SOLUTION | INCONCLUSIVE_RUN
     solutions: list = field(default_factory=list)
     eps: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     complete: bool = False
+    # the order of the infeasibility certificate that ended the run, if any;
+    # not trusted when it holds only at the relaxed tolerance
     order: int | None = None
     trusted: bool = True
+    loops: int = 0
     log: list = field(default_factory=list)
 
 
@@ -436,45 +429,45 @@ def _solve_loop(
     extra_ineqs: list[Polynomial],
     opts: SolverOptions,
     log: list,
-) -> SolveOutcome:
+) -> SolveResult:
     """Search, verify and cut until one pass ends, logging each step to `log`.
 
-    Only NO_SOLUTION carries an order: that of its infeasibility certificate,
-    whose trust it carries too.
+    The result holds at most one solution.  Only NO_SOLUTION carries an
+    order, that of its infeasibility certificate, whose trust it carries
+    too, and only it is complete.
     """
     for loop in range(opts.max_loops):
         t0 = time.perf_counter()
         cand = find_candidate(problem, theta, cuts, extra_ineqs, opts)
         log.append({
             "phase": "search", "loop": loop, "status": cand.status, "order": cand.order,
-            "value": cand.value, "cuts": len(cuts), "time": round(time.perf_counter() - t0, 3),
+            "value": cand.value, "trusted": cand.trusted, "cuts": len(cuts),
+            "time": round(time.perf_counter() - t0, 3),
         })
         if cand.status == INFEASIBLE:
-            return SolveOutcome(
-                NO_SOLUTION, order=cand.order, trusted=cand.trusted, loops=loop + 1
+            return SolveResult(
+                NO_SOLUTION, complete=True, order=cand.order, trusted=cand.trusted, loops=loop + 1
             )
         if cand.status != MINIMIZERS:
-            return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
+            return SolveResult(INCONCLUSIVE_RUN, loops=loop + 1)
         found, added = _check_points(problem, theta, cand, cuts, opts, log, loop)
         if found is not None:
             u, ver = found
-            return SolveOutcome(
-                SOLUTION, point=u, eps=ver.eps, objective=theta.evaluate(u), loops=loop + 1
-            )
+            return SolveResult(SOLUTION, [u], [ver.eps], [theta.evaluate(u)], loops=loop + 1)
         if not added:
             # no progress possible: the same candidates would return
             log.append({"phase": "search", "loop": loop, "status": "stalled"})
-            return SolveOutcome(INCONCLUSIVE_RUN, loops=loop + 1)
-    return SolveOutcome(INCONCLUSIVE_RUN, loops=opts.max_loops)
+            return SolveResult(INCONCLUSIVE_RUN, loops=loop + 1)
+    return SolveResult(INCONCLUSIVE_RUN, loops=opts.max_loops)
 
 
-def solve_one(problem: VipProblem, opts: SolverOptions | None = None) -> SolveOutcome:
+def solve_one(problem: VipProblem, opts: SolverOptions | None = None) -> SolveResult:
     """Find one solution or certify that none exists."""
     opts = opts or SolverOptions()
     log: list = []
-    out = _solve_loop(problem, random_theta(problem.n, opts.seed), CutSet(), [], opts, log)
-    out.log = log
-    return out
+    res = _solve_loop(problem, random_theta(problem.n, opts.seed), CutSet(), [], opts, log)
+    res.log = log
+    return res
 
 
 def find_delta(
@@ -519,7 +512,8 @@ def find_delta(
         gamma = None if out.value is None else -float(out.value)
         log.append({
             "phase": "delta", "loop": attempt, "status": out.status, "delta": delta,
-            "gamma": gamma, "order": out.order, "time": round(time.perf_counter() - t0, 3),
+            "gamma": gamma, "order": out.order, "trusted": out.trusted,
+            "time": round(time.perf_counter() - t0, 3),
         })
         if out.status == BOUND_REACHED:
             return delta, True
@@ -542,46 +536,47 @@ def find_delta(
     return delta, False
 
 
-def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> EnumerationResult:
+def solve_all(problem: VipProblem, opts: SolverOptions | None = None) -> SolveResult:
     """Enumerate solutions in increasing generic-objective order.
 
     Each pass searches strictly above the gap certified over the last
     solution's objective; the first pass has no floor.  A pass without a
     solution ends the run, complete when it is infeasible and the last gap
-    is certified.
+    is certified.  The loops of all passes add up; completeness and the
+    certificate come from the last pass.
     """
     opts = opts or SolverOptions()
     theta = random_theta(problem.n, opts.seed)
     cuts = CutSet()
-    sols, eps, objs, log = [], [], [], []
+    res = SolveResult(INCONCLUSIVE_RUN)
+    sols, eps, objs, log = res.solutions, res.eps, res.objectives, res.log
     floor: list[Polynomial] = []
-    certified, complete, order, trusted = True, False, None, True
+    certified = True
     while True:
         nxt = _solve_loop(problem, theta, cuts, floor, opts, log)
-        if nxt.status == NO_SOLUTION:
-            complete, order, trusted = certified, nxt.order, nxt.trusted
+        res.loops += nxt.loops
+        res.complete, res.order, res.trusted = nxt.complete and certified, nxt.order, nxt.trusted
         if nxt.status != SOLUTION:
             break
-        if any(_same(nxt.point, s) for s in sols):
+        (u,), (e,), (objective,) = nxt.solutions, nxt.eps, nxt.objectives
+        if any(_same(u, s) for s in sols):
             log.append({"phase": "enumerate", "loop": len(sols), "status": "duplicate"})
             break
-        if objs and nxt.objective < objs[-1] - 1e-6:
+        if objs and objective < objs[-1] - 1e-6:
             log.append({"phase": "enumerate", "loop": len(sols), "status": "order_violation"})
             break
         if not certified:
             log.append({"phase": "enumerate", "loop": len(sols), "status": "uncertified_gap"})
-        sols.append(nxt.point)
-        eps.append(nxt.eps)
-        objs.append(nxt.objective)
+        sols.append(u)
+        eps.append(e)
+        objs.append(objective)
         if len(sols) == MAX_SOLUTIONS:
             break
-        delta, certified = find_delta(problem, theta, cuts, nxt.point, opts, log)
-        floor = [Polynomial.constant(problem.n, -(nxt.objective + delta)) + theta.poly]
+        delta, certified = find_delta(problem, theta, cuts, u, opts, log)
+        floor = [Polynomial.constant(problem.n, -(objective + delta)) + theta.poly]
 
-    status = SOLUTIONS if sols else (NO_SOLUTION if complete else INCONCLUSIVE_RUN)
-    return EnumerationResult(
-        status, sols, eps, objs, complete=complete, order=order, trusted=trusted, log=log
-    )
+    res.status = SOLUTIONS if sols else (NO_SOLUTION if res.complete else INCONCLUSIVE_RUN)
+    return res
 
 
 # -- counting bound -----------------------------------------------------------

@@ -161,7 +161,7 @@ def test_eigenvalue_over_polyhedral_cone():
     elapsed = time.monotonic() - t0
     assert res.status == "solution"
     ref = np.array([0.5534, 0.2372, 0.0000, 0.3162])
-    assert np.max(np.abs(res.point - ref)) <= 1e-3
+    assert np.max(np.abs(res.solutions[0] - ref)) <= 1e-3
     assert elapsed <= 120.0
 
 
@@ -173,7 +173,7 @@ def test_eigenvalue_over_second_order_cone():
     assert res.status in ("solution", "inconclusive")
     if res.status == "solution":
         ref = np.array([0.6906, 0.5866, -0.3661, 0.9773])
-        assert np.max(np.abs(res.point - ref)) <= 1e-3
+        assert np.max(np.abs(res.solutions[0] - ref)) <= 1e-3
 
 
 def _multistart_comparison_min(problem, u, starts=200, seed=0):
@@ -219,7 +219,7 @@ def test_eig_soc_solutions_survive_an_outside_check():
         res = solve_one(problem, SolverOptions(seed=seed))
         counts[res.status] = counts.get(res.status, 0) + 1
         if res.status == "solution":
-            gap = _multistart_comparison_min(problem, res.point)
+            gap = _multistart_comparison_min(problem, res.solutions[0])
             assert gap >= -1e-6, f"seed {seed}: x in K with F(u)^T (x - u) = {gap}"
     assert counts.get("solution", 0) >= 10
 
@@ -232,8 +232,8 @@ def test_capital_stock_equilibrium():
     elapsed = time.monotonic() - t0
     assert res.status == "solution"
     ref = np.array([0.1861, 0.5845, 0.1715, 0.4868, 0.0, 0.2270, 0.0])
-    assert np.max(np.abs(res.point - ref)) <= 1e-3
-    assert abs(res.eps) <= 1e-6
+    assert np.max(np.abs(res.solutions[0] - ref)) <= 1e-3
+    assert abs(res.eps[0]) <= 1e-6
     assert elapsed <= 600.0
 
 
@@ -437,7 +437,7 @@ def test_batch_ball_smoke_success_rate():
         data = generate("ball", (4,), 2, seed)
         problem, _ = parse_problem(data, f"ball-{seed}")
         res = solve_one(problem, SolverOptions(seed=seed))
-        if res.status == "solution" and abs(res.eps) <= 1e-6:
+        if res.status == "solution" and abs(res.eps[0]) <= 1e-6:
             solved += 1
         elif res.status == "no_solution":
             solved += 1

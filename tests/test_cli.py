@@ -14,7 +14,7 @@ from polyvi import blas, cli, vipsolver
 from polyvi import sdpbackend as sb
 from polyvi.lme import template
 from polyvi.polycore import Polynomial
-from polyvi.vipsolver import SolveOutcome
+from polyvi.vipsolver import SolveResult
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -273,6 +273,32 @@ def test_solve_all_flag(tiny_file):
     assert report["status"] == "solutions"
     assert report["complete"] is True
     assert len(report["solutions"]) == 1
+    # one report, with and without --all
+    one = json.loads(invoke("solve", tiny_file, "--json").output)
+    assert list(one) == list(report) == [
+        "command", "file", "mode", "status", "complete", "certificate_order", "certificate",
+        "loops", "solutions", "log", "blas_threads", "time",
+    ]
+    assert (one["status"], one["complete"]) == ("solution", False)
+    # the passes' loops add up, one per search; a stall logs a second entry
+    searches = [e for e in report["log"] if e["phase"] == "search"]
+    assert report["loops"] == sum(e["status"] != "stalled" for e in searches)
+    # each relaxation's entry says whether its answer holds at the strict tolerance
+    relaxations = [e for e in report["log"] if "order" in e]
+    assert {e["phase"] for e in relaxations} == {"search", "delta"}
+    assert all(isinstance(e["trusted"], bool) for e in relaxations)
+
+
+def test_generated_eig_linear_instance_is_solved(tmp_path):
+    # its stationarity rows cancel exactly; kept as rounding noise, they made
+    # the search relaxation infeasible and the answer a false no_solution
+    path = tmp_path / "p.json"
+    invoke("gen-random", "eig-linear", "--dims", "3", "--seed", "0", "--out", str(path))
+    report = json.loads(invoke("solve", str(path), "--json").output)
+    assert report["status"] == "solution"
+    point = np.array(report["solutions"][0]["point"])
+    assert np.max(np.abs(point - [0.3641, 0.0, 0.0])) <= 1e-4
+    assert abs(report["solutions"][0]["eps"]) <= 1e-6
 
 
 def test_negative_constant_field_on_the_orthant_has_no_solution(tmp_path):
@@ -311,12 +337,15 @@ def test_solve_reports_the_order_of_a_certificate_only(name, status, certificate
     report = json.loads(result.output)
     assert report["status"] == status
     assert report["certificate"] == certificate
+    # one solution is not the whole set; an infeasible search proves it empty
+    assert report["complete"] is (status == "no_solution")
     if status == "solution":
         assert report["certificate_order"] is None
     else:
         assert isinstance(report["certificate_order"], int)
     text = cli._render_solutions(report)
     assert (f"certificate {certificate}" in text) == (certificate is not None)
+    assert f"complete    {'yes' if report['complete'] else 'no'}" in text.splitlines()
 
 
 def test_solve_missing_file_exits_1(tmp_path):
@@ -352,7 +381,7 @@ def _seed_solve_sees(monkeypatch, tmp_path, file_seed, flags, env=None):
 
     def record(problem, opts):
         seen.append(opts.seed)
-        return SolveOutcome("inconclusive")
+        return SolveResult("inconclusive")
 
     monkeypatch.setattr(cli, "solve_one", record)
     assert invoke("solve", str(path), *flags, env=env).exit_code == 2

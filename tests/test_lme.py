@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from polyvi.cli import load_problem
+from polyvi.cli import generate, load_problem, parse_problem
 from polyvi.lme import (
     BALL,
     ORTHANT,
@@ -503,3 +503,26 @@ def test_catalog_rows_are_pinned(kind, dims, digest):
         b = np.random.default_rng(n).standard_normal((n, n))
         rows += catalog_lme(kind, template(kind, n, b + b.T))
     assert _digest(*rows) == digest
+
+
+@pytest.mark.parametrize(
+    "family,dims",
+    [
+        pytest.param(family, dims, id=f"{family}-{','.join(map(str, dims))}")
+        for family, all_dims in (
+            ("ball", ((2,), (3,), (4,))),
+            ("eig-linear", ((2,), (3,), (4,))),
+            ("eig-soc", ((2,), (3,), (4,))),
+            ("capital", ((1, 1), (2, 1), (2, 2))),
+        )
+        for dims in all_dims
+    ],
+)
+def test_no_kkt_polynomial_of_a_generated_instance_is_rounding_noise(family, dims):
+    # quadric_with_linear's stationarity rows cancel exactly; kept as the
+    # rounding noise of the float cancellation, equilibration scaled them up
+    # into rows that made every search relaxation infeasible
+    for seed in range(5):
+        problem, _ = parse_problem(generate(family, dims, 2, seed), f"{family}-{seed}")
+        for p in problem.kkt.equations + problem.kkt.inequalities:
+            assert np.abs(p.coefs).max() > 1e-8, f"seed {seed}: {p!r}"

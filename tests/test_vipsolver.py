@@ -120,9 +120,10 @@ def test_solve_one_projection():
     prob = ball_projection_problem(a)
     res = vs.solve_one(prob)
     assert res.status == vs.SOLUTION
-    assert np.max(np.abs(res.point - a / np.linalg.norm(a))) <= 1e-4
-    assert abs(res.eps) <= 1e-6
-    assert violation(res.point, [], prob.cs.g) <= 1e-6
+    (point,) = res.solutions
+    assert np.max(np.abs(point - a / np.linalg.norm(a))) <= 1e-4
+    assert abs(res.eps[0]) <= 1e-6
+    assert violation(point, [], prob.cs.g) <= 1e-6
 
 
 def test_verify_accepts_solution_and_cuts_imposter():
@@ -356,7 +357,7 @@ def test_search_checks_the_points_after_an_inconclusive_one(monkeypatch):
         lambda k: verdicts[k],
     )
     assert out.status == vs.SOLUTION
-    assert np.array_equal(out.point, second) and out.eps == 0.0
+    assert np.array_equal(out.solutions[0], second) and out.eps == [0.0]
     assert len(verified) == 2
     assert _entries(log) == [
         ("search", 0, MINIMIZERS),
@@ -403,7 +404,7 @@ def test_a_point_near_a_solved_point_is_not_verified_again(monkeypatch):
         monkeypatch, lambda k: HierarchyOutcome(MINIMIZERS, 2, 1.0, [near]), verdict, cuts
     )
     assert out.status == vs.SOLUTION
-    assert np.array_equal(out.point, near) and out.eps == solution.eps
+    assert np.array_equal(out.solutions[0], near) and out.eps == [solution.eps]
     assert _entries(log) == [("search", 0, MINIMIZERS), ("verify", 0, vs.SOLUTION)]
     assert log[1]["eps"] == solution.eps and log[1]["via"] == "bound"
     assert len(cuts.solved) == 1
